@@ -20,7 +20,7 @@ from chargedfock.scalar import make_context
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--cutoffs", default="8,10,12", help="comma-separated level cutoffs")
+    ap.add_argument("--cutoffs", default="8,12,16,20,24", help="comma-separated level cutoffs")
     ap.add_argument("--lambda", dest="lam", default="1/4", help="perturbation strength p/q")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=2)

@@ -31,7 +31,16 @@ from typing import Dict, List, Optional, Tuple
 
 from .fock import Space, TensorState, inner_product, partitions_of
 from .scalar import Scalar
-from .twodim import TimeZeroMode, apply_time_zero, band_tail_norm, partial_sum_norm_series
+from .twodim import (
+    TimeZeroImage,
+    TimeZeroMode,
+    band_tail_norm,
+    image_band_report,
+    image_inner_product,
+    partial_sum_norm_series,
+    tail_product,
+    time_zero_image,
+)
 from .vertex import charge_multiplier, conformal_weight
 from .virasoro import apply_L_tensor
 
@@ -110,25 +119,30 @@ class PsiCache:
     """Memo for bilinear applications; they are reused across cells and
     coupling values because the mode itself does not depend on ``lam``.
 
-    Keyed by input-state identity (a reference is kept, so ids stay valid).
+    Keyed by value (space, charge, index, entries of the input state), so an
+    equal state built twice hits.  Holds the unmaterialized image, to pair
+    through :func:`~chargedfock.twodim.image_inner_product`, and its band-tail
+    norm.
     """
 
     def __init__(self):
-        self._store: Dict[tuple, Tuple[TensorState, TensorState, float]] = {}
+        self._store: Dict[tuple, Tuple[TimeZeroImage, float]] = {}
 
-    def apply(self, space: Space, alpha: Scalar, m: int, state: TensorState):
-        key = (str(alpha), m, id(state))
+    def apply(
+        self, space: Space, alpha: Scalar, m: int, state: TensorState
+    ) -> Tuple[TimeZeroImage, float]:
+        key = (space, alpha, m, frozenset(state.entries.items()))
         hit = self._store.get(key)
         if hit is None:
-            out, report = apply_time_zero(space, TimeZeroMode(alpha, m), state)
-            if report.charge_clipped:
+            image = time_zero_image(space, TimeZeroMode(alpha, m), state)
+            if image.charge_clipped:
                 raise ValueError(
                     "bilinear application left the charge window; test vectors"
                     " must sit one charge step inside it"
                 )
-            hit = (state, out, band_tail_norm(report))
+            hit = (image, band_tail_norm(image_band_report(image)))
             self._store[key] = hit
-        return hit[1], hit[2]
+        return hit
 
 
 @dataclass(frozen=True)
@@ -226,25 +240,21 @@ def weak_commutator_parts(
     budget = 0.0
     alpha = gen_a.alpha
     if use_b:
-        psi_b2, _ = cache.apply(space, alpha, gen_b.m, phi2)
-        psi_mb1, _ = cache.apply(space, alpha, -gen_b.m, phi1)
-        mixed = mixed + b_coeff * inner_product(ctx, la_ad1, psi_b2)
-        mixed = mixed - b_coeff * inner_product(ctx, psi_mb1, la2)
-    if use_a:
-        psi_a2, _ = cache.apply(space, alpha, gen_a.m, phi2)
-        psi_ma1, _ = cache.apply(space, alpha, -gen_a.m, phi1)
-        mixed = mixed + a_coeff * inner_product(ctx, psi_ma1, lb2)
-        mixed = mixed - a_coeff * inner_product(ctx, lb_ad1, psi_a2)
-    if use_a and use_b:
-        psi_ma1, tail_ma1 = cache.apply(space, alpha, -gen_a.m, phi1)
         psi_b2, tail_b2 = cache.apply(space, alpha, gen_b.m, phi2)
         psi_mb1, tail_mb1 = cache.apply(space, alpha, -gen_b.m, phi1)
+        mixed = mixed + b_coeff * image_inner_product(la_ad1, psi_b2)
+        mixed = mixed - b_coeff * image_inner_product(psi_mb1, la2)
+    if use_a:
         psi_a2, tail_a2 = cache.apply(space, alpha, gen_a.m, phi2)
-        first = inner_product(ctx, psi_ma1, psi_b2)
-        second = inner_product(ctx, psi_mb1, psi_a2)
+        psi_ma1, tail_ma1 = cache.apply(space, alpha, -gen_a.m, phi1)
+        mixed = mixed + a_coeff * image_inner_product(psi_ma1, lb2)
+        mixed = mixed - a_coeff * image_inner_product(lb_ad1, psi_a2)
+    if use_a and use_b:
+        first = image_inner_product(psi_ma1, psi_b2)
+        second = image_inner_product(psi_mb1, psi_a2)
         psipsi = a_coeff * b_coeff * (first - second)
         budget = abs(ctx.to_complex(a_coeff * b_coeff)) * (
-            tail_ma1 * tail_b2 + tail_mb1 * tail_a2
+            tail_product(tail_ma1, tail_b2) + tail_product(tail_mb1, tail_a2)
         )
     return WeakParts(ll, mixed, psipsi, budget)
 
@@ -290,7 +300,7 @@ def commutator_targets(
         return ll_target, ctx.zero()
     cache = cache if cache is not None else PsiCache()
     psi_t2, _ = cache.apply(space, target.alpha, target.m, phi2)
-    psi_target = coeff * (t_coeff * inner_product(ctx, phi1, psi_t2))
+    psi_target = coeff * (t_coeff * image_inner_product(phi1, psi_t2))
     return ll_target, psi_target
 
 
@@ -603,7 +613,7 @@ def explore_d_half(
                     predicted = ctx.zero()
                 else:
                     psi_sum2, _ = cache.apply(space, alpha, m + n, phi2)
-                    predicted = gap_scale * ((m - n) * inner_product(ctx, phi1, psi_sum2))
+                    predicted = gap_scale * ((m - n) * image_inner_product(phi1, psi_sum2))
                 all_gaps_vanish = all_gaps_vanish and ctx.is_zero(gap)
                 gap_re, gap_im = ctx.re_im(gap)
                 pre_re, pre_im = ctx.re_im(predicted)

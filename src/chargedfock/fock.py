@@ -262,22 +262,6 @@ def enumerate_basis(trunc: Truncation, max_level: Optional[int] = None):
     return out
 
 
-def enumerate_tensor_basis(trunc: Truncation, max_level: Optional[int] = None):
-    """Diagonal two-sided basis keys (j, left, right), both chiral levels bounded."""
-    if max_level is None:
-        max_level = trunc.level_cutoff
-    if max_level is None:
-        raise ValueError("enumerate_tensor_basis needs a finite level bound")
-    out = []
-    for j in range(trunc.j_min, trunc.j_max + 1):
-        for ll in range(max_level + 1):
-            for left in partitions_of(ll):
-                for lr in range(max_level + 1):
-                    for right in partitions_of(lr):
-                        out.append((j, left, right))
-    return out
-
-
 def _sort_key(key):
     if len(key) == 2:
         j, lam = key

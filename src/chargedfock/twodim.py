@@ -8,12 +8,37 @@ over the left level shift ``delta`` (both chiral factors shift the shared
 sector once).  The symmetrized variant adds the charge-reflected term with
 ``alpha -> -alpha``; its adjoint is the index-reflected mode m -> -m.
 
-At a finite level cutoff only finitely many bands fit; applications return the
-band-resolved partial sum together with a :class:`BandReport` recording every
-included band's squared norm.  Dropped bands live strictly outside the cutoff
-(or the sector window), so they are orthogonal to everything kept -- the only
-truncation error in a pairing <Psi phi1, Psi phi2> is tail-against-tail, and
-:func:`psi_pair_form` budgets it by extrapolating the band-norm series.
+At a finite level cutoff only the bands whose two chiral outputs both stay
+inside it (and whose target sector stays inside the window) are kept.  Dropped
+bands are orthogonal to everything kept, so the only truncation error in a
+pairing <Psi phi1, Psi phi2> is tail-against-tail, and :func:`psi_pair_form`
+budgets it by extrapolating the band-norm series with :func:`band_tail_norm`.
+
+Factorized pairing
+------------------
+Psi phi is never materialized.  :func:`time_zero_image` keeps it as its terms:
+for each entry ``c |j, l, r>`` of phi and each sign ``eps`` whose target
+sector ``j + eps*alpha/alpha0`` is admitted, the coefficient, the charge
+``eps*alpha`` and the two chiral partitions.  The Gram weight of a diagonal
+basis vector is the product of two chiral weights, so
+
+    <Psi_a phi1, Psi_b phi2> = sum conj(c_k) c_k'
+        <Y_delta l_k, Y_delta' l_k'> <Y_{delta+a} r_k, Y_{delta'+b} r_k'>
+
+over term pairs with one target sector and over the bands ``delta`` with
+``delta' = delta + |l_k| - |l_k'|``.  Each chiral Gram is one
+``y_mode_table`` row paired against another with ``zsym`` weights, memoized
+by value in a bounded cache.  The same kernel gives each band's squared norm
+(same ``delta`` on both sides) for the tail budget, and
+:func:`image_inner_product` also pairs an image against a materialized state,
+where every (entry, term) pair fixes its band and costs two table lookups.
+All sums are exact in the exact modes, so the values equal those of the
+materialized tensor.
+
+:func:`apply_time_zero` still builds the truncated band sum as a
+:class:`~chargedfock.fock.TensorState`, band by band.  Nothing in the
+verification paths calls it: it is the small-cutoff oracle the tests check
+the factorized kernel against.
 
 Two exact symmetries used by the vanishing arguments live here as well: the
 chiral ``flip`` and the ``sign_automorphism`` (every current negated, sectors
@@ -24,18 +49,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from .diagnostics import loglog_slope, tail_budget
-from .fock import SectorState, Space, TensorState, inner_product, norm_sq
+from .fock import Partition, SectorState, Space, TensorState, norm_sq, zsym
 from .scalar import Scalar, decimal_str
 from .vertex import charge_multiplier, vacuum_mode_norm_sq, y_mode_table
 
 __all__ = [
     "TimeZeroMode",
     "BandReport",
+    "TimeZeroImage",
+    "time_zero_image",
+    "image_band_report",
+    "image_inner_product",
     "apply_time_zero",
     "band_tail_norm",
+    "tail_product",
     "psi_pair_form",
     "weak_psi_commutator",
     "partial_sum_norm_series",
@@ -65,12 +96,159 @@ class BandReport:
     clipped: bool
     charge_clipped: bool
 
-    def last_band_norm_sq(self) -> float:
-        return self.bands[-1][1] if self.bands else 0.0
+
+# (target sector, charge eps*alpha, coefficient, left, right, |left|, |right|)
+Term = Tuple[int, Scalar, Scalar, Partition, Partition, int, int]
+
+
+@dataclass(frozen=True)
+class TimeZeroImage:
+    """Psi phi at the space's cutoff, held as the terms of phi it is built from."""
+
+    space: Space
+    mode: TimeZeroMode
+    terms: Tuple[Term, ...]
+    charge_clipped: bool
+
+
+def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZeroImage:
+    """The mode on v, unmaterialized; pair it with :func:`image_inner_product`."""
+    if space.trunc.level_cutoff is None:
+        raise ValueError("time-zero modes need a finite level cutoff")
+    mult = charge_multiplier(space, mode.alpha)
+    signs = (1, -1) if mode.symmetrized else (1,)
+    terms = []
+    charge_clipped = False
+    for (j, left, right), c in v.entries.items():
+        for eps in signs:
+            jt = j + eps * mult
+            if not space.trunc.admits_sector(jt):
+                charge_clipped = True
+                continue
+            alpha_eps = mode.alpha if eps == 1 else -mode.alpha
+            terms.append((jt, alpha_eps, c, left, right, sum(left), sum(right)))
+    return TimeZeroImage(space, mode, tuple(terms), charge_clipped)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _table_row(alpha, delta: int, lam: Partition) -> Dict[Partition, Scalar]:
+    return dict(y_mode_table(alpha, delta, lam))
+
+
+@lru_cache(maxsize=1 << 16, typed=True)
+def _chiral_gram(alpha1, delta1: int, lam1: Partition, alpha2, delta2: int, lam2: Partition):
+    """<Y^{alpha1}_{delta1} lam1, Y^{alpha2}_{delta2} lam2> in one chiral factor.
+
+    Charges are real, so table rows are real and the bra row needs no
+    conjugation.
+    """
+    row2 = _table_row(alpha2, delta2, lam2)
+    total = 0
+    if row2:
+        for mu, c1 in y_mode_table(alpha1, delta1, lam1):
+            c2 = row2.get(mu)
+            if c2 is not None:
+                total = total + c1 * c2 * zsym(mu)
+    return total
+
+
+def _by_sector(terms) -> Dict[int, List[Term]]:
+    out: Dict[int, List[Term]] = {}
+    for term in terms:
+        out.setdefault(term[0], []).append(term)
+    return out
+
+
+def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[int, Scalar]:
+    """Bra band delta -> its share of <u, w>.
+
+    With ``same_band`` only equal left shifts pair (delta' = delta), which is
+    the squared norm of each band when u is w.
+    """
+    ctx = u.space.ctx
+    L = u.space.trunc.level_cutoff
+    a, b = u.mode.m, w.mode.m
+    kets = _by_sector(w.terms)
+    out: Dict[int, Scalar] = {}
+    for jt, al, c, left, right, ll, lr in u.terms:
+        for _jt, al2, c2, left2, right2, ll2, lr2 in kets.get(jt, ()):
+            # both chiral output levels must agree: the left one fixes delta',
+            # after which the right one leaves a delta-independent condition
+            shift = ll - ll2
+            if lr + a - ll != lr2 + b - ll2 or (same_band and shift):
+                continue
+            coeff = ctx.conj(c) * c2
+            for d in range(max(-ll, -a - lr), min(L - ll, L - a - lr) + 1):
+                g = _chiral_gram(al, d, left, al2, d + shift, left2)
+                if not g:
+                    continue
+                g = g * _chiral_gram(al, d + a, right, al2, d + shift + b, right2)
+                if g:
+                    out[d] = out.get(d, 0) + coeff * g
+    return out
+
+
+def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
+    """<v, w> for a materialized v: an entry and a term fix the band."""
+    ctx = w.space.ctx
+    L = w.space.trunc.level_cutoff
+    m = w.mode.m
+    kets = _by_sector(w.terms)
+    total = ctx.zero()
+    for (j, lv, rv), cv in v.entries.items():
+        terms = kets.get(j)
+        llv, lrv = sum(lv), sum(rv)
+        if not terms or llv > L or lrv > L:
+            continue
+        acc = 0
+        for _jt, al, c, left, right, ll, lr in terms:
+            d = llv - ll
+            if lrv != lr + d + m:
+                continue
+            x = _table_row(al, d, left).get(lv)
+            if x is None:
+                continue
+            y = _table_row(al, d + m, right).get(rv)
+            if y is not None:
+                acc = acc + c * x * y
+        if acc:
+            total = total + ctx.conj(cv) * acc * (zsym(lv) * zsym(rv))
+    return total
+
+
+def image_inner_product(u, w) -> Scalar:
+    """<u, w>, conjugate-linear in u, for two images of one space or an image
+    and a materialized :class:`TensorState` in either order."""
+    if isinstance(u, TimeZeroImage) and isinstance(w, TimeZeroImage):
+        if u.space != w.space:
+            raise ValueError("images from different spaces do not pair")
+        total = u.space.ctx.zero()
+        for value in _band_pairings(u, w, False).values():
+            total = total + value
+        return total
+    if isinstance(w, TimeZeroImage):
+        return _pair_state(u, w)
+    if isinstance(u, TimeZeroImage):
+        return u.space.ctx.conj(_pair_state(w, u))
+    raise TypeError("image_inner_product needs at least one time-zero image")
+
+
+def image_band_report(image: TimeZeroImage) -> BandReport:
+    """Band norms of the image, the same ones :func:`apply_time_zero` reports."""
+    ctx = image.space.ctx
+    norms = _band_pairings(image, image, True)
+    bands = tuple(
+        (d, float(ctx.re_im(norms[d])[0])) for d in sorted(norms) if norms[d] != 0
+    )
+    clipped = bool(image.terms) or image.charge_clipped
+    return BandReport(bands, clipped, image.charge_clipped)
 
 
 def apply_time_zero(space: Space, mode: TimeZeroMode, v: TensorState):
-    """Partial band sum of the mode on v -> (TensorState, BandReport)."""
+    """Partial band sum of the mode on v -> (TensorState, BandReport).
+
+    Materializes every band; the test oracle for the factorized kernel.
+    """
     L = space.trunc.level_cutoff
     if L is None:
         raise ValueError("time-zero modes need a finite level cutoff")
@@ -138,6 +316,14 @@ def band_tail_norm(report: BandReport) -> float:
     return math.sqrt(budget_sq)
 
 
+def tail_product(tail_bra: float, tail_ket: float) -> float:
+    """Budget of a tail-against-tail pairing.  An empty side has no tail at
+    all, so the product is 0 even against an unbounded (+inf) side."""
+    if tail_bra == 0.0 or tail_ket == 0.0:
+        return 0.0
+    return tail_bra * tail_ket
+
+
 def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2):
     """<Psi_bra phi1, Psi_ket phi2> at the cutoff, with a truncation budget.
 
@@ -146,10 +332,12 @@ def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, 
     between kept and dropped parts vanish identically; the budget is the
     product of the two extrapolated tail norms.
     """
-    u, rep_u = apply_time_zero(space, mode_bra, phi1)
-    w, rep_w = apply_time_zero(space, mode_ket, phi2)
-    value = inner_product(space.ctx, u, w)
-    budget = band_tail_norm(rep_u) * band_tail_norm(rep_w)
+    u = time_zero_image(space, mode_bra, phi1)
+    w = time_zero_image(space, mode_ket, phi2)
+    value = image_inner_product(u, w)
+    budget = tail_product(
+        band_tail_norm(image_band_report(u)), band_tail_norm(image_band_report(w))
+    )
     return value, budget
 
 

@@ -140,7 +140,7 @@ def expand_E(sign: str, alpha, max_level: int):
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def y_mode_table(alpha, delta: int, lam: Partition):
     """Level-shift-delta mode on one basis partition: tuple of (mu, coeff).
 

@@ -159,6 +159,18 @@ def test_verify_commutativity_small(capsys):
     assert rep["vacuum"]["all_exact_zero"]
 
 
+def test_verify_commutativity_degenerate_cutoff_has_no_nan(capsys):
+    # at cutoff 1 some applications are empty (tail 0) against unfittable
+    # ones (tail inf); their product is 0, not NaN
+    code, out = run(capsys, "verify-commutativity", "--level_cutoff", "1")
+    assert "NaN" not in out
+    rep = json.loads(out)
+    exact_rows = [row for row in rep["vacuum"]["rows"] if row["exact_zero"]]
+    assert exact_rows
+    assert all(row["verdict"] == "pass" for row in exact_rows)
+    assert code == 0
+
+
 def test_verify_lorentz_unperturbed_is_exact(capsys):
     code, out = run(capsys, "verify-lorentz", "--level_cutoff", "6", "--lambda", "0")
     assert code == 0

@@ -20,6 +20,7 @@ from chargedfock.desitter import (
 )
 from chargedfock.fock import Space, TensorState, Truncation, inner_product, states_equal
 from chargedfock.scalar import GaussianRational, make_context
+from chargedfock.twodim import image_inner_product
 from chargedfock.vertex import conformal_weight
 from chargedfock.virasoro import apply_lorentz
 
@@ -246,7 +247,7 @@ def test_d_half_gap_formula_and_closure_at_half():
             gen_b = PerturbedGenerator("d_half", n, lam, alpha)
             parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, bra, VAC, 4, local_cache)
             psi_sum, _ = local_cache.apply(sp, alpha, m + n, VAC)
-            predicted = lam * (2 * d - 1) * ((m - n) * inner_product(EXACT, bra, psi_sum))
+            predicted = lam * (2 * d - 1) * ((m - n) * image_inner_product(bra, psi_sum))
             assert ll_res == 0
             assert mixed_res == predicted
             if alpha == Fraction(1):

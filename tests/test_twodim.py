@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chargedfock.fock import (
     Space,
@@ -10,18 +12,23 @@ from chargedfock.fock import (
     Truncation,
     inner_product,
     norm_sq,
+    partitions_of,
     states_equal,
 )
-from chargedfock.scalar import make_context
+from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import (
     BandReport,
     TimeZeroMode,
     apply_time_zero,
     band_tail_norm,
     flip,
+    image_band_report,
+    image_inner_product,
     partial_sum_norm_series,
     psi_pair_form,
     sign_automorphism,
+    tail_product,
+    time_zero_image,
     weak_psi_commutator,
     write_convergence_csv,
 )
@@ -74,6 +81,8 @@ def test_requires_finite_cutoff():
     sp = Space(EXACT, A0, Truncation(None, -2, 2))
     with pytest.raises(ValueError):
         apply_time_zero(sp, TimeZeroMode(A0, 0), VAC)
+    with pytest.raises(ValueError):
+        time_zero_image(sp, TimeZeroMode(A0, 0), VAC)
 
 
 def test_partial_sum_series_values():
@@ -191,6 +200,13 @@ def test_band_tail_norm_power_law():
     assert band_tail_norm(BandReport(flat, True, False)) == math.inf
 
 
+def test_tail_product_of_an_empty_side_is_zero():
+    assert tail_product(0.0, math.inf) == 0.0
+    assert tail_product(math.inf, 0.0) == 0.0
+    assert tail_product(0.5, math.inf) == math.inf
+    assert tail_product(0.5, 0.25) == 0.125
+
+
 def test_psi_pair_form_budget_orthogonality():
     sp = space(6)
     value, budget = psi_pair_form(
@@ -207,3 +223,108 @@ def test_convergence_csv_format():
     assert lines[0] == "band,band_norm_sq,partial_sum"
     assert lines[1] == "0,1,1"
     assert lines[2].startswith("1,0.0625,1.0625")
+
+
+# ---------------------------------------------------------------------------
+# factorized kernel against the materialized oracle
+
+SMALL_PARTS = [lam for level in range(4) for lam in partitions_of(level)]
+# pairing partners may sit one level beyond the largest cutoff drawn
+PARTNER_PARTS = [lam for level in range(8) for lam in partitions_of(level)]
+
+
+def _raw_state(parts):
+    # (sector, left, right, re numerator, im numerator, denominator); the
+    # sectors reach the window edge so that charge clipping occurs
+    entry = st.tuples(
+        st.integers(-2, 2),
+        st.sampled_from(parts),
+        st.sampled_from(parts),
+        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3),
+        st.integers(1, 4),
+    )
+    return st.lists(entry, min_size=1, max_size=4)
+
+
+CASES = st.fixed_dictionaries(
+    {
+        "L": st.integers(2, 6),
+        "mult": st.integers(1, 2),
+        "m_bra": st.integers(-3, 3),
+        "m_ket": st.integers(-3, 3),
+        "sym_bra": st.booleans(),
+        "sym_ket": st.booleans(),
+        "phi1": _raw_state(SMALL_PARTS),
+        "phi2": _raw_state(SMALL_PARTS),
+        "v": _raw_state(PARTNER_PARTS),
+    }
+)
+
+# the bra's sector-2 entry loses its +1 image to the window edge, and the
+# partner's level-5 entry lies beyond the cutoff
+EDGE_CASE = {
+    "L": 4,
+    "mult": 1,
+    "m_bra": 1,
+    "m_ket": -1,
+    "sym_bra": True,
+    "sym_ket": True,
+    "phi1": [(2, (1,), (), 1, 1, 2), (1, (), (1,), 1, 1, 2)],
+    "phi2": [(-2, (), (), -2, 1, 3), (0, (2,), (1,), -2, 1, 3)],
+    "v": [(1, (2,), (1,), 1, -1, 1), (-1, (1,), (), 1, -1, 1), (1, (3, 2), (), 1, -1, 1)],
+}
+
+
+def _scalar(ctx, re, im, den):
+    re, im = Fraction(re, den), Fraction(im, den)
+    if ctx.mode == "exact-rational":
+        return re
+    if ctx.mode == "exact-gaussian":
+        return GaussianRational(re, im)
+    return complex(float(re), float(im))
+
+
+def _state(ctx, raw):
+    return TensorState({(j, l, r): _scalar(ctx, re, im, den) for j, l, r, re, im, den in raw})
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [make_context("exact-rational"), make_context("exact-gaussian"), make_context("float", 1e-9)],
+    ids=lambda ctx: ctx.mode,
+)
+@settings(max_examples=100, deadline=None)
+@example(case=EDGE_CASE)
+@given(case=CASES)
+def test_factorized_kernel_matches_materialized_oracle(ctx, case):
+    alpha0 = Fraction(1, 2) if ctx.exact else 0.5
+    sp = Space(ctx, alpha0, Truncation(case["L"], -2, 2))
+    alpha = alpha0 * case["mult"]
+    mode_bra = TimeZeroMode(alpha, case["m_bra"], case["sym_bra"])
+    mode_ket = TimeZeroMode(alpha, case["m_ket"], case["sym_ket"])
+    phi1, phi2, v = (_state(ctx, case[k]) for k in ("phi1", "phi2", "v"))
+
+    u_img, w_img = time_zero_image(sp, mode_bra, phi1), time_zero_image(sp, mode_ket, phi2)
+    u, rep_u = apply_time_zero(sp, mode_bra, phi1)
+    w, rep_w = apply_time_zero(sp, mode_ket, phi2)
+    pairs = [
+        (image_inner_product(u_img, w_img), inner_product(ctx, u, w)),
+        (image_inner_product(v, w_img), inner_product(ctx, v, w)),
+        (image_inner_product(u_img, v), inner_product(ctx, u, v)),
+    ]
+    for factorized, materialized in pairs:
+        if ctx.exact:
+            assert factorized == materialized
+        else:
+            assert ctx.eq(factorized, materialized)
+
+    for img, rep in ((u_img, rep_u), (w_img, rep_w)):
+        got = image_band_report(img)
+        if ctx.exact:
+            assert got == rep
+        else:
+            assert (got.clipped, got.charge_clipped) == (rep.clipped, rep.charge_clipped)
+            ours, theirs = dict(got.bands), dict(rep.bands)
+            for band in set(ours) | set(theirs):
+                assert abs(ours.get(band, 0.0) - theirs.get(band, 0.0)) <= ctx.tolerance
