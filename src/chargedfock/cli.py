@@ -1,9 +1,10 @@
 """Command-line verification harness.
 
-Reports are JSON (sorted keys, two-space indent) written to the configured
-output path or stdout; series are CSV; logs go to stderr.  Exit codes:
-0 every check passed, 1 usage or configuration error, 2 an exact identity
-failed, 3 a residual exceeded its truncation budget.
+Reports are strict JSON (sorted keys, two-space indent) written to the
+configured output path or stdout; an unbounded budget is the string
+``"unbounded"`` and a NaN is an error.  Series are CSV; logs go to stderr.
+Exit codes: 0 every check passed, 1 usage or configuration error, 2 an exact
+identity failed, 3 a residual exceeded its truncation budget.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from . import desitter, harness, virasoro
 from .config import (
@@ -24,8 +25,6 @@ from .config import (
     config_echo,
     resolve_config,
 )
-from .fock import Space, Truncation
-from .scalar import make_context
 from .twodim import partial_sum_norm_series, write_convergence_csv
 
 log = logging.getLogger("chargedfock")
@@ -58,8 +57,17 @@ def _resolve(args: argparse.Namespace):
     return resolve_config(args.config, overrides)
 
 
+def _strict(value):
+    """The report with each unbounded (+inf) float spelled ``"unbounded"``."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return "unbounded" if value == math.inf else value
+
+
 def _emit_json(cfg, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if cfg.output:
         Path(cfg.output).write_text(text, encoding="utf-8")
         log.info("report written to %s", cfg.output)

@@ -52,7 +52,6 @@ __all__ = [
     "PsiCache",
     "WeakParts",
     "weak_commutator_parts",
-    "weak_commutator",
     "commutator_targets",
     "default_interior_buffer",
     "mixed_gap_coefficients",
@@ -257,22 +256,6 @@ def weak_commutator_parts(
             tail_product(tail_ma1, tail_b2) + tail_product(tail_mb1, tail_a2)
         )
     return WeakParts(ll, mixed, psipsi, budget)
-
-
-def weak_commutator(
-    space: Space,
-    gen_a: PerturbedGenerator,
-    gen_b: PerturbedGenerator,
-    phi1: TensorState,
-    phi2: TensorState,
-    interior_buffer: int,
-    cache: Optional[PsiCache] = None,
-) -> Tuple[Scalar, float]:
-    """Weak commutator value and the truncation budget on it."""
-    parts = weak_commutator_parts(
-        space, gen_a, gen_b, phi1, phi2, interior_buffer, cache=cache
-    )
-    return parts.total, parts.tail_budget
 
 
 def commutator_targets(

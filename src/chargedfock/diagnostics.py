@@ -39,11 +39,3 @@ def tail_budget(last_band_norms: Sequence[float], fitted_slope: float) -> float:
     last = float(last_band_norms[-1])
     n = len(last_band_norms)
     return last * n / (-1.0 - fitted_slope)
-
-
-def fit_quadratic(xs: Sequence[float], ys: Sequence[float]):
-    """(c0, c1, c2) of the least-squares quadratic y = c0 + c1 x + c2 x^2."""
-    if len(xs) < 3:
-        raise ValueError("quadratic fit needs at least three points")
-    c2, c1, c0 = np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 2)
-    return float(c0), float(c1), float(c2)

@@ -20,6 +20,14 @@ Operations never round intermediate results; when a final component falls
 outside the truncation it is dropped and the state's ``overflow`` flag is set.
 A ``level_cutoff`` of ``None`` (used by identity-checking harnesses on interior
 vectors) disables the level drop entirely.
+
+A state holds numerators ``nums`` over one shared positive ``den``: integers
+in the exact modes (Gaussian integers once an imaginary unit appears), so hot
+loops never normalize a Fraction; floats in float mode, where ``den`` stays 1
+unless an exact fraction scales the state.  ``add``/``sub``/``scale`` and
+:func:`states_equal` cross-multiply; ``entries`` is the read-only key -> value
+view.  Current, Virasoro and vertex modes all go through :func:`apply_rows`,
+one cached integer :data:`Row` per basis partition.
 """
 
 from __future__ import annotations
@@ -28,8 +36,9 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import IO, Iterable, Optional, Tuple
+from math import factorial, gcd, lcm
+from types import MappingProxyType
+from typing import IO, Optional, Tuple
 
 from .scalar import ArithmeticContext, GaussianRational, Scalar
 
@@ -59,10 +68,6 @@ def _bounded_partitions(n: int, max_part: int) -> tuple[Partition, ...]:
         for rest in _bounded_partitions(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))
 
 
 @lru_cache(maxsize=None)
@@ -120,90 +125,176 @@ class Space:
     def charge(self, j: int) -> Scalar:
         return self.alpha0 * j
 
-    def interior(self) -> "Space":
-        """Same space with the level drop disabled (for drop-free identity checks)."""
-        return replace(self, trunc=self.trunc.unbounded())
+
+def _denominator(c) -> Optional[int]:
+    """Smallest positive d with c * d integral, or None for a float or complex."""
+    if isinstance(c, int):
+        return 1
+    if isinstance(c, Fraction):
+        return c.denominator
+    if isinstance(c, GaussianRational):
+        return lcm(c.re.denominator, c.im.denominator)
+    return None
 
 
-class SectorState:
-    """Finite linear combination of sector basis vectors, keys (j, partition)."""
+def _split(values) -> Tuple[int, list]:
+    """Values -> (den, numerators) over their least common denominator, or
+    (1, the values) as soon as one is a float or complex."""
+    den = 1
+    for c in values:
+        d = _denominator(c)
+        if d is None:
+            return 1, list(values)
+        if d != 1:
+            den = lcm(den, d)
+    return den, [(c * den).numerator if isinstance(c, Fraction) else c * den for c in values]
 
-    __slots__ = ("entries", "overflow")
+
+def _value(num: Scalar, den: int) -> Scalar:
+    return num if den == 1 else Fraction(num, den) if isinstance(num, int) else num / den
+
+
+# A chiral operator on one basis partition: outputs mus[i] at one level, coefficients nums[i] / den
+Row = Tuple[int, int, Tuple[Partition, ...], Tuple[Scalar, ...]]
+
+
+def make_row(level: int, pairs, charge) -> Row:
+    """Row from (mu, value) pairs at one output level; a float charge (float
+    mode) gives a float row with den 1."""
+    pairs = [(mu, c) for mu, c in pairs if c != 0]
+    mus = tuple(mu for mu, _ in pairs)
+    if isinstance(charge, (float, complex)):
+        return 1, level, mus, tuple(c * 1.0 for _, c in pairs)
+    den, nums = _split([c for _, c in pairs])
+    return den, level, mus, tuple(nums)
+
+
+class _State:
+    """Numerators over one shared positive ``den``: the value of key k is
+    ``nums[k] / den``.  ``entries`` is the read-only key -> value view."""
+
+    __slots__ = ("nums", "den", "overflow", "_entries")
 
     def __init__(self, entries=None, overflow: bool = False):
-        self.entries = {k: c for k, c in (entries or {}).items() if c != 0}
+        entries = {k: c for k, c in (entries or {}).items() if c != 0}
+        self.den, nums = _split(list(entries.values()))
+        self.nums = dict(zip(entries, nums))
         self.overflow = overflow
+        self._entries = None
 
     @classmethod
-    def zero(cls) -> "SectorState":
-        return cls()
+    def _of(cls, nums: dict, den: int, overflow: bool):
+        """State from nonzero numerators, no checks."""
+        out = cls.__new__(cls)
+        out.nums, out.den, out.overflow, out._entries = nums, den, overflow, None
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._of({}, 1, False)
+
+    @classmethod
+    def _single(cls, key, coeff):
+        if type(coeff) is int:
+            return cls._of({key: coeff} if coeff else {}, 1, False)
+        return cls({key: coeff})
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = MappingProxyType({k: _value(n, self.den) for k, n in self.nums.items()})
+        return self._entries
+
+    def scale(self, c: Scalar):
+        d = _denominator(c)
+        if d is None or d == 1:
+            num, den = c, self.den
+        else:
+            num, den = (c.numerator if isinstance(c, Fraction) else c * d), self.den * d
+        return self._of({k: v * num for k, v in self.nums.items()} if c != 0 else {}, den, self.overflow)
+
+    def _combine(self, other, sign: int):
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        out = {k: v * fa for k, v in self.nums.items()} if fa != 1 else dict(self.nums)
+        for k, v in other.nums.items():
+            out[k] = out.get(k, 0) + fb * v
+        return self._of({k: v for k, v in out.items() if v}, da * fa, self.overflow or other.overflow)
+
+    def add(self, other):
+        return self._combine(other, 1)
+
+    def sub(self, other):
+        return self._combine(other, -1)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.nums)} entries, den={self.den}, overflow={self.overflow})"
+
+
+class SectorState(_State):
+    """Finite linear combination of sector basis vectors, keys (j, partition)."""
+
+    __slots__ = ()
 
     @classmethod
     def basis(cls, j: int, lam: Partition, coeff: Scalar = 1) -> "SectorState":
-        return cls({(j, tuple(lam)): coeff})
-
-    def scale(self, c: Scalar) -> "SectorState":
-        return SectorState({k: c * v for k, v in self.entries.items()}, self.overflow)
-
-    def add(self, other: "SectorState") -> "SectorState":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return SectorState(out, self.overflow or other.overflow)
-
-    def sub(self, other: "SectorState") -> "SectorState":
-        return self.add(other.scale(-1))
-
-    def max_level(self) -> int:
-        return max((sum(lam) for (_, lam) in self.entries), default=0)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        return f"SectorState({len(self.entries)} entries, overflow={self.overflow})"
+        return cls._single((j, tuple(lam)), coeff)
 
 
-class TensorState:
+class TensorState(_State):
     """Two-sided state on diagonal sectors, keys (j, left, right)."""
 
-    __slots__ = ("entries", "overflow")
-
-    def __init__(self, entries=None, overflow: bool = False):
-        self.entries = {k: c for k, c in (entries or {}).items() if c != 0}
-        self.overflow = overflow
-
-    @classmethod
-    def zero(cls) -> "TensorState":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def basis(cls, j: int, left: Partition, right: Partition, coeff: Scalar = 1) -> "TensorState":
-        return cls({(j, tuple(left), tuple(right)): coeff})
-
-    def scale(self, c: Scalar) -> "TensorState":
-        return TensorState({k: c * v for k, v in self.entries.items()}, self.overflow)
-
-    def add(self, other: "TensorState") -> "TensorState":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return TensorState(out, self.overflow or other.overflow)
-
-    def sub(self, other: "TensorState") -> "TensorState":
-        return self.add(other.scale(-1))
+        return cls._single((j, tuple(left), tuple(right)), coeff)
 
     def max_chiral_level(self) -> int:
-        return max(
-            (max(sum(left), sum(right)) for (_, left, right) in self.entries),
-            default=0,
-        )
+        return max((max(sum(left), sum(right)) for (_, left, right) in self.nums), default=0)
 
-    def __len__(self):
-        return len(self.entries)
 
-    def __repr__(self):
-        return f"TensorState({len(self.entries)} entries, overflow={self.overflow})"
+def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int = 0):
+    """A chiral operator, given by its rows ``row_of(j, lam)``, on a sector
+    state or on the ``side`` ('left'/'right') factor of a two-sided state,
+    shifting sectors by ``shift``.  Entries whose target sector leaves the
+    window, or whose nonempty row lands past the cutoff, are dropped and flag
+    ``overflow``; rows are brought to one denominator as they come."""
+    if side not in (None, "left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    side = 2 if side == "right" else 1
+    cutoff = space.trunc.level_cutoff
+    overflow = v.overflow
+    out = {}
+    get = out.get
+    den = 1
+    for key, c in v.nums.items():
+        j = key[0] + shift
+        if shift and not space.trunc.admits_sector(j):
+            overflow = True
+            continue
+        row_den, level, mus, nums = row_of(key[0], key[side])
+        if not mus:
+            continue
+        if cutoff is not None and level > cutoff:
+            overflow = True
+            continue
+        if row_den != den:
+            if den % row_den:
+                grow = row_den // gcd(den, row_den)
+                for k in out:
+                    out[k] *= grow
+                den *= grow
+            c = c * (den // row_den)
+        head, tail = ((j,), key[2:]) if side == 1 else ((j, key[1]), ())
+        for mu, n in zip(mus, nums):
+            k = head + (mu,) + tail
+            out[k] = get(k, 0) + c * n
+    return v._of({k: n for k, n in out.items() if n}, v.den * den, overflow)
 
 
 def _weight(key) -> int:
@@ -216,35 +307,35 @@ def inner_product(ctx: ArithmeticContext, v, w) -> Scalar:
     """<v, w>, conjugate-linear in v; diagonal Gram weights supplied per key."""
     if type(v) is not type(w):
         raise TypeError("inner product needs two states of the same kind")
-    if len(v.entries) > len(w.entries):
-        total = ctx.zero()
-        for key, cv in v.entries.items():
-            cw = w.entries.get(key)
-            if cw is not None:
-                total = total + ctx.conj(cv) * cw * _weight(key)
-        return total
-    total = ctx.zero()
-    for key, cw in w.entries.items():
-        cv = v.entries.get(key)
-        if cv is not None:
-            total = total + ctx.conj(cv) * cw * _weight(key)
-    return total
+    a, b = v.nums, w.nums
+    total = 0
+    for key in a if len(a) > len(b) else b:
+        if key in a and key in b:
+            total = total + ctx.conj(a[key]) * b[key] * _weight(key)
+    return ctx.zero() + _value(total, v.den * w.den)
 
 
 def norm_sq(ctx: ArithmeticContext, v):
     """<v, v> as a real scalar (Fraction in exact modes, float otherwise)."""
     total = Fraction(0) if ctx.exact else 0.0
-    for key, c in v.entries.items():
+    for key, c in v.nums.items():
         total = total + ctx.abs_sq(c) * _weight(key)
-    return total
+    return total / (v.den * v.den)
 
 
-def is_zero_state(ctx: ArithmeticContext, v) -> bool:
-    return all(ctx.is_zero(c) for c in v.entries.values())
-
-
-def states_equal(ctx: ArithmeticContext, v, w) -> bool:
-    return is_zero_state(ctx, v.sub(w))
+def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
+    """v == w, or v - minus == w: one pass over the cross-multiplied
+    numerators, no difference state.  Float mode compares within tolerance."""
+    states = (v, w) if minus is None else (v, minus, w)
+    den = lcm(*[s.den for s in states])
+    total = {}
+    get = total.get
+    for sign, s in zip((1, -1, -1), states):
+        f = sign * (den // s.den)
+        for k, n in s.nums.items():
+            total[k] = get(k, 0) + f * n
+    tol = ctx.tolerance * den
+    return not any(total.values()) if ctx.exact else all(abs(x) <= tol for x in total.values())
 
 
 def enumerate_basis(trunc: Truncation, max_level: Optional[int] = None):
@@ -280,33 +371,3 @@ def dump_state(ctx: ArithmeticContext, state, fp: IO[str]) -> None:
         else:
             rec = {"j": key[0], "left": list(key[1]), "right": list(key[2]), "re": re, "im": im}
         fp.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def _scalar_from_parts(ctx: ArithmeticContext, re, im) -> Scalar:
-    if ctx.exact:
-        re_f, im_f = Fraction(re), Fraction(im)
-        if im_f == 0:
-            return re_f
-        return GaussianRational(re_f, im_f)
-    return complex(float(re), float(im))
-
-
-def load_state(ctx: ArithmeticContext, lines: Iterable[str]):
-    """Inverse of dump_state; infers sector vs two-sided from the record keys."""
-    sector_entries = {}
-    tensor_entries = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        c = _scalar_from_parts(ctx, rec["re"], rec["im"])
-        if "partition" in rec:
-            sector_entries[(rec["j"], tuple(rec["partition"]))] = c
-        else:
-            tensor_entries[(rec["j"], tuple(rec["left"]), tuple(rec["right"]))] = c
-    if sector_entries and tensor_entries:
-        raise ValueError("mixed sector and two-sided records in one dump")
-    if tensor_entries:
-        return TensorState(tensor_entries)
-    return SectorState(sector_entries)

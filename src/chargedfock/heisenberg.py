@@ -7,13 +7,15 @@ Conventions (fixed by positivity of the Gram form and J_m* = J_{-m}):
 * ``J_{-k}`` (k > 0) prepends a part ``k`` with coefficient 1
 * ``J_k`` (k > 0) removes one part ``k`` with coefficient ``k * multiplicity``
 
-Actions are exact on the basis; a result component beyond the level cutoff is
-dropped and flags ``overflow`` on the returned state.
+Actions are exact, one cached integer row per basis partition through
+:func:`~chargedfock.fock.apply_rows`; a result beyond the cutoff flags ``overflow``.
 """
 
 from __future__ import annotations
 
-from .fock import Partition, SectorState, Space, TensorState
+from functools import lru_cache
+
+from .fock import Partition, Row, SectorState, Space, TensorState, apply_rows, make_row
 
 
 def _insert_part(lam: Partition, k: int) -> Partition:
@@ -49,31 +51,24 @@ def j_step(lam: Partition, m: int, beta):
     return [(mu, m * mult)]
 
 
+# 1,799 rows fill at verify-algebra's default cutoff 10
+@lru_cache(maxsize=4096, typed=True)
+def _j_row(m: int, j: int, lam: Partition, alpha0) -> Row:
+    beta = alpha0 * j if m == 0 else None
+    return make_row(sum(lam) - m, j_step(lam, m, beta), alpha0)
+
+
+def _j_rows(space: Space, m: int):
+    if m:  # the charge only enters J_0
+        return lambda j, lam: _j_row(m, 0, lam, None)
+    alpha0 = space.alpha0
+    return lambda j, lam: _j_row(0, j, lam, alpha0)
+
+
 def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
-    out = {}
-    overflow = v.overflow
-    for (j, lam), c in v.entries.items():
-        for mu, coeff in j_step(lam, m, space.charge(j)):
-            if not space.trunc.admits_level(sum(mu)):
-                overflow = True
-                continue
-            key = (j, mu)
-            out[key] = out.get(key, 0) + c * coeff
-    return SectorState(out, overflow)
+    return apply_rows(space, v, _j_rows(space, m))
 
 
 def apply_J_tensor(space: Space, side: str, m: int, v: TensorState) -> TensorState:
     """J_m acting on one chiral factor of a diagonal two-sided state."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    out = {}
-    overflow = v.overflow
-    for (j, left, right), c in v.entries.items():
-        lam = left if side == "left" else right
-        for mu, coeff in j_step(lam, m, space.charge(j)):
-            if not space.trunc.admits_level(sum(mu)):
-                overflow = True
-                continue
-            key = (j, mu, right) if side == "left" else (j, left, mu)
-            out[key] = out.get(key, 0) + c * coeff
-    return TensorState(out, overflow)
+    return apply_rows(space, v, _j_rows(space, m), side)

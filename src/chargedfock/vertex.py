@@ -36,8 +36,11 @@ import numpy as np
 
 from .fock import (
     Partition,
+    Row,
     SectorState,
     Space,
+    apply_rows,
+    make_row,
     partitions_of,
     zsym,
 )
@@ -46,7 +49,6 @@ __all__ = [
     "charge_multiplier",
     "conformal_weight",
     "mode_index",
-    "expand_E",
     "y_mode_table",
     "apply_Y_mode",
     "apply_Y_mode_recursive",
@@ -82,7 +84,8 @@ def mode_index(space: Space, alpha, j: int, delta: int):
     return -alpha * space.charge(j) - conformal_weight(alpha) + (-delta)
 
 
-@lru_cache(maxsize=None)
+# one entry per partition: 139 up to level 10
+@lru_cache(maxsize=1024)
 def _removals(lam: Partition):
     """All sub-multisets removable from lam.
 
@@ -120,27 +123,8 @@ def _merge(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
-def expand_E(sign: str, alpha, max_level: int):
-    """Graded expansion coefficients of the exponential current factors.
-
-    sign '-' (creation side): level a -> tuple of (nu, alpha**len(nu)/zsym(nu)).
-    sign '+' (annihilation side): level b -> tuple of (mu, (-alpha)**len(mu)/zsym(mu)),
-    where mu lists the parts to be annihilated.
-    """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    table = {}
-    for level in range(max_level + 1):
-        rows = []
-        for nu in partitions_of(level):
-            base = alpha if sign == "-" else -alpha
-            coeff = base ** len(nu) * Fraction(1, zsym(nu))
-            rows.append((nu, coeff))
-        table[level] = tuple(rows)
-    return table
-
-
-@lru_cache(maxsize=None, typed=True)
+# 1,478 tables at verify-algebra's default cutoff 10, 1,086 at verify-decay's
+@lru_cache(maxsize=4096, typed=True)
 def y_mode_table(alpha, delta: int, lam: Partition):
     """Level-shift-delta mode on one basis partition: tuple of (mu, coeff).
 
@@ -162,29 +146,20 @@ def y_mode_table(alpha, delta: int, lam: Partition):
     return tuple((mu, c) for mu, c in acc.items() if c != 0)
 
 
+# 1,478 rows fill at verify-algebra's default cutoff 10; the value table is not kept
+@lru_cache(maxsize=4096, typed=True)
+def _y_row(alpha, delta: int, lam: Partition) -> Row:
+    return make_row(sum(lam) + delta, y_mode_table.__wrapped__(alpha, delta, lam), alpha)
+
+
 def apply_Y_mode(space: Space, alpha, delta: int, v: SectorState) -> SectorState:
     """Apply the mode; shifts every sector by alpha/alpha0."""
     mult = charge_multiplier(space, alpha)
-    out = {}
-    overflow = v.overflow
-    for (j, lam), c in v.entries.items():
-        jt = j + mult
-        if not space.trunc.admits_sector(jt):
-            overflow = True
-            continue
-        target_level = sum(lam) + delta
-        if target_level < 0:
-            continue
-        if not space.trunc.admits_level(target_level):
-            overflow = True
-            continue
-        for mu, coeff in y_mode_table(alpha, delta, lam):
-            key = (jt, mu)
-            out[key] = out.get(key, 0) + c * coeff
-    return SectorState(out, overflow)
+    return apply_rows(space, v, lambda j, lam: _y_row(alpha, delta, lam), shift=mult)
 
 
-@lru_cache(maxsize=None)
+# 4,489 elements fill at verify-algebra's default cutoff 10
+@lru_cache(maxsize=8192, typed=True)
 def _recursive_element(alpha, mu: Partition, delta: int, lam: Partition):
     """<b_mu, Y_delta b_lam> in the target sector, from commutators alone."""
     if sum(mu) != sum(lam) + delta:

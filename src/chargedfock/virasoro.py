@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import Partition, SectorState, Space, TensorState
+from .fock import Partition, Row, SectorState, Space, TensorState, apply_rows, make_row
 from .heisenberg import j_step
 
 _HALF = Fraction(1, 2)
@@ -27,9 +27,10 @@ _HALF = Fraction(1, 2)
 FAULT_SUGAWARA = False
 
 
-@lru_cache(maxsize=None)
-def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool):
-    """L_n on basis (j, lam) as a tuple of (partition, coefficient); exact."""
+# 7,660 rows fill at verify-algebra's default cutoff 10
+@lru_cache(maxsize=16384, typed=True)
+def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> Row:
+    """Row of L_n on basis (j, lam); exact in the exact modes."""
     beta = alpha0 * j
     ell = sum(lam)
     bound = ell + abs(n)
@@ -43,36 +44,20 @@ def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool):
                 if fault and n == 2 and k == 1:
                     c = 2 * c
                 acc[mu2] = acc.get(mu2, 0) + c
-    return tuple((mu, c) for mu, c in acc.items() if c != 0)
+    return make_row(ell - n, acc.items(), alpha0)
+
+
+def _l_rows(space: Space, n: int):
+    alpha0, fault = space.alpha0, FAULT_SUGAWARA
+    return lambda j, lam: _sugawara_on_basis(n, j, lam, alpha0, fault)
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:
-    out = {}
-    overflow = v.overflow
-    for (j, lam), c in v.entries.items():
-        for mu, coeff in _sugawara_on_basis(n, j, lam, space.alpha0, FAULT_SUGAWARA):
-            if not space.trunc.admits_level(sum(mu)):
-                overflow = True
-                continue
-            key = (j, mu)
-            out[key] = out.get(key, 0) + c * coeff
-    return SectorState(out, overflow)
+    return apply_rows(space, v, _l_rows(space, n))
 
 
 def apply_L_tensor(space: Space, side: str, n: int, v: TensorState) -> TensorState:
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    out = {}
-    overflow = v.overflow
-    for (j, left, right), c in v.entries.items():
-        lam = left if side == "left" else right
-        for mu, coeff in _sugawara_on_basis(n, j, lam, space.alpha0, FAULT_SUGAWARA):
-            if not space.trunc.admits_level(sum(mu)):
-                overflow = True
-                continue
-            key = (j, mu, right) if side == "left" else (j, left, mu)
-            out[key] = out.get(key, 0) + c * coeff
-    return TensorState(out, overflow)
+    return apply_rows(space, v, _l_rows(space, n), side)
 
 
 def central_term(m: int, n: int) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -169,6 +170,25 @@ def test_verify_commutativity_degenerate_cutoff_has_no_nan(capsys):
     assert exact_rows
     assert all(row["verdict"] == "pass" for row in exact_rows)
     assert code == 0
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("cutoff", ["1", "4"])
+def test_reports_are_strict_json(capsys, cutoff):
+    # unfittable band series give unbounded budgets; they are spelled out
+    # instead of written as the non-JSON token Infinity
+    code, out = run(capsys, "verify-commutativity", "--level_cutoff", cutoff)
+    assert code == 0
+    rep = _strict_loads(out)
+    budgets = [row["budget"] for row in rep["vacuum"]["rows"] + rep["excited"]["rows"]]
+    assert "unbounded" in budgets
+    assert all(b == "unbounded" or math.isfinite(b) for b in budgets)
 
 
 def test_verify_lorentz_unperturbed_is_exact(capsys):

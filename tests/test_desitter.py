@@ -15,7 +15,6 @@ from chargedfock.desitter import (
     verify_lorentz,
     verify_virasoro_c0,
     virasoro_combination,
-    weak_commutator,
     weak_commutator_parts,
 )
 from chargedfock.fock import Space, TensorState, Truncation, inner_product, states_equal
@@ -94,14 +93,14 @@ def test_interior_preconditions():
     gen_a, gen_b = lorentz_pair(1, -1)
     deep = TensorState.basis(0, (7,), ())
     with pytest.raises(ValueError):
-        weak_commutator(sp, gen_a, gen_b, deep, VAC, 3)
+        weak_commutator_parts(sp, gen_a, gen_b, deep, VAC, 3)
     with pytest.raises(ValueError):
-        weak_commutator(sp, gen_a, gen_b, VAC, VAC, 0)
+        weak_commutator_parts(sp, gen_a, gen_b, VAC, VAC, 0)
     edge = TensorState.basis(2, (), ())  # one bilinear branch exits the window
     with pytest.raises(ValueError):
-        weak_commutator(sp, gen_a, gen_b, edge, VAC, 3)
+        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3)
     with pytest.raises(ValueError):
-        weak_commutator(space(None), gen_a, gen_b, VAC, VAC, 3)
+        weak_commutator_parts(space(None), gen_a, gen_b, VAC, VAC, 3)
 
 
 def test_unperturbed_lorentz_relations_close_exactly():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from chargedfock.diagnostics import fit_quadratic, loglog_slope, tail_budget
+from chargedfock.diagnostics import loglog_slope, tail_budget
 
 
 def test_loglog_slope_recovers_power_law():
@@ -38,14 +38,3 @@ def test_tail_budget_shrinks_with_more_bands():
         vals = [n ** slope for n in range(1, N + 1)]
         budgets.append(tail_budget(vals, slope))
     assert budgets[0] > budgets[1] > budgets[2]
-
-
-def test_fit_quadratic_exact():
-    xs = [0.0, 0.5, 1.0, 2.0]
-    ys = [1.0 - 2.0 * x + 0.25 * x * x for x in xs]
-    c0, c1, c2 = fit_quadratic(xs, ys)
-    assert c0 == pytest.approx(1.0)
-    assert c1 == pytest.approx(-2.0)
-    assert c2 == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        fit_quadratic([0.0, 1.0], [1.0, 2.0])

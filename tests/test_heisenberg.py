@@ -9,7 +9,6 @@ from chargedfock.fock import (
     TensorState,
     Truncation,
     inner_product,
-    is_zero_state,
     partitions_of,
     states_equal,
 )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import chargedfock.vertex as vertex
 from chargedfock.fock import (
     SectorState,
     Space,
@@ -22,7 +23,6 @@ from chargedfock.vertex import (
     apply_Y_mode_recursive,
     charge_multiplier,
     conformal_weight,
-    expand_E,
     export_mode_block,
     mode_index,
     truncated_mode_norm,
@@ -47,15 +47,13 @@ def test_charge_multiplier():
 
 
 def test_expand_E_low_levels():
+    # the E^- (creation) factor alone acts on a vacuum: alpha**len(nu) / zsym(nu)
     a = Fraction(1, 2)
-    minus = expand_E("-", a, 2)
-    assert minus[0] == (((), ONE),)
-    assert minus[1] == ((((1,), a)),)
-    assert dict(minus[2]) == {(2,): a / 2, (1, 1): a * a / 2}
-    plus = expand_E("+", a, 1)
-    assert dict(plus[1]) == {(1,): -a}
-    with pytest.raises(ValueError):
-        expand_E("0", a, 1)
+    assert y_mode_table(a, 0, ()) == (((), ONE),)
+    assert y_mode_table(a, 1, ()) == (((1,), a),)
+    assert dict(y_mode_table(a, 2, ())) == {(2,): a / 2, (1, 1): a * a / 2}
+    # the E^+ (annihilation) factor alone brings (1,) down with -alpha
+    assert y_mode_table(a, -1, (1,)) == (((), -a),)
 
 
 def test_mode_table_frozen_values():
@@ -224,3 +222,17 @@ def test_export_mode_block_deterministic():
     lines = outs[0].splitlines()
     assert lines[0] == "source_level,source_partition,target_partition,re,im"
     assert any("1/2" in line for line in lines[1:])
+
+
+def test_recursive_oracle_keeps_float_and_exact_charges_apart():
+    # 0.5 == Fraction(1, 2) with equal hashes: an untyped memo hands the
+    # float matrix element cached by a float run to a later exact run
+    vertex._recursive_element.cache_clear()
+    float_space = Space(make_context("float", 1e-9), 0.5, Truncation(4, -2, 2))
+    exact_space = Space(EXACT, A0, Truncation(4, -2, 2))
+    vac = SectorState.basis(0, ())
+    floats = apply_Y_mode_recursive(float_space, 0.5, 1, vac)
+    exact = apply_Y_mode_recursive(exact_space, A0, 1, vac)
+    assert exact.entries == floats.entries == {(1, (1,)): HALF}
+    assert all(type(c) is Fraction for c in exact.entries.values())
+    assert all(type(c) is float for c in floats.entries.values())

@@ -141,3 +141,16 @@ def test_overflow_flag_on_truncated_action():
     out = apply_L(tight, -2, SectorState.basis(0, ()))
     assert out.overflow
     assert out.entries == {}
+
+
+def test_sugawara_rows_keep_float_and_exact_charges_apart():
+    # L_0 on the charge-1/2 vacuum is beta^2/2 = 1/8; a float run first must
+    # not leave its 0.125 for the exact run, nor the exact row for the float run
+    virasoro._sugawara_on_basis.cache_clear()
+    float_space = Space(make_context("float", 1e-9), 0.5, Truncation(4, -2, 2))
+    vac = SectorState.basis(1, ())
+    floats = apply_L(float_space, 0, vac)
+    exact = apply_L(SP, 0, vac)
+    assert exact.entries == floats.entries == {(1, ()): Fraction(1, 8)}
+    assert type(exact.entries[(1, ())]) is Fraction
+    assert type(floats.entries[(1, ())]) is float
