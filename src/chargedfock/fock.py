@@ -338,21 +338,6 @@ def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
     return not any(total.values()) if ctx.exact else all(abs(x) <= tol for x in total.values())
 
 
-def enumerate_basis(trunc: Truncation, max_level: Optional[int] = None):
-    """(j, lam) pairs in the window: sectors ascending, levels ascending,
-    partitions reverse-lex inside a level."""
-    if max_level is None:
-        max_level = trunc.level_cutoff
-    if max_level is None:
-        raise ValueError("enumerate_basis needs a finite level bound")
-    out = []
-    for j in range(trunc.j_min, trunc.j_max + 1):
-        for level in range(max_level + 1):
-            for lam in partitions_of(level):
-                out.append((j, lam))
-    return out
-
-
 def _sort_key(key):
     if len(key) == 2:
         j, lam = key

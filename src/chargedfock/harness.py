@@ -1,10 +1,11 @@
 """Verification suites behind the command-line harness.
 
-Every suite scans interior basis vectors -- states far enough below the level
-cutoff that the identity under test is unaffected by truncation -- and stops
-at the first failure so a corrupted coefficient is pinpointed by (m, n,
-sector, basis).  Cells whose interior is empty at the configured cutoff are
-skipped with a "vacuous interior" warning instead of silently passing.
+The verify-algebra suites run on one sweep engine, `_sweep`: a grid of cells
+labelled like (m, n), each a lazy stream of checks on interior basis vectors
+-- states far enough below the level cutoff that the identity under test is
+unaffected by truncation.  It stops at the first failure, so a corrupted
+coefficient is pinpointed by (m, n, sector, basis), and it reports a cell with
+no interior states as a "vacuous interior" warning instead of a silent pass.
 
 Reports are plain dicts of JSON-native values, deterministic for a fixed
 configuration and seed: no timestamps, no unordered containers.
@@ -13,7 +14,9 @@ configuration and seed: no timestamps, no unordered containers.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import product
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .desitter import PerturbedGenerator, apply_l_part
 from .diagnostics import loglog_slope
@@ -58,18 +61,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# interior bookkeeping
+# the sweep engine and its interior bookkeeping
 
 
-def _interior_levels(space: Space, headroom: int, cap: Optional[int] = None) -> range:
-    """Levels whose states survive `headroom` extra levels of raising."""
-    top = space.trunc.level_cutoff - headroom
-    if cap is not None:
-        top = min(top, cap)
-    return range(top + 1) if top >= 0 else range(0)
-
-
-def _suite(name: str, checked: int, cells: int, vacuous: int, failure=None) -> dict:
+def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dict:
+    """Suite report over one cell per combination of the label values, the
+    first label outermost.  `cases(*values)` lazily streams a cell's
+    (where, holds) cases; the sweep stops at the first that fails."""
+    checked = cells = vacuous = 0
+    failure = None
+    for values in product(*labels.values()):
+        cells += 1
+        seen = 0
+        for where, holds in cases(*values):
+            seen += 1
+            if not holds:
+                failure = {**dict(zip(labels, values)), **where}
+                break
+        checked += seen
+        if failure is not None:
+            break
+        vacuous += seen == 0
     warnings = []
     if vacuous:
         warnings.append(
@@ -98,63 +110,68 @@ def _sectors(space: Space, charge_shift: int = 0):
     ]
 
 
+def _sector_basis(sectors: Sequence[int], levels: Iterable[int]):
+    """(sector, where, state) for each chiral basis state at `levels`."""
+    chiral = [lam for level in levels for lam in partitions_of(level)]
+    for j, lam in product(sectors, chiral):
+        yield j, {"sector": j, "basis": list(lam)}, SectorState.basis(j, lam)
+
+
+def _tensor_basis(sectors: Sequence[int], levels: Iterable[int]):
+    """(sector, where, state) for each two-sided basis state, both sides at `levels`."""
+    chiral = [lam for level in levels for lam in partitions_of(level)]
+    for j, left, right in product(sectors, chiral, chiral):
+        yield j, {"sector": j, "basis": [list(left), list(right)]}, TensorState.basis(j, left, right)
+
+
+def _bracket_sweep(name: str, space: Space, bracket, basis, max_level, **ranges) -> dict:
+    """a(b v) - b(a v) == rhs(j, v) on every cell's interior basis; each of the
+    two label keywords r runs its label from -r to r, and `bracket(x, y)` gives
+    a cell's headroom, a, b and rhs."""
+    cap = space.trunc.level_cutoff if max_level is None else max_level
+
+    def cases(x, y):
+        headroom, a, b, rhs = bracket(x, y)
+        # interior levels: their states survive `headroom` extra levels of raising
+        for j, where, v in basis(range(min(space.trunc.level_cutoff - headroom, cap) + 1)):
+            ab = a(b(v))
+            ba = b(a(v))
+            yield where, states_equal(space.ctx, ab, rhs(j, v), minus=ba)
+
+    return _sweep(name, cases, **{label: range(-r, r + 1) for label, r in ranges.items()})
+
+
 # ---------------------------------------------------------------------------
 # exact identity suites (verify-algebra)
 
 
 def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[int] = None) -> dict:
     """[J_m, J_n] = m delta_{m,-n} on every interior basis vector."""
-    name = "current_bracket"
-    checked = cells = vacuous = 0
-    for m in range(-m_range, m_range + 1):
-        for n in range(-m_range, m_range + 1):
-            cells += 1
-            headroom = max(0, -m, -n, -m - n)
-            levels = _interior_levels(space, headroom, max_level)
-            if len(levels) == 0:
-                vacuous += 1
-                continue
-            for j in _sectors(space):
-                for level in levels:
-                    for lam in partitions_of(level):
-                        v = SectorState.basis(j, lam)
-                        ab = apply_J(space, m, apply_J(space, n, v))
-                        ba = apply_J(space, n, apply_J(space, m, v))
-                        expected = v.scale(m) if m + n == 0 else SectorState.zero()
-                        checked += 1
-                        if not states_equal(space.ctx, ab, expected, minus=ba):
-                            failure = {"m": m, "n": n, "sector": j, "basis": list(lam)}
-                            return _suite(name, checked, cells, vacuous, failure)
-    return _suite(name, checked, cells, vacuous)
+
+    def bracket(m, n):
+        rhs = (lambda j, v: v.scale(m)) if m + n == 0 else (lambda j, v: SectorState.zero())
+        a, b = partial(apply_J, space, m), partial(apply_J, space, n)
+        return max(0, -m, -n, -m - n), a, b, rhs
+
+    basis = partial(_sector_basis, _sectors(space))
+    return _bracket_sweep("current_bracket", space, bracket, basis, max_level, m=m_range, n=m_range)
 
 
 def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[int] = None) -> dict:
     """[L_m, L_n] = (m-n) L_{m+n} + central(m, n) with unit central charge."""
-    name = "virasoro_bracket"
-    checked = cells = vacuous = 0
-    for m in range(-m_range, m_range + 1):
-        for n in range(-m_range, m_range + 1):
-            cells += 1
-            headroom = max(0, -m, -n, -m - n)
-            levels = _interior_levels(space, headroom, max_level)
-            if len(levels) == 0:
-                vacuous += 1
-                continue
-            central = central_term(m, n)
-            for j in _sectors(space):
-                for level in levels:
-                    for lam in partitions_of(level):
-                        v = SectorState.basis(j, lam)
-                        ab = apply_L(space, m, apply_L(space, n, v))
-                        ba = apply_L(space, n, apply_L(space, m, v))
-                        expected = apply_L(space, m + n, v).scale(m - n)
-                        if central:
-                            expected = expected.add(v.scale(central))
-                        checked += 1
-                        if not states_equal(space.ctx, ab, expected, minus=ba):
-                            failure = {"m": m, "n": n, "sector": j, "basis": list(lam)}
-                            return _suite(name, checked, cells, vacuous, failure)
-    return _suite(name, checked, cells, vacuous)
+
+    def bracket(m, n):
+        central = central_term(m, n)
+
+        def rhs(j, v):
+            expected = apply_L(space, m + n, v).scale(m - n)
+            return expected.add(v.scale(central)) if central else expected
+
+        a, b = partial(apply_L, space, m), partial(apply_L, space, n)
+        return max(0, -m, -n, -m - n), a, b, rhs
+
+    basis = partial(_sector_basis, _sectors(space))
+    return _bracket_sweep("virasoro_bracket", space, bracket, basis, max_level, m=m_range, n=m_range)
 
 
 def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
@@ -163,40 +180,31 @@ def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
     When m = n the ladder coefficient vanishes, so G beyond |m| <= 1 is never
     needed inside this range.
     """
-    name = "lorentz_closure"
-    ctx = space.ctx
-    lam0 = ctx.zero()
-    checked = cells = vacuous = 0
-    gens = {m: PerturbedGenerator("lorentz", m, lam0, space.alpha0) for m in (-1, 0, 1)}
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            cells += 1
-            levels = _interior_levels(space, 2, max_level)
-            if len(levels) == 0:
-                vacuous += 1
-                continue
-            for j in _sectors(space):
-                for ll in levels:
-                    for left in partitions_of(ll):
-                        for lr in levels:
-                            for right in partitions_of(lr):
-                                v = TensorState.basis(j, left, right)
-                                ab = apply_l_part(space, gens[m], apply_l_part(space, gens[n], v))
-                                ba = apply_l_part(space, gens[n], apply_l_part(space, gens[m], v))
-                                if m == n:
-                                    expected = TensorState.zero()
-                                else:
-                                    expected = apply_l_part(space, gens[m + n], v).scale(m - n)
-                                checked += 1
-                                if not states_equal(ctx, ab, expected, minus=ba):
-                                    failure = {
-                                        "m": m,
-                                        "n": n,
-                                        "sector": j,
-                                        "basis": [list(left), list(right)],
-                                    }
-                                    return _suite(name, checked, cells, vacuous, failure)
-    return _suite(name, checked, cells, vacuous)
+    base = PerturbedGenerator("lorentz", 0, space.ctx.zero(), space.alpha0)
+    gens = {m: partial(apply_l_part, space, base.at(m)) for m in (-1, 0, 1)}
+
+    def bracket(m, n):
+        if m == n:
+            return 2, gens[m], gens[n], lambda j, v: TensorState.zero()
+        return 2, gens[m], gens[n], lambda j, v: gens[m + n](v).scale(m - n)
+
+    basis = partial(_tensor_basis, _sectors(space))
+    return _bracket_sweep("lorentz_closure", space, bracket, basis, max_level, m=1, n=1)
+
+
+def _covariance_sweep(name, space, alpha, op, coefficient, m_range, delta_range, max_level) -> dict:
+    """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, with s the mode index of
+    Y_delta out of the source sector."""
+    sectors = _sectors(space, charge_multiplier(space, alpha))
+
+    def bracket(m, delta):
+        coeffs = {j: coefficient(m, mode_index(space, alpha, j, delta)) for j in sectors}
+        lowered = partial(apply_Y_mode, space, alpha, delta - m)
+        a, b = partial(op, space, m), partial(apply_Y_mode, space, alpha, delta)
+        return max(0, delta, -m, delta - m), a, b, lambda j, v: lowered(v).scale(coeffs[j])
+
+    basis = partial(_sector_basis, sectors)
+    return _bracket_sweep(name, space, bracket, basis, max_level, m=m_range, delta=delta_range)
 
 
 def current_covariance_suite(
@@ -207,30 +215,9 @@ def current_covariance_suite(
     max_level: Optional[int] = None,
 ) -> dict:
     """[J_m, Y_delta] = alpha Y_{delta-m} on interior basis vectors."""
-    name = "current_covariance"
-    mult = charge_multiplier(space, alpha)
-    sectors = _sectors(space, mult)
-    checked = cells = vacuous = 0
-    for m in range(-m_range, m_range + 1):
-        for delta in range(-delta_range, delta_range + 1):
-            cells += 1
-            headroom = max(0, delta, -m, delta - m)
-            levels = _interior_levels(space, headroom, max_level)
-            if len(levels) == 0 or not sectors:
-                vacuous += 1
-                continue
-            for j in sectors:
-                for level in levels:
-                    for lam in partitions_of(level):
-                        v = SectorState.basis(j, lam)
-                        jy = apply_J(space, m, apply_Y_mode(space, alpha, delta, v))
-                        yj = apply_Y_mode(space, alpha, delta, apply_J(space, m, v))
-                        expected = apply_Y_mode(space, alpha, delta - m, v).scale(alpha)
-                        checked += 1
-                        if not states_equal(space.ctx, jy, expected, minus=yj):
-                            failure = {"m": m, "delta": delta, "sector": j, "basis": list(lam)}
-                            return _suite(name, checked, cells, vacuous, failure)
-    return _suite(name, checked, cells, vacuous)
+    coefficient = lambda m, s: alpha  # noqa: E731
+    args = (m_range, delta_range, max_level)
+    return _covariance_sweep("current_covariance", space, alpha, apply_J, coefficient, *args)
 
 
 def primary_covariance_suite(
@@ -242,32 +229,10 @@ def primary_covariance_suite(
 ) -> dict:
     """[L_m, Y_delta] = ((d-1)m - s) Y_{delta-m}, with s the real mode index
     of the shift-delta mode out of the source sector."""
-    name = "primary_covariance"
     d = conformal_weight(alpha)
-    mult = charge_multiplier(space, alpha)
-    sectors = _sectors(space, mult)
-    checked = cells = vacuous = 0
-    for m in range(-m_range, m_range + 1):
-        for delta in range(-delta_range, delta_range + 1):
-            cells += 1
-            headroom = max(0, delta, -m, delta - m)
-            levels = _interior_levels(space, headroom, max_level)
-            if len(levels) == 0 or not sectors:
-                vacuous += 1
-                continue
-            for j in sectors:
-                coeff = (d - 1) * m - mode_index(space, alpha, j, delta)
-                for level in levels:
-                    for lam in partitions_of(level):
-                        v = SectorState.basis(j, lam)
-                        ly = apply_L(space, m, apply_Y_mode(space, alpha, delta, v))
-                        yl = apply_Y_mode(space, alpha, delta, apply_L(space, m, v))
-                        expected = apply_Y_mode(space, alpha, delta - m, v).scale(coeff)
-                        checked += 1
-                        if not states_equal(space.ctx, ly, expected, minus=yl):
-                            failure = {"m": m, "delta": delta, "sector": j, "basis": list(lam)}
-                            return _suite(name, checked, cells, vacuous, failure)
-    return _suite(name, checked, cells, vacuous)
+    coefficient = lambda m, s: (d - 1) * m - s  # noqa: E731
+    args = (m_range, delta_range, max_level)
+    return _covariance_sweep("primary_covariance", space, alpha, apply_L, coefficient, *args)
 
 
 def mode_oracle_suite(
@@ -278,27 +243,17 @@ def mode_oracle_suite(
 ) -> dict:
     """Expansion route against the commutator-recursion oracle, every matrix
     element between basis states of level <= max_level."""
-    name = "mode_oracle_equivalence"
-    mult = charge_multiplier(space, alpha)
-    admitted = [j for j in sectors if j in _sectors(space, mult)]
+    admitted = _sectors(space, charge_multiplier(space, alpha))
     top = min(max_level, space.trunc.level_cutoff)
-    checked = cells = vacuous = 0
-    for j in sectors:
-        for delta in range(-top, top + 1):
-            cells += 1
-            if j not in admitted or top < max(0, delta):
-                vacuous += 1
-                continue
-            for level in range(max(0, -delta), top - max(0, delta) + 1):
-                for lam in partitions_of(level):
-                    v = SectorState.basis(j, lam)
-                    direct = apply_Y_mode(space, alpha, delta, v)
-                    recur = apply_Y_mode_recursive(space, alpha, delta, v)
-                    checked += 1
-                    if not states_equal(space.ctx, direct, recur):
-                        failure = {"delta": delta, "sector": j, "basis": list(lam)}
-                        return _suite(name, checked, cells, vacuous, failure)
-    return _suite(name, checked, cells, vacuous)
+
+    def cases(j, delta):
+        levels = range(max(0, -delta), top - max(0, delta) + 1) if j in admitted else ()
+        for _, where, v in _sector_basis((j,), levels):
+            direct = apply_Y_mode(space, alpha, delta, v)
+            recursive = apply_Y_mode_recursive(space, alpha, delta, v)
+            yield where, states_equal(space.ctx, direct, recursive)
+
+    return _sweep("mode_oracle_equivalence", cases, sector=sectors, delta=range(-top, top + 1))
 
 
 def mode_adjoint_suite(
@@ -308,38 +263,22 @@ def mode_adjoint_suite(
     max_level: int = 4,
 ) -> dict:
     """<Y_{alpha,delta} v, w> = <v, Y_{-alpha,-delta} w> on basis pairs."""
-    name = "mode_adjoint"
-    ctx = space.ctx
     mult = charge_multiplier(space, alpha)
-    sectors = _sectors(space, mult)
     top = min(max_level, space.trunc.level_cutoff)
-    checked = cells = vacuous = 0
-    for delta in range(-delta_range, delta_range + 1):
-        cells += 1
-        if not sectors or top < 0:
-            vacuous += 1
-            continue
-        seen = 0
-        for j in sectors:
-            for level in range(top + 1):
-                target = level + delta
-                if target < 0 or not space.trunc.admits_level(target):
-                    continue
-                for lam in partitions_of(level):
-                    v = SectorState.basis(j, lam)
-                    yv = apply_Y_mode(space, alpha, delta, v)
-                    for mu in partitions_of(target):
-                        w = SectorState.basis(j + mult, mu)
-                        lhs = inner_product(ctx, yv, w)
-                        rhs = inner_product(ctx, v, apply_Y_mode(space, -alpha, -delta, w))
-                        seen += 1
-                        if not ctx.is_zero(lhs - rhs):
-                            failure = {"delta": delta, "sector": j, "basis": list(lam), "target": list(mu)}
-                            return _suite(name, checked + seen, cells, vacuous, failure)
-        checked += seen
-        if seen == 0:
-            vacuous += 1
-    return _suite(name, checked, cells, vacuous)
+
+    def cases(delta):
+        for j, level in product(_sectors(space, mult), range(max(0, -delta), top + 1)):
+            if not space.trunc.admits_level(level + delta):
+                continue
+            for _, where, v in _sector_basis((j,), (level,)):
+                yv = apply_Y_mode(space, alpha, delta, v)
+                for mu in partitions_of(level + delta):
+                    w = SectorState.basis(j + mult, mu)
+                    lhs = inner_product(space.ctx, yv, w)
+                    rhs = inner_product(space.ctx, v, apply_Y_mode(space, -alpha, -delta, w))
+                    yield {**where, "target": list(mu)}, space.ctx.is_zero(lhs - rhs)
+
+    return _sweep("mode_adjoint", cases, delta=range(-delta_range, delta_range + 1))
 
 
 def algebra_report(

@@ -93,7 +93,6 @@ class BandReport:
     """Included diagonal bands (left level shift, squared norm of that band)."""
 
     bands: Tuple[Tuple[int, float], ...]
-    clipped: bool
     charge_clipped: bool
 
 
@@ -240,8 +239,7 @@ def image_band_report(image: TimeZeroImage) -> BandReport:
     bands = tuple(
         (d, float(ctx.re_im(norms[d])[0])) for d in sorted(norms) if norms[d] != 0
     )
-    clipped = bool(image.terms) or image.charge_clipped
-    return BandReport(bands, clipped, image.charge_clipped)
+    return BandReport(bands, image.charge_clipped)
 
 
 def apply_time_zero(space: Space, mode: TimeZeroMode, v: TensorState):
@@ -287,9 +285,8 @@ def apply_time_zero(space: Space, mode: TimeZeroMode, v: TensorState):
             bands.append((dl, float(norm_sq(space.ctx, part))))
             for key, c in part.entries.items():
                 total[key] = total.get(key, 0) + c
-    clipped = bool(v.entries)
-    out = TensorState(total, overflow=v.overflow or clipped or charge_clipped)
-    return out, BandReport(tuple(bands), clipped, charge_clipped)
+    out = TensorState(total, overflow=v.overflow or bool(v.entries) or charge_clipped)
+    return out, BandReport(tuple(bands), charge_clipped)
 
 
 def band_tail_norm(report: BandReport) -> float:

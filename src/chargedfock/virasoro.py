@@ -6,10 +6,6 @@ first; only finitely many ``k`` act on a level-``ell`` vector (``|k| <= ell +
 resulting bracket is 1:
 
     [L_m, L_n] = (m - n) L_{m+n} + (1/12) m (m^2 - 1) delta_{m,-n}
-
-Unperturbed two-sided boost/rotation combinations live here too:
-``l_plus = L_1 x 1 + 1 x L_{-1}``, ``l_minus = L_{-1} x 1 + 1 x L_1``,
-``k0 = L_0 x 1 - 1 x L_0``.
 """
 
 from __future__ import annotations
@@ -65,17 +61,3 @@ def central_term(m: int, n: int) -> Fraction:
     if m + n != 0:
         return Fraction(0)
     return Fraction(m * (m * m - 1), 12)
-
-
-LORENTZ_KINDS = ("l_plus", "l_minus", "k0")
-
-
-def apply_lorentz(space: Space, kind: str, v: TensorState) -> TensorState:
-    """Unperturbed two-sided generators on diagonal states."""
-    if kind == "l_plus":
-        return apply_L_tensor(space, "left", 1, v).add(apply_L_tensor(space, "right", -1, v))
-    if kind == "l_minus":
-        return apply_L_tensor(space, "left", -1, v).add(apply_L_tensor(space, "right", 1, v))
-    if kind == "k0":
-        return apply_L_tensor(space, "left", 0, v).sub(apply_L_tensor(space, "right", 0, v))
-    raise ValueError(f"unknown generator kind {kind!r}")

@@ -7,10 +7,12 @@ silently weaken the gate.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from chargedfock.desitter import (
     closure_table,
@@ -242,6 +244,11 @@ def test_criterion_11_closure_only_at_weight_half():
 
 
 def test_criterion_12_byte_identical_reports():
+    # the child imports the package from src/, as pytest's own pythonpath does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, inherited] if inherited else [src])}
+
     def run_twice(args):
         outs = []
         for _ in range(2):
@@ -249,6 +256,7 @@ def test_criterion_12_byte_identical_reports():
                 [sys.executable, "-m", "chargedfock.cli", *args],
                 capture_output=True,
                 check=False,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(proc.stdout)

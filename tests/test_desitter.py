@@ -21,7 +21,7 @@ from chargedfock.fock import Space, TensorState, Truncation, inner_product, stat
 from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import image_inner_product
 from chargedfock.vertex import conformal_weight
-from chargedfock.virasoro import apply_lorentz
+from chargedfock.virasoro import apply_L_tensor
 
 EXACT = make_context("exact-rational")
 GAUSS = make_context("exact-gaussian")
@@ -66,11 +66,15 @@ def test_family_validation():
 
 
 def test_lorentz_l_part_matches_unperturbed_generators():
+    # G_{+-1} = L_{+-1} (x) 1 + 1 (x) L_{-+1} and G_0 = L_0 (x) 1 - 1 (x) L_0
     sp = space(6)
     v = TensorState.basis(0, (2,), (1,)).add(TensorState.basis(1, (), (1, 1)))
-    for m, kind in [(1, "l_plus"), (-1, "l_minus"), (0, "k0")]:
+    for m in (1, -1, 0):
+        left = apply_L_tensor(sp, "left", m, v)
+        right = apply_L_tensor(sp, "right", -m, v)
+        expected = left.sub(right) if m == 0 else left.add(right)
         gen = PerturbedGenerator("lorentz", m, LAM, ALPHA)
-        assert states_equal(EXACT, apply_l_part(sp, gen, v), apply_lorentz(sp, kind, v))
+        assert states_equal(EXACT, apply_l_part(sp, gen, v), expected)
 
 
 def test_psi_coefficient_by_family():
@@ -124,7 +128,8 @@ def test_boost_cell_reproduces_double_level_difference():
     gen_a, gen_b = lorentz_pair(1, -1)
     phi = TensorState.basis(0, (2, 1), (1,))
     parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi, phi, 3, cache)
-    two_k0 = inner_product(EXACT, phi, apply_lorentz(sp, "k0", phi)) * 2
+    k0 = apply_l_part(sp, PerturbedGenerator("lorentz", 0, Fraction(0), ALPHA), phi)
+    two_k0 = inner_product(EXACT, phi, k0) * 2
     assert parts.ll == two_k0 == 8  # chiral levels (3, 1) weigh in with twice their gap
     shifted = TensorState.basis(0, (1,), (2, 1))
     parts2 = weak_commutator_parts(sp, gen_a, gen_b, phi, shifted, 3, cache=cache)

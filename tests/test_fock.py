@@ -12,7 +12,6 @@ from chargedfock.fock import (
     TensorState,
     Truncation,
     dump_state,
-    enumerate_basis,
     gram,
     inner_product,
     norm_sq,
@@ -95,15 +94,6 @@ def test_truncation_validation():
     assert t.admits_level(4) and not t.admits_level(5)
     assert t.admits_sector(-2) and not t.admits_sector(3)
     assert t.unbounded().admits_level(10**6)
-
-
-def test_enumerate_basis_shape():
-    t = Truncation(3, -1, 1)
-    basis = enumerate_basis(t)
-    assert len(basis) == 3 * (1 + 1 + 2 + 3)
-    assert basis[0] == (-1, ())
-    # sectors ascending, then level, then reverse-lex
-    assert basis.index((0, ())) < basis.index((0, (1,))) < basis.index((1, ()))
 
 
 def test_inner_product_conjugate_linear_first_slot():

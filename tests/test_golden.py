@@ -1,10 +1,13 @@
 """Reports at small configs, byte for byte against the files in tests/golden.
 
-Each file was written by the program before the integer-numerator row kernel
-replaced the per-operator Fraction loops.  Exact modes must keep every byte;
-a change that moves one on purpose updates the file and says why.  The
-commands run in one process, so the float-mode report also shows that no
-memo hands float coefficients to the exact runs, or the reverse.
+Each file was written by the program before a change it guards: the algebra,
+decay and Lorentz reports before the integer-numerator row kernel replaced the
+per-operator Fraction loops; the commutativity, Virasoro c = 0 and d = 1/2
+reports before the sweep engine and the removal of ``BandReport.clipped``.
+Exact modes must keep every byte; a change that moves one on purpose updates
+the file and says why.  The commands run in one process, so the float-mode
+report also shows that no memo hands float coefficients to the exact runs, or
+the reverse.
 """
 
 from pathlib import Path
@@ -34,6 +37,15 @@ CASES = {
     "decay": (0, ["verify-decay"]),
     # chiral parts through apply_l_part and inner_product
     "lorentz": (0, ["verify-lorentz", "--level_cutoff", "8", "--lambda", "1/4"]),
+    # factorized time-zero pairing and band reports
+    "commutativity": (0, ["verify-commutativity", "--level_cutoff", "8"]),
+    # budgets of an empty tail against an unfittable one, written "unbounded"
+    "commutativity_unbounded": (0, ["verify-commutativity", "--level_cutoff", "1"]),
+    "virasoro_c0_gaussian": (
+        0,
+        ["verify-virasoro-c0", "--level_cutoff", "8", "--arithmetic", "exact-gaussian"],
+    ),
+    "explore_d_half": (0, ["explore-d-half", "--level_cutoff", "8"]),
 }
 
 

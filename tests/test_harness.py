@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import chargedfock.harness as harness
 import chargedfock.virasoro as virasoro
 from chargedfock.fock import Space, Truncation
 from chargedfock.harness import (
@@ -67,7 +68,89 @@ def test_fault_injection_is_pinpointed():
 def test_degenerate_cutoff_warns_vacuous_interior():
     rep = algebra_report(space(0), HALF)
     assert rep["verdict"] == "pass"
-    assert any("vacuous interior" in w for w in rep["warnings"])
+    assert [s["states_checked"] for s in rep["suites"]] == [245, 125, 0, 64, 64, 2, 4]
+    assert rep["warnings"] == [
+        "current_bracket: vacuous interior for 120 of 169 cells at this cutoff",
+        "virasoro_bracket: vacuous interior for 56 of 81 cells at this cutoff",
+        "lorentz_closure: vacuous interior for 9 of 9 cells at this cutoff",
+        "lorentz_closure: vacuous interior, no states checked",
+        "current_covariance: vacuous interior for 33 of 49 cells at this cutoff",
+        "primary_covariance: vacuous interior for 33 of 49 cells at this cutoff",
+        "mode_adjoint: vacuous interior for 8 of 9 cells at this cutoff",
+    ]
+
+
+def _doubled_where(monkeypatch, attr, hit):
+    """Double the output of the operator harness binds as `attr` where `hit`."""
+    fn = getattr(harness, attr)
+
+    def faulty(*args):
+        out = fn(*args)
+        return out.scale(2) if hit(*args) else out
+
+    monkeypatch.setattr(harness, attr, faulty)
+
+
+def _sugawara_fault(monkeypatch):
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", True)
+
+
+# suite -> (fault, run, (states checked, cells, vacuous cells, first failure)), the
+# figures each suite reported before the sweep engine replaced its own loop
+FAULT_CASES = {
+    "current_bracket": (
+        lambda mp: _doubled_where(mp, "apply_J", lambda sp, m, v: m == 1),
+        lambda sp: current_bracket_suite(sp, m_range=3),
+        (211, 19, 3, {"m": -1, "n": 1, "sector": -2, "basis": []}),
+    ),
+    "virasoro_bracket": (
+        _sugawara_fault,
+        lambda sp: virasoro_bracket_suite(sp, m_range=4),
+        (52, 16, 7, {"m": -3, "n": 2, "sector": -2, "basis": [1]}),
+    ),
+    "lorentz_closure": (
+        lambda mp: _doubled_where(mp, "apply_l_part", lambda sp, gen, v: gen.m == 1),
+        lambda sp: lorentz_closure_suite(sp, max_level=2),
+        (162, 3, 0, {"m": -1, "n": 1, "sector": -2, "basis": [[], [1]]}),
+    ),
+    "current_covariance": (
+        lambda mp: _doubled_where(mp, "apply_Y_mode", lambda sp, a, delta, v: delta == 1),
+        lambda sp: current_covariance_suite(sp, HALF),
+        (9, 2, 0, {"m": -3, "delta": -2, "sector": -2, "basis": []}),
+    ),
+    "primary_covariance": (
+        _sugawara_fault,
+        lambda sp: primary_covariance_suite(sp, HALF),
+        (796, 37, 3, {"m": 2, "delta": -2, "sector": -2, "basis": [4]}),
+    ),
+    "mode_oracle_equivalence": (
+        lambda mp: _doubled_where(mp, "apply_Y_mode", lambda sp, a, delta, v: delta == 1),
+        lambda sp: mode_oracle_suite(sp, HALF, max_level=3),
+        (22, 5, 0, {"delta": 1, "sector": 0, "basis": []}),
+    ),
+    # the failing cell's states count, although the cell never finishes
+    "mode_adjoint": (
+        lambda mp: _doubled_where(mp, "apply_Y_mode", lambda sp, a, delta, v: delta == 1),
+        lambda sp: mode_adjoint_suite(sp, HALF, delta_range=3, max_level=3),
+        (33, 3, 0, {"delta": -1, "sector": -2, "basis": [1], "target": []}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULT_CASES))
+def test_suite_failure_bookkeeping(monkeypatch, name):
+    inject, run, (checked, cells, vacuous, failure) = FAULT_CASES[name]
+    inject(monkeypatch)
+    warning = f"{name}: vacuous interior for {vacuous} of {cells} cells at this cutoff"
+    assert run(space(4)) == {
+        "suite": name,
+        "states_checked": checked,
+        "cells": cells,
+        "vacuous_cells": vacuous,
+        "warnings": [warning] if vacuous else [],
+        "first_failure": failure,
+        "status": "fail",
+    }
 
 
 def test_headroom_keeps_identities_truncation_free():

@@ -1,8 +1,7 @@
 from fractions import Fraction
 
-import pytest
-
 import chargedfock.virasoro as virasoro
+from chargedfock.desitter import PerturbedGenerator, apply_l_part
 from chargedfock.fock import (
     SectorState,
     Space,
@@ -13,7 +12,7 @@ from chargedfock.fock import (
 )
 from chargedfock.heisenberg import apply_J
 from chargedfock.scalar import make_context
-from chargedfock.virasoro import apply_L, apply_L_tensor, apply_lorentz, central_term
+from chargedfock.virasoro import apply_L, apply_L_tensor, central_term
 
 EXACT = make_context("exact-rational")
 SP = Space(EXACT, Fraction(1, 2), Truncation(None, -2, 2))
@@ -93,7 +92,13 @@ def test_adjoint_pairing():
 
 
 def test_lorentz_triple_closes():
-    # [l_plus, l_minus] = 2 k0 and [k0, l_{+-}] = -(+-1) l_{+-}
+    # the unperturbed generators G_{+-1} = L_{+-1} x 1 + 1 x L_{-+1} and
+    # G_0 = L_0 x 1 - 1 x L_0 obey [G_1, G_-1] = 2 G_0 and [G_0, G_{+-1}] = -(+-1) G_{+-1}
+    gens = {m: PerturbedGenerator("lorentz", m, Fraction(0), SP.alpha0) for m in (-1, 0, 1)}
+
+    def g(m, v):
+        return apply_l_part(SP, gens[m], v)
+
     probes = [
         TensorState.basis(0, (), ()),
         TensorState.basis(1, (1,), ()),
@@ -101,18 +106,13 @@ def test_lorentz_triple_closes():
         TensorState.basis(-1, (1,), (3,)),
     ]
     for v in probes:
-        pm = apply_lorentz(SP, "l_plus", apply_lorentz(SP, "l_minus", v))
-        mp = apply_lorentz(SP, "l_minus", apply_lorentz(SP, "l_plus", v))
-        assert states_equal(EXACT, pm.sub(mp), apply_lorentz(SP, "k0", v).scale(2))
-        for kind, m in (("l_plus", 1), ("l_minus", -1)):
-            kl = apply_lorentz(SP, "k0", apply_lorentz(SP, kind, v))
-            lk = apply_lorentz(SP, kind, apply_lorentz(SP, "k0", v))
-            assert states_equal(EXACT, kl.sub(lk), apply_lorentz(SP, kind, v).scale(-m))
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        apply_lorentz(SP, "boost", TensorState.basis(0, (), ()))
+        pm = g(1, g(-1, v))
+        mp = g(-1, g(1, v))
+        assert states_equal(EXACT, pm.sub(mp), g(0, v).scale(2))
+        for m in (1, -1):
+            kl = g(0, g(m, v))
+            lk = g(m, g(0, v))
+            assert states_equal(EXACT, kl.sub(lk), g(m, v).scale(-m))
 
 
 def test_tensor_action_side():
