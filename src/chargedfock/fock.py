@@ -28,6 +28,13 @@ unless an exact fraction scales the state.  ``add``/``sub``/``scale`` and
 :func:`states_equal` cross-multiply; ``entries`` is the read-only key -> value
 view.  Current, Virasoro and vertex modes all go through :func:`apply_rows`,
 one cached integer :data:`Row` per basis partition.
+
+A key may end in one more component, a column tag: ``(j, lam, col)`` or
+``(j, left, right, col)``.  Operators and ``add``/``sub``/``scale`` carry the
+tag through untouched, so a block state holding many tagged basis vectors is
+mapped column by column in one application, and :func:`unequal_columns` names
+the columns where an identity fails.  Gram weights, dumps and
+:meth:`TensorState.max_chiral_level` read untagged keys only.
 """
 
 from __future__ import annotations
@@ -194,6 +201,11 @@ class _State:
         return cls._of({}, 1, False)
 
     @classmethod
+    def block(cls, keys):
+        """Block state: each basis key ``keys[col]`` with coefficient 1, tagged ``col``."""
+        return cls._of({key + (col,): 1 for col, key in enumerate(keys)}, 1, False)
+
+    @classmethod
     def _single(cls, key, coeff):
         if type(coeff) is int:
             return cls._of({key: coeff} if coeff else {}, 1, False)
@@ -263,34 +275,36 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
     state or on the ``side`` ('left'/'right') factor of a two-sided state,
     shifting sectors by ``shift``.  Entries whose target sector leaves the
     window, or whose nonempty row lands past the cutoff, are dropped and flag
-    ``overflow``; rows are brought to one denominator as they come."""
+    ``overflow``.  The kept rows' least common denominator is found first, so
+    no partial sum is rescaled.  Key components after the partition acted on,
+    such as a trailing column tag, pass through unchanged."""
     if side not in (None, "left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     side = 2 if side == "right" else 1
     cutoff = space.trunc.level_cutoff
     overflow = v.overflow
-    out = {}
-    get = out.get
+    kept = []  # (key, target sector, numerator, row) of each entry that acts
     den = 1
     for key, c in v.nums.items():
         j = key[0] + shift
         if shift and not space.trunc.admits_sector(j):
             overflow = True
             continue
-        row_den, level, mus, nums = row_of(key[0], key[side])
+        row = row_of(key[0], key[side])
+        row_den, level, mus, _ = row
         if not mus:
             continue
         if cutoff is not None and level > cutoff:
             overflow = True
             continue
+        kept.append((key, j, c, row))
+        den = lcm(den, row_den)
+    out = {}
+    get = out.get
+    for key, j, c, (row_den, _, mus, nums) in kept:
         if row_den != den:
-            if den % row_den:
-                grow = row_den // gcd(den, row_den)
-                for k in out:
-                    out[k] *= grow
-                den *= grow
             c = c * (den // row_den)
-        head, tail = ((j,), key[2:]) if side == 1 else ((j, key[1]), ())
+        head, tail = (j,) + key[1:side], key[side + 1 :]
         for mu, n in zip(mus, nums):
             k = head + (mu,) + tail
             out[k] = get(k, 0) + c * n
@@ -323,9 +337,12 @@ def norm_sq(ctx: ArithmeticContext, v):
     return total / (v.den * v.den)
 
 
-def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
-    """v == w, or v - minus == w: one pass over the cross-multiplied
-    numerators, no difference state.  Float mode compares within tolerance."""
+def unequal_columns(ctx: ArithmeticContext, v, w, minus=None) -> set:
+    """The columns where v != w, or v - minus != w: the last components of
+    the differing keys, which are the column tags of block states (of untagged
+    states, only whether the set is empty matters).  One pass over the
+    cross-multiplied numerators, no difference state.  Float mode compares
+    within tolerance."""
     states = (v, w) if minus is None else (v, minus, w)
     den = lcm(*[s.den for s in states])
     total = {}
@@ -334,8 +351,17 @@ def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
         f = sign * (den // s.den)
         for k, n in s.nums.items():
             total[k] = get(k, 0) + f * n
-    tol = ctx.tolerance * den
-    return not any(total.values()) if ctx.exact else all(abs(x) <= tol for x in total.values())
+    if ctx.exact:
+        differing = [k for k, x in total.items() if x]
+    else:
+        tol = ctx.tolerance * den
+        differing = [k for k, x in total.items() if abs(x) > tol]
+    return {k[-1] for k in differing}
+
+
+def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
+    """v == w, or v - minus == w: the untagged case of :func:`unequal_columns`."""
+    return not unequal_columns(ctx, v, w, minus)
 
 
 def _sort_key(key):

@@ -7,6 +7,12 @@ unaffected by truncation.  It stops at the first failure, so a corrupted
 coefficient is pinpointed by (m, n, sector, basis), and it reports a cell with
 no interior states as a "vacuous interior" warning instead of a silent pass.
 
+The bracket and covariance suites apply a cell's operators once per sector, to
+a block state holding that sector's whole interior basis with one tagged column
+per basis vector (see :mod:`chargedfock.fock`), and read the failing columns
+off one comparison.  Every basis vector is still computed and checked; the
+engine sees its case in basis order, as if it had been applied alone.
+
 Reports are plain dicts of JSON-native values, deterministic for a fixed
 configuration and seed: no timestamps, no unordered containers.
 """
@@ -29,6 +35,7 @@ from .fock import (
     norm_sq,
     partitions_of,
     states_equal,
+    unequal_columns,
 )
 from .heisenberg import apply_J
 from .twodim import weak_psi_commutator
@@ -110,33 +117,42 @@ def _sectors(space: Space, charge_shift: int = 0):
     ]
 
 
-def _sector_basis(sectors: Sequence[int], levels: Iterable[int]):
-    """(sector, where, state) for each chiral basis state at `levels`."""
+def _basis(j: int, levels: Iterable[int], sides: int = 1) -> list:
+    """Keys (j, lam) of sector j's chiral basis states at `levels`, or with
+    sides=2 (j, left, right) of its two-sided ones, both sides at `levels`."""
     chiral = [lam for level in levels for lam in partitions_of(level)]
-    for j, lam in product(sectors, chiral):
-        yield j, {"sector": j, "basis": list(lam)}, SectorState.basis(j, lam)
+    return [(j, *lams) for lams in product(chiral, repeat=sides)]
 
 
-def _tensor_basis(sectors: Sequence[int], levels: Iterable[int]):
-    """(sector, where, state) for each two-sided basis state, both sides at `levels`."""
-    chiral = [lam for level in levels for lam in partitions_of(level)]
-    for j, left, right in product(sectors, chiral, chiral):
-        yield j, {"sector": j, "basis": [list(left), list(right)]}, TensorState.basis(j, left, right)
+def _where(key) -> dict:
+    """A basis key as failure labels: its sector and its partition(s)."""
+    basis = [list(lam) for lam in key[1:]]
+    return {"sector": key[0], "basis": basis[0] if len(basis) == 1 else basis}
 
 
-def _bracket_sweep(name: str, space: Space, bracket, basis, max_level, **ranges) -> dict:
+def _bracket_sweep(name: str, space: Space, bracket, sectors, sides, max_level, **ranges) -> dict:
     """a(b v) - b(a v) == rhs(j, v) on every cell's interior basis; each of the
     two label keywords r runs its label from -r to r, and `bracket(x, y)` gives
-    a cell's headroom, a, b and rhs."""
+    a cell's headroom, a, b and rhs.
+
+    The interior basis of one sector is applied as one block state, each basis
+    vector tagged by its column, and one comparison names the failing columns;
+    the cases still come column by column, in basis order."""
     cap = space.trunc.level_cutoff if max_level is None else max_level
+    state = SectorState if sides == 1 else TensorState
 
     def cases(x, y):
         headroom, a, b, rhs = bracket(x, y)
         # interior levels: their states survive `headroom` extra levels of raising
-        for j, where, v in basis(range(min(space.trunc.level_cutoff - headroom, cap) + 1)):
-            ab = a(b(v))
-            ba = b(a(v))
-            yield where, states_equal(space.ctx, ab, rhs(j, v), minus=ba)
+        levels = range(min(space.trunc.level_cutoff - headroom, cap) + 1)
+        if not levels:
+            return
+        for j in sectors:
+            keys = _basis(j, levels, sides)
+            block = state.block(keys)
+            failing = unequal_columns(space.ctx, a(b(block)), rhs(j, block), minus=b(a(block)))
+            for col, key in enumerate(keys):
+                yield _where(key), col not in failing
 
     return _sweep(name, cases, **{label: range(-r, r + 1) for label, r in ranges.items()})
 
@@ -153,8 +169,9 @@ def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[in
         a, b = partial(apply_J, space, m), partial(apply_J, space, n)
         return max(0, -m, -n, -m - n), a, b, rhs
 
-    basis = partial(_sector_basis, _sectors(space))
-    return _bracket_sweep("current_bracket", space, bracket, basis, max_level, m=m_range, n=m_range)
+    sectors = _sectors(space)
+    ranges = {"m": m_range, "n": m_range}
+    return _bracket_sweep("current_bracket", space, bracket, sectors, 1, max_level, **ranges)
 
 
 def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[int] = None) -> dict:
@@ -170,8 +187,9 @@ def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[i
         a, b = partial(apply_L, space, m), partial(apply_L, space, n)
         return max(0, -m, -n, -m - n), a, b, rhs
 
-    basis = partial(_sector_basis, _sectors(space))
-    return _bracket_sweep("virasoro_bracket", space, bracket, basis, max_level, m=m_range, n=m_range)
+    sectors = _sectors(space)
+    ranges = {"m": m_range, "n": m_range}
+    return _bracket_sweep("virasoro_bracket", space, bracket, sectors, 1, max_level, **ranges)
 
 
 def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
@@ -188,8 +206,8 @@ def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
             return 2, gens[m], gens[n], lambda j, v: TensorState.zero()
         return 2, gens[m], gens[n], lambda j, v: gens[m + n](v).scale(m - n)
 
-    basis = partial(_tensor_basis, _sectors(space))
-    return _bracket_sweep("lorentz_closure", space, bracket, basis, max_level, m=1, n=1)
+    sectors = _sectors(space)
+    return _bracket_sweep("lorentz_closure", space, bracket, sectors, 2, max_level, m=1, n=1)
 
 
 def _covariance_sweep(name, space, alpha, op, coefficient, m_range, delta_range, max_level) -> dict:
@@ -203,8 +221,7 @@ def _covariance_sweep(name, space, alpha, op, coefficient, m_range, delta_range,
         a, b = partial(op, space, m), partial(apply_Y_mode, space, alpha, delta)
         return max(0, delta, -m, delta - m), a, b, lambda j, v: lowered(v).scale(coeffs[j])
 
-    basis = partial(_sector_basis, sectors)
-    return _bracket_sweep(name, space, bracket, basis, max_level, m=m_range, delta=delta_range)
+    return _bracket_sweep(name, space, bracket, sectors, 1, max_level, m=m_range, delta=delta_range)
 
 
 def current_covariance_suite(
@@ -248,10 +265,11 @@ def mode_oracle_suite(
 
     def cases(j, delta):
         levels = range(max(0, -delta), top - max(0, delta) + 1) if j in admitted else ()
-        for _, where, v in _sector_basis((j,), levels):
+        for key in _basis(j, levels):
+            v = SectorState.basis(*key)
             direct = apply_Y_mode(space, alpha, delta, v)
             recursive = apply_Y_mode_recursive(space, alpha, delta, v)
-            yield where, states_equal(space.ctx, direct, recursive)
+            yield _where(key), states_equal(space.ctx, direct, recursive)
 
     return _sweep("mode_oracle_equivalence", cases, sector=sectors, delta=range(-top, top + 1))
 
@@ -270,13 +288,16 @@ def mode_adjoint_suite(
         for j, level in product(_sectors(space, mult), range(max(0, -delta), top + 1)):
             if not space.trunc.admits_level(level + delta):
                 continue
-            for _, where, v in _sector_basis((j,), (level,)):
+            mus = partitions_of(level + delta)
+            targets = [SectorState.basis(j + mult, mu) for mu in mus]
+            adjoints = [apply_Y_mode(space, -alpha, -delta, w) for w in targets]
+            for key in _basis(j, (level,)):
+                v = SectorState.basis(*key)
                 yv = apply_Y_mode(space, alpha, delta, v)
-                for mu in partitions_of(level + delta):
-                    w = SectorState.basis(j + mult, mu)
+                for mu, w, yw in zip(mus, targets, adjoints):
                     lhs = inner_product(space.ctx, yv, w)
-                    rhs = inner_product(space.ctx, v, apply_Y_mode(space, -alpha, -delta, w))
-                    yield {**where, "target": list(mu)}, space.ctx.is_zero(lhs - rhs)
+                    rhs = inner_product(space.ctx, v, yw)
+                    yield {**_where(key), "target": list(mu)}, space.ctx.is_zero(lhs - rhs)
 
     return _sweep("mode_adjoint", cases, delta=range(-delta_range, delta_range + 1))
 

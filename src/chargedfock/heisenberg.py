@@ -58,11 +58,20 @@ def _j_row(m: int, j: int, lam: Partition, alpha0) -> Row:
     return make_row(sum(lam) - m, j_step(lam, m, beta), alpha0)
 
 
+# One (sector, partition) -> row table per mode and charge, found once per
+# application, so no entry's lookup hashes the charge; a table holds at most
+# 5 sectors x 139 partitions at verify-algebra's default cutoff 10
+@lru_cache(maxsize=64, typed=True)
+def _j_table(m: int, alpha0):
+    if m:
+        row = lambda j, lam: _j_row(m, 0, lam, None)  # noqa: E731
+    else:
+        row = lambda j, lam: _j_row(0, j, lam, alpha0)  # noqa: E731
+    return lru_cache(maxsize=2048, typed=True)(row)
+
+
 def _j_rows(space: Space, m: int):
-    if m:  # the charge only enters J_0
-        return lambda j, lam: _j_row(m, 0, lam, None)
-    alpha0 = space.alpha0
-    return lambda j, lam: _j_row(0, j, lam, alpha0)
+    return _j_table(m, None if m else space.alpha0)  # the charge only enters J_0
 
 
 def apply_J(space: Space, m: int, v: SectorState) -> SectorState:

@@ -152,10 +152,16 @@ def _y_row(alpha, delta: int, lam: Partition) -> Row:
     return make_row(sum(lam) + delta, y_mode_table.__wrapped__(alpha, delta, lam), alpha)
 
 
+# (sector, partition) -> row, one table per charge and shift: see heisenberg._j_table
+@lru_cache(maxsize=128, typed=True)
+def _y_table(alpha, delta: int):
+    return lru_cache(maxsize=2048, typed=True)(lambda j, lam: _y_row(alpha, delta, lam))
+
+
 def apply_Y_mode(space: Space, alpha, delta: int, v: SectorState) -> SectorState:
     """Apply the mode; shifts every sector by alpha/alpha0."""
     mult = charge_multiplier(space, alpha)
-    return apply_rows(space, v, lambda j, lam: _y_row(alpha, delta, lam), shift=mult)
+    return apply_rows(space, v, _y_table(alpha, delta), shift=mult)
 
 
 # 4,489 elements fill at verify-algebra's default cutoff 10

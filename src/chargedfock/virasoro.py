@@ -43,9 +43,15 @@ def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> R
     return make_row(ell - n, acc.items(), alpha0)
 
 
+# (sector, partition) -> row, one table per mode, charge and fault flag: see heisenberg._j_table
+@lru_cache(maxsize=64, typed=True)
+def _l_table(n: int, alpha0, fault: bool):
+    row = lambda j, lam: _sugawara_on_basis(n, j, lam, alpha0, fault)  # noqa: E731
+    return lru_cache(maxsize=2048, typed=True)(row)
+
+
 def _l_rows(space: Space, n: int):
-    alpha0, fault = space.alpha0, FAULT_SUGAWARA
-    return lambda j, lam: _sugawara_on_basis(n, j, lam, alpha0, fault)
+    return _l_table(n, space.alpha0, FAULT_SUGAWARA)
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:

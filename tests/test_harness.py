@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 
 import chargedfock.harness as harness
 import chargedfock.virasoro as virasoro
-from chargedfock.fock import Space, Truncation
+from chargedfock.desitter import PerturbedGenerator
+from chargedfock.fock import SectorState, Space, TensorState, Truncation, partitions_of, states_equal
 from chargedfock.harness import (
     algebra_report,
     commutativity_report,
@@ -23,7 +26,8 @@ from chargedfock.harness import (
 )
 from chargedfock.scalar import make_context
 from chargedfock.twodim import partial_sum_norm_series
-from chargedfock.vertex import vacuum_mode_norm_sq
+from chargedfock.vertex import conformal_weight, mode_index, vacuum_mode_norm_sq
+from chargedfock.virasoro import central_term
 
 EXACT = make_context("exact-rational")
 A0 = HALF = Fraction(1, 2)
@@ -227,3 +231,133 @@ def test_divergence_series_increments_settle():
     # partial sums keep growing: no convergence at the critical charge
     sums = [total for _, total, _ in rows]
     assert all(b > a for a, b in zip(sums, sums[1:]))
+
+
+def _reference_bracket(name, sp, ranges, bracket, sectors, sides, cap=None):
+    """Suite dict of a bracket suite, one basis vector at a time: each cell
+    checks a(b v) - b(a v) == rhs(j, v) on every interior basis state."""
+    checked = cells = vacuous = 0
+    failure = None
+    (x_label, rx), (y_label, ry) = ranges
+    for x, y in product(range(-rx, rx + 1), range(-ry, ry + 1)):
+        cells += 1
+        headroom, a, b, rhs = bracket(x, y)
+        top = sp.trunc.level_cutoff - headroom
+        top = top if cap is None else min(top, cap)
+        chiral = [lam for level in range(top + 1) for lam in partitions_of(level)]
+        seen = 0
+        for j in sectors:
+            for lams in product(chiral, repeat=sides):
+                v = (SectorState if sides == 1 else TensorState).basis(j, *lams)
+                seen += 1
+                if not states_equal(EXACT, a(b(v)), rhs(j, v), minus=b(a(v))):
+                    basis = list(lams[0]) if sides == 1 else [list(lam) for lam in lams]
+                    failure = {x_label: x, y_label: y, "sector": j, "basis": basis}
+                    break
+            if failure:
+                break
+        checked += seen
+        if failure:
+            break
+        vacuous += seen == 0
+    warning = f"{name}: vacuous interior for {vacuous} of {cells} cells at this cutoff"
+    return {
+        "suite": name,
+        "states_checked": checked,
+        "cells": cells,
+        "vacuous_cells": vacuous,
+        "warnings": [warning] if vacuous else [],
+        "first_failure": failure,
+        "status": "fail" if failure else "pass",
+    }
+
+
+def _reference_cases(sp):
+    """suite -> (run, reference) at the default ranges, through the operators
+    harness binds at call time."""
+    window = list(range(sp.trunc.j_min, sp.trunc.j_max + 1))
+    charged = [j for j in window if sp.trunc.admits_sector(j + 1)]  # alpha = alpha0
+    J = lambda m: lambda v: harness.apply_J(sp, m, v)  # noqa: E731
+    L = lambda m: lambda v: harness.apply_L(sp, m, v)  # noqa: E731
+    Y = lambda delta: lambda v: harness.apply_Y_mode(sp, HALF, delta, v)  # noqa: E731
+    base = PerturbedGenerator("lorentz", 0, EXACT.zero(), A0)
+    G = lambda m: lambda v: harness.apply_l_part(sp, base.at(m), v)  # noqa: E731
+    chiral = lambda m, n: max(0, -m, -n, -m - n)  # noqa: E731
+    covariant = lambda m, delta: max(0, delta, -m, delta - m)  # noqa: E731
+    d = conformal_weight(HALF)
+
+    def current(m, n):
+        return chiral(m, n), J(m), J(n), lambda j, v: v.scale(m if m + n == 0 else 0)
+
+    def virasoro_(m, n):
+        rhs = lambda j, v: L(m + n)(v).scale(m - n).add(v.scale(central_term(m, n)))  # noqa: E731
+        return chiral(m, n), L(m), L(n), rhs
+
+    def lorentz(m, n):
+        rhs = lambda j, v: TensorState.zero() if m == n else G(m + n)(v).scale(m - n)  # noqa: E731
+        return 2, G(m), G(n), rhs
+
+    def current_cov(m, delta):
+        return covariant(m, delta), J(m), Y(delta), lambda j, v: Y(delta - m)(v).scale(HALF)
+
+    def primary_cov(m, delta):
+        def rhs(j, v):
+            s = mode_index(sp, HALF, j, delta)
+            return Y(delta - m)(v).scale((d - 1) * m - s)
+
+        return covariant(m, delta), L(m), Y(delta), rhs
+
+    # suite -> (suite run, label ranges, cell bracket, sectors, sides[, level cap])
+    covariance = [("m", 3), ("delta", 3)]
+    cases = {
+        "current_bracket": (current_bracket_suite, [("m", 6), ("n", 6)], current, window, 1),
+        "virasoro_bracket": (virasoro_bracket_suite, [("m", 4), ("n", 4)], virasoro_, window, 1),
+        "lorentz_closure": (lorentz_closure_suite, [("m", 1), ("n", 1)], lorentz, window, 2, 3),
+        "current_covariance": (partial(current_covariance_suite, alpha=HALF), covariance, current_cov, charged, 1),
+        "primary_covariance": (partial(primary_covariance_suite, alpha=HALF), covariance, primary_cov, charged, 1),
+    }
+    return {
+        name: (partial(run, sp), partial(_reference_bracket, name, sp, *rest))
+        for name, (run, *rest) in cases.items()
+    }
+
+
+def _corrupted_where(monkeypatch, attr, hit, target):
+    """Double, in the output of the operator harness binds as `attr` where
+    `hit`, the component on the basis vector `target`, whatever follows it in
+    the key: one (sector, partition) deep inside each cell's basis."""
+    fn = getattr(harness, attr)
+
+    def faulty(*args):
+        out = fn(*args)
+        if not hit(*args):
+            return out
+        entries = {k: 2 * c if k[: len(target)] == target else c for k, c in out.entries.items()}
+        return type(out)(entries, out.overflow)
+
+    monkeypatch.setattr(harness, attr, faulty)
+
+
+# suite -> (operator harness binds, where it is corrupted, corrupted output component)
+COLUMN_FAULTS = {
+    "current_bracket": ("apply_J", lambda sp, m, v: m == -1, (1, (1, 1, 1))),
+    "virasoro_bracket": ("apply_L", lambda sp, m, v: m == 1, (0, (1,))),
+    # only the right factor's L_{-1} reaches this component of G_1
+    "lorentz_closure": ("apply_l_part", lambda sp, gen, v: gen.m == 1, (0, (), (2,))),
+    "current_covariance": ("apply_Y_mode", lambda sp, a, delta, v: delta == 1, (1, (3,))),
+    "primary_covariance": ("apply_L", lambda sp, m, v: m == -1, (0, (2, 1))),
+}
+
+
+@pytest.mark.parametrize("name", list(COLUMN_FAULTS))
+def test_block_sweep_isolates_columns(monkeypatch, name):
+    # a block application must fail exactly the basis vectors a one-at-a-time
+    # sweep fails: the same first failure, after the same states
+    attr, hit, target = COLUMN_FAULTS[name]
+    _corrupted_where(monkeypatch, attr, hit, target)
+    sp = space(4)
+    run, reference = _reference_cases(sp)[name]
+    want = reference()
+    assert want["status"] == "fail"
+    assert want["first_failure"]["basis"] not in ([], [[], []])  # not a block's first column
+    assert run() == want

@@ -8,7 +8,9 @@ state's values, of the value rows of ``j_step``, ``_sugawara_on_basis`` and
 ``y_mode_table``, truncation flags included; and add/sub/scale,
 ``states_equal`` and ``inner_product`` must agree with the same operations
 on the ``entries`` values.  Exact modes must agree exactly, float mode
-within the tolerance.
+within the tolerance.  A trailing column tag on a key must pass through every
+operator, so that a block state maps column by column, and the per-mode row
+tables must stay bounded and keyed by the charge's type as well as its value.
 """
 
 from fractions import Fraction
@@ -16,6 +18,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chargedfock.heisenberg as heisenberg
+import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
 from chargedfock.desitter import PsiCache
 from chargedfock.fock import (
@@ -26,6 +30,7 @@ from chargedfock.fock import (
     inner_product,
     partitions_of,
     states_equal,
+    unequal_columns,
     zsym,
 )
 from chargedfock.heisenberg import apply_J, apply_J_tensor, j_step
@@ -179,3 +184,65 @@ def test_equal_states_with_different_denominators_share_a_psi_cache_entry():
     first = cache.apply(space, space.alpha0, 1, v)
     assert cache.apply(space, space.alpha0, 1, w) is first
     assert len(cache._store) == 1
+
+
+def test_trailing_key_components_pass_through_on_either_side():
+    space = make_space("exact-rational", 6)
+    tagged = TensorState({(0, (1,), (2,), 5): 3})
+    assert apply_J_tensor(space, "right", -1, tagged).entries == {(0, (1,), (2, 1), 5): 3}
+    assert apply_J_tensor(space, "left", -1, tagged).entries == {(0, (1, 1), (2,), 5): 3}
+    assert apply_L_tensor(space, "right", 0, tagged).entries == {(0, (1,), (2,), 5): 6}
+    chiral = SectorState({(0, (1,), 5): 3})
+    assert apply_J(space, -1, chiral).entries == {(0, (1, 1), 5): 3}
+    shifted = apply_Y_mode(space, space.alpha0, 0, SectorState({(0, (), 5): 1}))
+    assert shifted.entries == {(1, (), 5): 1}
+
+
+def test_block_state_maps_column_by_column():
+    # each column of a block application is the application to its basis vector
+    for mode in MODES:
+        space = make_space(mode, 5)
+        ctx = space.ctx
+        keys = [(j, lam) for j in (-1, 0, 1) for level in range(4) for lam in partitions_of(level)]
+        block = SectorState.block(keys)
+        for apply in (
+            lambda v: apply_L(space, -1, apply_J(space, 2, v)),
+            lambda v: apply_Y_mode(space, space.alpha0, -1, apply_L(space, 1, v)),
+        ):
+            out = apply(block)
+            for col, key in enumerate(keys):
+                column = SectorState({k[:-1]: c for k, c in out.entries.items() if k[-1] == col})
+                assert states_equal(ctx, column, apply(SectorState.basis(*key)))
+            # one corrupted column is the only one named
+            broken = out.add(SectorState({(0, (1,), 7): Fraction(1, 3)}))
+            assert unequal_columns(ctx, broken, out) == {7}
+            assert unequal_columns(ctx, out, out) == set()
+            assert not states_equal(ctx, broken, out)
+
+
+def test_row_tables_are_bounded_and_keep_float_and_exact_charges_apart():
+    # each mode's (sector, partition) table is found by its charge once per
+    # application; 1/2 and 0.5 hash alike, so only typed keys keep them apart
+    tables = (
+        (heisenberg._j_table, lambda charge: (0, charge)),
+        (virasoro._l_table, lambda charge: (0, charge, False)),
+        (vertex._y_table, lambda charge: (charge, 1)),
+    )
+    for table, args in tables:
+        table.cache_clear()
+        assert table.cache_info().maxsize is not None
+        exact, floats = table(*args(Fraction(1, 2))), table(*args(0.5))
+        assert exact is not floats
+        assert exact.cache_info().maxsize is not None
+    float_space = make_space("float", 4)
+    exact_space = make_space("exact-rational", 4)
+    vac = SectorState.basis(1, ())
+    for apply in (
+        lambda sp: apply_J(sp, 0, vac),
+        lambda sp: apply_L(sp, 0, vac),
+        lambda sp: apply_Y_mode(sp, sp.alpha0, 1, vac),
+    ):
+        floats, exact = apply(float_space), apply(exact_space)
+        assert floats.entries == exact.entries != {}
+        assert all(type(c) is float for c in floats.entries.values())
+        assert all(type(c) is Fraction for c in exact.entries.values())
