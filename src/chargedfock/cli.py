@@ -46,6 +46,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option: a negative count would run an empty
+    sweep and pass it."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_config_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", nargs="?", metavar="CONFIG", help="flat key=value config file")
     for key in CONFIG_KEYS:
@@ -267,43 +279,43 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-decay", help="vacuum norm formula and mode-block bounds")
     _add_config_arguments(p)
-    p.add_argument("--n-max", type=int, default=512, help="closed-form table length")
+    p.add_argument("--n-max", type=_count, default=512, help="closed-form table length")
     p.set_defaults(func=_cmd_verify_decay)
 
     p = sub.add_parser("converge", help="vacuum partial-sum series as CSV")
     _add_config_arguments(p)
     p.add_argument("--m-list", default="0", help="comma-separated mode numbers")
-    p.add_argument("--n-max", type=int, default=64, help="number of bands per series")
+    p.add_argument("--n-max", type=_count, default=64, help="number of bands per series")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("diverge-demo", help="partial sums at the critical charge (float)")
     _add_config_arguments(p)
-    p.add_argument("--n-max", type=int, default=512, help="deepest band")
+    p.add_argument("--n-max", type=_count, default=512, help="deepest band")
     p.set_defaults(func=_cmd_diverge_demo)
 
     p = sub.add_parser("verify-commutativity", help="weak commutators of the symmetrized modes")
     _add_config_arguments(p)
-    p.add_argument("--m-range", type=int, default=2, help="vacuum cell range |m|,|n|")
-    p.add_argument("--samples", type=int, default=2, help="extra seeded probe pairs")
+    p.add_argument("--m-range", type=_count, default=2, help="vacuum cell range |m|,|n|")
+    p.add_argument("--samples", type=_count, default=2, help="extra seeded probe pairs")
     p.set_defaults(func=_cmd_verify_commutativity)
 
     p = sub.add_parser("verify-lorentz", help="perturbed boost-family ladder relations")
     _add_config_arguments(p)
     p.add_argument("--interior-buffer", type=int, default=None, help="levels reserved below the cutoff")
-    p.add_argument("--samples", type=int, default=2, help="extra seeded probe pairs")
+    p.add_argument("--samples", type=_count, default=2, help="extra seeded probe pairs")
     p.set_defaults(func=_cmd_verify_lorentz)
 
     p = sub.add_parser("verify-virasoro-c0", help="centerless chiral-difference Virasoro relations")
     _add_config_arguments(p)
-    p.add_argument("--m-range", type=int, default=2, help="cell range |m|,|n|")
+    p.add_argument("--m-range", type=_count, default=2, help="cell range |m|,|n|")
     p.add_argument("--interior-buffer", type=int, default=None, help="levels reserved below the cutoff")
-    p.add_argument("--samples", type=int, default=2, help="extra seeded probe pairs")
+    p.add_argument("--samples", type=_count, default=2, help="extra seeded probe pairs")
     p.set_defaults(func=_cmd_verify_virasoro_c0)
 
     p = sub.add_parser("explore-d-half", help="closure gap of the constant-coefficient family")
     _add_config_arguments(p)
-    p.add_argument("--m-range", type=int, default=2, help="cell range |m|,|n|")
-    p.add_argument("--n-max", type=int, default=48, help="bands in the partial-sum study")
+    p.add_argument("--m-range", type=_count, default=2, help="cell range |m|,|n|")
+    p.add_argument("--n-max", type=_count, default=48, help="bands in the partial-sum study")
     p.add_argument("--interior-buffer", type=int, default=None, help="levels reserved below the cutoff")
     p.set_defaults(func=_cmd_explore_d_half)
 

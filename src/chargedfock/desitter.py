@@ -48,6 +48,7 @@ __all__ = [
     "FAMILIES",
     "PerturbedGenerator",
     "psi_coefficient",
+    "chiral_sign",
     "apply_l_part",
     "PsiCache",
     "WeakParts",
@@ -101,7 +102,8 @@ def psi_coefficient(space: Space, gen: PerturbedGenerator) -> Scalar:
     return gen.lam
 
 
-def _chiral_sign(gen: PerturbedGenerator) -> int:
+def chiral_sign(gen: PerturbedGenerator) -> int:
+    """The sign s in the chiral part L_m (x) 1 + s 1 (x) L_{-m} of ``gen``."""
     if gen.family == "lorentz" and gen.m != 0:
         return 1
     return -1
@@ -111,7 +113,7 @@ def apply_l_part(space: Space, gen: PerturbedGenerator, v: TensorState) -> Tenso
     """Unperturbed part: ``L_m`` on the left plus/minus ``L_{-m}`` on the right."""
     left = apply_L_tensor(space, "left", gen.m, v)
     right = apply_L_tensor(space, "right", -gen.m, v)
-    return left.add(right) if _chiral_sign(gen) == 1 else left.sub(right)
+    return left.add(right) if chiral_sign(gen) == 1 else left.sub(right)
 
 
 class PsiCache:

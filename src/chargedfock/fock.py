@@ -27,14 +27,14 @@ loops never normalize a Fraction; floats in float mode, where ``den`` stays 1
 unless an exact fraction scales the state.  ``add``/``sub``/``scale`` and
 :func:`states_equal` cross-multiply; ``entries`` is the read-only key -> value
 view.  Current, Virasoro and vertex modes all go through :func:`apply_rows`,
-one cached integer :data:`Row` per basis partition.
+one cached integer :data:`Row` per basis partition, built without Fractions.
 
-A key may end in one more component, a column tag: ``(j, lam, col)`` or
-``(j, left, right, col)``.  Operators and ``add``/``sub``/``scale`` carry the
-tag through untouched, so a block state holding many tagged basis vectors is
-mapped column by column in one application, and :func:`unequal_columns` names
-the columns where an identity fails.  Gram weights, dumps and
-:meth:`TensorState.max_chiral_level` read untagged keys only.
+The same rows, stacked by :func:`level_matrices`, give each operator one
+:class:`LevelMatrix` per sector and level: integer numerators over one
+denominator.  :func:`residual` sums products of such matrices exactly, in
+int64 only while a bound certified from the entries' magnitudes, the inner
+dimensions and the cross-multiplication factors stays below 2**63, and in
+Python ints otherwise; float mode sums float64 values.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import IO, Optional, Tuple
+
+import numpy as np
 
 from .scalar import ArithmeticContext, GaussianRational, Scalar
 
@@ -165,15 +168,28 @@ def _value(num: Scalar, den: int) -> Scalar:
 Row = Tuple[int, int, Tuple[Partition, ...], Tuple[Scalar, ...]]
 
 
-def make_row(level: int, pairs, charge) -> Row:
-    """Row from (mu, value) pairs at one output level; a float charge (float
-    mode) gives a float row with den 1."""
-    pairs = [(mu, c) for mu, c in pairs if c != 0]
-    mus = tuple(mu for mu, _ in pairs)
+def exact_ratio(charge) -> Optional[Tuple[int, int]]:
+    """(p, q) with charge = p / q in lowest terms, or None for a float charge
+    (float mode)."""
     if isinstance(charge, (float, complex)):
-        return 1, level, mus, tuple(c * 1.0 for _, c in pairs)
-    den, nums = _split([c for _, c in pairs])
-    return den, level, mus, tuple(nums)
+        return None
+    charge = Fraction(charge)
+    return charge.numerator, charge.denominator
+
+
+def integer_row(level: int, acc: dict, den: int) -> Row:
+    """Row from output partition -> integer numerator over ``den``: zeros
+    dropped, then reduced to the least common denominator of the values."""
+    mus = tuple(mu for mu, n in acc.items() if n)
+    nums = [acc[mu] for mu in mus]
+    g = gcd(den, *nums)
+    return den // g, level, mus, tuple(n // g for n in nums)
+
+
+def float_row(level: int, acc: dict) -> Row:
+    """Row from output partition -> float value (float mode), zeros dropped."""
+    pairs = [(mu, c * 1.0) for mu, c in acc.items() if c != 0]
+    return 1, level, tuple(mu for mu, _ in pairs), tuple(c for _, c in pairs)
 
 
 class _State:
@@ -199,11 +215,6 @@ class _State:
     @classmethod
     def zero(cls):
         return cls._of({}, 1, False)
-
-    @classmethod
-    def block(cls, keys):
-        """Block state: each basis key ``keys[col]`` with coefficient 1, tagged ``col``."""
-        return cls._of({key + (col,): 1 for col, key in enumerate(keys)}, 1, False)
 
     @classmethod
     def _single(cls, key, coeff):
@@ -276,8 +287,7 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
     shifting sectors by ``shift``.  Entries whose target sector leaves the
     window, or whose nonempty row lands past the cutoff, are dropped and flag
     ``overflow``.  The kept rows' least common denominator is found first, so
-    no partial sum is rescaled.  Key components after the partition acted on,
-    such as a trailing column tag, pass through unchanged."""
+    no partial sum is rescaled."""
     if side not in (None, "left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     side = 2 if side == "right" else 1
@@ -304,11 +314,181 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
     for key, j, c, (row_den, _, mus, nums) in kept:
         if row_den != den:
             c = c * (den // row_den)
-        head, tail = (j,) + key[1:side], key[side + 1 :]
+        head, tail = ((j,), key[2:]) if side == 1 else ((j, key[1]), ())
         for mu, n in zip(mus, nums):
             k = head + (mu,) + tail
             out[k] = get(k, 0) + c * n
     return v._of({k: n for k, n in out.items() if n}, v.den * den, overflow)
+
+
+# ---------------------------------------------------------------------------
+# level matrices: an operator's rows on one sector and level, stacked
+
+# an exact product is computed in int64 only when its certified bound is below this
+INT64_BOUND = 2**63
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class LevelMatrix:
+    """An operator on the basis of one sector and level: column c holds the
+    row of ``partitions_of(level)[c]``, entry r its coefficient on the r-th
+    output partition, ``ints / den``.  ``ints`` is int64 when every entry
+    fits, Python ints (object dtype) otherwise, float64 values with den 1 in
+    float mode; ``top`` bounds the absolute value of every exact entry."""
+
+    den: int
+    ints: np.ndarray
+    top: int
+
+    @property
+    def T(self) -> "LevelMatrix":
+        return LevelMatrix(self.den, self.ints.T, self.top)
+
+
+def _matrix(den: int, cells: list, shape: Tuple[int, int]) -> LevelMatrix:
+    if not shape[0] * shape[1]:
+        return _empty(shape)
+    if any(type(x) is float for row in cells for x in row):
+        return LevelMatrix(den, np.array(cells, dtype=float), 0)
+    top = max(abs(x) for row in cells for x in row)
+    return LevelMatrix(den, np.array(cells, dtype=np.int64 if top < INT64_BOUND else object), top)
+
+
+@lru_cache(maxsize=256)
+def _empty(shape: Tuple[int, int]) -> LevelMatrix:
+    return LevelMatrix(1, np.zeros(shape, dtype=np.int64), 0)
+
+
+@lru_cache(maxsize=64)
+def _positions(level: int) -> dict:
+    return {mu: r for r, mu in enumerate(partitions_of(level))}
+
+
+def stack_rows(rows, out_level: int) -> LevelMatrix:
+    """Rows at output level ``out_level`` as the columns of one matrix over
+    their least common denominator."""
+    positions = _positions(out_level)
+    den = lcm(1, *[row[0] for row in rows])
+    cells = [[0] * len(rows) for _ in positions]
+    for col, (row_den, _, mus, nums) in enumerate(rows):
+        scale = den // row_den
+        for mu, n in zip(mus, nums):
+            cells[positions[mu]][col] = n * scale
+    return _matrix(den, cells, (len(positions), len(rows)))
+
+
+@lru_cache(maxsize=256, typed=True)
+def level_matrices(table, shift: int, *args):
+    """(j, level) -> the rows ``table(*args)(j, lam)`` of ``lam`` in
+    ``partitions_of(level)``, mapping to ``level + shift``, stacked.  Keyed by
+    value: the row-table factory, the level shift and the factory's arguments,
+    each by type as well, so a float charge never meets an equal Fraction; the
+    returned table is found once per operator, so a lookup hashes only
+    (j, level)."""
+    row_of = table(*args)
+
+    @lru_cache(maxsize=512)
+    def matrix(j: int, level: int) -> LevelMatrix:
+        return stack_rows([row_of(j, lam) for lam in partitions_of(level)], level + shift)
+
+    return matrix
+
+
+@lru_cache(maxsize=64)
+def gram_matrix(level: int) -> LevelMatrix:
+    """The diagonal Gram weights zsym of ``partitions_of(level)``."""
+    lams = partitions_of(level)
+    return _matrix(1, [[zsym(lam) if lam == mu else 0 for lam in lams] for mu in lams], (len(lams),) * 2)
+
+
+@lru_cache(maxsize=64)
+def identity(rows: int, cols: Optional[int] = None) -> LevelMatrix:
+    """The first ``cols`` (default all) columns of the identity."""
+    return LevelMatrix(1, np.eye(rows, rows if cols is None else cols, dtype=np.int64), 1)
+
+
+def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
+    """One operator on all levels 0..top at once, rows and columns ordered by
+    level and then by partition: ``block(level)`` is its LevelMatrix from
+    ``level`` to ``level + shift``; outputs past ``top`` are dropped."""
+    offsets = [0, *accumulate(len(partitions_of(level)) for level in range(top + 1))]
+    blocks = [block(level) for level in range(top + 1)]
+    den = lcm(*[b.den for b in blocks])
+    cells = [[0] * offsets[-1] for _ in range(offsets[-1])]
+    for level, b in enumerate(blocks):
+        out = level + shift
+        if 0 <= out <= top:
+            scale = den // b.den
+            for r, row in enumerate(b.ints.tolist()):
+                cells[offsets[out] + r][offsets[level] : offsets[level + 1]] = [x * scale for x in row]
+    return _matrix(den, cells, (offsets[-1], offsets[-1]))
+
+
+def _chain_bound(chain) -> int:
+    """Bound on every entry, and every partial sum, of a matrix product
+    applied right to left: inner dimensions times the factors' tops."""
+    bound = chain[-1].top
+    for m in chain[-2::-1]:
+        bound *= m.ints.shape[1] * m.top
+    return bound
+
+
+def _product(chains, convert=None):
+    """Kronecker product over chains of each chain's matrix product, applied
+    right to left, of the matrices' ``convert(m)``, by default their ints."""
+    blocks = []
+    for chain in chains:
+        out = None
+        for m in reversed(chain):
+            x = m.ints if convert is None else convert(m)
+            out = x if out is None else x @ out
+        blocks.append(out)
+    return blocks[0] if len(blocks) == 1 else np.kron(*blocks)
+
+
+def residual(ctx: ArithmeticContext, terms) -> np.ndarray:
+    """The sum over terms ``(c, chains)`` of c times the Kronecker product of
+    its chains' matrix products, each applied right to left: one chain for a
+    chiral operator, a left and a right one for a two-sided operator.
+
+    Exact modes return integer numerators over one common denominator: each
+    term is cross-multiplied to it, and the sum is computed in int64 when the
+    certified bound -- the sum over terms of |factor| times the product of
+    its chains' bounds -- stays below :data:`INT64_BOUND`, so that no partial
+    sum can wrap, and in Python ints otherwise.  Float mode sums float64."""
+    rows = cols = 1
+    for chain in terms[0][1]:
+        rows, cols = rows * chain[0].ints.shape[0], cols * chain[-1].ints.shape[1]
+    if not ctx.exact:
+        total = np.zeros((rows, cols))
+        for c, chains in terms:
+            total += float(c) * _product(chains, lambda m: m.ints / m.den)
+        return total
+    scaled = []  # (numerator, denominator, bound, chains) of each nonzero term
+    den = 1
+    for c, chains in terms:
+        d, bound = c.denominator, 1
+        for chain in chains:
+            bound *= _chain_bound(chain)
+            for m in chain:
+                d *= m.den
+        if c and bound:
+            scaled.append((c.numerator, d, bound, chains))
+            den = lcm(den, d)
+    factors = [n * (den // d) for n, d, _, _ in scaled]
+    wide = sum(abs(f) * b for f, (_, _, b, _) in zip(factors, scaled)) >= INT64_BOUND
+    total = np.zeros((rows, cols), dtype=object if wide else np.int64)
+    for f, (_, _, _, chains) in zip(factors, scaled):
+        total += f * _product(chains, (lambda m: m.ints.astype(object)) if wide else None)
+    return total
+
+
+def nonzero(ctx: ArithmeticContext, matrix) -> np.ndarray:
+    """Where a residual fails: nonzero entries, or in float mode entries
+    beyond the tolerance."""
+    if ctx.exact:
+        return matrix != 0
+    return np.abs(matrix) > ctx.tolerance
 
 
 def _weight(key) -> int:
@@ -337,12 +517,9 @@ def norm_sq(ctx: ArithmeticContext, v):
     return total / (v.den * v.den)
 
 
-def unequal_columns(ctx: ArithmeticContext, v, w, minus=None) -> set:
-    """The columns where v != w, or v - minus != w: the last components of
-    the differing keys, which are the column tags of block states (of untagged
-    states, only whether the set is empty matters).  One pass over the
-    cross-multiplied numerators, no difference state.  Float mode compares
-    within tolerance."""
+def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
+    """v == w, or v - minus == w: one pass over the cross-multiplied
+    numerators, no difference state.  Float mode compares within tolerance."""
     states = (v, w) if minus is None else (v, minus, w)
     den = lcm(*[s.den for s in states])
     total = {}
@@ -351,17 +528,8 @@ def unequal_columns(ctx: ArithmeticContext, v, w, minus=None) -> set:
         f = sign * (den // s.den)
         for k, n in s.nums.items():
             total[k] = get(k, 0) + f * n
-    if ctx.exact:
-        differing = [k for k, x in total.items() if x]
-    else:
-        tol = ctx.tolerance * den
-        differing = [k for k, x in total.items() if abs(x) > tol]
-    return {k[-1] for k in differing}
-
-
-def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
-    """v == w, or v - minus == w: the untagged case of :func:`unequal_columns`."""
-    return not unequal_columns(ctx, v, w, minus)
+    tol = ctx.tolerance * den
+    return not any(total.values()) if ctx.exact else all(abs(x) <= tol for x in total.values())
 
 
 def _sort_key(key):

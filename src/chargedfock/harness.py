@@ -7,11 +7,14 @@ unaffected by truncation.  It stops at the first failure, so a corrupted
 coefficient is pinpointed by (m, n, sector, basis), and it reports a cell with
 no interior states as a "vacuous interior" warning instead of a silent pass.
 
-The bracket and covariance suites apply a cell's operators once per sector, to
-a block state holding that sector's whole interior basis with one tagged column
-per basis vector (see :mod:`chargedfock.fock`), and read the failing columns
-off one comparison.  Every basis vector is still computed and checked; the
-engine sees its case in basis order, as if it had been applied alone.
+Each identity is checked as a matrix identity per sector and level, on the
+operators' level matrices (see :mod:`chargedfock.fock`): a bracket
+A B - B A - c R = 0 on the whole interior basis of one level at once, whose
+nonzero columns are the failing basis vectors.  Every basis vector is still
+computed and checked, and the engine sees its case in basis order, as if it
+had been applied alone.  Exact modes compute in integers, in int64 only under
+a certified bound; no pass rests on modular, probabilistic or float
+arithmetic.
 
 Reports are plain dicts of JSON-native values, deterministic for a fixed
 configuration and seed: no timestamps, no unordered containers.
@@ -20,24 +23,29 @@ configuration and seed: no timestamps, no unordered containers.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .desitter import PerturbedGenerator, apply_l_part
+import numpy as np
+
+from .desitter import PerturbedGenerator, chiral_sign
 from .diagnostics import loglog_slope
 from .fock import (
     SectorState,
     Space,
     TensorState,
     Truncation,
-    inner_product,
+    gram_matrix,
+    graded_matrix,
+    identity,
+    nonzero,
     norm_sq,
     partitions_of,
-    states_equal,
-    unequal_columns,
+    residual,
+    stack_rows,
 )
-from .heisenberg import apply_J
+from .heisenberg import j_matrices
 from .twodim import weak_psi_commutator
 from .vertex import (
     apply_Y_mode,
@@ -47,8 +55,9 @@ from .vertex import (
     mode_index,
     truncated_mode_norm,
     vacuum_mode_norm_sq,
+    y_matrices,
 )
-from .virasoro import apply_L, central_term
+from .virasoro import central_term, l_matrices
 
 __all__ = [
     "algebra_report",
@@ -74,7 +83,8 @@ __all__ = [
 def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dict:
     """Suite report over one cell per combination of the label values, the
     first label outermost.  `cases(*values)` lazily streams a cell's
-    (where, holds) cases; the sweep stops at the first that fails."""
+    (where, holds) cases, where is read only from a failing case; the sweep
+    stops at the first that fails."""
     checked = cells = vacuous = 0
     failure = None
     for values in product(*labels.values()):
@@ -130,31 +140,61 @@ def _where(key) -> dict:
     return {"sector": key[0], "basis": basis[0] if len(basis) == 1 else basis}
 
 
-def _bracket_sweep(name: str, space: Space, bracket, sectors, sides, max_level, **ranges) -> dict:
-    """a(b v) - b(a v) == rhs(j, v) on every cell's interior basis; each of the
-    two label keywords r runs its label from -r to r, and `bracket(x, y)` gives
-    a cell's headroom, a, b and rhs.
+def _failing_columns(space: Space, terms):
+    """The columns of a residual that fail, as a set of indices."""
+    bad = nonzero(space.ctx, residual(space.ctx, terms))
+    return set(np.flatnonzero(bad.any(axis=0)).tolist()) if bad.any() else ()
 
-    The interior basis of one sector is applied as one block state, each basis
-    vector tagged by its column, and one comparison names the failing columns;
-    the cases still come column by column, in basis order."""
+
+def _bracket_sweep(name: str, space: Space, bracket, sectors, max_level, **ranges) -> dict:
+    """Matrix identities on every cell's interior basis; each of the two label
+    keywords r runs its label from -r to r.  `bracket(x, y)` gives a cell's
+    headroom and its checks: `checks(j, levels)` streams (basis keys, residual
+    terms) blocks, one column of the residual per key.  The cases come
+    column by column, in basis order."""
     cap = space.trunc.level_cutoff if max_level is None else max_level
-    state = SectorState if sides == 1 else TensorState
 
     def cases(x, y):
-        headroom, a, b, rhs = bracket(x, y)
+        headroom, checks = bracket(x, y)
         # interior levels: their states survive `headroom` extra levels of raising
         levels = range(min(space.trunc.level_cutoff - headroom, cap) + 1)
         if not levels:
             return
         for j in sectors:
-            keys = _basis(j, levels, sides)
-            block = state.block(keys)
-            failing = unequal_columns(space.ctx, a(b(block)), rhs(j, block), minus=b(a(block)))
-            for col, key in enumerate(keys):
-                yield _where(key), col not in failing
+            for keys, terms in checks(j, levels):
+                failing = _failing_columns(space, terms)
+                for col, key in enumerate(keys):
+                    yield (_where(key), False) if col in failing else (None, True)
 
     return _sweep(name, cases, **{label: range(-r, r + 1) for label, r in ranges.items()})
+
+
+class _Op(NamedTuple):
+    """A chiral operator: `matrix(j, level)` from sector j at `level`, which it
+    raises by `shift` and the sector by `jshift`."""
+
+    matrix: Callable
+    shift: int
+    jshift: int = 0
+
+
+_IDENTITY = _Op(lambda j, level: identity(len(partitions_of(level))), 0)
+
+
+def _commutator(a: _Op, b: _Op, rhs):
+    """Checks of a b - b a = sum of c R over `rhs(j)`, pairs (c, R), one
+    block per sector and interior level."""
+
+    def checks(j, levels):
+        for level in levels:
+            terms = [
+                (1, ((a.matrix(j + b.jshift, level + b.shift), b.matrix(j, level)),)),
+                (-1, ((b.matrix(j + a.jshift, level + a.shift), a.matrix(j, level)),)),
+            ]
+            terms += [(-c, ((r.matrix(j, level),),)) for c, r in rhs(j)]
+            yield [(j, lam) for lam in partitions_of(level)], terms
+
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -163,65 +203,85 @@ def _bracket_sweep(name: str, space: Space, bracket, sectors, sides, max_level, 
 
 def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[int] = None) -> dict:
     """[J_m, J_n] = m delta_{m,-n} on every interior basis vector."""
+    J = lambda m: _Op(j_matrices(space, m), -m)  # noqa: E731
 
     def bracket(m, n):
-        rhs = (lambda j, v: v.scale(m)) if m + n == 0 else (lambda j, v: SectorState.zero())
-        a, b = partial(apply_J, space, m), partial(apply_J, space, n)
-        return max(0, -m, -n, -m - n), a, b, rhs
+        rhs = [(m, _IDENTITY)] if m + n == 0 else []
+        return max(0, -m, -n, -m - n), _commutator(J(m), J(n), lambda j: rhs)
 
-    sectors = _sectors(space)
     ranges = {"m": m_range, "n": m_range}
-    return _bracket_sweep("current_bracket", space, bracket, sectors, 1, max_level, **ranges)
+    return _bracket_sweep("current_bracket", space, bracket, _sectors(space), max_level, **ranges)
 
 
 def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[int] = None) -> dict:
     """[L_m, L_n] = (m-n) L_{m+n} + central(m, n) with unit central charge."""
+    L = lambda m: _Op(l_matrices(space, m), -m)  # noqa: E731
 
     def bracket(m, n):
-        central = central_term(m, n)
+        rhs = [(c, r) for c, r in ((m - n, L(m + n)), (central_term(m, n), _IDENTITY)) if c]
+        return max(0, -m, -n, -m - n), _commutator(L(m), L(n), lambda j: rhs)
 
-        def rhs(j, v):
-            expected = apply_L(space, m + n, v).scale(m - n)
-            return expected.add(v.scale(central)) if central else expected
-
-        a, b = partial(apply_L, space, m), partial(apply_L, space, n)
-        return max(0, -m, -n, -m - n), a, b, rhs
-
-    sectors = _sectors(space)
     ranges = {"m": m_range, "n": m_range}
-    return _bracket_sweep("virasoro_bracket", space, bracket, sectors, 1, max_level, **ranges)
+    return _bracket_sweep("virasoro_bracket", space, bracket, _sectors(space), max_level, **ranges)
 
 
 def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
-    """[G_m, G_n] = (m-n) G_{m+n} for the unperturbed two-sided generators.
+    """[G_m, G_n] = (m-n) G_{m+n} for the unperturbed two-sided generators
+    G_m = L_m (x) 1 + s 1 (x) L_{-m}, with the sign s of
+    :func:`~chargedfock.desitter.chiral_sign`.
 
-    When m = n the ladder coefficient vanishes, so G beyond |m| <= 1 is never
-    needed inside this range.
+    Each product of two generators expands by (A (x) B)(C (x) D) = AC (x) BD
+    into Kronecker products of chiral chains on all levels up to two above the
+    interior, applied to the interior basis.  When m = n the ladder
+    coefficient vanishes, so G beyond |m| <= 1 is never needed inside this
+    range.
     """
     base = PerturbedGenerator("lorentz", 0, space.ctx.zero(), space.alpha0)
-    gens = {m: partial(apply_l_part, space, base.at(m)) for m in (-1, 0, 1)}
+
+    @lru_cache(maxsize=64)
+    def L(j, n, top):
+        return graded_matrix(partial(l_matrices(space, n), j), -n, top)
+
+    def G(j, m, top):
+        """G_m as (sign, left factors, right factors) terms."""
+        return [(1, (L(j, m, top),), ()), (chiral_sign(base.at(m)), (), (L(j, -m, top),))]
 
     def bracket(m, n):
-        if m == n:
-            return 2, gens[m], gens[n], lambda j, v: TensorState.zero()
-        return 2, gens[m], gens[n], lambda j, v: gens[m + n](v).scale(m - n)
+        def checks(j, levels):
+            top = levels[-1] + 2
+            interior = identity(_chiral_dim(top), _chiral_dim(levels[-1]))
+            terms = []
+            for c, x, y in ((1, m, n), (-1, n, m)):
+                for (s1, l1, r1), (s2, l2, r2) in product(G(j, x, top), G(j, y, top)):
+                    terms.append((c * s1 * s2, (l1 + l2 + (interior,), r1 + r2 + (interior,))))
+            if m != n:
+                terms += [(-(m - n) * s, (l + (interior,), r + (interior,))) for s, l, r in G(j, m + n, top)]
+            yield _basis(j, levels, 2), terms
 
-    sectors = _sectors(space)
-    return _bracket_sweep("lorentz_closure", space, bracket, sectors, 2, max_level, m=1, n=1)
+        return 2, checks
+
+    return _bracket_sweep("lorentz_closure", space, bracket, _sectors(space), max_level, m=1, n=1)
 
 
-def _covariance_sweep(name, space, alpha, op, coefficient, m_range, delta_range, max_level) -> dict:
+def _chiral_dim(top: int) -> int:
+    return sum(len(partitions_of(level)) for level in range(top + 1))
+
+
+def _covariance_sweep(name, space, alpha, op_matrices, coefficient, m_range, delta_range, max_level) -> dict:
     """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, with s the mode index of
     Y_delta out of the source sector."""
-    sectors = _sectors(space, charge_multiplier(space, alpha))
+    mult = charge_multiplier(space, alpha)
+    sectors = _sectors(space, mult)
+    Y = lambda delta: _Op(y_matrices(alpha, delta), delta, mult)  # noqa: E731
 
     def bracket(m, delta):
-        coeffs = {j: coefficient(m, mode_index(space, alpha, j, delta)) for j in sectors}
-        lowered = partial(apply_Y_mode, space, alpha, delta - m)
-        a, b = partial(op, space, m), partial(apply_Y_mode, space, alpha, delta)
-        return max(0, delta, -m, delta - m), a, b, lambda j, v: lowered(v).scale(coeffs[j])
+        lowered = Y(delta - m)
+        rhs = {j: [(coefficient(m, mode_index(space, alpha, j, delta)), lowered)] for j in sectors}
+        op = _Op(op_matrices(space, m), -m)
+        return max(0, delta, -m, delta - m), _commutator(op, Y(delta), rhs.__getitem__)
 
-    return _bracket_sweep(name, space, bracket, sectors, 1, max_level, m=m_range, delta=delta_range)
+    ranges = {"m": m_range, "delta": delta_range}
+    return _bracket_sweep(name, space, bracket, sectors, max_level, **ranges)
 
 
 def current_covariance_suite(
@@ -234,7 +294,7 @@ def current_covariance_suite(
     """[J_m, Y_delta] = alpha Y_{delta-m} on interior basis vectors."""
     coefficient = lambda m, s: alpha  # noqa: E731
     args = (m_range, delta_range, max_level)
-    return _covariance_sweep("current_covariance", space, alpha, apply_J, coefficient, *args)
+    return _covariance_sweep("current_covariance", space, alpha, j_matrices, coefficient, *args)
 
 
 def primary_covariance_suite(
@@ -249,7 +309,7 @@ def primary_covariance_suite(
     d = conformal_weight(alpha)
     coefficient = lambda m, s: (d - 1) * m - s  # noqa: E731
     args = (m_range, delta_range, max_level)
-    return _covariance_sweep("primary_covariance", space, alpha, apply_L, coefficient, *args)
+    return _covariance_sweep("primary_covariance", space, alpha, l_matrices, coefficient, *args)
 
 
 def mode_oracle_suite(
@@ -259,17 +319,21 @@ def mode_oracle_suite(
     max_level: int = 8,
 ) -> dict:
     """Expansion route against the commutator-recursion oracle, every matrix
-    element between basis states of level <= max_level."""
+    element between basis states of level <= max_level: each column of the
+    mode's level matrix against the oracle's state on that basis vector."""
     admitted = _sectors(space, charge_multiplier(space, alpha))
     top = min(max_level, space.trunc.level_cutoff)
 
     def cases(j, delta):
         levels = range(max(0, -delta), top - max(0, delta) + 1) if j in admitted else ()
-        for key in _basis(j, levels):
-            v = SectorState.basis(*key)
-            direct = apply_Y_mode(space, alpha, delta, v)
-            recursive = apply_Y_mode_recursive(space, alpha, delta, v)
-            yield _where(key), states_equal(space.ctx, direct, recursive)
+        for level in levels:
+            lams = partitions_of(level)
+            oracle = [apply_Y_mode_recursive(space, alpha, delta, SectorState.basis(j, lam)) for lam in lams]
+            rows = [(v.den, level + delta, tuple(mu for _, mu in v.nums), tuple(v.nums.values())) for v in oracle]
+            terms = [(1, ((y_matrices(alpha, delta)(j, level),),)), (-1, ((stack_rows(rows, level + delta),),))]
+            failing = _failing_columns(space, terms)
+            for col, lam in enumerate(lams):
+                yield (_where((j, lam)), False) if col in failing else (None, True)
 
     return _sweep("mode_oracle_equivalence", cases, sector=sectors, delta=range(-top, top + 1))
 
@@ -280,7 +344,9 @@ def mode_adjoint_suite(
     delta_range: int = 4,
     max_level: int = 4,
 ) -> dict:
-    """<Y_{alpha,delta} v, w> = <v, Y_{-alpha,-delta} w> on basis pairs."""
+    """<Y_{alpha,delta} v, w> = <v, Y_{-alpha,-delta} w> on basis pairs: with
+    Z the diagonal Gram weights and real charges, the matrix identity
+    Z_t Y_{alpha,delta} = Y_{-alpha,-delta}^T Z_s, entry (w, v) per pair."""
     mult = charge_multiplier(space, alpha)
     top = min(max_level, space.trunc.level_cutoff)
 
@@ -288,16 +354,16 @@ def mode_adjoint_suite(
         for j, level in product(_sectors(space, mult), range(max(0, -delta), top + 1)):
             if not space.trunc.admits_level(level + delta):
                 continue
+            forward = (gram_matrix(level + delta), y_matrices(alpha, delta)(j, level))
+            backward = (y_matrices(-alpha, -delta)(j + mult, level + delta).T, gram_matrix(level))
+            failing = nonzero(space.ctx, residual(space.ctx, [(1, (forward,)), (-1, (backward,))]))
             mus = partitions_of(level + delta)
-            targets = [SectorState.basis(j + mult, mu) for mu in mus]
-            adjoints = [apply_Y_mode(space, -alpha, -delta, w) for w in targets]
-            for key in _basis(j, (level,)):
-                v = SectorState.basis(*key)
-                yv = apply_Y_mode(space, alpha, delta, v)
-                for mu, w, yw in zip(mus, targets, adjoints):
-                    lhs = inner_product(space.ctx, yv, w)
-                    rhs = inner_product(space.ctx, v, yw)
-                    yield {**_where(key), "target": list(mu)}, space.ctx.is_zero(lhs - rhs)
+            for col, lam in enumerate(partitions_of(level)):
+                for row, mu in enumerate(mus):
+                    if failing[row, col]:
+                        yield {**_where((j, lam)), "target": list(mu)}, False
+                    else:
+                        yield None, True
 
     return _sweep("mode_adjoint", cases, delta=range(-delta_range, delta_range + 1))
 

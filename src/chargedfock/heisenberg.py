@@ -8,14 +8,29 @@ Conventions (fixed by positivity of the Gram form and J_m* = J_{-m}):
 * ``J_k`` (k > 0) removes one part ``k`` with coefficient ``k * multiplicity``
 
 Actions are exact, one cached integer row per basis partition through
-:func:`~chargedfock.fock.apply_rows`; a result beyond the cutoff flags ``overflow``.
+:func:`~chargedfock.fock.apply_rows`; a result beyond the cutoff flags
+``overflow``.  :func:`j_matrices` stacks the same rows into one matrix per
+sector and level.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-from .fock import Partition, Row, SectorState, Space, TensorState, apply_rows, make_row
+from .fock import (
+    LevelMatrix,
+    Partition,
+    Row,
+    SectorState,
+    Space,
+    TensorState,
+    apply_rows,
+    exact_ratio,
+    float_row,
+    integer_row,
+    level_matrices,
+)
 
 
 def _insert_part(lam: Partition, k: int) -> Partition:
@@ -54,8 +69,15 @@ def j_step(lam: Partition, m: int, beta):
 # 1,799 rows fill at verify-algebra's default cutoff 10
 @lru_cache(maxsize=4096, typed=True)
 def _j_row(m: int, j: int, lam: Partition, alpha0) -> Row:
-    beta = alpha0 * j if m == 0 else None
-    return make_row(sum(lam) - m, j_step(lam, m, beta), alpha0)
+    """Row of J_m on basis (j, lam): integer coefficients, except J_0, the
+    charge j * alpha0, over the charge's denominator."""
+    level = sum(lam) - m
+    if m:
+        return integer_row(level, dict(j_step(lam, m, None)), 1)
+    ratio = exact_ratio(alpha0)
+    if ratio is None:
+        return float_row(level, {lam: alpha0 * j})
+    return integer_row(level, {lam: j * ratio[0]}, ratio[1])
 
 
 # One (sector, partition) -> row table per mode and charge, found once per
@@ -70,8 +92,12 @@ def _j_table(m: int, alpha0):
     return lru_cache(maxsize=2048, typed=True)(row)
 
 
+def _j_key(space: Space, m: int) -> tuple:
+    return m, None if m else space.alpha0  # the charge only enters J_0
+
+
 def _j_rows(space: Space, m: int):
-    return _j_table(m, None if m else space.alpha0)  # the charge only enters J_0
+    return _j_table(*_j_key(space, m))
 
 
 def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
@@ -81,3 +107,8 @@ def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
 def apply_J_tensor(space: Space, side: str, m: int, v: TensorState) -> TensorState:
     """J_m acting on one chiral factor of a diagonal two-sided state."""
     return apply_rows(space, v, _j_rows(space, m), side)
+
+
+def j_matrices(space: Space, m: int) -> Callable[[int, int], LevelMatrix]:
+    """(j, level) -> J_m from sector j's basis at ``level``, one column per partition."""
+    return level_matrices(_j_table, -m, *_j_key(space, m))

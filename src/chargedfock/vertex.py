@@ -12,7 +12,9 @@ vector as a finite double sum: annihilate a sub-multiset of weight ``b`` (with
 coefficient ``prod_i C(m_i, k_i) * (-alpha)**K`` over distinct part sizes),
 then create any partition ``nu`` of weight ``a = delta + b`` (with coefficient
 ``alpha**len(nu) / zsym(nu)``).  Everything is exact; no intermediate
-truncation occurs.
+truncation occurs.  :func:`y_mode_table` sums this in Fractions; the rows that
+:func:`apply_Y_mode` and :func:`y_matrices` use sum the same terms as integers
+over ``q**E * lcm zsym(nu)``, with ``alpha = p / q``.
 
 Two independent evaluation routes are kept deliberately separate:
 
@@ -29,18 +31,22 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import IO
+from math import comb, factorial, lcm
+from typing import IO, Callable
 
 import numpy as np
 
 from .fock import (
+    LevelMatrix,
     Partition,
     Row,
     SectorState,
     Space,
     apply_rows,
-    make_row,
+    exact_ratio,
+    float_row,
+    integer_row,
+    level_matrices,
     partitions_of,
     zsym,
 )
@@ -51,6 +57,7 @@ __all__ = [
     "mode_index",
     "y_mode_table",
     "apply_Y_mode",
+    "y_matrices",
     "apply_Y_mode_recursive",
     "vacuum_mode_norm_sq",
     "truncated_mode_norm",
@@ -146,10 +153,33 @@ def y_mode_table(alpha, delta: int, lam: Partition):
     return tuple((mu, c) for mu, c in acc.items() if c != 0)
 
 
-# 1,478 rows fill at verify-algebra's default cutoff 10; the value table is not kept
+# 1,478 rows fill at verify-algebra's default cutoff 10
 @lru_cache(maxsize=4096, typed=True)
 def _y_row(alpha, delta: int, lam: Partition) -> Row:
-    return make_row(sum(lam) + delta, y_mode_table.__wrapped__(alpha, delta, lam), alpha)
+    """The terms of :func:`y_mode_table` as one row.  Exact modes take each
+    term binom (-1)**K p**e / (q**e zsym(nu)), e = K + len(nu), as an integer
+    over q**E lcm zsym(nu), E the largest e; float mode sums the float terms
+    in the same order."""
+    terms = []  # (mu, K, binom, len(nu), zsym(nu)) of each term, in the table's order
+    for b, K, binom, rem in _removals(lam):
+        if delta + b >= 0:
+            terms += [(_merge(rem, nu), K, binom, len(nu), zsym(nu)) for nu in partitions_of(delta + b)]
+    level = sum(lam) + delta
+    acc = {}
+    ratio = exact_ratio(alpha)
+    if ratio is None:
+        for mu, K, binom, n, z in terms:
+            coeff = binom * (-alpha) ** K * alpha**n * (1 / z)
+            if coeff:
+                acc[mu] = acc.get(mu, 0) + coeff
+        return float_row(level, acc)
+    p, q = ratio
+    terms = [t for t in terms if p or not t[1] + t[3]]  # alpha = 0 keeps the vacuum term
+    top = max((K + n for _, K, _, n, _ in terms), default=0)
+    zlcm = lcm(*[z for *_, z in terms])
+    for mu, K, binom, n, z in terms:
+        acc[mu] = acc.get(mu, 0) + (-1) ** K * binom * p ** (K + n) * q ** (top - K - n) * (zlcm // z)
+    return integer_row(level, acc, q**top * zlcm)
 
 
 # (sector, partition) -> row, one table per charge and shift: see heisenberg._j_table
@@ -162,6 +192,11 @@ def apply_Y_mode(space: Space, alpha, delta: int, v: SectorState) -> SectorState
     """Apply the mode; shifts every sector by alpha/alpha0."""
     mult = charge_multiplier(space, alpha)
     return apply_rows(space, v, _y_table(alpha, delta), shift=mult)
+
+
+def y_matrices(alpha, delta: int) -> Callable[[int, int], LevelMatrix]:
+    """(j, level) -> the mode from sector j's basis at ``level``, one column per partition."""
+    return level_matrices(_y_table, delta, alpha, delta)
 
 
 # 4,489 elements fill at verify-algebra's default cutoff 10

@@ -6,17 +6,32 @@ first; only finitely many ``k`` act on a level-``ell`` vector (``|k| <= ell +
 resulting bracket is 1:
 
     [L_m, L_n] = (m - n) L_{m+n} + (1/12) m (m^2 - 1) delta_{m,-n}
+
+A row is built in integers: with J_0 the charge ``beta = j p / q``, every
+term of the double sum is an integer over ``2 q^2``.  :func:`l_matrices` stacks
+the rows into one matrix per sector and level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
-from .fock import Partition, Row, SectorState, Space, TensorState, apply_rows, make_row
+from .fock import (
+    LevelMatrix,
+    Partition,
+    Row,
+    SectorState,
+    Space,
+    TensorState,
+    apply_rows,
+    exact_ratio,
+    float_row,
+    integer_row,
+    level_matrices,
+)
 from .heisenberg import j_step
-
-_HALF = Fraction(1, 2)
 
 # Self-test knob: when True, one quadratic coefficient (the k=1 term of L_2)
 # is doubled so that identity suites demonstrably catch a wrong coefficient.
@@ -26,21 +41,27 @@ FAULT_SUGAWARA = False
 # 7,660 rows fill at verify-algebra's default cutoff 10
 @lru_cache(maxsize=16384, typed=True)
 def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> Row:
-    """Row of L_n on basis (j, lam); exact in the exact modes."""
-    beta = alpha0 * j
+    """Row of L_n on basis (j, lam).  Exact modes scale each current by q, so
+    J_0 = beta becomes j p, and sum integers over 2 q^2; float mode sums
+    halves of float products in the same order."""
+    ratio = exact_ratio(alpha0)
+    if ratio is None:
+        beta, half, q = alpha0 * j, 0.5, 1
+    else:
+        beta, half, q = j * ratio[0], 1, ratio[1]
     ell = sum(lam)
     bound = ell + abs(n)
     acc = {}
     for k in range(-bound, bound + 1):
         a = n - k
         lo, hi = (a, k) if a <= k else (k, a)
+        scale = half * q ** ((lo != 0) + (hi != 0)) * (2 if fault and n == 2 and k == 1 else 1)
         for mu1, c1 in j_step(lam, hi, beta):
             for mu2, c2 in j_step(mu1, lo, beta):
-                c = _HALF * c1 * c2
-                if fault and n == 2 and k == 1:
-                    c = 2 * c
-                acc[mu2] = acc.get(mu2, 0) + c
-    return make_row(ell - n, acc.items(), alpha0)
+                acc[mu2] = acc.get(mu2, 0) + scale * c1 * c2
+    if ratio is None:
+        return float_row(ell - n, acc)
+    return integer_row(ell - n, acc, 2 * q * q)
 
 
 # (sector, partition) -> row, one table per mode, charge and fault flag: see heisenberg._j_table
@@ -52,6 +73,11 @@ def _l_table(n: int, alpha0, fault: bool):
 
 def _l_rows(space: Space, n: int):
     return _l_table(n, space.alpha0, FAULT_SUGAWARA)
+
+
+def l_matrices(space: Space, n: int) -> Callable[[int, int], LevelMatrix]:
+    """(j, level) -> L_n from sector j's basis at ``level``, one column per partition."""
+    return level_matrices(_l_table, -n, n, space.alpha0, FAULT_SUGAWARA)
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:

@@ -1,0 +1,52 @@
+"""Fraction references for the integer row builders.
+
+``make_row`` turns (partition, value) pairs into a :data:`~chargedfock.fock.Row`
+the way the operator modules did before they built rows in integers, and
+``sugawara_row`` is the Fraction double step that ``_sugawara_on_basis`` ran
+then.  Tests compare every integer row, and so every column of a level matrix,
+against these.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from chargedfock.heisenberg import j_step
+
+_HALF = Fraction(1, 2)
+
+
+def _denominator(c):
+    if isinstance(c, int):
+        return 1
+    return c.denominator
+
+
+def make_row(level, pairs, charge):
+    """Row from (mu, value) pairs at one output level over the least common
+    denominator of the values; a float charge (float mode) gives a float row
+    with den 1."""
+    pairs = [(mu, c) for mu, c in pairs if c != 0]
+    mus = tuple(mu for mu, _ in pairs)
+    if isinstance(charge, (float, complex)):
+        return 1, level, mus, tuple(c * 1.0 for _, c in pairs)
+    den = lcm(1, *[_denominator(c) for _, c in pairs])
+    return den, level, mus, tuple(int(c * den) for _, c in pairs)
+
+
+def sugawara_row(n, j, lam, alpha0, fault):
+    """L_n on basis (j, lam), summed in Fractions: 1/2 sum_k :J_{n-k} J_k:,
+    with the k = 1 term of L_2 doubled under ``fault``."""
+    beta = alpha0 * j
+    ell = sum(lam)
+    bound = ell + abs(n)
+    acc = {}
+    for k in range(-bound, bound + 1):
+        a = n - k
+        lo, hi = (a, k) if a <= k else (k, a)
+        for mu1, c1 in j_step(lam, hi, beta):
+            for mu2, c2 in j_step(mu1, lo, beta):
+                c = _HALF * c1 * c2
+                if fault and n == 2 and k == 1:
+                    c = 2 * c
+                acc[mu2] = acc.get(mu2, 0) + c
+    return make_row(ell - n, acc.items(), alpha0)

@@ -75,14 +75,14 @@ def test_criterion_01_current_relations():
 
 def test_criterion_02_virasoro_unit_central_charge():
     t0 = time.perf_counter()
-    suite = virasoro_bracket_suite(space(8), m_range=4)
+    suite = virasoro_bracket_suite(space(10), m_range=4)
     elapsed = time.perf_counter() - t0
     ok = suite["status"] == "pass" and elapsed < VIRASORO_SECONDS
     _line(
         2,
         ok,
         f"Virasoro bracket with c=1 exact on {suite['states_checked']} states, "
-        f"|m|,|n|<=4, L=8 in {elapsed:.2f} s",
+        f"|m|,|n|<=4, L=10 in {elapsed:.2f} s",
     )
 
 
@@ -109,14 +109,14 @@ def test_criterion_03_vacuum_norm_formula_and_decay():
 
 
 def test_criterion_04_primary_and_current_covariance():
-    current = current_covariance_suite(space(8), HALF, m_range=3, delta_range=3)
-    primary = primary_covariance_suite(space(8), HALF, m_range=3, delta_range=3)
+    current = current_covariance_suite(space(10), HALF, m_range=3, delta_range=3)
+    primary = primary_covariance_suite(space(10), HALF, m_range=3, delta_range=3)
     ok = current["status"] == "pass" and primary["status"] == "pass"
     _line(
         4,
         ok,
         f"current/primary covariance exact on {current['states_checked']}"
-        f"/{primary['states_checked']} states, |m|<=3, L=8",
+        f"/{primary['states_checked']} states, |m|<=3, L=10",
     )
 
 

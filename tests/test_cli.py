@@ -64,6 +64,32 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     capsys.readouterr()
 
 
+# each count option of each subcommand: a negative value used to run an empty
+# sweep (zero records, exit 0) or an empty series
+NEGATIVE_COUNTS = [
+    ("verify-decay", "--n-max"),
+    ("converge", "--n-max"),
+    ("diverge-demo", "--n-max"),
+    ("verify-commutativity", "--m-range"),
+    ("verify-commutativity", "--samples"),
+    ("verify-lorentz", "--samples"),
+    ("verify-virasoro-c0", "--m-range"),
+    ("verify-virasoro-c0", "--samples"),
+    ("explore-d-half", "--m-range"),
+    ("explore-d-half", "--n-max"),
+]
+
+
+@pytest.mark.parametrize("subcommand,option", NEGATIVE_COUNTS)
+def test_negative_counts_are_usage_errors(capsys, subcommand, option):
+    assert main([subcommand, option, "-1", "--level_cutoff", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {option}: must be nonnegative, got -1" in err
+    assert main([subcommand, option, "two"]) == 1
+    assert f"argument {option}: expected an integer, got 'two'" in capsys.readouterr().err
+
+
 def test_verify_algebra_default_small(capsys):
     code, out = run(capsys, "verify-algebra", "--level_cutoff", "4")
     assert code == 0

@@ -3,8 +3,9 @@
 Each file was written by the program before a change it guards: the algebra,
 decay and Lorentz reports before the integer-numerator row kernel replaced the
 per-operator Fraction loops; the commutativity, Virasoro c = 0 and d = 1/2
-reports before the sweep engine and the removal of ``BandReport.clipped``.
-Exact modes must keep every byte; a change that moves one on purpose updates
+reports before the sweep engine and the removal of ``BandReport.clipped``;
+the ``converge`` and ``diverge-demo`` series (CSV) before the level-matrix
+kernel.  Exact modes must keep every byte; a change that moves one on purpose updates
 the file and says why.  The commands run in one process, so the float-mode
 report also shows that no memo hands float coefficients to the exact runs, or
 the reverse.
@@ -46,7 +47,13 @@ CASES = {
         ["verify-virasoro-c0", "--level_cutoff", "8", "--arithmetic", "exact-gaussian"],
     ),
     "explore_d_half": (0, ["explore-d-half", "--level_cutoff", "8"]),
+    # exact partial sums of two modes, and the float divergence series
+    "converge": (0, ["converge", "--m-list", "0,1"]),
+    "diverge_demo": (0, ["diverge-demo"]),
 }
+
+# golden files that are not JSON reports
+SUFFIX = {"converge": ".csv", "diverge_demo": ".csv"}
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -54,4 +61,4 @@ def test_report_matches_golden(capsys, name):
     code, argv = CASES[name]
     assert main(argv) == code
     out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == (GOLDEN / (name + SUFFIX.get(name, ".json"))).read_text(encoding="utf-8")

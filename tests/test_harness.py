@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-import chargedfock.harness as harness
+import chargedfock.heisenberg as heisenberg
+import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
-from chargedfock.desitter import PerturbedGenerator
+from chargedfock.desitter import PerturbedGenerator, apply_l_part
 from chargedfock.fock import SectorState, Space, TensorState, Truncation, partitions_of, states_equal
 from chargedfock.harness import (
     algebra_report,
@@ -84,15 +85,31 @@ def test_degenerate_cutoff_warns_vacuous_interior():
     ]
 
 
-def _doubled_where(monkeypatch, attr, hit):
-    """Double the output of the operator harness binds as `attr` where `hit`."""
-    fn = getattr(harness, attr)
+# mode -> (module, row-table factory): the apply_* kernels and the level
+# matrices the suites check both read their rows through these
+ROW_TABLES = {"J": (heisenberg, "_j_table"), "L": (virasoro, "_l_table"), "Y": (vertex, "_y_table")}
+
+
+def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0):
+    """Double, in the rows of the mode's tables whose factory arguments `hit`,
+    every coefficient, or only the one on the output (sector, partition)
+    `target` (the sector raised by `shift`)."""
+    module, name = ROW_TABLES[mode]
+    make = getattr(module, name)
 
     def faulty(*args):
-        out = fn(*args)
-        return out.scale(2) if hit(*args) else out
+        rows = make(*args)
+        if not hit(*args):
+            return rows
 
-    monkeypatch.setattr(harness, attr, faulty)
+        def row(j, lam):
+            den, level, mus, nums = rows(j, lam)
+            doubled = [target is None or (j + shift, mu) == target for mu in mus]
+            return den, level, mus, tuple(2 * n if d else n for n, d in zip(nums, doubled))
+
+        return row
+
+    monkeypatch.setattr(module, name, faulty)
 
 
 def _sugawara_fault(monkeypatch):
@@ -100,10 +117,12 @@ def _sugawara_fault(monkeypatch):
 
 
 # suite -> (fault, run, (states checked, cells, vacuous cells, first failure)), the
-# figures each suite reported before the sweep engine replaced its own loop
+# figures each suite reported before the sweep engine replaced its own loop.
+# Each fault sits in the rows that both the state kernels and the level
+# matrices read.
 FAULT_CASES = {
     "current_bracket": (
-        lambda mp: _doubled_where(mp, "apply_J", lambda sp, m, v: m == 1),
+        lambda mp: _doubled_rows(mp, "J", lambda m, alpha0: m == 1),
         lambda sp: current_bracket_suite(sp, m_range=3),
         (211, 19, 3, {"m": -1, "n": 1, "sector": -2, "basis": []}),
     ),
@@ -112,13 +131,15 @@ FAULT_CASES = {
         lambda sp: virasoro_bracket_suite(sp, m_range=4),
         (52, 16, 7, {"m": -3, "n": 2, "sector": -2, "basis": [1]}),
     ),
+    # doubling L_1 doubles G_1's left and G_-1's right factor, where the
+    # state-based suite doubled all of G_1: the same cell fails first
     "lorentz_closure": (
-        lambda mp: _doubled_where(mp, "apply_l_part", lambda sp, gen, v: gen.m == 1),
+        lambda mp: _doubled_rows(mp, "L", lambda n, alpha0, fault: n == 1),
         lambda sp: lorentz_closure_suite(sp, max_level=2),
         (162, 3, 0, {"m": -1, "n": 1, "sector": -2, "basis": [[], [1]]}),
     ),
     "current_covariance": (
-        lambda mp: _doubled_where(mp, "apply_Y_mode", lambda sp, a, delta, v: delta == 1),
+        lambda mp: _doubled_rows(mp, "Y", lambda alpha, delta: delta == 1),
         lambda sp: current_covariance_suite(sp, HALF),
         (9, 2, 0, {"m": -3, "delta": -2, "sector": -2, "basis": []}),
     ),
@@ -128,13 +149,13 @@ FAULT_CASES = {
         (796, 37, 3, {"m": 2, "delta": -2, "sector": -2, "basis": [4]}),
     ),
     "mode_oracle_equivalence": (
-        lambda mp: _doubled_where(mp, "apply_Y_mode", lambda sp, a, delta, v: delta == 1),
+        lambda mp: _doubled_rows(mp, "Y", lambda alpha, delta: delta == 1),
         lambda sp: mode_oracle_suite(sp, HALF, max_level=3),
         (22, 5, 0, {"delta": 1, "sector": 0, "basis": []}),
     ),
     # the failing cell's states count, although the cell never finishes
     "mode_adjoint": (
-        lambda mp: _doubled_where(mp, "apply_Y_mode", lambda sp, a, delta, v: delta == 1),
+        lambda mp: _doubled_rows(mp, "Y", lambda alpha, delta: delta == 1),
         lambda sp: mode_adjoint_suite(sp, HALF, delta_range=3, max_level=3),
         (33, 3, 0, {"delta": -1, "sector": -2, "basis": [1], "target": []}),
     ),
@@ -273,15 +294,15 @@ def _reference_bracket(name, sp, ranges, bracket, sectors, sides, cap=None):
 
 
 def _reference_cases(sp):
-    """suite -> (run, reference) at the default ranges, through the operators
-    harness binds at call time."""
+    """suite -> (run, reference) at the default ranges; the reference applies
+    the state kernels, which read the same row tables as the suites."""
     window = list(range(sp.trunc.j_min, sp.trunc.j_max + 1))
     charged = [j for j in window if sp.trunc.admits_sector(j + 1)]  # alpha = alpha0
-    J = lambda m: lambda v: harness.apply_J(sp, m, v)  # noqa: E731
-    L = lambda m: lambda v: harness.apply_L(sp, m, v)  # noqa: E731
-    Y = lambda delta: lambda v: harness.apply_Y_mode(sp, HALF, delta, v)  # noqa: E731
+    J = lambda m: lambda v: heisenberg.apply_J(sp, m, v)  # noqa: E731
+    L = lambda m: lambda v: virasoro.apply_L(sp, m, v)  # noqa: E731
+    Y = lambda delta: lambda v: vertex.apply_Y_mode(sp, HALF, delta, v)  # noqa: E731
     base = PerturbedGenerator("lorentz", 0, EXACT.zero(), A0)
-    G = lambda m: lambda v: harness.apply_l_part(sp, base.at(m), v)  # noqa: E731
+    G = lambda m: lambda v: apply_l_part(sp, base.at(m), v)  # noqa: E731
     chiral = lambda m, n: max(0, -m, -n, -m - n)  # noqa: E731
     covariant = lambda m, delta: max(0, delta, -m, delta - m)  # noqa: E731
     d = conformal_weight(HALF)
@@ -322,42 +343,27 @@ def _reference_cases(sp):
     }
 
 
-def _corrupted_where(monkeypatch, attr, hit, target):
-    """Double, in the output of the operator harness binds as `attr` where
-    `hit`, the component on the basis vector `target`, whatever follows it in
-    the key: one (sector, partition) deep inside each cell's basis."""
-    fn = getattr(harness, attr)
-
-    def faulty(*args):
-        out = fn(*args)
-        if not hit(*args):
-            return out
-        entries = {k: 2 * c if k[: len(target)] == target else c for k, c in out.entries.items()}
-        return type(out)(entries, out.overflow)
-
-    monkeypatch.setattr(harness, attr, faulty)
-
-
-# suite -> (operator harness binds, where it is corrupted, corrupted output component)
+# suite -> (mode, factory arguments where doubled, doubled output component[, sector shift])
 COLUMN_FAULTS = {
-    "current_bracket": ("apply_J", lambda sp, m, v: m == -1, (1, (1, 1, 1))),
-    "virasoro_bracket": ("apply_L", lambda sp, m, v: m == 1, (0, (1,))),
-    # only the right factor's L_{-1} reaches this component of G_1
-    "lorentz_closure": ("apply_l_part", lambda sp, gen, v: gen.m == 1, (0, (), (2,))),
-    "current_covariance": ("apply_Y_mode", lambda sp, a, delta, v: delta == 1, (1, (3,))),
-    "primary_covariance": ("apply_L", lambda sp, m, v: m == -1, (0, (2, 1))),
+    "current_bracket": ("J", lambda m, alpha0: m == -1, (1, (1, 1, 1))),
+    "virasoro_bracket": ("L", lambda n, alpha0, fault: n == 1, (0, (1,))),
+    # L_-1 is G_1's right factor and G_-1's left one
+    "lorentz_closure": ("L", lambda n, alpha0, fault: n == -1, (0, (2,))),
+    "current_covariance": ("Y", lambda alpha, delta: delta == 1, (1, (3,)), 1),
+    "primary_covariance": ("L", lambda n, alpha0, fault: n == -1, (0, (2, 1))),
 }
 
 
 @pytest.mark.parametrize("name", list(COLUMN_FAULTS))
 def test_block_sweep_isolates_columns(monkeypatch, name):
-    # a block application must fail exactly the basis vectors a one-at-a-time
-    # sweep fails: the same first failure, after the same states
-    attr, hit, target = COLUMN_FAULTS[name]
-    _corrupted_where(monkeypatch, attr, hit, target)
+    # a matrix identity over a whole level must fail exactly the basis vectors
+    # a one-at-a-time sweep over states fails: the same first failure, after
+    # the same states
+    mode, hit, target, *shift = COLUMN_FAULTS[name]
+    _doubled_rows(monkeypatch, mode, hit, target, *shift)
     sp = space(4)
     run, reference = _reference_cases(sp)[name]
     want = reference()
     assert want["status"] == "fail"
-    assert want["first_failure"]["basis"] not in ([], [[], []])  # not a block's first column
+    assert want["first_failure"]["basis"] not in ([], [[], []])  # not a level's first column
     assert run() == want

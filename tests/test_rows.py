@@ -1,42 +1,52 @@
-"""The row kernel and the numerator/denominator state arithmetic against plain
-value arithmetic.
+"""The integer rows, the row kernel, the level matrices and the
+numerator/denominator state arithmetic against plain value arithmetic.
 
-``apply_J``, ``apply_J_tensor``, ``apply_L``, ``apply_L_tensor`` and
-``apply_Y_mode`` all run through ``fock.apply_rows`` on integer numerators
-over a shared denominator.  Here each one must equal the sum, over the
-state's values, of the value rows of ``j_step``, ``_sugawara_on_basis`` and
-``y_mode_table``, truncation flags included; and add/sub/scale,
-``states_equal`` and ``inner_product`` must agree with the same operations
-on the ``entries`` values.  Exact modes must agree exactly, float mode
-within the tolerance.  A trailing column tag on a key must pass through every
-operator, so that a block state maps column by column, and the per-mode row
-tables must stay bounded and keyed by the charge's type as well as its value.
+The J, L and Y rows are built in integers; each must equal, as a row, its
+Fraction reference: ``j_step``, the Fraction Sugawara double step kept in
+``fraction_reference`` and ``y_mode_table``.  ``apply_J``, ``apply_J_tensor``,
+``apply_L``, ``apply_L_tensor`` and ``apply_Y_mode`` all run through
+``fock.apply_rows`` on integer numerators over a shared denominator; each
+must equal the sum, over the state's values, of the reference value rows,
+truncation flags included; and add/sub/scale, ``states_equal`` and
+``inner_product`` must agree with the same operations on the ``entries``
+values.  Each column of a level matrix must be the application to its basis
+vector, and ``fock.residual`` must name the same failing columns on its int64
+and its Python-int path, taking the second wherever int64 could wrap.  Exact
+modes must agree exactly, float mode within the tolerance.  The row tables
+and level-matrix caches must stay bounded and keyed by the charge's type as
+well as its value.
 """
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chargedfock.fock as fock
+import chargedfock.harness as harness
 import chargedfock.heisenberg as heisenberg
 import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
 from chargedfock.desitter import PsiCache
 from chargedfock.fock import (
+    LevelMatrix,
     SectorState,
     Space,
     TensorState,
     Truncation,
     inner_product,
+    nonzero,
     partitions_of,
+    residual,
     states_equal,
-    unequal_columns,
     zsym,
 )
-from chargedfock.heisenberg import apply_J, apply_J_tensor, j_step
+from chargedfock.heisenberg import apply_J, apply_J_tensor, j_matrices, j_step
 from chargedfock.scalar import GaussianRational, make_context
-from chargedfock.vertex import apply_Y_mode, y_mode_table
-from chargedfock.virasoro import apply_L, apply_L_tensor
+from chargedfock.vertex import apply_Y_mode, y_matrices, y_mode_table
+from chargedfock.virasoro import apply_L, apply_L_tensor, l_matrices
+from fraction_reference import make_row, sugawara_row
 
 MODES = ("exact-rational", "exact-gaussian", "float")
 WINDOW = (-2, 2)
@@ -114,7 +124,7 @@ def value_row_sum(space, v, rows, side=None, shift=0):
 
 def sugawara_values(space, n):
     def rows(j, lam):
-        den, _level, mus, nums = virasoro._sugawara_on_basis(n, j, lam, space.alpha0, False)
+        den, _level, mus, nums = sugawara_row(n, j, lam, space.alpha0, False)
         values = [Fraction(num, den) if isinstance(num, int) else num / den for num in nums]
         return list(zip(mus, values))
 
@@ -186,38 +196,145 @@ def test_equal_states_with_different_denominators_share_a_psi_cache_entry():
     assert len(cache._store) == 1
 
 
-def test_trailing_key_components_pass_through_on_either_side():
-    space = make_space("exact-rational", 6)
-    tagged = TensorState({(0, (1,), (2,), 5): 3})
-    assert apply_J_tensor(space, "right", -1, tagged).entries == {(0, (1,), (2, 1), 5): 3}
-    assert apply_J_tensor(space, "left", -1, tagged).entries == {(0, (1, 1), (2,), 5): 3}
-    assert apply_L_tensor(space, "right", 0, tagged).entries == {(0, (1,), (2,), 5): 6}
-    chiral = SectorState({(0, (1,), 5): 3})
-    assert apply_J(space, -1, chiral).entries == {(0, (1, 1), 5): 3}
-    shifted = apply_Y_mode(space, space.alpha0, 0, SectorState({(0, (), 5): 1}))
-    assert shifted.entries == {(1, (), 5): 1}
+# 1/2 and 1 as in the default config, 1/3 and -2/3 for denominators past 2,
+# 0.3 for float mode, where a float charge must sum its terms as the Fraction
+# reference does
+CHARGES = (Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(-2, 3), 0.3)
+deep_partitions = st.integers(min_value=0, max_value=8).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 
 
-def test_block_state_maps_column_by_column():
-    # each column of a block application is the application to its basis vector
+@settings(max_examples=300, deadline=None)
+@given(deep_partitions, st.sampled_from(CHARGES), st.integers(-3, 3), sectors, st.booleans())
+def test_integer_rows_equal_their_fraction_references(lam, charge, m, j, fault):
+    # the column builders behind apply_rows and the level matrices
+    beta = charge * j if m == 0 else None
+    j_row = heisenberg._j_table(m, charge if m == 0 else None)(j, lam)
+    assert j_row == make_row(sum(lam) - m, j_step(lam, m, beta), charge if m == 0 else None)
+    l_row = virasoro._l_table(m, charge, fault)(j, lam)
+    assert l_row == sugawara_row(m, j, lam, charge, fault)
+    y_row = vertex._y_table(charge, m)(j, lam)
+    assert y_row == make_row(sum(lam) + m, y_mode_table(charge, m, lam), charge)
+
+
+def column_values(matrix, col):
+    return [Fraction(int(n), matrix.den) if matrix.ints.dtype != float else n for n in matrix.ints[:, col]]
+
+
+def test_level_matrix_columns_match_applications():
+    # each column of a level matrix is the application to its basis vector,
+    # and a residual names only a corrupted column
     for mode in MODES:
-        space = make_space(mode, 5)
+        space = make_space(mode, 8)
         ctx = space.ctx
-        keys = [(j, lam) for j in (-1, 0, 1) for level in range(4) for lam in partitions_of(level)]
-        block = SectorState.block(keys)
-        for apply in (
-            lambda v: apply_L(space, -1, apply_J(space, 2, v)),
-            lambda v: apply_Y_mode(space, space.alpha0, -1, apply_L(space, 1, v)),
-        ):
-            out = apply(block)
-            for col, key in enumerate(keys):
-                column = SectorState({k[:-1]: c for k, c in out.entries.items() if k[-1] == col})
-                assert states_equal(ctx, column, apply(SectorState.basis(*key)))
-            # one corrupted column is the only one named
-            broken = out.add(SectorState({(0, (1,), 7): Fraction(1, 3)}))
-            assert unequal_columns(ctx, broken, out) == {7}
-            assert unequal_columns(ctx, out, out) == set()
-            assert not states_equal(ctx, broken, out)
+        ops = [
+            (lambda v: apply_J(space, 2, v), j_matrices(space, 2), -2, 0),
+            (lambda v: apply_J(space, 0, v), j_matrices(space, 0), 0, 0),
+            (lambda v: apply_L(space, -1, v), l_matrices(space, -1), 1, 0),
+            (lambda v: apply_Y_mode(space, space.alpha0, -1, v), y_matrices(space.alpha0, -1), -1, 1),
+        ]
+        for apply, matrices, shift, jshift in ops:
+            for j in (-1, 0, 1):
+                for level in range(5):
+                    matrix = matrices(j, level)
+                    outs = partitions_of(level + shift)
+                    assert matrix.ints.shape == (len(outs), len(partitions_of(level)))
+                    for col, lam in enumerate(partitions_of(level)):
+                        column = {(j + jshift, mu): x for mu, x in zip(outs, column_values(matrix, col)) if x}
+                        assert states_equal(ctx, SectorState(column), apply(SectorState.basis(j, lam)))
+        matrix = l_matrices(space, 0)(1, 4)
+        broken = matrix.ints.copy()
+        broken[2, 3] += 1
+        total = residual(ctx, [(1, ((matrix,),)), (-1, ((LevelMatrix(matrix.den, broken, matrix.top + 1),),))])
+        assert np.flatnonzero(nonzero(ctx, total).any(axis=0)).tolist() == [3]
+
+
+small_ints = st.integers(min_value=-50, max_value=50)
+
+
+@st.composite
+def int_matrices(draw, rows, cols):
+    ints = draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    den = draw(st.integers(min_value=1, max_value=12))
+    return LevelMatrix(den, np.array(ints, dtype=np.int64).reshape(rows, cols), max((abs(x) for r in ints for x in r), default=0))
+
+
+@st.composite
+def products(draw):
+    r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = [(draw(coeff), ((draw(int_matrices(r, k)), draw(int_matrices(k, c))),))]
+    terms.append((draw(coeff), ((draw(int_matrices(r, c)),),)))
+    return terms
+
+
+def fraction_sum(terms):
+    """The residual's values, in Fractions."""
+    total = None
+    for c, (chain,) in terms:
+        x = np.vectorize(lambda n: Fraction(int(n)), otypes=[object])(chain[-1].ints) / chain[-1].den
+        for m in chain[-2::-1]:
+            x = (np.vectorize(lambda n: Fraction(int(n)), otypes=[object])(m.ints) / m.den) @ x
+        total = c * x if total is None else total + c * x
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+def test_int64_and_python_int_paths_fail_the_same_columns(terms):
+    ctx = make_context("exact-rational")
+    fast = residual(ctx, terms)
+    assert fast.dtype == np.int64
+    wide = fock.INT64_BOUND
+    fock.INT64_BOUND = 0
+    try:
+        slow = residual(ctx, terms)
+    finally:
+        fock.INT64_BOUND = wide
+    assert slow.dtype == object or not slow.any()  # all-zero terms are skipped
+    assert fast.tolist() == slow.tolist()
+    exact = fraction_sum(terms)
+    assert (nonzero(ctx, fast) == (exact != 0)).all()
+
+
+def test_python_int_path_where_int64_would_wrap():
+    ctx = make_context("exact-rational")
+    big = LevelMatrix(1, np.array([[2**32, 0], [0, 2**32]], dtype=np.int64), 2**32)
+    assert not (big.ints @ big.ints).any()  # 2**64 wraps to 0 in int64
+    total = residual(ctx, [(1, ((big, big),))])
+    assert total.dtype == object
+    assert total.tolist() == [[2**64, 0], [0, 2**64]]
+    # each product fits, their sum over the inner dimension does not
+    row = LevelMatrix(1, np.full((1, 4), 2**31, dtype=np.int64), 2**31)
+    assert residual(ctx, [(1, ((row, row.T),))]).tolist() == [[2**64]]
+    # a certified bound just past 2**63 takes Python ints although the true
+    # value fits; just below it stays in int64
+    half = LevelMatrix(1, np.array([[2**31]], dtype=np.int64), 2**31)
+    assert residual(ctx, [(2, ((half, half),))]).dtype == object
+    assert residual(ctx, [(1, ((half, half),))]).dtype == np.int64
+
+
+def test_suites_fall_back_to_python_ints_and_agree(monkeypatch):
+    # at alpha0 = 2/7 the Y denominators push some covariance checks past the
+    # int64 bound; a suite must give the same dict on either path
+    space = Space(make_context("exact-rational"), Fraction(2, 7), Truncation(8, -2, 2))
+    paths = []
+
+    def counted(ctx, terms):
+        total = residual(ctx, terms)
+        paths.append(total.dtype == object)
+        return total
+
+    monkeypatch.setattr(harness, "residual", counted)
+    run = lambda: harness.primary_covariance_suite(space, Fraction(2, 7), m_range=2, delta_range=2)  # noqa: E731
+    want = run()
+    assert want["status"] == "pass"
+    assert any(paths) and not all(paths)
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", True)
+    faulty = run()
+    monkeypatch.setattr(fock, "INT64_BOUND", 0)
+    assert run() == faulty
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", False)
+    assert run() == want
 
 
 def test_row_tables_are_bounded_and_keep_float_and_exact_charges_apart():
@@ -232,6 +349,11 @@ def test_row_tables_are_bounded_and_keep_float_and_exact_charges_apart():
         table.cache_clear()
         assert table.cache_info().maxsize is not None
         exact, floats = table(*args(Fraction(1, 2))), table(*args(0.5))
+        assert exact is not floats
+        assert exact.cache_info().maxsize is not None
+        # the level matrices of each table, keyed the same way
+        assert fock.level_matrices.cache_info().maxsize is not None
+        exact, floats = fock.level_matrices(table, 0, *args(Fraction(1, 2))), fock.level_matrices(table, 0, *args(0.5))
         assert exact is not floats
         assert exact.cache_info().maxsize is not None
     float_space = make_space("float", 4)
