@@ -87,6 +87,12 @@ def _emit_json(cfg, report: dict) -> None:
         sys.stdout.write(text)
 
 
+def _require_series(count: int, least: int, option: str) -> None:
+    """Refuse a count that leaves a series empty: it would print no rows and exit 0."""
+    if count < least:
+        raise ConfigError(f"{option} {count} gives an empty series; it must be at least {least}")
+
+
 def _require_subcritical(ctx, alpha, subcommand: str) -> None:
     """Refuse charges at or past the convergence threshold."""
     if not 2 * ctx.abs_sq(alpha) < 1:
@@ -140,6 +146,7 @@ def _cmd_converge(args) -> int:
     space, alpha, _lam = build_space(cfg)
     ctx = space.ctx
     _require_subcritical(ctx, alpha, "converge")
+    _require_series(args.n_max, 1, "--n-max")
     try:
         m_list = [int(tok) for tok in args.m_list.replace(",", " ").split()]
     except ValueError as exc:
@@ -165,6 +172,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_diverge_demo(args) -> int:
     cfg = _resolve(args)
+    _require_series(args.n_max, 2, "--n-max")  # the first doubling is N = 2
     rows = harness.divergence_series(args.n_max)
     lines = ["N,partial_sum,increment"]
     for n, total, increment in rows:
@@ -173,7 +181,7 @@ def _cmd_diverge_demo(args) -> int:
     log.info(
         "divergence demo at the critical charge: %d doublings, last increment %.6f",
         len(rows),
-        rows[-1][2] if rows else float("nan"),
+        rows[-1][2],
     )
     if cfg.output:
         Path(cfg.output).write_text(text, encoding="utf-8")
@@ -245,6 +253,7 @@ def _cmd_verify_virasoro_c0(args) -> int:
 def _cmd_explore_d_half(args) -> int:
     cfg = _resolve(args)
     space, alpha, lam = build_space(cfg)
+    _require_series(args.n_max, 1, "--n-max")
     t0 = time.perf_counter()
     body = desitter.explore_d_half(
         space,

@@ -34,9 +34,8 @@ from .scalar import Scalar
 from .twodim import (
     TimeZeroImage,
     TimeZeroMode,
-    band_tail_norm,
-    image_band_report,
     image_inner_product,
+    image_tail_norm,
     partial_sum_norm_series,
     tail_product,
     time_zero_image,
@@ -123,7 +122,9 @@ class PsiCache:
     Keyed by value (space, charge, index, entries of the input state), so an
     equal state built twice hits.  Holds the unmaterialized image, to pair
     through :func:`~chargedfock.twodim.image_inner_product`, and its band-tail
-    norm.
+    norm, read from :func:`~chargedfock.twodim.image_tail_norm`: the memo
+    that :func:`~chargedfock.twodim.psi_pair_form` reads too, so an image seen
+    by another cache or another coupling's sweep finds its norm there.
     """
 
     def __init__(self):
@@ -141,7 +142,7 @@ class PsiCache:
                     "bilinear application left the charge window; test vectors"
                     " must sit one charge step inside it"
                 )
-            hit = (image, band_tail_norm(image_band_report(image)))
+            hit = (image, image_tail_norm(image))
             self._store[key] = hit
         return hit
 

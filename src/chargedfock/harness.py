@@ -436,9 +436,16 @@ def decay_report(
     against the closed-form binomial for n up to min(cutoff, 30).  The slope
     section fits log-value against log-n over `slope_window` on the
     closed-form series and compares to 2d - 1.  The block section bounds the
-    operator norm of each truncated mode block by 1 (within float slack).
+    operator norm of each truncated mode block by 1 (within float slack), at
+    the configured charge and at charge 1; that bound holds for |alpha| <= 1,
+    so a larger charge is refused.
     """
     ctx = space.ctx
+    if ctx.abs_sq(alpha) > 1:
+        raise ValueError(
+            f"verify-decay bounds mode blocks by 1, which needs |alpha| <= 1; "
+            f"got alpha^2 = {ctx.json_real(ctx.abs_sq(alpha))}"
+        )
     d = conformal_weight(alpha)
     mult = charge_multiplier(space, alpha)
     warnings: List[str] = []
@@ -488,8 +495,8 @@ def decay_report(
     block_space = Space(ctx, space.alpha0, Truncation(block_L, space.trunc.j_min, space.trunc.j_max))
     block_rows = []
     blocks_ok = True
-    for k in (1, 2):
-        alpha_k = space.alpha0 * k
+    charges = (alpha,) if alpha == ctx.one() else (alpha, ctx.one())
+    for alpha_k in charges:
         for delta in range(-block_delta_range, block_delta_range + 1):
             nrm = truncated_mode_norm(block_space, alpha_k, delta, seed=0)
             ok = nrm <= block_bound

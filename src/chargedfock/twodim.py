@@ -26,14 +26,21 @@ basis vector is the product of two chiral weights, so
         <Y_delta l_k, Y_delta' l_k'> <Y_{delta+a} r_k, Y_{delta'+b} r_k'>
 
 over term pairs with one target sector and over the bands ``delta`` with
-``delta' = delta + |l_k| - |l_k'|``.  Each chiral Gram is one
-``y_mode_table`` row paired against another with ``zsym`` weights, memoized
-by value in a bounded cache.  The same kernel gives each band's squared norm
-(same ``delta`` on both sides) for the tail budget, and
-:func:`image_inner_product` also pairs an image against a materialized state,
-where every (entry, term) pair fixes its band and costs two table lookups.
-All sums are exact in the exact modes, so the values equal those of the
-materialized tensor.
+``delta' = delta + |l_k| - |l_k'|``.  Each chiral Gram pairs two integer rows
+of :func:`~chargedfock.vertex._y_row` with ``zsym`` weights: the numerators'
+products are summed in Python ints and divided once by the two rows'
+denominators (float charges sum the float rows).  Grams are memoized in one
+bounded table per pair of charges, so a lookup hashes no charge.  The same
+kernel gives each band's squared norm (same ``delta`` on both sides) for the
+tail budget, and :func:`image_inner_product` also pairs an image against a
+materialized state, where every (entry, term) pair fixes its band and reads
+one entry from each of the band's two rows.  All sums are exact in the exact
+modes, so the values equal those of the materialized tensor.
+
+The tail norm of an image is computed once per distinct image:
+:func:`image_tail_norm` memoizes it by value and type in a bounded cache, and
+both :func:`psi_pair_form` and :class:`~chargedfock.desitter.PsiCache` read
+it.
 
 :func:`apply_time_zero` still builds the truncated band sum as a
 :class:`~chargedfock.fock.TensorState`, band by band.  Nothing in the
@@ -49,13 +56,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
 from .diagnostics import loglog_slope, tail_budget
 from .fock import Partition, SectorState, Space, TensorState, norm_sq, zsym
 from .scalar import Scalar, decimal_str
-from .vertex import charge_multiplier, vacuum_mode_norm_sq, y_mode_table
+from .vertex import _y_row, charge_multiplier, vacuum_mode_norm_sq, y_mode_table
 
 __all__ = [
     "TimeZeroMode",
@@ -66,6 +74,7 @@ __all__ = [
     "image_inner_product",
     "apply_time_zero",
     "band_tail_norm",
+    "image_tail_norm",
     "tail_product",
     "psi_pair_form",
     "weak_psi_commutator",
@@ -129,26 +138,32 @@ def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZer
     return TimeZeroImage(space, mode, tuple(terms), charge_clipped)
 
 
-@lru_cache(maxsize=1024, typed=True)
-def _table_row(alpha, delta: int, lam: Partition) -> Dict[Partition, Scalar]:
-    return dict(y_mode_table(alpha, delta, lam))
-
-
-@lru_cache(maxsize=1 << 16, typed=True)
-def _chiral_gram(alpha1, delta1: int, lam1: Partition, alpha2, delta2: int, lam2: Partition):
+def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2: Partition):
     """<Y^{alpha1}_{delta1} lam1, Y^{alpha2}_{delta2} lam2> in one chiral factor.
 
-    Charges are real, so table rows are real and the bra row needs no
+    Pairs the integer rows of :func:`~chargedfock.vertex._y_row`: exact
+    charges sum n1 n2 zsym(mu) in Python ints and divide once by the product
+    of the two row denominators; float charges sum the float rows in the bra
+    row's order.  Charges are real, so rows are real and the bra row needs no
     conjugation.
     """
-    row2 = _table_row(alpha2, delta2, lam2)
+    den1, _, mus1, nums1 = _y_row(alpha1, delta1, lam1)
+    den2, _, mus2, nums2 = _y_row(alpha2, delta2, lam2)
+    ket = dict(zip(mus2, nums2))
     total = 0
-    if row2:
-        for mu, c1 in y_mode_table(alpha1, delta1, lam1):
-            c2 = row2.get(mu)
-            if c2 is not None:
-                total = total + c1 * c2 * zsym(mu)
-    return total
+    for mu, n1 in zip(mus1, nums1):
+        n2 = ket.get(mu)
+        if n2 is not None:
+            total = total + n1 * n2 * zsym(mu)
+    return Fraction(total, den1 * den2) if type(total) is int and total else total
+
+
+# (delta1, lam1, delta2, lam2) -> Gram, one table per pair of charges, so a
+# lookup hashes no charge (see vertex._y_table); a run pairs +-alpha with
+# +-alpha, and verify-commutativity at cutoff 20 fills 126 Grams per table
+@lru_cache(maxsize=16, typed=True)
+def _gram_table(alpha1, alpha2):
+    return lru_cache(maxsize=4096)(partial(_chiral_gram, alpha1, alpha2))
 
 
 def _by_sector(terms) -> Dict[int, List[Term]]:
@@ -177,22 +192,25 @@ def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[
             if lr + a - ll != lr2 + b - ll2 or (same_band and shift):
                 continue
             coeff = ctx.conj(c) * c2
+            gram = _gram_table(al, al2)
             for d in range(max(-ll, -a - lr), min(L - ll, L - a - lr) + 1):
-                g = _chiral_gram(al, d, left, al2, d + shift, left2)
+                g = gram(d, left, d + shift, left2)
                 if not g:
                     continue
-                g = g * _chiral_gram(al, d + a, right, al2, d + shift + b, right2)
+                g = g * gram(d + a, right, d + shift + b, right2)
                 if g:
                     out[d] = out.get(d, 0) + coeff * g
     return out
 
 
 def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
-    """<v, w> for a materialized v: an entry and a term fix the band."""
+    """<v, w> for a materialized v: an entry and a term fix the band, and the
+    band's two integer rows give the entry's coefficient."""
     ctx = w.space.ctx
     L = w.space.trunc.level_cutoff
     m = w.mode.m
     kets = _by_sector(w.terms)
+    rows = {}  # (sector, term's place in it, band) -> left and right row by partition, their denominator
     total = ctx.zero()
     for (j, lv, rv), cv in v.entries.items():
         terms = kets.get(j)
@@ -200,16 +218,21 @@ def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
         if not terms or llv > L or lrv > L:
             continue
         acc = 0
-        for _jt, al, c, left, right, ll, lr in terms:
+        for i, (_jt, al, c, left, right, ll, lr) in enumerate(terms):
             d = llv - ll
             if lrv != lr + d + m:
                 continue
-            x = _table_row(al, d, left).get(lv)
+            pair = rows.get((j, i, d))
+            if pair is None:
+                den_l, _, mus_l, nums_l = _y_row(al, d, left)
+                den_r, _, mus_r, nums_r = _y_row(al, d + m, right)
+                pair = rows[j, i, d] = (dict(zip(mus_l, nums_l)), dict(zip(mus_r, nums_r)), den_l * den_r)
+            x = pair[0].get(lv)
             if x is None:
                 continue
-            y = _table_row(al, d + m, right).get(rv)
+            y = pair[1].get(rv)
             if y is not None:
-                acc = acc + c * x * y
+                acc = acc + (c * x * y if pair[2] == 1 else c * Fraction(x * y, pair[2]))
         if acc:
             total = total + ctx.conj(cv) * acc * (zsym(lv) * zsym(rv))
     return total
@@ -321,6 +344,23 @@ def tail_product(tail_bra: float, tail_ket: float) -> float:
     return tail_bra * tail_ket
 
 
+# one entry per distinct image: 63 at the commutativity benchmark's cutoffs 6 and 7
+@lru_cache(maxsize=4096)
+def _tail_norm(image: TimeZeroImage, kinds: frozenset) -> float:
+    return band_tail_norm(image_band_report(image))
+
+
+def image_tail_norm(image: TimeZeroImage) -> float:
+    """:func:`band_tail_norm` of the image's band report, memoized.
+
+    Keyed by value and type: the image (space, mode and terms) together with
+    the types of its charge and coefficients, so a float charge never meets
+    an equal Fraction; bounded in size.
+    """
+    kinds = frozenset(type(term[2]) for term in image.terms) | {type(image.mode.alpha)}
+    return _tail_norm(image, kinds)
+
+
 def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2):
     """<Psi_bra phi1, Psi_ket phi2> at the cutoff, with a truncation budget.
 
@@ -332,10 +372,7 @@ def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, 
     u = time_zero_image(space, mode_bra, phi1)
     w = time_zero_image(space, mode_ket, phi2)
     value = image_inner_product(u, w)
-    budget = tail_product(
-        band_tail_norm(image_band_report(u)), band_tail_norm(image_band_report(w))
-    )
-    return value, budget
+    return value, tail_product(image_tail_norm(u), image_tail_norm(w))
 
 
 def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2):

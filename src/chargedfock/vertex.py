@@ -12,9 +12,10 @@ vector as a finite double sum: annihilate a sub-multiset of weight ``b`` (with
 coefficient ``prod_i C(m_i, k_i) * (-alpha)**K`` over distinct part sizes),
 then create any partition ``nu`` of weight ``a = delta + b`` (with coefficient
 ``alpha**len(nu) / zsym(nu)``).  Everything is exact; no intermediate
-truncation occurs.  :func:`y_mode_table` sums this in Fractions; the rows that
-:func:`apply_Y_mode` and :func:`y_matrices` use sum the same terms as integers
-over ``q**E * lcm zsym(nu)``, with ``alpha = p / q``.
+truncation occurs.  :func:`y_mode_table` sums this in Fractions, as the oracle
+of the integer rows: :func:`apply_Y_mode`, :func:`y_matrices`, the mode block
+and the time-zero pairings of :mod:`~chargedfock.twodim` all read the same
+terms summed as integers over ``q**E * lcm zsym(nu)``, with ``alpha = p / q``.
 
 Two independent evaluation routes are kept deliberately separate:
 
@@ -130,7 +131,7 @@ def _merge(a: Partition, b: Partition) -> Partition:
     return tuple(sorted(a + b, reverse=True))
 
 
-# 1,478 tables at verify-algebra's default cutoff 10, 1,086 at verify-decay's
+# the Fraction oracle of _y_row: only twodim.apply_time_zero and tests build tables
 @lru_cache(maxsize=4096, typed=True)
 def y_mode_table(alpha, delta: int, lam: Partition):
     """Level-shift-delta mode on one basis partition: tuple of (mu, coeff).
@@ -153,7 +154,7 @@ def y_mode_table(alpha, delta: int, lam: Partition):
     return tuple((mu, c) for mu, c in acc.items() if c != 0)
 
 
-# 1,478 rows fill at verify-algebra's default cutoff 10
+# 1,478 rows fill at verify-algebra's default cutoff 10, 1,086 at verify-decay's
 @lru_cache(maxsize=4096, typed=True)
 def _y_row(alpha, delta: int, lam: Partition) -> Row:
     """The terms of :func:`y_mode_table` as one row.  Exact modes take each
@@ -267,8 +268,9 @@ class PowerIterationError(RuntimeError):
 def _mode_block_entries(space: Space, alpha, delta: int):
     """Nonzero normalized-basis matrix entries of the truncated mode block.
 
-    Yields (source_level, lam, mu, coeff) with coeff the unnormalized table
-    coefficient; the normalized entry is coeff * sqrt(zsym(mu)/zsym(lam)).
+    Yields (source_level, lam, mu, coeff) with coeff the unnormalized
+    coefficient of the mode's row; the normalized entry is
+    coeff * sqrt(zsym(mu)/zsym(lam)).
     """
     L = space.trunc.level_cutoff
     if L is None:
@@ -277,8 +279,9 @@ def _mode_block_entries(space: Space, alpha, delta: int):
     hi = min(L, L - delta)
     for level in range(lo, hi + 1):
         for lam in partitions_of(level):
-            for mu, coeff in y_mode_table(alpha, delta, lam):
-                yield level, lam, mu, coeff
+            den, _, mus, nums = _y_row(alpha, delta, lam)
+            for mu, n in zip(mus, nums):
+                yield level, lam, mu, n if den == 1 else Fraction(n, den)
 
 
 def truncated_mode_norm(

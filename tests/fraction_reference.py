@@ -1,16 +1,19 @@
-"""Fraction references for the integer row builders.
+"""Fraction references for the integer row builders and the chiral Grams.
 
 ``make_row`` turns (partition, value) pairs into a :data:`~chargedfock.fock.Row`
 the way the operator modules did before they built rows in integers, and
 ``sugawara_row`` is the Fraction double step that ``_sugawara_on_basis`` ran
 then.  Tests compare every integer row, and so every column of a level matrix,
-against these.
+against these.  ``chiral_gram`` pairs two Fraction ``y_mode_table`` rows, as
+``twodim`` did before it paired the integer Y rows.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from chargedfock.fock import zsym
 from chargedfock.heisenberg import j_step
+from chargedfock.vertex import y_mode_table
 
 _HALF = Fraction(1, 2)
 
@@ -50,3 +53,16 @@ def sugawara_row(n, j, lam, alpha0, fault):
                     c = 2 * c
                 acc[mu2] = acc.get(mu2, 0) + c
     return make_row(ell - n, acc.items(), alpha0)
+
+
+def chiral_gram(alpha1, delta1, lam1, alpha2, delta2, lam2):
+    """<Y^{alpha1}_{delta1} lam1, Y^{alpha2}_{delta2} lam2> in one chiral
+    factor, summed over the bra table's entries in its order."""
+    row2 = dict(y_mode_table(alpha2, delta2, lam2))
+    total = 0
+    if row2:
+        for mu, c1 in y_mode_table(alpha1, delta1, lam1):
+            c2 = row2.get(mu)
+            if c2 is not None:
+                total = total + c1 * c2 * zsym(mu)
+    return total

@@ -90,6 +90,29 @@ def test_negative_counts_are_usage_errors(capsys, subcommand, option):
     assert f"argument {option}: expected an integer, got 'two'" in capsys.readouterr().err
 
 
+# each count that leaves a series empty: converge and explore-d-half printed
+# no band, diverge-demo no doubling, and each exited 0
+EMPTY_SERIES = [
+    ("converge", 0, 1),
+    ("diverge-demo", 0, 2),
+    ("diverge-demo", 1, 2),
+    ("explore-d-half", 0, 1),
+]
+
+
+@pytest.mark.parametrize("subcommand,count,least", EMPTY_SERIES)
+def test_counts_that_empty_a_series_are_usage_errors(capsys, caplog, subcommand, count, least):
+    assert main([subcommand, "--n-max", str(count), "--level_cutoff", "4"]) == 1
+    assert capsys.readouterr().out == ""
+    assert f"--n-max {count} gives an empty series; it must be at least {least}" in caplog.text
+    code, out = run(capsys, subcommand, "--n-max", str(least), "--level_cutoff", "4")
+    assert code == 0
+    if subcommand == "explore-d-half":
+        assert len(json.loads(out)["band_partial_sums"]) == 1
+    else:
+        assert len(out.splitlines()) == 2  # the header and one row
+
+
 def test_verify_algebra_default_small(capsys):
     code, out = run(capsys, "verify-algebra", "--level_cutoff", "4")
     assert code == 0
@@ -133,6 +156,28 @@ def test_verify_decay_report(capsys):
     rep = json.loads(out)
     assert rep["exact_table"][1]["computed"] == "1/4"
     assert rep["slope"]["ok"]
+
+
+def test_verify_decay_bounds_blocks_at_the_configured_charge(capsys, caplog):
+    # at alpha0 = 1/sqrt(2) the blocks at 2 * alpha0 have norm above 1; the
+    # bound is checked at the configured charge and at 1 instead
+    code, out = run(
+        capsys, "verify-decay", "--alpha0", "0.70710678", "--arithmetic", "float", "--tolerance", "1e-9"
+    )
+    assert code == 0
+    rows = json.loads(out)["block_norms"]["rows"]
+    assert sorted({row["alpha"] for row in rows}) == [0.70710678, 1.0]
+    code, out = run(capsys, "verify-decay", "--alpha0", "2/3", "--alpha_multiplier", "-1", "--level_cutoff", "6")
+    assert code == 0
+    assert [row["alpha"] for row in json.loads(out)["block_norms"]["rows"]][::13] == ["-2/3", "1"]
+    # charge 1 itself is checked once
+    code, out = run(capsys, "verify-decay", "--alpha_multiplier", "2", "--level_cutoff", "6")
+    assert code == 0
+    assert {row["alpha"] for row in json.loads(out)["block_norms"]["rows"]} == {"1"}
+    # past |alpha| = 1 the bound does not hold: a usage error, not a failed verdict
+    code, out = run(capsys, "verify-decay", "--alpha_multiplier", "3", "--level_cutoff", "6")
+    assert (code, out) == (1, "")
+    assert "needs |alpha| <= 1; got alpha^2 = 9/4" in caplog.text
 
 
 def test_converge_multi_mode_files(tmp_path, capsys):

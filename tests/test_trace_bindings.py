@@ -60,6 +60,8 @@ def test_traced_run_installs_and_removes_cleanly():
         (mod_name, attr): getattr(_package_module(mod_name), attr)
         for mod_name, attr in tracer_module.FUNCTIONS
     }
+    # a cold tail memo, so that every distinct image computes its tail norm once
+    _package_module("twodim")._tail_norm.cache_clear()
     tracer = tracer_module.Tracer()
     tracer.install()
     try:

@@ -1,11 +1,13 @@
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chargedfock.twodim as twodim
 from chargedfock.fock import (
     Space,
     TensorState,
@@ -24,6 +26,7 @@ from chargedfock.twodim import (
     flip,
     image_band_report,
     image_inner_product,
+    image_tail_norm,
     partial_sum_norm_series,
     psi_pair_form,
     sign_automorphism,
@@ -33,6 +36,7 @@ from chargedfock.twodim import (
     write_convergence_csv,
 )
 from chargedfock.vertex import vacuum_mode_norm_sq
+from fraction_reference import chiral_gram
 
 EXACT = make_context("exact-rational")
 A0 = Fraction(1, 2)
@@ -327,3 +331,122 @@ def test_factorized_kernel_matches_materialized_oracle(ctx, case):
             ours, theirs = dict(got.bands), dict(rep.bands)
             for band in set(ours) | set(theirs):
                 assert abs(ours.get(band, 0.0) - theirs.get(band, 0.0)) <= ctx.tolerance
+
+
+# ---------------------------------------------------------------------------
+# integer chiral Grams and the tail memo
+
+# 1/2 as in the default config, 1/3 and -2/3 for denominators past 2, 0.3 for
+# float mode, where the Gram must sum the float rows as the reference does
+GRAM_CHARGES = (Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), 0.3)
+DEEP_PARTS = st.integers(0, 8).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+
+
+def _same(got, want):
+    """Exact equality, and bit equality for floats."""
+    assert got == want
+    if isinstance(want, float) or isinstance(got, float):
+        assert float(got).hex() == float(want).hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(GRAM_CHARGES),
+    st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    DEEP_PARTS,
+    DEEP_PARTS,
+    st.integers(-3, 3),
+    st.integers(-1, 1),
+)
+def test_integer_grams_equal_the_fraction_reference(charge, signs, lam1, lam2, delta1, skew):
+    # delta2 puts both outputs on one level, or one level off with skew
+    delta2 = sum(lam1) + delta1 - sum(lam2) + skew
+    alpha1, alpha2 = signs[0] * charge, signs[1] * charge
+    got = twodim._chiral_gram(alpha1, alpha2, delta1, lam1, delta2, lam2)
+    _same(got, chiral_gram(alpha1, delta1, lam1, alpha2, delta2, lam2))
+    _same(twodim._gram_table(alpha1, alpha2)(delta1, lam1, delta2, lam2), got)
+
+
+def _reference_gram_table(alpha1, alpha2):
+    return lambda d1, l1, d2, l2: chiral_gram(alpha1, d1, l1, alpha2, d2, l2)
+
+
+PAIRING_CASES = st.fixed_dictionaries(
+    {
+        "L": st.integers(2, 6),
+        "charge": st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3)]),
+        "m_bra": st.integers(-3, 3),
+        "m_ket": st.integers(-3, 3),
+        "phi1": _raw_state(SMALL_PARTS),
+        "phi2": _raw_state(SMALL_PARTS),
+    }
+)
+
+
+@pytest.mark.parametrize("mode", ["exact-rational", "exact-gaussian", "float"])
+@settings(max_examples=60, deadline=None)
+@given(case=PAIRING_CASES)
+def test_pairings_equal_those_of_the_reference_grams(mode, case):
+    ctx = make_context(mode, 0.0 if mode != "float" else 1e-9)
+    charge = case["charge"] if ctx.exact else float(case["charge"])
+    sp = Space(ctx, charge, Truncation(case["L"], -2, 2))
+    u = time_zero_image(sp, TimeZeroMode(charge, case["m_bra"]), _state(ctx, case["phi1"]))
+    w = time_zero_image(sp, TimeZeroMode(charge, case["m_ket"]), _state(ctx, case["phi2"]))
+    got = (image_inner_product(u, w), image_band_report(u), image_band_report(w))
+    with mock.patch.object(twodim, "_gram_table", _reference_gram_table):
+        want = (image_inner_product(u, w), image_band_report(u), image_band_report(w))
+    _same(got[0], want[0])
+    for ours, theirs in zip(got[1:], want[1:]):
+        assert ours == theirs
+        for (_, a), (_, b) in zip(ours.bands, theirs.bands):
+            _same(a, b)
+
+
+@pytest.mark.parametrize("mode", ["exact-rational", "float"])
+def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
+    ctx = make_context(mode, 0.0 if mode != "float" else 1e-9)
+    half = A0 if ctx.exact else 0.5
+    sp = Space(ctx, half, Truncation(7, -2, 2))
+    phi1, phi2 = TensorState.basis(0, (2,), (1,)), TensorState.basis(0, (1,), ())
+    modes = (TimeZeroMode(half, -1), TimeZeroMode(half, 2))
+    twodim._tail_norm.cache_clear()
+    twodim._gram_table.cache_clear()
+    cold = psi_pair_form(sp, *modes, phi1, phi2)
+    misses = twodim._tail_norm.cache_info().misses
+    assert misses == 2
+    warm = psi_pair_form(sp, *modes, phi1, phi2)
+    assert twodim._tail_norm.cache_info().misses == misses
+    assert twodim._tail_norm.cache_info().hits == 2
+    _same(warm[0], cold[0])
+    _same(warm[1], cold[1])
+
+
+def test_float_and_fraction_charges_never_share_a_memo_entry():
+    sp = space(6)
+    state = TensorState.basis(0, (1,), ())
+    exact = time_zero_image(sp, TimeZeroMode(A0, 1), state)
+    floating = time_zero_image(sp, TimeZeroMode(0.5, 1), state)
+    assert exact == floating and hash(exact) == hash(floating)  # equal by value alone
+    twodim._tail_norm.cache_clear()
+    image_tail_norm(exact)
+    image_tail_norm(floating)
+    assert twodim._tail_norm.cache_info().misses == 2
+    assert twodim._tail_norm.cache_info().currsize == 2
+    assert twodim._gram_table(0.5, 0.5) is not twodim._gram_table(A0, A0)
+    # Y_0 (1,) = (1 - alpha^2) (1,), so its Gram is (3/4)^2 zsym((1,)) in both
+    assert type(twodim._gram_table(0.5, 0.5)(0, (1,), 0, (1,))) is float
+    assert twodim._gram_table(A0, A0)(0, (1,), 0, (1,)) == Fraction(9, 16)
+
+
+def test_tail_memo_and_gram_tables_are_bounded():
+    sp = space(1)
+    bound = twodim._tail_norm.cache_info().maxsize
+    assert bound is not None
+    twodim._tail_norm.cache_clear()
+    for k in range(1, bound + 6):
+        image_tail_norm(time_zero_image(sp, TimeZeroMode(A0, 0), TensorState.basis(0, (), (), k)))
+    info = twodim._tail_norm.cache_info()
+    assert info.misses == bound + 5
+    assert info.currsize == bound
+    assert twodim._gram_table.cache_info().maxsize is not None
+    assert twodim._gram_table(A0, A0).cache_info().maxsize is not None
