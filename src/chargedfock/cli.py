@@ -87,10 +87,15 @@ def _emit_json(cfg, report: dict) -> None:
         sys.stdout.write(text)
 
 
-def _require_series(count: int, least: int, option: str) -> None:
-    """Refuse a count that leaves a series empty: it would print no rows and exit 0."""
+def _require_count(count: int, least: int, option: str, effect: str = "gives an empty series") -> None:
+    """Refuse a count below ``least``: it would leave a series empty, a sweep
+    trivial or a fit unfittable, and pass or fail vacuously."""
     if count < least:
-        raise ConfigError(f"{option} {count} gives an empty series; it must be at least {least}")
+        raise ConfigError(f"{option} {count} {effect}; it must be at least {least}")
+
+
+# an --m-range of 0 sweeps the (0, 0) cell alone, where every relation holds trivially
+TRIVIAL_CELL = "checks only the trivial (0, 0) cell"
 
 
 def _require_subcritical(ctx, alpha, subcommand: str) -> None:
@@ -128,6 +133,9 @@ def _cmd_verify_algebra(args) -> int:
 def _cmd_verify_decay(args) -> int:
     cfg = _resolve(args)
     space, alpha, _lam = build_space(cfg)
+    # the fit needs its window (lo, min(hi, n_max)) at least two wide
+    least = harness.SLOPE_WINDOW[0] + 2
+    _require_count(args.n_max, least, "--n-max", "leaves the slope window too short to fit")
     t0 = time.perf_counter()
     body = harness.decay_report(space, alpha, n_max=args.n_max)
     log.info("verify-decay finished in %.2f s", time.perf_counter() - t0)
@@ -146,7 +154,7 @@ def _cmd_converge(args) -> int:
     space, alpha, _lam = build_space(cfg)
     ctx = space.ctx
     _require_subcritical(ctx, alpha, "converge")
-    _require_series(args.n_max, 1, "--n-max")
+    _require_count(args.n_max, 1, "--n-max")
     try:
         m_list = [int(tok) for tok in args.m_list.replace(",", " ").split()]
     except ValueError as exc:
@@ -172,7 +180,7 @@ def _cmd_converge(args) -> int:
 
 def _cmd_diverge_demo(args) -> int:
     cfg = _resolve(args)
-    _require_series(args.n_max, 2, "--n-max")  # the first doubling is N = 2
+    _require_count(args.n_max, 2, "--n-max")  # the first doubling is N = 2
     rows = harness.divergence_series(args.n_max)
     lines = ["N,partial_sum,increment"]
     for n, total, increment in rows:
@@ -195,6 +203,7 @@ def _cmd_verify_commutativity(args) -> int:
     cfg = _resolve(args)
     space, alpha, _lam = build_space(cfg)
     _require_subcritical(space.ctx, alpha, "verify-commutativity")
+    _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
     t0 = time.perf_counter()
     body = harness.commutativity_report(
         space, alpha, m_range=args.m_range, seed=cfg.seed, samples=args.samples
@@ -229,6 +238,7 @@ def _cmd_verify_virasoro_c0(args) -> int:
     space, alpha, lam = build_space(cfg)
     ctx = space.ctx
     _require_subcritical(ctx, alpha, "verify-virasoro-c0")
+    _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
     if cfg.arithmetic == "exact-rational" and not ctx.is_zero(lam):
         raise ConfigError(
             "the chiral-difference Virasoro family carries imaginary coefficients; "
@@ -253,7 +263,8 @@ def _cmd_verify_virasoro_c0(args) -> int:
 def _cmd_explore_d_half(args) -> int:
     cfg = _resolve(args)
     space, alpha, lam = build_space(cfg)
-    _require_series(args.n_max, 1, "--n-max")
+    _require_count(args.n_max, 1, "--n-max")
+    _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
     t0 = time.perf_counter()
     body = desitter.explore_d_half(
         space,

@@ -21,13 +21,11 @@ outside the truncation it is dropped and the state's ``overflow`` flag is set.
 A ``level_cutoff`` of ``None`` (used by identity-checking harnesses on interior
 vectors) disables the level drop entirely.
 
-A state holds numerators ``nums`` over one shared positive ``den``: integers
-in the exact modes (Gaussian integers once an imaginary unit appears), so hot
-loops never normalize a Fraction; floats in float mode, where ``den`` stays 1
-unless an exact fraction scales the state.  ``add``/``sub``/``scale`` and
-:func:`states_equal` cross-multiply; ``entries`` is the read-only key -> value
-view.  Current, Virasoro and vertex modes all go through :func:`apply_rows`,
-one cached integer :data:`Row` per basis partition, built without Fractions.
+A state maps each key to its nonzero value: a Fraction or an int in the
+exact modes (a GaussianRational once an imaginary unit appears), a float or
+complex in float mode.  Current, Virasoro and vertex modes all go through
+:func:`apply_rows`, one cached integer :data:`Row` per basis partition, built
+without Fractions.
 
 The same rows, stacked by :func:`level_matrices`, give each operator one
 :class:`LevelMatrix` per sector and level: integer numerators over one
@@ -45,12 +43,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, gcd, lcm
-from types import MappingProxyType
 from typing import IO, Optional, Tuple
 
 import numpy as np
 
-from .scalar import ArithmeticContext, GaussianRational, Scalar
+from .scalar import ArithmeticContext, Scalar
 
 Partition = Tuple[int, ...]
 
@@ -136,34 +133,6 @@ class Space:
         return self.alpha0 * j
 
 
-def _denominator(c) -> Optional[int]:
-    """Smallest positive d with c * d integral, or None for a float or complex."""
-    if isinstance(c, int):
-        return 1
-    if isinstance(c, Fraction):
-        return c.denominator
-    if isinstance(c, GaussianRational):
-        return lcm(c.re.denominator, c.im.denominator)
-    return None
-
-
-def _split(values) -> Tuple[int, list]:
-    """Values -> (den, numerators) over their least common denominator, or
-    (1, the values) as soon as one is a float or complex."""
-    den = 1
-    for c in values:
-        d = _denominator(c)
-        if d is None:
-            return 1, list(values)
-        if d != 1:
-            den = lcm(den, d)
-    return den, [(c * den).numerator if isinstance(c, Fraction) else c * den for c in values]
-
-
-def _value(num: Scalar, den: int) -> Scalar:
-    return num if den == 1 else Fraction(num, den) if isinstance(num, int) else num / den
-
-
 # A chiral operator on one basis partition: outputs mus[i] at one level, coefficients nums[i] / den
 Row = Tuple[int, int, Tuple[Partition, ...], Tuple[Scalar, ...]]
 
@@ -192,58 +161,39 @@ def float_row(level: int, acc: dict) -> Row:
     return 1, level, tuple(mu for mu, _ in pairs), tuple(c for _, c in pairs)
 
 
-class _State:
-    """Numerators over one shared positive ``den``: the value of key k is
-    ``nums[k] / den``.  ``entries`` is the read-only key -> value view."""
+def value_row(level: int, values: dict) -> Row:
+    """Row from output partition -> nonzero value at one output level:
+    integers over the values' least common denominator, which leaves the row
+    reduced, or floats (float mode) as soon as one value is a float or
+    complex."""
+    if any(isinstance(c, (float, complex)) for c in values.values()):
+        return float_row(level, values)
+    den = lcm(1, *[c.denominator for c in values.values()])
+    return den, level, tuple(values), tuple(c.numerator * (den // c.denominator) for c in values.values())
 
-    __slots__ = ("nums", "den", "overflow", "_entries")
+
+class _State:
+    """``entries`` maps each key to its nonzero value."""
+
+    __slots__ = ("entries", "overflow")
 
     def __init__(self, entries=None, overflow: bool = False):
-        entries = {k: c for k, c in (entries or {}).items() if c != 0}
-        self.den, nums = _split(list(entries.values()))
-        self.nums = dict(zip(entries, nums))
+        self.entries = {k: c for k, c in (entries or {}).items() if c != 0}
         self.overflow = overflow
-        self._entries = None
-
-    @classmethod
-    def _of(cls, nums: dict, den: int, overflow: bool):
-        """State from nonzero numerators, no checks."""
-        out = cls.__new__(cls)
-        out.nums, out.den, out.overflow, out._entries = nums, den, overflow, None
-        return out
 
     @classmethod
     def zero(cls):
-        return cls._of({}, 1, False)
-
-    @classmethod
-    def _single(cls, key, coeff):
-        if type(coeff) is int:
-            return cls._of({key: coeff} if coeff else {}, 1, False)
-        return cls({key: coeff})
-
-    @property
-    def entries(self):
-        if self._entries is None:
-            self._entries = MappingProxyType({k: _value(n, self.den) for k, n in self.nums.items()})
-        return self._entries
+        return cls()
 
     def scale(self, c: Scalar):
-        d = _denominator(c)
-        if d is None or d == 1:
-            num, den = c, self.den
-        else:
-            num, den = (c.numerator if isinstance(c, Fraction) else c * d), self.den * d
-        return self._of({k: v * num for k, v in self.nums.items()} if c != 0 else {}, den, self.overflow)
+        return type(self)({k: v * c for k, v in self.entries.items()}, self.overflow)
 
     def _combine(self, other, sign: int):
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        out = {k: v * fa for k, v in self.nums.items()} if fa != 1 else dict(self.nums)
-        for k, v in other.nums.items():
-            out[k] = out.get(k, 0) + fb * v
-        return self._of({k: v for k, v in out.items() if v}, da * fa, self.overflow or other.overflow)
+        out = dict(self.entries)
+        get = out.get
+        for k, v in other.entries.items():
+            out[k] = get(k, 0) + sign * v
+        return type(self)(out, self.overflow or other.overflow)
 
     def add(self, other):
         return self._combine(other, 1)
@@ -252,10 +202,10 @@ class _State:
         return self._combine(other, -1)
 
     def __len__(self):
-        return len(self.nums)
+        return len(self.entries)
 
     def __repr__(self):
-        return f"{type(self).__name__}({len(self.nums)} entries, den={self.den}, overflow={self.overflow})"
+        return f"{type(self).__name__}({len(self.entries)} entries, overflow={self.overflow})"
 
 
 class SectorState(_State):
@@ -265,7 +215,7 @@ class SectorState(_State):
 
     @classmethod
     def basis(cls, j: int, lam: Partition, coeff: Scalar = 1) -> "SectorState":
-        return cls._single((j, tuple(lam)), coeff)
+        return cls({(j, tuple(lam)): coeff})
 
 
 class TensorState(_State):
@@ -275,10 +225,10 @@ class TensorState(_State):
 
     @classmethod
     def basis(cls, j: int, left: Partition, right: Partition, coeff: Scalar = 1) -> "TensorState":
-        return cls._single((j, tuple(left), tuple(right)), coeff)
+        return cls({(j, tuple(left), tuple(right)): coeff})
 
     def max_chiral_level(self) -> int:
-        return max((max(sum(left), sum(right)) for (_, left, right) in self.nums), default=0)
+        return max((max(sum(left), sum(right)) for (_, left, right) in self.entries), default=0)
 
 
 def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int = 0):
@@ -286,39 +236,32 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
     state or on the ``side`` ('left'/'right') factor of a two-sided state,
     shifting sectors by ``shift``.  Entries whose target sector leaves the
     window, or whose nonempty row lands past the cutoff, are dropped and flag
-    ``overflow``.  The kept rows' least common denominator is found first, so
-    no partial sum is rescaled."""
+    ``overflow``."""
     if side not in (None, "left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     side = 2 if side == "right" else 1
     cutoff = space.trunc.level_cutoff
     overflow = v.overflow
-    kept = []  # (key, target sector, numerator, row) of each entry that acts
-    den = 1
-    for key, c in v.nums.items():
+    out = {}
+    get = out.get
+    for key, c in v.entries.items():
         j = key[0] + shift
         if shift and not space.trunc.admits_sector(j):
             overflow = True
             continue
-        row = row_of(key[0], key[side])
-        row_den, level, mus, _ = row
+        row_den, level, mus, nums = row_of(key[0], key[side])
         if not mus:
             continue
         if cutoff is not None and level > cutoff:
             overflow = True
             continue
-        kept.append((key, j, c, row))
-        den = lcm(den, row_den)
-    out = {}
-    get = out.get
-    for key, j, c, (row_den, _, mus, nums) in kept:
-        if row_den != den:
-            c = c * (den // row_den)
+        if row_den != 1:
+            c = c * Fraction(1, row_den)
         head, tail = ((j,), key[2:]) if side == 1 else ((j, key[1]), ())
         for mu, n in zip(mus, nums):
             k = head + (mu,) + tail
             out[k] = get(k, 0) + c * n
-    return v._of({k: n for k, n in out.items() if n}, v.den * den, overflow)
+    return type(v)(out, overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -501,35 +444,34 @@ def inner_product(ctx: ArithmeticContext, v, w) -> Scalar:
     """<v, w>, conjugate-linear in v; diagonal Gram weights supplied per key."""
     if type(v) is not type(w):
         raise TypeError("inner product needs two states of the same kind")
-    a, b = v.nums, w.nums
-    total = 0
+    a, b = v.entries, w.entries
+    total = ctx.zero()
     for key in a if len(a) > len(b) else b:
         if key in a and key in b:
             total = total + ctx.conj(a[key]) * b[key] * _weight(key)
-    return ctx.zero() + _value(total, v.den * w.den)
+    return total
 
 
 def norm_sq(ctx: ArithmeticContext, v):
     """<v, v> as a real scalar (Fraction in exact modes, float otherwise)."""
     total = Fraction(0) if ctx.exact else 0.0
-    for key, c in v.nums.items():
+    for key, c in v.entries.items():
         total = total + ctx.abs_sq(c) * _weight(key)
-    return total / (v.den * v.den)
+    return total
 
 
 def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
-    """v == w, or v - minus == w: one pass over the cross-multiplied
-    numerators, no difference state.  Float mode compares within tolerance."""
+    """v == w, or v - minus == w: one pass over the values, no difference
+    state.  Float mode compares within tolerance."""
     states = (v, w) if minus is None else (v, minus, w)
-    den = lcm(*[s.den for s in states])
     total = {}
     get = total.get
     for sign, s in zip((1, -1, -1), states):
-        f = sign * (den // s.den)
-        for k, n in s.nums.items():
-            total[k] = get(k, 0) + f * n
-    tol = ctx.tolerance * den
-    return not any(total.values()) if ctx.exact else all(abs(x) <= tol for x in total.values())
+        for k, c in s.entries.items():
+            total[k] = get(k, 0) + sign * c
+    if ctx.exact:
+        return not any(total.values())
+    return all(abs(x) <= ctx.tolerance for x in total.values())
 
 
 def _sort_key(key):

@@ -44,6 +44,7 @@ from .fock import (
     partitions_of,
     residual,
     stack_rows,
+    value_row,
 )
 from .heisenberg import j_matrices
 from .twodim import weak_psi_commutator
@@ -329,7 +330,7 @@ def mode_oracle_suite(
         for level in levels:
             lams = partitions_of(level)
             oracle = [apply_Y_mode_recursive(space, alpha, delta, SectorState.basis(j, lam)) for lam in lams]
-            rows = [(v.den, level + delta, tuple(mu for _, mu in v.nums), tuple(v.nums.values())) for v in oracle]
+            rows = [value_row(level + delta, {mu: c for (_, mu), c in v.entries.items()}) for v in oracle]
             terms = [(1, ((y_matrices(alpha, delta)(j, level),),)), (-1, ((stack_rows(rows, level + delta),),))]
             failing = _failing_columns(space, terms)
             for col, lam in enumerate(lams):
@@ -368,27 +369,17 @@ def mode_adjoint_suite(
     return _sweep("mode_adjoint", cases, delta=range(-delta_range, delta_range + 1))
 
 
-def algebra_report(
-    space: Space,
-    alpha,
-    current_range: int = 6,
-    virasoro_range: int = 4,
-    covariance_range: int = 3,
-    delta_range: int = 3,
-    closure_level: int = 3,
-    oracle_level: int = 8,
-    adjoint_level: int = 4,
-) -> dict:
+def algebra_report(space: Space, alpha) -> dict:
     """All exact-identity suites in one report; verdict 'identity_failure'
     if any suite pinpointed a failing cell."""
     suites = [
-        current_bracket_suite(space, current_range),
-        virasoro_bracket_suite(space, virasoro_range),
-        lorentz_closure_suite(space, closure_level),
-        current_covariance_suite(space, alpha, covariance_range, delta_range),
-        primary_covariance_suite(space, alpha, covariance_range, delta_range),
-        mode_oracle_suite(space, alpha, max_level=oracle_level),
-        mode_adjoint_suite(space, alpha, max_level=adjoint_level),
+        current_bracket_suite(space),
+        virasoro_bracket_suite(space),
+        lorentz_closure_suite(space),
+        current_covariance_suite(space, alpha),
+        primary_covariance_suite(space, alpha),
+        mode_oracle_suite(space, alpha),
+        mode_adjoint_suite(space, alpha),
     ]
     failed = [s for s in suites if s["status"] == "fail"]
     return {
@@ -419,22 +410,23 @@ def float_norm_series(alpha_sq: float, n_max: int) -> List[float]:
     return out
 
 
-def decay_report(
-    space: Space,
-    alpha,
-    n_max: int = 512,
-    slope_window: Tuple[int, int] = (64, 512),
-    slope_tolerance: float = 0.05,
-    block_delta_range: int = 6,
-    block_level: int = 8,
-    block_bound: float = 1.0 + 1e-9,
-) -> dict:
+# verify-decay's fixed settings: the n window of the slope fit and its tolerance
+# against 2d - 1; the mode blocks' shift range and level cap, and their norm
+# bound 1 with float slack
+SLOPE_WINDOW = (64, 512)
+SLOPE_TOLERANCE = 0.05
+BLOCK_DELTA_RANGE = 6
+BLOCK_LEVEL = 8
+BLOCK_BOUND = 1.0 + 1e-9
+
+
+def decay_report(space: Space, alpha, n_max: int = 512) -> dict:
     """Vacuum-norm decay: exact dual-route table, asymptotic slope fit, and
     truncated mode-block norm bounds.
 
     The exact table compares the gram norm of the mode applied to the vacuum
     against the closed-form binomial for n up to min(cutoff, 30).  The slope
-    section fits log-value against log-n over `slope_window` on the
+    section fits log-value against log-n over :data:`SLOPE_WINDOW` on the
     closed-form series and compares to 2d - 1.  The block section bounds the
     operator norm of each truncated mode block by 1 (within float slack), at
     the configured charge and at charge 1; that bound holds for |alpha| <= 1,
@@ -472,34 +464,34 @@ def decay_report(
 
     alpha_sq = float(ctx.abs_sq(alpha))
     series = float_norm_series(alpha_sq, n_max)
-    lo, hi = slope_window
+    lo, hi = SLOPE_WINDOW
     hi = min(hi, n_max)
     expected_slope = 2.0 * float(ctx.re_im(d)[0]) - 1.0
     slope_section: dict = {
         "n_max": n_max,
         "window": [lo, hi],
         "expected": expected_slope,
-        "tolerance": slope_tolerance,
+        "tolerance": SLOPE_TOLERANCE,
     }
     points = [(n, series[n]) for n in range(1, n_max + 1) if series[n] > 0.0]
     if hi - lo >= 2 and len(points) >= 3:
         fitted = loglog_slope(points, (lo, hi))
         slope_section["fitted"] = fitted
-        slope_section["ok"] = abs(fitted - expected_slope) <= slope_tolerance
+        slope_section["ok"] = abs(fitted - expected_slope) <= SLOPE_TOLERANCE
     else:
         slope_section["fitted"] = None
         slope_section["ok"] = False
         warnings.append("decay: slope window too small for a fit")
 
-    block_L = min(block_level, space.trunc.level_cutoff)
+    block_L = min(BLOCK_LEVEL, space.trunc.level_cutoff)
     block_space = Space(ctx, space.alpha0, Truncation(block_L, space.trunc.j_min, space.trunc.j_max))
     block_rows = []
     blocks_ok = True
     charges = (alpha,) if alpha == ctx.one() else (alpha, ctx.one())
     for alpha_k in charges:
-        for delta in range(-block_delta_range, block_delta_range + 1):
+        for delta in range(-BLOCK_DELTA_RANGE, BLOCK_DELTA_RANGE + 1):
             nrm = truncated_mode_norm(block_space, alpha_k, delta, seed=0)
-            ok = nrm <= block_bound
+            ok = nrm <= BLOCK_BOUND
             blocks_ok = blocks_ok and ok
             block_rows.append(
                 {
@@ -524,7 +516,7 @@ def decay_report(
         "slope": slope_section,
         "block_norms": {
             "L": block_L,
-            "bound": block_bound,
+            "bound": BLOCK_BOUND,
             "rows": block_rows,
             "ok": blocks_ok,
         },

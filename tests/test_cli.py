@@ -113,6 +113,38 @@ def test_counts_that_empty_a_series_are_usage_errors(capsys, caplog, subcommand,
         assert len(out.splitlines()) == 2  # the header and one row
 
 
+# each count that makes a check vacuous: verify-decay's slope window (64,
+# n_max) too short to fit, which warned and exited 3, and an --m-range of 0,
+# which swept the trivial (0, 0) cell alone and exited 0
+VACUOUS_COUNTS = [
+    ("verify-decay", "--n-max", 65, 66, "leaves the slope window too short to fit", []),
+    ("verify-commutativity", "--m-range", 0, 1, "checks only the trivial (0, 0) cell", []),
+    (
+        "verify-virasoro-c0",
+        "--m-range",
+        0,
+        1,
+        "checks only the trivial (0, 0) cell",
+        ["--arithmetic", "exact-gaussian"],
+    ),
+    ("explore-d-half", "--m-range", 0, 1, "checks only the trivial (0, 0) cell", []),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand,option,count,least,effect,extra", VACUOUS_COUNTS, ids=[c[0] for c in VACUOUS_COUNTS]
+)
+def test_counts_that_make_a_check_vacuous_are_usage_errors(
+    capsys, caplog, subcommand, option, count, least, effect, extra
+):
+    assert main([subcommand, option, str(count), "--level_cutoff", "4", *extra]) == 1
+    assert capsys.readouterr().out == ""
+    assert f"{option} {count} {effect}; it must be at least {least}" in caplog.text
+    code, out = run(capsys, subcommand, option, str(least), "--level_cutoff", "4", *extra)
+    assert code == 0
+    assert json.loads(out)["subcommand"] == subcommand
+
+
 def test_verify_algebra_default_small(capsys):
     code, out = run(capsys, "verify-algebra", "--level_cutoff", "4")
     assert code == 0

@@ -5,10 +5,13 @@ decay and Lorentz reports before the integer-numerator row kernel replaced the
 per-operator Fraction loops; the commutativity, Virasoro c = 0 and d = 1/2
 reports before the sweep engine and the removal of ``BandReport.clipped``;
 the ``converge`` and ``diverge-demo`` series (CSV) before the level-matrix
-kernel.  Exact modes must keep every byte; a change that moves one on purpose updates
-the file and says why.  The commands run in one process, so the float-mode
-report also shows that no memo hands float coefficients to the exact runs, or
-the reverse.
+kernel; the float Lorentz and Virasoro c = 0 reports and the Gaussian Lorentz
+report, which pin float, complex and Gaussian state coefficients, before
+states went from integer numerators over a shared denominator to plain
+values.  Every report must keep every byte; a change that moves one on
+purpose updates the file and says why.  The commands run in one process, so
+the float-mode reports also show that no memo hands float coefficients to the
+exact runs, or the reverse.
 """
 
 from pathlib import Path
@@ -42,6 +45,18 @@ CASES = {
     "commutativity": (0, ["verify-commutativity", "--level_cutoff", "8"]),
     # budgets of an empty tail against an unfittable one, written "unbounded"
     "commutativity_unbounded": (0, ["verify-commutativity", "--level_cutoff", "1"]),
+    "lorentz_float": (
+        0,
+        ["verify-lorentz", "--level_cutoff", "8", "--arithmetic", "float", "--tolerance", "1e-9"],
+    ),
+    "lorentz_gaussian": (
+        0,
+        ["verify-lorentz", "--level_cutoff", "8", "--arithmetic", "exact-gaussian", "--lambda", "1"],
+    ),
+    "virasoro_c0_float": (
+        0,
+        ["verify-virasoro-c0", "--level_cutoff", "8", "--arithmetic", "float", "--tolerance", "1e-9"],
+    ),
     "virasoro_c0_gaussian": (
         0,
         ["verify-virasoro-c0", "--level_cutoff", "8", "--arithmetic", "exact-gaussian"],

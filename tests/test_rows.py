@@ -1,20 +1,20 @@
-"""The integer rows, the row kernel, the level matrices and the
-numerator/denominator state arithmetic against plain value arithmetic.
+"""The integer rows, the row kernel, the level matrices and the state
+arithmetic against plain value arithmetic.
 
 The J, L and Y rows are built in integers; each must equal, as a row, its
 Fraction reference: ``j_step``, the Fraction Sugawara double step kept in
 ``fraction_reference`` and ``y_mode_table``.  ``apply_J``, ``apply_J_tensor``,
 ``apply_L``, ``apply_L_tensor`` and ``apply_Y_mode`` all run through
-``fock.apply_rows`` on integer numerators over a shared denominator; each
-must equal the sum, over the state's values, of the reference value rows,
-truncation flags included; and add/sub/scale, ``states_equal`` and
-``inner_product`` must agree with the same operations on the ``entries``
-values.  Each column of a level matrix must be the application to its basis
-vector, and ``fock.residual`` must name the same failing columns on its int64
-and its Python-int path, taking the second wherever int64 could wrap.  Exact
-modes must agree exactly, float mode within the tolerance.  The row tables
-and level-matrix caches must stay bounded and keyed by the charge's type as
-well as its value.
+``fock.apply_rows``, which divides each integer row by its denominator as it
+applies it to the state's values; each must equal the sum, over those values,
+of the reference value rows, truncation flags included; and add/sub/scale,
+``states_equal`` and ``inner_product`` must agree with the same operations on
+the ``entries`` dicts.  Each column of a level matrix must be the application
+to its basis vector, and ``fock.residual`` must name the same failing columns
+on its int64 and its Python-int path, taking the second wherever int64 could
+wrap.  Exact modes must agree exactly, float mode within the tolerance.  The
+row tables and level-matrix caches must stay bounded and keyed by the
+charge's type as well as its value.
 """
 
 from fractions import Fraction
@@ -183,11 +183,14 @@ def test_state_arithmetic_matches_values(setup):
         assert not states_equal(ctx, v.add(w), v, minus=w.scale(2))
 
 
-def test_equal_states_with_different_denominators_share_a_psi_cache_entry():
+def test_equal_states_built_by_different_routes_share_one_psi_cache_entry():
+    # v holds an int value where w, summed from scaled basis states, holds an
+    # equal Fraction; the cache is keyed by value, not by how a value was built
     space = make_space("exact-rational", 6)
-    v = TensorState({(0, (1,), ()): Fraction(1, 3), (0, (), (2,)): Fraction(2, 5)})
-    w = v.scale(Fraction(7, 11)).scale(Fraction(11, 7))
-    assert w.den != v.den
+    v = TensorState({(0, (1,), ()): Fraction(1, 3), (0, (), (2,)): 1})
+    third = TensorState.basis(0, (1,), (), Fraction(2, 3)).scale(Fraction(1, 2))
+    w = third.add(TensorState.basis(0, (), (2,), Fraction(3, 7)).scale(Fraction(7, 3)))
+    assert type(w.entries[0, (), (2,)]) is Fraction
     assert states_equal(space.ctx, v, w)
     assert w.entries == v.entries
     cache = PsiCache()
@@ -214,6 +217,8 @@ def test_integer_rows_equal_their_fraction_references(lam, charge, m, j, fault):
     assert l_row == sugawara_row(m, j, lam, charge, fault)
     y_row = vertex._y_table(charge, m)(j, lam)
     assert y_row == make_row(sum(lam) + m, y_mode_table(charge, m, lam), charge)
+    # the oracle's route: a state's values back to a row
+    assert fock.value_row(sum(lam) + m, {mu: c for mu, c in y_mode_table(charge, m, lam) if c}) == y_row
 
 
 def column_values(matrix, col):
