@@ -64,9 +64,11 @@ def _add_config_arguments(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{key}", dest=f"cfg_{key}", metavar="VALUE", help=f"override {key}")
 
 
-def _resolve(args: argparse.Namespace):
+def _resolve(args: argparse.Namespace, **defaults: str):
+    """The run config: ``defaults`` replace the global ones for this
+    subcommand, below the config file and the flags."""
     overrides = {key: getattr(args, f"cfg_{key}") for key in CONFIG_KEYS}
-    return resolve_config(args.config, overrides)
+    return resolve_config(args.config, overrides, defaults)
 
 
 def _strict(value):
@@ -234,7 +236,8 @@ def _cmd_verify_lorentz(args) -> int:
 
 
 def _cmd_verify_virasoro_c0(args) -> int:
-    cfg = _resolve(args)
+    # the family's coefficients are imaginary, which exact-rational cannot hold
+    cfg = _resolve(args, arithmetic="exact-gaussian")
     space, alpha, lam = build_space(cfg)
     ctx = space.ctx
     _require_subcritical(ctx, alpha, "verify-virasoro-c0")

@@ -111,9 +111,13 @@ def load_config_file(path: str) -> Dict[str, str]:
     return raw
 
 
-def resolve_config(path: Optional[str], overrides: Dict[str, Optional[str]]) -> RunConfig:
-    """Defaults, then the config file, then flag overrides (highest wins)."""
-    raw = load_config_file(path) if path else {}
+def resolve_config(
+    path: Optional[str], overrides: Dict[str, Optional[str]], defaults: Optional[Dict[str, str]] = None
+) -> RunConfig:
+    """Defaults, then a subcommand's own ``defaults``, then the config file,
+    then flag overrides (highest wins)."""
+    raw = dict(defaults or {})
+    raw.update(load_config_file(path) if path else {})
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value

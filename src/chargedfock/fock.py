@@ -28,11 +28,13 @@ complex in float mode.  Current, Virasoro and vertex modes all go through
 without Fractions.
 
 The same rows, stacked by :func:`level_matrices`, give each operator one
-:class:`LevelMatrix` per sector and level: integer numerators over one
-denominator.  :func:`residual` sums products of such matrices exactly, in
-int64 only while a bound certified from the entries' magnitudes, the inner
-dimensions and the cross-multiplication factors stays below 2**63, and in
-Python ints otherwise; float mode sums float64 values.
+:class:`LevelMatrix` per level: integer numerators over one denominator, with
+a leading axis over every sector of the charge window, so a contiguous run of
+sectors is a view.  :func:`residual` sums products of such stacks exactly, one
+identity on all sectors in one batched product, in int64 only while a bound
+certified from the entries' magnitudes, the inner dimensions and the
+cross-multiplication factors stays below 2**63, and in Python ints otherwise;
+float mode sums float64 values.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import IO, Optional, Tuple
 
 import numpy as np
@@ -231,6 +233,17 @@ class TensorState(_State):
         return max((max(sum(left), sum(right)) for (_, left, right) in self.entries), default=0)
 
 
+# as many operators as the 64 J, 64 L and 128 Y tables it replaced held
+@lru_cache(maxsize=256, typed=True)
+def row_table(table, *args):
+    """The rows ``table(*args)(j, lam)`` of one operator, memoized by
+    (sector, partition) for :func:`apply_rows`: found once per application,
+    so no entry's lookup hashes the charge.  A memo holds at most 5 sectors x
+    139 partitions at verify-algebra's default cutoff 10.  The level stacks
+    read ``table(*args)`` directly: they are cached themselves."""
+    return lru_cache(maxsize=2048, typed=True)(table(*args))
+
+
 def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int = 0):
     """A chiral operator, given by its rows ``row_of(j, lam)``, on a sector
     state or on the ``side`` ('left'/'right') factor of a two-sided state,
@@ -265,7 +278,7 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
 
 
 # ---------------------------------------------------------------------------
-# level matrices: an operator's rows on one sector and level, stacked
+# level matrices: an operator's rows on one level, stacked over the sectors
 
 # an exact product is computed in int64 only when its certified bound is below this
 INT64_BOUND = 2**63
@@ -273,11 +286,13 @@ INT64_BOUND = 2**63
 
 @dataclass(frozen=True, eq=False, slots=True)
 class LevelMatrix:
-    """An operator on the basis of one sector and level: column c holds the
-    row of ``partitions_of(level)[c]``, entry r its coefficient on the r-th
-    output partition, ``ints / den``.  ``ints`` is int64 when every entry
-    fits, Python ints (object dtype) otherwise, float64 values with den 1 in
-    float mode; ``top`` bounds the absolute value of every exact entry."""
+    """An operator on the basis of one level, ``ints / den``: column c holds
+    the row of ``partitions_of(level)[c]``, entry r its coefficient on the
+    r-th output partition.  A stack has a leading sector axis, ``ints[s]``
+    on the s-th sector of the charge window; a matrix without one holds in
+    every sector.  ``ints`` is int64 when every entry fits, Python ints
+    (object dtype) otherwise, float64 values in float mode; ``top`` bounds
+    the absolute value of every exact entry of the whole stack."""
 
     den: int
     ints: np.ndarray
@@ -285,21 +300,23 @@ class LevelMatrix:
 
     @property
     def T(self) -> "LevelMatrix":
-        return LevelMatrix(self.den, self.ints.T, self.top)
+        return LevelMatrix(self.den, np.swapaxes(self.ints, -1, -2), self.top)
+
+    def sectors(self, start: int, stop: int) -> "LevelMatrix":
+        """The stack's window positions start..stop-1, a view."""
+        if self.ints.ndim == 2 or (start, stop) == (0, len(self.ints)):
+            return self
+        return LevelMatrix(self.den, self.ints[start:stop], self.top)
 
 
-def _matrix(den: int, cells: list, shape: Tuple[int, int]) -> LevelMatrix:
-    if not shape[0] * shape[1]:
-        return _empty(shape)
-    if any(type(x) is float for row in cells for x in row):
-        return LevelMatrix(den, np.array(cells, dtype=float), 0)
-    top = max(abs(x) for row in cells for x in row)
-    return LevelMatrix(den, np.array(cells, dtype=np.int64 if top < INT64_BOUND else object), top)
-
-
-@lru_cache(maxsize=256)
-def _empty(shape: Tuple[int, int]) -> LevelMatrix:
-    return LevelMatrix(1, np.zeros(shape, dtype=np.int64), 0)
+def _matrix(den: int, cells: list, shape: tuple) -> LevelMatrix:
+    """The entries ``cells``, flat in C order, as a LevelMatrix of ``shape``."""
+    if not cells:
+        return LevelMatrix(1, np.zeros(shape, dtype=np.int64), 0)
+    if any(type(x) is float for x in cells):
+        return LevelMatrix(den, np.array(cells, dtype=float).reshape(shape), 0)
+    top = max(map(abs, cells))
+    return LevelMatrix(den, np.array(cells, dtype=np.int64 if top < INT64_BOUND else object).reshape(shape), top)
 
 
 @lru_cache(maxsize=64)
@@ -307,41 +324,49 @@ def _positions(level: int) -> dict:
     return {mu: r for r, mu in enumerate(partitions_of(level))}
 
 
-def stack_rows(rows, out_level: int) -> LevelMatrix:
-    """Rows at output level ``out_level`` as the columns of one matrix over
-    their least common denominator."""
+def stack_rows(sectors, out_level: int) -> LevelMatrix:
+    """Rows at output level ``out_level``, one equally long list per sector,
+    as the columns of one stack over the least common denominator of all."""
     positions = _positions(out_level)
-    den = lcm(1, *[row[0] for row in rows])
-    cells = [[0] * len(rows) for _ in positions]
-    for col, (row_den, _, mus, nums) in enumerate(rows):
-        scale = den // row_den
-        for mu, n in zip(mus, nums):
-            cells[positions[mu]][col] = n * scale
-    return _matrix(den, cells, (len(positions), len(rows)))
+    den = lcm(1, *[row[0] for rows in sectors for row in rows])
+    cols = len(sectors[0])
+    size = len(positions) * cols
+    cells = [0] * (len(sectors) * size)
+    for s, rows in enumerate(sectors):
+        for col, (row_den, _, mus, nums) in enumerate(rows):
+            scale = den // row_den
+            base = s * size + col
+            for mu, n in zip(mus, nums):
+                cells[base + positions[mu] * cols] = n * scale
+    return _matrix(den, cells, (len(sectors), len(positions), cols))
 
 
+# one table per (operator, window), each with one stack per level
 @lru_cache(maxsize=256, typed=True)
-def level_matrices(table, shift: int, *args):
-    """(j, level) -> the rows ``table(*args)(j, lam)`` of ``lam`` in
-    ``partitions_of(level)``, mapping to ``level + shift``, stacked.  Keyed by
-    value: the row-table factory, the level shift and the factory's arguments,
-    each by type as well, so a float charge never meets an equal Fraction; the
-    returned table is found once per operator, so a lookup hashes only
-    (j, level)."""
+def level_matrices(table, shift: int, window: Tuple[int, int], *args):
+    """level -> the rows ``table(*args)(j, lam)`` of ``lam`` in
+    ``partitions_of(level)``, mapping to ``level + shift``, stacked for every
+    sector j of the charge window ``(j_min, j_max)``.  Keyed by value: the
+    row-table factory, the level shift, the window and the factory's
+    arguments, each by type as well, so a float charge never meets an equal
+    Fraction; the returned table is found once per operator, so a lookup
+    hashes only the level."""
     row_of = table(*args)
+    sectors = range(window[0], window[1] + 1)
 
-    @lru_cache(maxsize=512)
-    def matrix(j: int, level: int) -> LevelMatrix:
-        return stack_rows([row_of(j, lam) for lam in partitions_of(level)], level + shift)
+    @lru_cache(maxsize=64)
+    def stack(level: int) -> LevelMatrix:
+        lams = partitions_of(level)
+        return stack_rows([[row_of(j, lam) for lam in lams] for j in sectors], level + shift)
 
-    return matrix
+    return stack
 
 
 @lru_cache(maxsize=64)
 def gram_matrix(level: int) -> LevelMatrix:
     """The diagonal Gram weights zsym of ``partitions_of(level)``."""
     lams = partitions_of(level)
-    return _matrix(1, [[zsym(lam) if lam == mu else 0 for lam in lams] for mu in lams], (len(lams),) * 2)
+    return _matrix(1, [zsym(lam) if lam == mu else 0 for mu in lams for lam in lams], (len(lams),) * 2)
 
 
 @lru_cache(maxsize=64)
@@ -352,19 +377,18 @@ def identity(rows: int, cols: Optional[int] = None) -> LevelMatrix:
 
 def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     """One operator on all levels 0..top at once, rows and columns ordered by
-    level and then by partition: ``block(level)`` is its LevelMatrix from
-    ``level`` to ``level + shift``; outputs past ``top`` are dropped."""
+    level and then by partition: ``block(level)`` is its stack from ``level``
+    to ``level + shift``; outputs past ``top`` are dropped."""
     offsets = [0, *accumulate(len(partitions_of(level)) for level in range(top + 1))]
     blocks = [block(level) for level in range(top + 1)]
     den = lcm(*[b.den for b in blocks])
-    cells = [[0] * offsets[-1] for _ in range(offsets[-1])]
+    cells = np.zeros(blocks[0].ints.shape[:-2] + (offsets[-1],) * 2, dtype=object)
     for level, b in enumerate(blocks):
         out = level + shift
         if 0 <= out <= top:
-            scale = den // b.den
-            for r, row in enumerate(b.ints.tolist()):
-                cells[offsets[out] + r][offsets[level] : offsets[level + 1]] = [x * scale for x in row]
-    return _matrix(den, cells, (offsets[-1], offsets[-1]))
+            rows, cols = slice(offsets[out], offsets[out + 1]), slice(offsets[level], offsets[level + 1])
+            cells[..., rows, cols] = b.ints.astype(object) * (den // b.den)
+    return _matrix(den, cells.ravel().tolist(), cells.shape)
 
 
 def _chain_bound(chain) -> int:
@@ -372,57 +396,62 @@ def _chain_bound(chain) -> int:
     applied right to left: inner dimensions times the factors' tops."""
     bound = chain[-1].top
     for m in chain[-2::-1]:
-        bound *= m.ints.shape[1] * m.top
+        bound *= m.ints.shape[-1] * m.top
     return bound
 
 
-def _product(chains, convert=None):
-    """Kronecker product over chains of each chain's matrix product, applied
-    right to left, of the matrices' ``convert(m)``, by default their ints."""
-    blocks = []
-    for chain in chains:
-        out = None
-        for m in reversed(chain):
-            x = m.ints if convert is None else convert(m)
-            out = x if out is None else x @ out
-        blocks.append(out)
-    return blocks[0] if len(blocks) == 1 else np.kron(*blocks)
+def _chain_product(chain, convert):
+    """The chain's matrix product, applied right to left, of ``convert(m)``."""
+    out = None
+    for m in reversed(chain):
+        x = convert(m)
+        out = x if out is None else x @ out
+    return out
 
 
 def residual(ctx: ArithmeticContext, terms) -> np.ndarray:
     """The sum over terms ``(c, chains)`` of c times the Kronecker product of
     its chains' matrix products, each applied right to left: one chain for a
-    chiral operator, a left and a right one for a two-sided operator.
+    chiral operator, a left and a right one for a two-sided operator.  The
+    matrices' sector axes broadcast, so one call checks an identity on every
+    sector of a stack; c is one scalar, or an object array of one per sector.
 
-    Exact modes return integer numerators over one common denominator: each
-    term is cross-multiplied to it, and the sum is computed in int64 when the
-    certified bound -- the sum over terms of |factor| times the product of
-    its chains' bounds -- stays below :data:`INT64_BOUND`, so that no partial
-    sum can wrap, and in Python ints otherwise.  Float mode sums float64."""
-    rows = cols = 1
-    for chain in terms[0][1]:
-        rows, cols = rows * chain[0].ints.shape[0], cols * chain[-1].ints.shape[1]
-    if not ctx.exact:
-        total = np.zeros((rows, cols))
-        for c, chains in terms:
-            total += float(c) * _product(chains, lambda m: m.ints / m.den)
-        return total
-    scaled = []  # (numerator, denominator, bound, chains) of each nonzero term
-    den = 1
-    for c, chains in terms:
-        d, bound = c.denominator, 1
-        for chain in chains:
-            bound *= _chain_bound(chain)
-            for m in chain:
-                d *= m.den
-        if c and bound:
-            scaled.append((c.numerator, d, bound, chains))
-            den = lcm(den, d)
-    factors = [n * (den // d) for n, d, _, _ in scaled]
-    wide = sum(abs(f) * b for f, (_, _, b, _) in zip(factors, scaled)) >= INT64_BOUND
-    total = np.zeros((rows, cols), dtype=object if wide else np.int64)
-    for f, (_, _, _, chains) in zip(factors, scaled):
-        total += f * _product(chains, (lambda m: m.ints.astype(object)) if wide else None)
+    Exact modes return integer numerators over one common denominator per
+    sector: each term is cross-multiplied to it, and the sum is computed in
+    int64 when the certified bound -- the sum over terms of the largest
+    |factor| times the product of its chains' bounds -- stays below
+    :data:`INT64_BOUND`, so that no partial sum can wrap, and in Python ints
+    otherwise.  Float mode sums float64.  By bilinearity, the left products
+    of the two-sided terms that share a right chain (the same matrix objects)
+    are summed before one Kronecker product with it."""
+    coefficients = [list(c) if isinstance(c, np.ndarray) else [c] for c, _ in terms]
+    if ctx.exact:
+        scales = [prod(m.den for chain in chains for m in chain) for _, chains in terms]
+        den = lcm(*[scale * x.denominator for cs, scale in zip(coefficients, scales) for x in cs])
+        factors = [[x.numerator * (den // (x.denominator * s)) for x in cs] for cs, s in zip(coefficients, scales)]
+        # a term of zero matrices still counts its factor, which must fit too
+        bounds = [max(prod(map(_chain_bound, chains)), 1) for _, chains in terms]
+        dtype = np.int64 if sum(max(map(abs, f)) * b for f, b in zip(factors, bounds)) < INT64_BOUND else object
+        convert = lambda m: m.ints.astype(dtype, copy=False)  # noqa: E731
+    else:
+        factors, dtype = [[float(x) for x in cs] for cs in coefficients], float
+        convert = lambda m: m.ints / m.den  # noqa: E731
+    total = None
+    shared = {}  # right chain by identity -> (right chain, [(factor, left chain)])
+    for f, (_, chains) in zip(factors, terms):
+        f = f[0] if len(f) == 1 else np.array(f, dtype=dtype).reshape(-1, 1, 1)
+        if len(chains) == 1:
+            x = f * _chain_product(chains[0], convert)
+            total = x if total is None else total + x
+        else:
+            shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
+    for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless first
+        a = sum(f * _chain_product(left, convert) for f, left in lefts)
+        if total is None or a.any():
+            b = _chain_product(right, convert)
+            x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
+            x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
+            total = x if total is None else total + x
     return total
 
 

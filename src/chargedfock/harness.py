@@ -7,14 +7,18 @@ unaffected by truncation.  It stops at the first failure, so a corrupted
 coefficient is pinpointed by (m, n, sector, basis), and it reports a cell with
 no interior states as a "vacuous interior" warning instead of a silent pass.
 
-Each identity is checked as a matrix identity per sector and level, on the
-operators' level matrices (see :mod:`chargedfock.fock`): a bracket
-A B - B A - c R = 0 on the whole interior basis of one level at once, whose
-nonzero columns are the failing basis vectors.  Every basis vector is still
-computed and checked, and the engine sees its case in basis order, as if it
-had been applied alone.  Exact modes compute in integers, in int64 only under
-a certified bound; no pass rests on modular, probabilistic or float
-arithmetic.
+Each identity is checked as a matrix identity per level on the operators'
+level stacks (see :mod:`chargedfock.fock`), whose leading axis runs over the
+sectors: a bracket A B - B A - c R = 0 on the whole interior basis of one
+level, in every admitted sector, in one batched residual, whose nonzero
+(sector, column) pairs are the failing basis vectors.  A sector-dependent
+coefficient, such as the mode index of a covariance, scales the sector axis.
+Every basis vector is still computed and checked.  The engine counts blocks
+of passing states; once a cell has a failure, its blocks are replayed in
+(sector, level, basis) order, so the first failure and the states checked
+before it are those of a sweep one basis vector at a time.  Exact modes
+compute in integers, in int64 only under a certified bound; no pass rests on
+modular, probabilistic or float arithmetic.
 
 Reports are plain dicts of JSON-native values, deterministic for a fixed
 configuration and seed: no timestamps, no unordered containers.
@@ -22,7 +26,10 @@ configuration and seed: no timestamps, no unordered containers.
 
 from __future__ import annotations
 
+import logging
 import random
+import time
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import product
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -60,6 +67,8 @@ from .vertex import (
 )
 from .virasoro import central_term, l_matrices
 
+log = logging.getLogger(__name__)
+
 __all__ = [
     "algebra_report",
     "current_bracket_suite",
@@ -80,26 +89,44 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the sweep engine and its interior bookkeeping
 
+# residuals computed in the running sweep, and those of them in Python ints
+_RESIDUALS = Counter()
+
 
 def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dict:
     """Suite report over one cell per combination of the label values, the
-    first label outermost.  `cases(*values)` lazily streams a cell's
-    (where, holds) cases, where is read only from a failing case; the sweep
-    stops at the first that fails."""
+    first label outermost.  `cases(*values)` lazily streams a cell's blocks
+    (size, failed): `size` states that all hold when failed is None, else
+    failed = (k, where) for the first that fails, the k-th of the block,
+    labelled by `where`; the sweep stops there.  It logs, at INFO, its states
+    checked, its batched residuals, how many needed Python ints, and its
+    seconds."""
+    _RESIDUALS.clear()
+    t0 = time.perf_counter()
     checked = cells = vacuous = 0
     failure = None
     for values in product(*labels.values()):
         cells += 1
         seen = 0
-        for where, holds in cases(*values):
-            seen += 1
-            if not holds:
+        for size, failed in cases(*values):
+            if failed is not None:
+                k, where = failed
+                seen += k + 1
                 failure = {**dict(zip(labels, values)), **where}
                 break
+            seen += size
         checked += seen
         if failure is not None:
             break
         vacuous += seen == 0
+    log.info(
+        "%s: %d states checked, %d batched residuals, %d in Python ints, %.3f s",
+        name,
+        checked,
+        _RESIDUALS["batched"],
+        _RESIDUALS["python_ints"],
+        time.perf_counter() - t0,
+    )
     warnings = []
     if vacuous:
         warnings.append(
@@ -118,82 +145,100 @@ def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dic
     }
 
 
-def _sectors(space: Space, charge_shift: int = 0):
+def _sectors(space: Space, charge_shift: int = 0) -> range:
     """Sectors j with both j and j + charge_shift inside the window."""
     trunc = space.trunc
-    return [
-        j
-        for j in range(trunc.j_min, trunc.j_max + 1)
-        if trunc.admits_sector(j + charge_shift)
-    ]
+    return range(max(trunc.j_min, trunc.j_min - charge_shift), min(trunc.j_max, trunc.j_max - charge_shift) + 1)
 
 
-def _basis(j: int, levels: Iterable[int], sides: int = 1) -> list:
-    """Keys (j, lam) of sector j's chiral basis states at `levels`, or with
-    sides=2 (j, left, right) of its two-sided ones, both sides at `levels`."""
-    chiral = [lam for level in levels for lam in partitions_of(level)]
-    return [(j, *lams) for lams in product(chiral, repeat=sides)]
+def _positions(space: Space, sectors: range) -> range:
+    """The window positions of a run of sectors: their slice of a stack."""
+    return range(sectors.start - space.trunc.j_min, sectors.stop - space.trunc.j_min)
 
 
-def _where(key) -> dict:
-    """A basis key as failure labels: its sector and its partition(s)."""
-    basis = [list(lam) for lam in key[1:]]
-    return {"sector": key[0], "basis": basis[0] if len(basis) == 1 else basis}
+def _column_where(level: int, j: int, col: int) -> dict:
+    """The failure labels of a chiral basis state: its sector and partition."""
+    return {"sector": j, "basis": list(partitions_of(level)[col])}
 
 
-def _failing_columns(space: Space, terms):
-    """The columns of a residual that fail, as a set of indices."""
-    bad = nonzero(space.ctx, residual(space.ctx, terms))
-    return set(np.flatnonzero(bad.any(axis=0)).tolist()) if bad.any() else ()
+def _nonzero(space: Space, terms) -> np.ndarray:
+    """Where a residual fails, entry by entry, on every sector of its stack."""
+    total = residual(space.ctx, terms)
+    _RESIDUALS["batched"] += 1
+    _RESIDUALS["python_ints"] += total.dtype == object
+    return nonzero(space.ctx, total)
+
+
+def _failing_columns(space: Space, terms) -> np.ndarray:
+    """(sector, column) -> whether that column of the residual fails."""
+    return _nonzero(space, terms).any(axis=-2)
+
+
+def _replay(sectors, blocks):
+    """Sweep blocks of a cell whose checks are all computed: each block is
+    (where, bad), bad[s, k] marks the k-th state of the s-th sector failing
+    and where(j, k) labels it.  Replayed in (sector, block, state) order, the
+    first failure and the states before it are those of a sweep one state at
+    a time; a cell that holds everywhere is one block."""
+    if not any(bad.any() for _, bad in blocks):
+        yield len(sectors) * sum(bad.shape[-1] for _, bad in blocks), None
+        return
+    for s, j in enumerate(sectors):
+        for where, bad in blocks:
+            hits = np.flatnonzero(np.broadcast_to(bad, (len(sectors), bad.shape[-1]))[s])
+            if hits.size:
+                yield bad.shape[-1], (int(hits[0]), where(j, int(hits[0])))
+                return
+            yield bad.shape[-1], None
 
 
 def _bracket_sweep(name: str, space: Space, bracket, sectors, max_level, **ranges) -> dict:
-    """Matrix identities on every cell's interior basis; each of the two label
-    keywords r runs its label from -r to r.  `bracket(x, y)` gives a cell's
-    headroom and its checks: `checks(j, levels)` streams (basis keys, residual
-    terms) blocks, one column of the residual per key.  The cases come
-    column by column, in basis order."""
+    """Matrix identities on every cell's interior basis, on all `sectors` at
+    once; each of the two label keywords r runs its label from -r to r.
+    `bracket(x, y)` gives a cell's headroom and its checks:
+    `checks(rows, levels)` streams the (where, bad) blocks of :func:`_replay`
+    on the window positions `rows`."""
     cap = space.trunc.level_cutoff if max_level is None else max_level
+    rows = _positions(space, sectors)
 
     def cases(x, y):
         headroom, checks = bracket(x, y)
         # interior levels: their states survive `headroom` extra levels of raising
         levels = range(min(space.trunc.level_cutoff - headroom, cap) + 1)
-        if not levels:
-            return
-        for j in sectors:
-            for keys, terms in checks(j, levels):
-                failing = _failing_columns(space, terms)
-                for col, key in enumerate(keys):
-                    yield (_where(key), False) if col in failing else (None, True)
+        if levels and sectors:
+            yield from _replay(sectors, list(checks(rows, levels)))
 
     return _sweep(name, cases, **{label: range(-r, r + 1) for label, r in ranges.items()})
 
 
 class _Op(NamedTuple):
-    """A chiral operator: `matrix(j, level)` from sector j at `level`, which it
-    raises by `shift` and the sector by `jshift`."""
+    """A chiral operator: `stack(level)` from every sector of the window at
+    `level`, which it raises by `shift` and the sector by `jshift`."""
 
-    matrix: Callable
+    stack: Callable
     shift: int
     jshift: int = 0
 
+    def at(self, rows: range, level: int, jshift: int = 0):
+        """The stack at `level` on the window positions `rows` moved by `jshift`."""
+        return self.stack(level).sectors(rows.start + jshift, rows.stop + jshift)
 
-_IDENTITY = _Op(lambda j, level: identity(len(partitions_of(level))), 0)
+
+_IDENTITY = _Op(lambda level: identity(len(partitions_of(level))), 0)
 
 
-def _commutator(a: _Op, b: _Op, rhs):
-    """Checks of a b - b a = sum of c R over `rhs(j)`, pairs (c, R), one
-    block per sector and interior level."""
+def _commutator(space: Space, a: _Op, b: _Op, rhs):
+    """Checks of a b - b a = sum of c R over `rhs`, pairs (c, R) with c one
+    scalar or an array of one per sector: one block per interior level."""
 
-    def checks(j, levels):
+    def checks(rows, levels):
         for level in levels:
             terms = [
-                (1, ((a.matrix(j + b.jshift, level + b.shift), b.matrix(j, level)),)),
-                (-1, ((b.matrix(j + a.jshift, level + a.shift), a.matrix(j, level)),)),
+                (1, ((a.at(rows, level + b.shift, b.jshift), b.at(rows, level)),)),
+                (-1, ((b.at(rows, level + a.shift, a.jshift), a.at(rows, level)),)),
             ]
-            terms += [(-c, ((r.matrix(j, level),),)) for c, r in rhs(j)]
-            yield [(j, lam) for lam in partitions_of(level)], terms
+            terms += [(-c, ((r.at(rows, level),),)) for c, r in rhs]
+            yield partial(_column_where, level), _failing_columns(space, terms)
 
     return checks
 
@@ -208,7 +253,7 @@ def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[in
 
     def bracket(m, n):
         rhs = [(m, _IDENTITY)] if m + n == 0 else []
-        return max(0, -m, -n, -m - n), _commutator(J(m), J(n), lambda j: rhs)
+        return max(0, -m, -n, -m - n), _commutator(space, J(m), J(n), rhs)
 
     ranges = {"m": m_range, "n": m_range}
     return _bracket_sweep("current_bracket", space, bracket, _sectors(space), max_level, **ranges)
@@ -220,7 +265,7 @@ def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[i
 
     def bracket(m, n):
         rhs = [(c, r) for c, r in ((m - n, L(m + n)), (central_term(m, n), _IDENTITY)) if c]
-        return max(0, -m, -n, -m - n), _commutator(L(m), L(n), lambda j: rhs)
+        return max(0, -m, -n, -m - n), _commutator(space, L(m), L(n), rhs)
 
     ranges = {"m": m_range, "n": m_range}
     return _bracket_sweep("virasoro_bracket", space, bracket, _sectors(space), max_level, **ranges)
@@ -233,31 +278,38 @@ def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
 
     Each product of two generators expands by (A (x) B)(C (x) D) = AC (x) BD
     into Kronecker products of chiral chains on all levels up to two above the
-    interior, applied to the interior basis.  When m = n the ladder
-    coefficient vanishes, so G beyond |m| <= 1 is never needed inside this
-    range.
+    interior, applied to the interior basis.  The residual sums the left
+    factors of terms that share a right chain first, so the cross terms, which
+    cancel, cost no Kronecker product.  Each sector is its own residual: a
+    batch would hold every sector's Kronecker products at once and save no
+    work.  When m = n the ladder coefficient vanishes, so G beyond |m| <= 1 is
+    never needed inside this range.
     """
     base = PerturbedGenerator("lorentz", 0, space.ctx.zero(), space.alpha0)
 
+    # cached, so that equal right chains are the same objects
     @lru_cache(maxsize=64)
-    def L(j, n, top):
-        return graded_matrix(partial(l_matrices(space, n), j), -n, top)
+    def L(s, n, top):
+        return graded_matrix(lambda level: l_matrices(space, n)(level).sectors(s, s + 1), -n, top)
 
-    def G(j, m, top):
-        """G_m as (sign, left factors, right factors) terms."""
-        return [(1, (L(j, m, top),), ()), (chiral_sign(base.at(m)), (), (L(j, -m, top),))]
+    def G(s, m, top):
+        """G_m on the s-th window sector as (sign, left factors, right factors) terms."""
+        return [(1, (L(s, m, top),), ()), (chiral_sign(base.at(m)), (), (L(s, -m, top),))]
 
     def bracket(m, n):
-        def checks(j, levels):
+        def checks(rows, levels):
             top = levels[-1] + 2
             interior = identity(_chiral_dim(top), _chiral_dim(levels[-1]))
-            terms = []
-            for c, x, y in ((1, m, n), (-1, n, m)):
-                for (s1, l1, r1), (s2, l2, r2) in product(G(j, x, top), G(j, y, top)):
-                    terms.append((c * s1 * s2, (l1 + l2 + (interior,), r1 + r2 + (interior,))))
-            if m != n:
-                terms += [(-(m - n) * s, (l + (interior,), r + (interior,))) for s, l, r in G(j, m + n, top)]
-            yield _basis(j, levels, 2), terms
+            masks = []
+            for s in rows:
+                terms = []
+                for c, x, y in ((1, m, n), (-1, n, m)):
+                    for (s1, l1, r1), (s2, l2, r2) in product(G(s, x, top), G(s, y, top)):
+                        terms.append((c * s1 * s2, (l1 + l2 + (interior,), r1 + r2 + (interior,))))
+                if m != n:
+                    terms += [(-(m - n) * g, (l + (interior,), r + (interior,))) for g, l, r in G(s, m + n, top)]
+                masks.append(_failing_columns(space, terms))
+            yield partial(_pair_where, levels), np.concatenate(masks)
 
         return 2, checks
 
@@ -268,18 +320,24 @@ def _chiral_dim(top: int) -> int:
     return sum(len(partitions_of(level)) for level in range(top + 1))
 
 
+def _pair_where(levels, j: int, k: int) -> dict:
+    """The failure labels of the k-th two-sided basis state at `levels`."""
+    chiral = [lam for level in levels for lam in partitions_of(level)]
+    left, right = divmod(k, len(chiral))
+    return {"sector": j, "basis": [list(chiral[left]), list(chiral[right])]}
+
+
 def _covariance_sweep(name, space, alpha, op_matrices, coefficient, m_range, delta_range, max_level) -> dict:
-    """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, with s the mode index of
-    Y_delta out of the source sector."""
+    """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, with s the mode index
+    of Y_delta out of the source sector: one coefficient per sector."""
     mult = charge_multiplier(space, alpha)
     sectors = _sectors(space, mult)
-    Y = lambda delta: _Op(y_matrices(alpha, delta), delta, mult)  # noqa: E731
+    Y = lambda delta: _Op(y_matrices(space, alpha, delta), delta, mult)  # noqa: E731
 
     def bracket(m, delta):
-        lowered = Y(delta - m)
-        rhs = {j: [(coefficient(m, mode_index(space, alpha, j, delta)), lowered)] for j in sectors}
-        op = _Op(op_matrices(space, m), -m)
-        return max(0, delta, -m, delta - m), _commutator(op, Y(delta), rhs.__getitem__)
+        scale = [coefficient(m, mode_index(space, alpha, j, delta)) for j in sectors]
+        rhs = [(np.array(scale, dtype=object), Y(delta - m))]
+        return max(0, delta, -m, delta - m), _commutator(space, _Op(op_matrices(space, m), -m), Y(delta), rhs)
 
     ranges = {"m": m_range, "delta": delta_range}
     return _bracket_sweep(name, space, bracket, sectors, max_level, **ranges)
@@ -326,15 +384,17 @@ def mode_oracle_suite(
     top = min(max_level, space.trunc.level_cutoff)
 
     def cases(j, delta):
-        levels = range(max(0, -delta), top - max(0, delta) + 1) if j in admitted else ()
-        for level in levels:
+        if j not in admitted:
+            return
+        Y, rows = _Op(y_matrices(space, alpha, delta), delta), _positions(space, range(j, j + 1))
+        blocks = []
+        for level in range(max(0, -delta), top - max(0, delta) + 1):
             lams = partitions_of(level)
             oracle = [apply_Y_mode_recursive(space, alpha, delta, SectorState.basis(j, lam)) for lam in lams]
-            rows = [value_row(level + delta, {mu: c for (_, mu), c in v.entries.items()}) for v in oracle]
-            terms = [(1, ((y_matrices(alpha, delta)(j, level),),)), (-1, ((stack_rows(rows, level + delta),),))]
-            failing = _failing_columns(space, terms)
-            for col, lam in enumerate(lams):
-                yield (_where((j, lam)), False) if col in failing else (None, True)
+            oracle = [value_row(level + delta, {mu: c for (_, mu), c in v.entries.items()}) for v in oracle]
+            terms = [(1, ((Y.at(rows, level),),)), (-1, ((stack_rows([oracle], level + delta),),))]
+            blocks.append((partial(_column_where, level), _failing_columns(space, terms)))
+        yield from _replay([j], blocks)
 
     return _sweep("mode_oracle_equivalence", cases, sector=sectors, delta=range(-top, top + 1))
 
@@ -347,24 +407,31 @@ def mode_adjoint_suite(
 ) -> dict:
     """<Y_{alpha,delta} v, w> = <v, Y_{-alpha,-delta} w> on basis pairs: with
     Z the diagonal Gram weights and real charges, the matrix identity
-    Z_t Y_{alpha,delta} = Y_{-alpha,-delta}^T Z_s, entry (w, v) per pair."""
+    Y_{alpha,delta}^T Z_t = Z_s Y_{-alpha,-delta}, entry (v, w) per pair, on
+    every sector at once; the pairs run by v, then by w."""
     mult = charge_multiplier(space, alpha)
     top = min(max_level, space.trunc.level_cutoff)
+    sectors = _sectors(space, mult)
+    rows = _positions(space, sectors)
+
+    def where(level, delta, j, k):
+        col, row = divmod(k, len(partitions_of(level + delta)))
+        return {**_column_where(level, j, col), "target": list(partitions_of(level + delta)[row])}
 
     def cases(delta):
-        for j, level in product(_sectors(space, mult), range(max(0, -delta), top + 1)):
-            if not space.trunc.admits_level(level + delta):
-                continue
-            forward = (gram_matrix(level + delta), y_matrices(alpha, delta)(j, level))
-            backward = (y_matrices(-alpha, -delta)(j + mult, level + delta).T, gram_matrix(level))
-            failing = nonzero(space.ctx, residual(space.ctx, [(1, (forward,)), (-1, (backward,))]))
-            mus = partitions_of(level + delta)
-            for col, lam in enumerate(partitions_of(level)):
-                for row, mu in enumerate(mus):
-                    if failing[row, col]:
-                        yield {**_where((j, lam)), "target": list(mu)}, False
-                    else:
-                        yield None, True
+        if not sectors:
+            return
+        forward, backward = _Op(y_matrices(space, alpha, delta), delta), _Op(y_matrices(space, -alpha, -delta), -delta)
+        blocks = []
+        for level in range(max(0, -delta), top + 1):
+            if space.trunc.admits_level(level + delta):
+                terms = [
+                    (1, ((forward.at(rows, level).T, gram_matrix(level + delta)),)),
+                    (-1, ((gram_matrix(level), backward.at(rows, level + delta, mult)),)),
+                ]
+                bad = _nonzero(space, terms)
+                blocks.append((partial(where, level, delta), bad.reshape(bad.shape[:-2] + (-1,))))
+        yield from _replay(sectors, blocks)
 
     return _sweep("mode_adjoint", cases, delta=range(-delta_range, delta_range + 1))
 

@@ -10,7 +10,7 @@ Conventions (fixed by positivity of the Gram form and J_m* = J_{-m}):
 Actions are exact, one cached integer row per basis partition through
 :func:`~chargedfock.fock.apply_rows`; a result beyond the cutoff flags
 ``overflow``.  :func:`j_matrices` stacks the same rows into one matrix per
-sector and level.
+level, over every sector of the window.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .fock import (
     float_row,
     integer_row,
     level_matrices,
+    row_table,
 )
 
 
@@ -80,16 +81,12 @@ def _j_row(m: int, j: int, lam: Partition, alpha0) -> Row:
     return integer_row(level, {lam: j * ratio[0]}, ratio[1])
 
 
-# One (sector, partition) -> row table per mode and charge, found once per
-# application, so no entry's lookup hashes the charge; a table holds at most
-# 5 sectors x 139 partitions at verify-algebra's default cutoff 10
-@lru_cache(maxsize=64, typed=True)
+# (sector, partition) -> row of one mode and charge: the state kernels read
+# it through fock.row_table, the level stacks once per stack entry
 def _j_table(m: int, alpha0):
     if m:
-        row = lambda j, lam: _j_row(m, 0, lam, None)  # noqa: E731
-    else:
-        row = lambda j, lam: _j_row(0, j, lam, alpha0)  # noqa: E731
-    return lru_cache(maxsize=2048, typed=True)(row)
+        return lambda j, lam: _j_row(m, 0, lam, None)
+    return lambda j, lam: _j_row(0, j, lam, alpha0)
 
 
 def _j_key(space: Space, m: int) -> tuple:
@@ -97,7 +94,7 @@ def _j_key(space: Space, m: int) -> tuple:
 
 
 def _j_rows(space: Space, m: int):
-    return _j_table(*_j_key(space, m))
+    return row_table(_j_table, *_j_key(space, m))
 
 
 def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
@@ -109,6 +106,7 @@ def apply_J_tensor(space: Space, side: str, m: int, v: TensorState) -> TensorSta
     return apply_rows(space, v, _j_rows(space, m), side)
 
 
-def j_matrices(space: Space, m: int) -> Callable[[int, int], LevelMatrix]:
-    """(j, level) -> J_m from sector j's basis at ``level``, one column per partition."""
-    return level_matrices(_j_table, -m, *_j_key(space, m))
+def j_matrices(space: Space, m: int) -> Callable[[int], LevelMatrix]:
+    """level -> J_m from the basis at ``level``, one column per partition,
+    stacked over the window's sectors."""
+    return level_matrices(_j_table, -m, (space.trunc.j_min, space.trunc.j_max), *_j_key(space, m))

@@ -159,7 +159,7 @@ def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2
 
 
 # (delta1, lam1, delta2, lam2) -> Gram, one table per pair of charges, so a
-# lookup hashes no charge (see vertex._y_table); a run pairs +-alpha with
+# lookup hashes no charge (see fock.row_table); a run pairs +-alpha with
 # +-alpha, and verify-commutativity at cutoff 20 fills 126 Grams per table
 @lru_cache(maxsize=16, typed=True)
 def _gram_table(alpha1, alpha2):

@@ -49,6 +49,7 @@ from .fock import (
     integer_row,
     level_matrices,
     partitions_of,
+    row_table,
     zsym,
 )
 
@@ -183,21 +184,21 @@ def _y_row(alpha, delta: int, lam: Partition) -> Row:
     return integer_row(level, acc, q**top * zlcm)
 
 
-# (sector, partition) -> row, one table per charge and shift: see heisenberg._j_table
-@lru_cache(maxsize=128, typed=True)
+# (sector, partition) -> row of one charge and shift: see heisenberg._j_table
 def _y_table(alpha, delta: int):
-    return lru_cache(maxsize=2048, typed=True)(lambda j, lam: _y_row(alpha, delta, lam))
+    return lambda j, lam: _y_row(alpha, delta, lam)
 
 
 def apply_Y_mode(space: Space, alpha, delta: int, v: SectorState) -> SectorState:
     """Apply the mode; shifts every sector by alpha/alpha0."""
     mult = charge_multiplier(space, alpha)
-    return apply_rows(space, v, _y_table(alpha, delta), shift=mult)
+    return apply_rows(space, v, row_table(_y_table, alpha, delta), shift=mult)
 
 
-def y_matrices(alpha, delta: int) -> Callable[[int, int], LevelMatrix]:
-    """(j, level) -> the mode from sector j's basis at ``level``, one column per partition."""
-    return level_matrices(_y_table, delta, alpha, delta)
+def y_matrices(space: Space, alpha, delta: int) -> Callable[[int], LevelMatrix]:
+    """level -> the mode from the basis at ``level``, one column per
+    partition, stacked over the window's source sectors."""
+    return level_matrices(_y_table, delta, (space.trunc.j_min, space.trunc.j_max), alpha, delta)
 
 
 # 4,489 elements fill at verify-algebra's default cutoff 10

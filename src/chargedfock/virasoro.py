@@ -9,7 +9,7 @@ resulting bracket is 1:
 
 A row is built in integers: with J_0 the charge ``beta = j p / q``, every
 term of the double sum is an integer over ``2 q^2``.  :func:`l_matrices` stacks
-the rows into one matrix per sector and level.
+the rows into one matrix per level, over every sector of the window.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .fock import (
     float_row,
     integer_row,
     level_matrices,
+    row_table,
 )
 from .heisenberg import j_step
 
@@ -64,20 +65,19 @@ def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> R
     return integer_row(ell - n, acc, 2 * q * q)
 
 
-# (sector, partition) -> row, one table per mode, charge and fault flag: see heisenberg._j_table
-@lru_cache(maxsize=64, typed=True)
+# (sector, partition) -> row of one mode, charge and fault flag: see heisenberg._j_table
 def _l_table(n: int, alpha0, fault: bool):
-    row = lambda j, lam: _sugawara_on_basis(n, j, lam, alpha0, fault)  # noqa: E731
-    return lru_cache(maxsize=2048, typed=True)(row)
+    return lambda j, lam: _sugawara_on_basis(n, j, lam, alpha0, fault)
 
 
 def _l_rows(space: Space, n: int):
-    return _l_table(n, space.alpha0, FAULT_SUGAWARA)
+    return row_table(_l_table, n, space.alpha0, FAULT_SUGAWARA)
 
 
-def l_matrices(space: Space, n: int) -> Callable[[int, int], LevelMatrix]:
-    """(j, level) -> L_n from sector j's basis at ``level``, one column per partition."""
-    return level_matrices(_l_table, -n, n, space.alpha0, FAULT_SUGAWARA)
+def l_matrices(space: Space, n: int) -> Callable[[int], LevelMatrix]:
+    """level -> L_n from the basis at ``level``, one column per partition,
+    stacked over the window's sectors."""
+    return level_matrices(_l_table, -n, (space.trunc.j_min, space.trunc.j_max), n, space.alpha0, FAULT_SUGAWARA)
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:

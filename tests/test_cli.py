@@ -308,21 +308,30 @@ def test_verify_lorentz_refuses_supercritical(capsys):
     assert code == 1
 
 
-def test_verify_virasoro_c0_needs_imaginary_scalars(capsys):
-    code, _ = run(capsys, "verify-virasoro-c0", "--level_cutoff", "6")
-    assert code == 1
-    code, out = run(
-        capsys,
-        "verify-virasoro-c0",
-        "--level_cutoff",
-        "6",
-        "--arithmetic",
-        "exact-gaussian",
-    )
+def test_verify_virasoro_c0_needs_imaginary_scalars(capsys, caplog, tmp_path):
+    # unset, the arithmetic defaults to exact-gaussian for this subcommand
+    code, out = run(capsys, "verify-virasoro-c0", "--level_cutoff", "6")
     assert code == 0
     rep = json.loads(out)
+    assert rep["config"]["arithmetic"] == "exact-gaussian"
     assert rep["summary"]["verdict"] == "pass"
     assert len(rep["coefficient_identity"]) > 0
+    explicit = run(capsys, "verify-virasoro-c0", "--level_cutoff", "6", "--arithmetic", "exact-gaussian")
+    assert explicit == (0, out)
+    # exact-rational, set by the flag or by the config file, still refuses
+    # the imaginary coefficients of lambda != 0
+    cfg = tmp_path / "rational.cfg"
+    cfg.write_text("arithmetic = exact-rational\n")
+    message = "carries imaginary coefficients; use exact-gaussian or float arithmetic"
+    for argv in (["--arithmetic", "exact-rational"], [str(cfg)]):
+        caplog.clear()
+        code, out = run(capsys, "verify-virasoro-c0", "--level_cutoff", "6", *argv)
+        assert (code, out) == (1, "")
+        assert message in caplog.text
+    argv = ["--level_cutoff", "6", "--arithmetic", "exact-rational", "--lambda", "0"]
+    code, out = run(capsys, "verify-virasoro-c0", *argv)
+    assert code == 0
+    assert json.loads(out)["config"]["arithmetic"] == "exact-rational"
 
 
 def test_explore_d_half_reports_closure_at_unit_charge(capsys):

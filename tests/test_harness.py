@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -9,7 +11,15 @@ import chargedfock.heisenberg as heisenberg
 import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
 from chargedfock.desitter import PerturbedGenerator, apply_l_part
-from chargedfock.fock import SectorState, Space, TensorState, Truncation, partitions_of, states_equal
+from chargedfock.fock import (
+    SectorState,
+    Space,
+    TensorState,
+    Truncation,
+    inner_product,
+    partitions_of,
+    states_equal,
+)
 from chargedfock.harness import (
     algebra_report,
     commutativity_report,
@@ -178,6 +188,27 @@ def test_suite_failure_bookkeeping(monkeypatch, name):
     }
 
 
+def test_each_suite_logs_its_counts(caplog):
+    # one INFO line per suite of algebra_report, on stderr only: the report
+    # itself carries no timing or residual count
+    with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
+        rep = algebra_report(space(2), HALF)
+    lines = [r.getMessage() for r in caplog.records if r.name == "chargedfock.harness"]
+    assert [line.split(":")[0] for line in lines] == [s["suite"] for s in rep["suites"]]
+    for line, suite in zip(lines, rep["suites"]):
+        assert f": {suite['states_checked']} states checked, " in line
+    pattern = r"current_bracket: \d+ states checked, \d+ batched residuals, 0 in Python ints, [\d.]+ s"
+    assert re.fullmatch(pattern, lines[0])
+    # at alpha0 = 2/7 some covariance residuals take Python ints, not all
+    caplog.clear()
+    sp = Space(EXACT, Fraction(2, 7), Truncation(8, -2, 2))
+    with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
+        primary_covariance_suite(sp, Fraction(2, 7), m_range=2, delta_range=2)
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "chargedfock.harness"]
+    batched, wide = map(int, re.search(r"(\d+) batched residuals, (\d+) in Python ints", line).groups())
+    assert 0 < wide < batched
+
+
 def test_headroom_keeps_identities_truncation_free():
     # the same suite at a deeper cutoff checks strictly more states, and both
     # pass: interior selection never trades exactness for coverage
@@ -337,33 +368,81 @@ def _reference_cases(sp):
         "current_covariance": (partial(current_covariance_suite, alpha=HALF), covariance, current_cov, charged, 1),
         "primary_covariance": (partial(primary_covariance_suite, alpha=HALF), covariance, primary_cov, charged, 1),
     }
-    return {
+    out = {
         name: (partial(run, sp), partial(_reference_bracket, name, sp, *rest))
         for name, (run, *rest) in cases.items()
     }
+    out["mode_adjoint"] = (partial(mode_adjoint_suite, sp, HALF), partial(_reference_adjoint, sp))
+    return out
 
 
-# suite -> (mode, factory arguments where doubled, doubled output component[, sector shift])
+def _reference_adjoint(sp, delta_range=4, max_level=4):
+    """mode_adjoint's suite dict, one basis pair at a time: each cell checks
+    <Y_delta v, w> = <v, Y'_{-delta} w>, with Y' of the opposite charge, by
+    state application and inner product."""
+    checked = cells = vacuous = 0
+    failure = None
+    top = min(max_level, sp.trunc.level_cutoff)
+    sectors = [j for j in range(sp.trunc.j_min, sp.trunc.j_max + 1) if sp.trunc.admits_sector(j + 1)]
+    for delta in range(-delta_range, delta_range + 1):
+        cells += 1
+        seen = 0
+        for j, level in product(sectors, range(max(0, -delta), top + 1)):
+            if not sp.trunc.admits_level(level + delta):
+                continue
+            for lam, mu in product(partitions_of(level), partitions_of(level + delta)):
+                v, w = SectorState.basis(j, lam), SectorState.basis(j + 1, mu)
+                seen += 1
+                forward = inner_product(EXACT, vertex.apply_Y_mode(sp, HALF, delta, v), w)
+                if forward != inner_product(EXACT, v, vertex.apply_Y_mode(sp, -HALF, -delta, w)):
+                    failure = {"delta": delta, "sector": j, "basis": list(lam), "target": list(mu)}
+                    break
+            if failure:
+                break
+        checked += seen
+        if failure:
+            break
+        vacuous += seen == 0
+    warning = f"mode_adjoint: vacuous interior for {vacuous} of {cells} cells at this cutoff"
+    return {
+        "suite": "mode_adjoint",
+        "states_checked": checked,
+        "cells": cells,
+        "vacuous_cells": vacuous,
+        "warnings": [warning] if vacuous else [],
+        "first_failure": failure,
+        "status": "fail" if failure else "pass",
+    }
+
+
+# case -> (suite, mode, factory arguments where doubled, doubled output
+# component[, sector shift]); the "last sector" cases fault the window's last
+# sector, the last slice of each stack
 COLUMN_FAULTS = {
-    "current_bracket": ("J", lambda m, alpha0: m == -1, (1, (1, 1, 1))),
-    "virasoro_bracket": ("L", lambda n, alpha0, fault: n == 1, (0, (1,))),
+    "current_bracket": ("current_bracket", "J", lambda m, alpha0: m == -1, (1, (1, 1, 1))),
+    "current_bracket_last_sector": ("current_bracket", "J", lambda m, alpha0: m == -1, (2, (1, 1, 1))),
+    "virasoro_bracket": ("virasoro_bracket", "L", lambda n, alpha0, fault: n == 1, (0, (1,))),
     # L_-1 is G_1's right factor and G_-1's left one
-    "lorentz_closure": ("L", lambda n, alpha0, fault: n == -1, (0, (2,))),
-    "current_covariance": ("Y", lambda alpha, delta: delta == 1, (1, (3,)), 1),
-    "primary_covariance": ("L", lambda n, alpha0, fault: n == -1, (0, (2, 1))),
+    "lorentz_closure": ("lorentz_closure", "L", lambda n, alpha0, fault: n == -1, (0, (2,))),
+    "current_covariance": ("current_covariance", "Y", lambda alpha, delta: delta == 1, (1, (3,)), 1),
+    "primary_covariance": ("primary_covariance", "L", lambda n, alpha0, fault: n == -1, (0, (2, 1))),
+    # Y_{alpha, 1} on sector 1, the last source sector at alpha = alpha0
+    "mode_adjoint": ("mode_adjoint", "Y", lambda alpha, delta: delta == 1 and alpha > 0, (2, (2, 1)), 1),
 }
 
 
 @pytest.mark.parametrize("name", list(COLUMN_FAULTS))
 def test_block_sweep_isolates_columns(monkeypatch, name):
-    # a matrix identity over a whole level must fail exactly the basis vectors
-    # a one-at-a-time sweep over states fails: the same first failure, after
-    # the same states
-    mode, hit, target, *shift = COLUMN_FAULTS[name]
+    # a matrix identity over a whole level, batched over the sectors, must
+    # fail exactly the basis vectors a one-at-a-time sweep over states fails:
+    # the same first failure, after the same states
+    suite, mode, hit, target, *shift = COLUMN_FAULTS[name]
     _doubled_rows(monkeypatch, mode, hit, target, *shift)
     sp = space(4)
-    run, reference = _reference_cases(sp)[name]
+    run, reference = _reference_cases(sp)[suite]
     want = reference()
     assert want["status"] == "fail"
     assert want["first_failure"]["basis"] not in ([], [[], []])  # not a level's first column
+    if name.endswith("last_sector") or suite == "mode_adjoint":
+        assert want["first_failure"]["sector"] == sp.trunc.j_max - int(suite == "mode_adjoint")
     assert run() == want

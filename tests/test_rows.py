@@ -9,12 +9,14 @@ Fraction reference: ``j_step``, the Fraction Sugawara double step kept in
 applies it to the state's values; each must equal the sum, over those values,
 of the reference value rows, truncation flags included; and add/sub/scale,
 ``states_equal`` and ``inner_product`` must agree with the same operations on
-the ``entries`` dicts.  Each column of a level matrix must be the application
-to its basis vector, and ``fock.residual`` must name the same failing columns
-on its int64 and its Python-int path, taking the second wherever int64 could
-wrap.  Exact modes must agree exactly, float mode within the tolerance.  The
-row tables and level-matrix caches must stay bounded and keyed by the
-charge's type as well as its value.
+the ``entries`` dicts.  Each sector of a level stack must be that sector's
+rows stacked alone, each column the application to its basis vector, and
+``fock.residual`` must name the same failing columns on its int64 and its
+Python-int path, taking the second wherever int64 could wrap, and the same
+(sector, column) pairs batched over a stack as one sector at a time.  Exact
+modes must agree exactly, float mode within the tolerance.  The row tables
+and level-stack caches must stay bounded and keyed by the charge's type as
+well as its value, and the stacks by the window.
 """
 
 from fractions import Fraction
@@ -222,12 +224,13 @@ def test_integer_rows_equal_their_fraction_references(lam, charge, m, j, fault):
 
 
 def column_values(matrix, col):
-    return [Fraction(int(n), matrix.den) if matrix.ints.dtype != float else n for n in matrix.ints[:, col]]
+    """Column ``col`` of a one-sector stack, as values."""
+    return [Fraction(int(n), matrix.den) if matrix.ints.dtype != float else n for n in matrix.ints[0, :, col]]
 
 
 def test_level_matrix_columns_match_applications():
-    # each column of a level matrix is the application to its basis vector,
-    # and a residual names only a corrupted column
+    # each column of a sector's slice of a stack is the application to its
+    # basis vector, and a residual names only a corrupted (sector, column)
     for mode in MODES:
         space = make_space(mode, 8)
         ctx = space.ctx
@@ -235,22 +238,64 @@ def test_level_matrix_columns_match_applications():
             (lambda v: apply_J(space, 2, v), j_matrices(space, 2), -2, 0),
             (lambda v: apply_J(space, 0, v), j_matrices(space, 0), 0, 0),
             (lambda v: apply_L(space, -1, v), l_matrices(space, -1), 1, 0),
-            (lambda v: apply_Y_mode(space, space.alpha0, -1, v), y_matrices(space.alpha0, -1), -1, 1),
+            (lambda v: apply_Y_mode(space, space.alpha0, -1, v), y_matrices(space, space.alpha0, -1), -1, 1),
         ]
         for apply, matrices, shift, jshift in ops:
-            for j in (-1, 0, 1):
-                for level in range(5):
-                    matrix = matrices(j, level)
-                    outs = partitions_of(level + shift)
-                    assert matrix.ints.shape == (len(outs), len(partitions_of(level)))
+            for level in range(5):
+                stack = matrices(level)
+                outs = partitions_of(level + shift)
+                assert stack.ints.shape == (5, len(outs), len(partitions_of(level)))
+                for j in (-1, 0, 1):
+                    matrix = stack.sectors(j - WINDOW[0], j - WINDOW[0] + 1)
                     for col, lam in enumerate(partitions_of(level)):
                         column = {(j + jshift, mu): x for mu, x in zip(outs, column_values(matrix, col)) if x}
                         assert states_equal(ctx, SectorState(column), apply(SectorState.basis(j, lam)))
-        matrix = l_matrices(space, 0)(1, 4)
+        matrix = l_matrices(space, 0)(4)
         broken = matrix.ints.copy()
-        broken[2, 3] += 1
+        broken[3, 2, 3] += 1
         total = residual(ctx, [(1, ((matrix,),)), (-1, ((LevelMatrix(matrix.den, broken, matrix.top + 1),),))])
-        assert np.flatnonzero(nonzero(ctx, total).any(axis=0)).tolist() == [3]
+        assert np.argwhere(nonzero(ctx, total).any(axis=1)).tolist() == [[3, 3]]
+
+
+WINDOWS = ((0, 0), (-2, 2), (-3, 3))
+
+
+def values(den, ints):
+    """A stack's entries as values: Fractions, or floats in float mode."""
+    if ints.dtype == float:
+        return (ints / den).tolist()
+    return np.vectorize(lambda n: Fraction(int(n), den), otypes=[object])(ints).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(WINDOWS),
+    st.sampled_from((Fraction(1, 2), Fraction(2, 7), 0.3)),
+    st.sampled_from(("J", "L", "Y")),
+    st.integers(-3, 3),
+    st.integers(0, 5),
+)
+def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, level):
+    # one stack over the window's least common denominator, against each
+    # sector's rows stacked alone over their own: at 2/7, J_0 and L_n reduce
+    # to different denominators in different sectors
+    ctx = make_context("float", 1e-9) if isinstance(charge, float) else make_context("exact-rational")
+    space = Space(ctx, charge, Truncation(None, *window))
+    if mode == "J":
+        stack, rows, shift = j_matrices(space, m), heisenberg._j_rows(space, m), -m
+    elif mode == "L":
+        stack, rows, shift = l_matrices(space, m), virasoro._l_rows(space, m), -m
+    else:
+        stack, rows, shift = y_matrices(space, -2 * charge, m), vertex._y_table(-2 * charge, m), m
+    stack = stack(level)
+    sectors = range(window[0], window[1] + 1)
+    assert stack.ints.shape[0] == len(sectors)
+    assert stack.ints.dtype == float or stack.top == max((abs(int(n)) for n in stack.ints.flat), default=0)
+    for s, j in enumerate(sectors):
+        own = fock.stack_rows([[rows(j, lam) for lam in partitions_of(level)]], level + shift)
+        view = stack.sectors(s, s + 1)
+        assert np.shares_memory(view.ints, stack.ints) or not stack.ints.size
+        assert values(view.den, view.ints) == values(own.den, own.ints)
 
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -295,10 +340,57 @@ def test_int64_and_python_int_paths_fail_the_same_columns(terms):
         slow = residual(ctx, terms)
     finally:
         fock.INT64_BOUND = wide
-    assert slow.dtype == object or not slow.any()  # all-zero terms are skipped
+    assert slow.dtype == object
     assert fast.tolist() == slow.tolist()
     exact = fraction_sum(terms)
     assert (nonzero(ctx, fast) == (exact != 0)).all()
+
+
+@st.composite
+def sector_products(draw):
+    """Terms on stacks of 1-4 sectors: a product of two stacks with a scalar
+    coefficient, and a stack or a matrix without a sector axis, scaled by
+    one coefficient per sector."""
+    s, r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    stack = lambda rows, cols: int_matrices(rows * s, cols).map(  # noqa: E731
+        lambda m: LevelMatrix(m.den, m.ints.reshape(s, rows, cols), m.top)
+    )
+    per_sector = np.array(draw(st.lists(coeff, min_size=s, max_size=s)), dtype=object)
+    last = draw(st.one_of(stack(r, c), int_matrices(r, c)))
+    return s, [(draw(coeff), ((draw(stack(r, k)), draw(stack(k, c))),)), (per_sector, ((last,),))]
+
+
+def failing_sector_columns(ctx, terms, sectors):
+    """(sector, column) pairs that fail, by one batched residual and by a
+    residual per sector on each stack's own slice."""
+    columns = terms[0][1][0][-1].ints.shape[-1]
+    batched = np.broadcast_to(nonzero(ctx, residual(ctx, terms)).any(axis=-2), (sectors, columns))
+    one_by_one = []
+    for s in range(sectors):
+        at = lambda m: m if m.ints.ndim == 2 else LevelMatrix(m.den, m.ints[s], m.top)  # noqa: E731
+        scalar = lambda c: c[s] if isinstance(c, np.ndarray) else c  # noqa: E731
+        single = [(scalar(c), tuple(tuple(at(m) for m in chain) for chain in chains)) for c, chains in terms]
+        total = residual(ctx, single)
+        one_by_one += [(s, int(col)) for col in np.flatnonzero(nonzero(ctx, total).any(axis=0))]
+    return [tuple(x) for x in np.argwhere(batched).tolist()], one_by_one
+
+
+@settings(max_examples=150, deadline=None)
+@given(sector_products())
+def test_batched_residual_fails_the_per_sector_columns(case):
+    sectors, terms = case
+    ctx = make_context("exact-rational")
+    assert residual(ctx, terms).dtype == np.int64
+    batched, one_by_one = failing_sector_columns(ctx, terms, sectors)
+    assert batched == one_by_one
+    wide = fock.INT64_BOUND
+    fock.INT64_BOUND = 0
+    try:
+        assert residual(ctx, terms).dtype == object
+        assert failing_sector_columns(ctx, terms, sectors) == (batched, one_by_one)
+    finally:
+        fock.INT64_BOUND = wide
 
 
 def test_python_int_path_where_int64_would_wrap():
@@ -316,6 +408,17 @@ def test_python_int_path_where_int64_would_wrap():
     half = LevelMatrix(1, np.array([[2**31]], dtype=np.int64), 2**31)
     assert residual(ctx, [(2, ((half, half),))]).dtype == object
     assert residual(ctx, [(1, ((half, half),))]).dtype == np.int64
+
+
+def test_python_int_path_takes_the_largest_sector_factor():
+    # a stack whose second sector's factor alone lifts the bound past 2**63
+    ctx = make_context("exact-rational")
+    half = LevelMatrix(1, np.full((2, 1, 1), 2**31, dtype=np.int64), 2**31)
+    total = residual(ctx, [(np.array([1, 2], dtype=object), ((half, half),))])
+    assert total.dtype == object
+    assert total.ravel().tolist() == [2**62, 2**63]
+    assert residual(ctx, [(np.array([2, 1], dtype=object), ((half, half),))]).dtype == object
+    assert residual(ctx, [(np.array([1, 1], dtype=object), ((half, half),))]).dtype == np.int64
 
 
 def test_suites_fall_back_to_python_ints_and_agree(monkeypatch):
@@ -345,22 +448,27 @@ def test_suites_fall_back_to_python_ints_and_agree(monkeypatch):
 def test_row_tables_are_bounded_and_keep_float_and_exact_charges_apart():
     # each mode's (sector, partition) table is found by its charge once per
     # application; 1/2 and 0.5 hash alike, so only typed keys keep them apart
+    # (factory, its arguments at a charge, the level shift of its rows)
     tables = (
-        (heisenberg._j_table, lambda charge: (0, charge)),
-        (virasoro._l_table, lambda charge: (0, charge, False)),
-        (vertex._y_table, lambda charge: (charge, 1)),
+        (heisenberg._j_table, lambda charge: (0, charge), 0),
+        (virasoro._l_table, lambda charge: (0, charge, False), 0),
+        (vertex._y_table, lambda charge: (charge, 1), 1),
     )
-    for table, args in tables:
-        table.cache_clear()
-        assert table.cache_info().maxsize is not None
-        exact, floats = table(*args(Fraction(1, 2))), table(*args(0.5))
+    for table, args, shift in tables:
+        # the state kernels' memo of each table
+        assert fock.row_table.cache_info().maxsize is not None
+        exact, floats = fock.row_table(table, *args(Fraction(1, 2))), fock.row_table(table, *args(0.5))
         assert exact is not floats
         assert exact.cache_info().maxsize is not None
-        # the level matrices of each table, keyed the same way
+        # the level stacks of each table, keyed the same way and by the window
         assert fock.level_matrices.cache_info().maxsize is not None
-        exact, floats = fock.level_matrices(table, 0, *args(Fraction(1, 2))), fock.level_matrices(table, 0, *args(0.5))
-        assert exact is not floats
+        exact = fock.level_matrices(table, shift, WINDOW, *args(Fraction(1, 2)))
+        assert exact is not fock.level_matrices(table, shift, WINDOW, *args(0.5))
+        narrow = fock.level_matrices(table, shift, (-1, 1), *args(Fraction(1, 2)))
+        assert exact is not narrow
+        assert exact is fock.level_matrices(table, shift, WINDOW, *args(Fraction(1, 2)))
         assert exact.cache_info().maxsize is not None
+        assert exact(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
     float_space = make_space("float", 4)
     exact_space = make_space("exact-rational", 4)
     vac = SectorState.basis(1, ())
