@@ -20,15 +20,28 @@ bilinear/bilinear piece is band-truncated: dropped bands leave the cutoff on
 at least one chiral factor, hence are orthogonal to every kept vector, and
 the computed value differs from the true weak form by at most the product of
 the two extrapolated tail norms, summed over both operator orders.
+
+None of the pairings depends on the coupling ``lam``: a weak commutator is a
+quadratic in ``lam`` whose coefficients are the chiral, cross and bilinear
+pairings.  Two bounded memos, keyed by value, compute each of them once per
+process: :func:`apply_l_part` keeps its outputs, and every (cell, probe pair)
+keeps its coupling-free pieces, filled on first use.  A coupling sweep then
+pays its chiral pairings once, and its bilinear pairings at the first nonzero
+coupling.
 """
 
 from __future__ import annotations
 
+import logging
 import random
+import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
+from . import virasoro
 from .fock import Space, TensorState, inner_product, partitions_of
 from .scalar import Scalar
 from .twodim import (
@@ -63,6 +76,8 @@ __all__ = [
 ]
 
 FAMILIES = ("lorentz", "virasoro_c0", "d_half")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -108,11 +123,50 @@ def chiral_sign(gen: PerturbedGenerator) -> int:
     return -1
 
 
+# The two memos below are bounded and keyed by value.  Each hands out an
+# empty container per key, which the caller fills from its own objects on a
+# miss.  One L-part output per (space, m, sign, state): 21 at the
+# lorentz-sweep benchmark's cutoff 8, 35 at verify-virasoro-c0's defaults.
+@lru_cache(maxsize=1024)
+def _l_part_slot(key) -> list:
+    return []
+
+
+# one entry per (cell, probe pair): 54 per verify-lorentz, 114 per verify-virasoro-c0
+@lru_cache(maxsize=2048)
+def _entry_slot(key) -> dict:
+    return {}
+
+
+# chiral applications requested and computed, coupling-free pieces computed
+# and reused, since the running report began
+_REUSE = Counter()
+
+
+def _space_key(space: Space) -> tuple:
+    """The space by value, its charge's type (a float charge never meets an
+    equal Fraction) and the Sugawara fault flag, which changes every L row."""
+    return space, type(space.alpha0), virasoro.FAULT_SUGAWARA
+
+
+def _state_key(v: TensorState) -> tuple:
+    """A state by value and type, its entries in insertion order: an output
+    sums its terms in that order, so float outputs stay bit-identical."""
+    entries = v.entries
+    return tuple(entries.items()), tuple(map(type, entries.values())), v.overflow
+
+
 def apply_l_part(space: Space, gen: PerturbedGenerator, v: TensorState) -> TensorState:
-    """Unperturbed part: ``L_m`` on the left plus/minus ``L_{-m}`` on the right."""
-    left = apply_L_tensor(space, "left", gen.m, v)
-    right = apply_L_tensor(space, "right", -gen.m, v)
-    return left.add(right) if chiral_sign(gen) == 1 else left.sub(right)
+    """Unperturbed part: ``L_m`` on the left plus/minus ``L_{-m}`` on the right.
+    Memoized by (space, m, chiral sign, state), each by value and type."""
+    sign = chiral_sign(gen)
+    slot = _l_part_slot((_space_key(space), gen.m, sign, _state_key(v)))
+    if not slot:
+        _REUSE["chiral_computed"] += 1
+        left = apply_L_tensor(space, "left", gen.m, v)
+        right = apply_L_tensor(space, "right", -gen.m, v)
+        slot.append(left.add(right) if sign == 1 else left.sub(right))
+    return slot[0]
 
 
 class PsiCache:
@@ -189,6 +243,58 @@ def _require_charge_interior(space: Space, phi: TensorState, mult: int, name: st
             )
 
 
+def _entry(space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, phi1, phi2) -> dict:
+    """The coupling-free pieces of one (cell, probe pair): a dict filled on
+    first use, keyed by value without the coupling."""
+    key = (
+        _space_key(space),
+        gen_a.family,
+        gen_b.family,
+        gen_a.alpha,
+        type(gen_a.alpha),
+        gen_a.m,
+        gen_b.m,
+        _state_key(phi1),
+        _state_key(phi2),
+    )
+    return _entry_slot(key)
+
+
+def _piece(entry: dict, name, compute: Callable) -> tuple:
+    """The tuple of pieces ``entry[name]``, computed once; absent pieces are
+    None and count as neither computed nor reused."""
+    pieces = entry.get(name)
+    if pieces is None:
+        pieces = entry[name] = compute()
+        _REUSE["pieces_computed"] += sum(p is not None for p in pieces)
+    else:
+        _REUSE["pieces_reused"] += sum(p is not None for p in pieces)
+    return pieces
+
+
+def _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral, cache) -> tuple:
+    """The cross pairings of each bilinear that acts, then (when both act) the
+    two bilinear pairings and the four tail norms; None where one does not."""
+    la_ad1, lb_ad1, la2, lb2 = chiral
+    alpha = gen_a.alpha
+    b_ket = b_bra = a_bra = a_ket = None
+    if use_b:
+        psi_b2, tail_b2 = cache.apply(space, alpha, gen_b.m, phi2)
+        psi_mb1, tail_mb1 = cache.apply(space, alpha, -gen_b.m, phi1)
+        b_ket = image_inner_product(la_ad1, psi_b2)
+        b_bra = image_inner_product(psi_mb1, la2)
+    if use_a:
+        psi_a2, tail_a2 = cache.apply(space, alpha, gen_a.m, phi2)
+        psi_ma1, tail_ma1 = cache.apply(space, alpha, -gen_a.m, phi1)
+        a_bra = image_inner_product(psi_ma1, lb2)
+        a_ket = image_inner_product(lb_ad1, psi_a2)
+    if not (use_a and use_b):
+        return (b_ket, b_bra, a_bra, a_ket) + (None,) * 6
+    first = image_inner_product(psi_ma1, psi_b2)
+    second = image_inner_product(psi_mb1, psi_a2)
+    return b_ket, b_bra, a_bra, a_ket, first, second, tail_ma1, tail_b2, tail_mb1, tail_a2
+
+
 def weak_commutator_parts(
     space: Space,
     gen_a: PerturbedGenerator,
@@ -205,6 +311,9 @@ def weak_commutator_parts(
     a bilinear acts at all) charge sectors one multiplier step inside the
     window.  Under those conditions ``ll`` and ``mixed`` are exact and only
     ``psipsi`` carries the band-truncation budget.
+
+    The pairings come from the (cell, probe pair)'s coupling-free pieces,
+    computed on first use through ``cache``; every check runs on every call.
     """
     ctx = space.ctx
     if gen_a.alpha != gen_b.alpha:
@@ -227,33 +336,46 @@ def weak_commutator_parts(
         _require_charge_interior(space, phi2, mult, "phi2")
     cache = cache if cache is not None else PsiCache()
 
-    la_ad1 = apply_l_part(space, gen_a.adjoint(), phi1)
-    lb_ad1 = apply_l_part(space, gen_b.adjoint(), phi1)
-    la2 = apply_l_part(space, gen_a, phi2)
-    lb2 = apply_l_part(space, gen_b, phi2)
-    for applied in (la_ad1, lb_ad1, la2, lb2):
+    entry = _entry(space, gen_a, gen_b, phi1, phi2)
+    _REUSE["chiral_requested"] += 4
+    chiral = entry.get("chiral")
+    if chiral is None:
+        chiral = entry["chiral"] = (
+            apply_l_part(space, gen_a.adjoint(), phi1),
+            apply_l_part(space, gen_b.adjoint(), phi1),
+            apply_l_part(space, gen_a, phi2),
+            apply_l_part(space, gen_b, phi2),
+        )
+    for applied in chiral:
         if applied.overflow:
             raise ValueError("chiral Virasoro application left the cutoff; enlarge the buffer")
+    la_ad1, lb_ad1, la2, lb2 = chiral
 
-    ll = inner_product(ctx, la_ad1, lb2) - inner_product(ctx, lb_ad1, la2)
+    ll_ab, ll_ba = _piece(
+        entry, "ll", lambda: (inner_product(ctx, la_ad1, lb2), inner_product(ctx, lb_ad1, la2))
+    )
+    ll = ll_ab - ll_ba
 
     mixed = ctx.zero()
     psipsi = ctx.zero()
     budget = 0.0
-    alpha = gen_a.alpha
+    if not (use_a or use_b):
+        return WeakParts(ll, mixed, psipsi, budget)
+    # which bilinears act is fixed by the family and the modes once the
+    # coupling is nonzero (psi_coefficient), so one set serves every coupling
+    b_ket, b_bra, a_bra, a_ket, first, second, *tails = _piece(
+        entry,
+        "bilinear",
+        lambda: _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral, cache),
+    )
     if use_b:
-        psi_b2, tail_b2 = cache.apply(space, alpha, gen_b.m, phi2)
-        psi_mb1, tail_mb1 = cache.apply(space, alpha, -gen_b.m, phi1)
-        mixed = mixed + b_coeff * image_inner_product(la_ad1, psi_b2)
-        mixed = mixed - b_coeff * image_inner_product(psi_mb1, la2)
+        mixed = mixed + b_coeff * b_ket
+        mixed = mixed - b_coeff * b_bra
     if use_a:
-        psi_a2, tail_a2 = cache.apply(space, alpha, gen_a.m, phi2)
-        psi_ma1, tail_ma1 = cache.apply(space, alpha, -gen_a.m, phi1)
-        mixed = mixed + a_coeff * image_inner_product(psi_ma1, lb2)
-        mixed = mixed - a_coeff * image_inner_product(lb_ad1, psi_a2)
+        mixed = mixed + a_coeff * a_bra
+        mixed = mixed - a_coeff * a_ket
     if use_a and use_b:
-        first = image_inner_product(psi_ma1, psi_b2)
-        second = image_inner_product(psi_mb1, psi_a2)
+        tail_ma1, tail_b2, tail_mb1, tail_a2 = tails
         psipsi = a_coeff * b_coeff * (first - second)
         budget = abs(ctx.to_complex(a_coeff * b_coeff)) * (
             tail_product(tail_ma1, tail_b2) + tail_product(tail_mb1, tail_a2)
@@ -273,21 +395,46 @@ def commutator_targets(
 
     Returns the chiral-part pairing and the bilinear-part pairing separately;
     both are exact for interior phi1 (dropped bilinear bands are orthogonal to
-    every vector inside the cutoff).
+    every vector inside the cutoff).  The two pairings are coupling-free
+    pieces of the (cell, probe pair), computed once.
     """
     ctx = space.ctx
     coeff = gen_a.m - gen_b.m
     if coeff == 0:
         return ctx.zero(), ctx.zero()
     target = gen_a.at(gen_a.m + gen_b.m)
-    ll_target = coeff * inner_product(ctx, phi1, apply_l_part(space, target, phi2))
+    entry = _entry(space, gen_a, gen_b, phi1, phi2)
+    _REUSE["chiral_requested"] += 1
+    (ll_pairing,) = _piece(
+        entry, "target_ll", lambda: (inner_product(ctx, phi1, apply_l_part(space, target, phi2)),)
+    )
+    ll_target = coeff * ll_pairing
     t_coeff = psi_coefficient(space, target)
     if ctx.is_zero(t_coeff):
         return ll_target, ctx.zero()
     cache = cache if cache is not None else PsiCache()
-    psi_t2, _ = cache.apply(space, target.alpha, target.m, phi2)
-    psi_target = coeff * (t_coeff * image_inner_product(phi1, psi_t2))
+    (psi_pairing,) = _piece(
+        entry,
+        "target_psi",
+        lambda: (image_inner_product(phi1, cache.apply(space, target.alpha, target.m, phi2)[0]),),
+    )
+    psi_target = coeff * (t_coeff * psi_pairing)
     return ll_target, psi_target
+
+
+def _log_reuse(name: str, records: int, t0: float) -> None:
+    """One INFO line on what the report computed and what it reused."""
+    log.info(
+        "%s: %d records, %d of %d chiral applications computed,"
+        " %d coupling-free pieces computed, %d reused, %.3f s",
+        name,
+        records,
+        _REUSE["chiral_computed"],
+        _REUSE["chiral_requested"],
+        _REUSE["pieces_computed"],
+        _REUSE["pieces_reused"],
+        time.perf_counter() - t0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +516,19 @@ def _probe_pairs(
     L = space.trunc.level_cutoff
     mult = charge_multiplier(space, alpha)
     level = max(0, min(probe_level, L - interior_buffer))
+    if level < probe_level:
+        named = (("current-pair", 1), ("split-pair", 2))
+        dropped = [name for name, need in named if level < need <= probe_level]
+        log.warning(
+            "probe level %d lowered to %d (cutoff %d, buffer %d): dropped %s;"
+            " charge-step and sample probes keep chiral levels <= %d",
+            probe_level,
+            level,
+            L,
+            interior_buffer,
+            ", ".join(dropped),
+            level,
+        )
     js = [
         j
         for j in range(space.trunc.j_min + mult, space.trunc.j_max - mult + 1)
@@ -489,6 +649,8 @@ def verify_lorentz(
     probe_level = 2
     if interior_buffer is None:
         interior_buffer = default_interior_buffer(1, probe_level)
+    t0 = time.perf_counter()
+    _REUSE.clear()
     cache = PsiCache()
     pairs = _probe_pairs(space, alpha, interior_buffer, seed, samples, probe_level)
     records = []
@@ -502,6 +664,7 @@ def verify_lorentz(
                         space, gen_a, gen_b, probe, phi1, phi2, interior_buffer, cache
                     )
                 )
+    _log_reuse("verify_lorentz", len(records), t0)
     return {"family": "lorentz", "records": records, "summary": _summarize(records)}
 
 
@@ -519,6 +682,8 @@ def verify_virasoro_c0(
     probe_level = 2
     if interior_buffer is None:
         interior_buffer = default_interior_buffer(m_range, probe_level)
+    t0 = time.perf_counter()
+    _REUSE.clear()
     cache = PsiCache()
     pairs = _probe_pairs(space, alpha, interior_buffer, seed, samples, probe_level)
     records = []
@@ -534,6 +699,7 @@ def verify_virasoro_c0(
                         space, gen_a, gen_b, probe, phi1, phi2, interior_buffer, cache
                     )
                 )
+    _log_reuse("verify_virasoro_c0", len(records), t0)
     coefficient_rows = []
     for m in range(-m_range, m_range + 1):
         for n in range(-m_range, m_range + 1):
@@ -577,6 +743,8 @@ def explore_d_half(
     probe_level = 1
     if interior_buffer is None:
         interior_buffer = default_interior_buffer(m_range, probe_level)
+    t0 = time.perf_counter()
+    _REUSE.clear()
     cache = PsiCache()
     pairs = _probe_pairs(space, alpha, interior_buffer, seed=0, samples=0, probe_level=probe_level)
     d = conformal_weight(alpha)
@@ -615,6 +783,7 @@ def explore_d_half(
                         "matches_prediction": ctx.is_zero(gap - predicted),
                     }
                 )
+    _log_reuse("explore_d_half", len(measured), t0)
     series = partial_sum_norm_series(alpha, 0, n_bands)
     band_rows = [
         {"band": band, "band_norm_sq": float(val), "partial_sum": float(total)}

@@ -1,7 +1,13 @@
+import logging
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import chargedfock.desitter as desitter
+from chargedfock import virasoro
 from chargedfock.desitter import (
     PerturbedGenerator,
     PsiCache,
@@ -17,7 +23,14 @@ from chargedfock.desitter import (
     virasoro_combination,
     weak_commutator_parts,
 )
-from chargedfock.fock import Space, TensorState, Truncation, inner_product, states_equal
+from chargedfock.fock import (
+    Space,
+    TensorState,
+    Truncation,
+    inner_product,
+    partitions_of,
+    states_equal,
+)
 from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import image_inner_product
 from chargedfock.vertex import conformal_weight
@@ -329,3 +342,232 @@ def test_explore_d_half_reports():
 def test_default_interior_buffer():
     assert default_interior_buffer(1, 2) == 3
     assert default_interior_buffer(0, 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# coupling-free pieces: memoized once per process, equal to a cold computation
+
+FLOAT = make_context("float", 1e-9)
+CONTEXTS = {"exact-rational": EXACT, "exact-gaussian": GAUSS, "float": FLOAT}
+MEMO_BUFFER = 2
+COUPLINGS = ("0", "1/4", "1", "-1/2")
+
+
+def clear_memos():
+    desitter._l_part_slot.cache_clear()
+    desitter._entry_slot.cache_clear()
+
+
+@st.composite
+def memo_cases(draw):
+    """(space, family, m, n, calls, phi1, phi2): probes inside the level
+    margin and one charge step inside the window, with coefficients of the
+    space's own scalar kind; each call is a coupling and whether it passes
+    the probes with their entries in reverse order."""
+    mode = draw(st.sampled_from(sorted(CONTEXTS)))
+    ctx = CONTEXTS[mode]
+    family = draw(st.sampled_from(["lorentz", "virasoro_c0", "d_half"]))
+    modes = (-1, 0, 1) if family == "lorentz" else (-2, -1, 0, 1, 2)
+    m, n = draw(st.sampled_from(modes)), draw(st.sampled_from(modes))
+    # exact-rational holds the imaginary family only at coupling 0
+    texts = ("0",) if (family, mode) == ("virasoro_c0", "exact-rational") else COUPLINGS
+    calls = [(text, draw(st.booleans())) for text in draw(st.permutations(texts))]
+    parts = st.sampled_from([lam for lv in range(3) for lam in partitions_of(lv)])
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=7).filter(bool)
+
+    def probe():
+        state = TensorState.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(values)
+            if mode == "float":
+                c = float(c)
+            elif mode == "exact-gaussian" and draw(st.booleans()):
+                c = GaussianRational(c, draw(values))
+            j = draw(st.integers(-1, 1))
+            state = state.add(TensorState.basis(j, draw(parts), draw(parts), c))
+        return state
+
+    alpha0 = A0 if ctx.exact else float(A0)
+    return Space(ctx, alpha0, Truncation(6, -2, 2)), family, m, n, calls, probe(), probe()
+
+
+def memo_run(sp, family, m, n, text, reverse, phi1, phi2):
+    if reverse:
+        phi1, phi2 = (TensorState(dict(reversed(phi.entries.items()))) for phi in (phi1, phi2))
+    lam = sp.ctx.parse(text)
+    gen_a = PerturbedGenerator(family, m, lam, sp.alpha0)
+    gen_b = PerturbedGenerator(family, n, lam, sp.alpha0)
+    cache = PsiCache()
+    parts = weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, MEMO_BUFFER, cache=cache)
+    return parts, commutator_targets(sp, gen_a, gen_b, phi1, phi2, cache=cache)
+
+
+# float probes whose tail budget moves in the last digit with their entry order
+ORDERED_FLOAT_CASE = (
+    Space(FLOAT, 0.5, Truncation(6, -2, 2)),
+    "lorentz",
+    1,
+    -1,
+    [("1/4", True), ("1/4", False)],
+    TensorState({(0, (), (1, 1)): 10 / 7, (0, (1, 1), (1, 1)): 11 / 7, (-1, (), (1, 1)): -2.0}),
+    TensorState({(0, (1, 1), ()): 8 / 7, (0, (2,), (1,)): 4 / 7, (-1, (2,), ()): -2.0}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_cases())
+@example(ORDERED_FLOAT_CASE)
+def test_memoized_pieces_equal_a_cold_computation(case):
+    # every call of a coupling sweep, in a drawn order, reads the memos that
+    # the earlier calls filled and equals the same call on cleared memos:
+    # value, type and (in float mode) every bit, also when an equal probe
+    # with its entries in another order came first
+    sp, family, m, n, calls, phi1, phi2 = case
+    clear_memos()
+    warm = [memo_run(sp, family, m, n, *call, phi1, phi2) for call in calls]
+    for call, result in zip(calls, warm):
+        clear_memos()
+        cold = memo_run(sp, family, m, n, *call, phi1, phi2)
+        assert cold == result
+        assert repr(cold) == repr(result)
+
+
+def test_memos_are_bounded():
+    clear_memos()
+    sp = space(6)
+    gen = PerturbedGenerator("lorentz", 1, Fraction(0), ALPHA)
+    size = desitter._l_part_slot.cache_info().maxsize
+    for k in range(1, size + 11):
+        apply_l_part(sp, gen, EXCITED.scale(k))
+    assert desitter._l_part_slot.cache_info().currsize == size
+    gen_b = gen.at(-1)
+    size = desitter._entry_slot.cache_info().maxsize
+    for k in range(1, size + 11):
+        weak_commutator_parts(sp, gen, gen_b, VAC.scale(k), VAC, 3)
+    assert desitter._entry_slot.cache_info().currsize == size
+
+
+def test_float_and_exact_spaces_never_share_an_entry():
+    clear_memos()
+    exact, floats = space(6), Space(FLOAT, float(A0), Truncation(6, -2, 2))
+    gen_a, gen_b = lorentz_pair(1, -1, lam=Fraction(1))
+    float_a, float_b = (PerturbedGenerator("lorentz", g.m, 1.0, 0.5) for g in (gen_a, gen_b))
+    first = weak_commutator_parts(exact, gen_a, gen_b, EXCITED, EXCITED, 3)
+    second = weak_commutator_parts(floats, float_a, float_b, EXCITED, EXCITED, 3)
+    assert desitter._entry_slot.cache_info().currsize == 2
+    assert type(first.ll) is Fraction and type(first.psipsi) is Fraction
+    assert type(second.ll) is float and type(second.psipsi) is float
+    v = TensorState.basis(1, (2,), (1,))
+    assert {type(c) for c in apply_l_part(exact, gen_a, v).entries.values()} <= {int, Fraction}
+    assert {type(c) for c in apply_l_part(floats, float_a, v).entries.values()} == {float}
+    # so is an equal state with float values in the exact space
+    v_float = TensorState.basis(1, (2,), (1,), 1.0)
+    assert {type(c) for c in apply_l_part(exact, gen_a, v_float).entries.values()} == {float}
+    # an exact space with a float charge equals the exact space, and is a third entry
+    mixed = Space(EXACT, float(A0), exact.trunc)
+    assert mixed == exact
+    third = weak_commutator_parts(mixed, gen_a, gen_b, EXCITED, EXCITED, 3)
+    assert desitter._entry_slot.cache_info().currsize == 3
+    assert type(third.ll) is float  # float L rows, where the exact charge gives Fractions
+
+
+def test_l_part_memo_keeps_each_state_s_entry_order():
+    # an equal state with its entries in another order is another key: the
+    # output lists its terms in its input's order, as a cold application does
+    v = TensorState.basis(0, (1,), (1,), 0.5).add(TensorState.basis(1, (2,), (), 0.25))
+    w = TensorState(dict(reversed(v.entries.items())))
+    sp = Space(FLOAT, 0.5, Truncation(6, -2, 2))
+    gen = PerturbedGenerator("lorentz", 1, 0.0, 0.5)
+    clear_memos()
+    apply_l_part(sp, gen, v)
+    warm = apply_l_part(sp, gen, w)
+    clear_memos()
+    assert list(warm.entries.items()) == list(apply_l_part(sp, gen, w).entries.items())
+
+
+def test_l_part_memo_follows_the_sugawara_fault(monkeypatch):
+    # the fault doubles one coefficient of L_2, so a memo blind to it would
+    # hand the faulty rows to a clean run or the reverse
+    gen = PerturbedGenerator("d_half", 2, LAM, ALPHA)
+    v = TensorState.basis(0, (1, 1), (2,))
+    clean = apply_l_part(space(8), gen, v)
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", True)
+    faulty = apply_l_part(space(8), gen, v)
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", False)
+    assert not states_equal(EXACT, clean, faulty)
+    assert states_equal(EXACT, apply_l_part(space(8), gen, v), clean)
+
+
+def test_every_check_runs_on_a_memo_hit():
+    sp = space(8)
+    gen_a, gen_b = lorentz_pair(1, -1)
+    weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 3)
+    with pytest.raises(ValueError, match="interior buffer"):
+        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 0)
+    with pytest.raises(ValueError, match="interior margin"):
+        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 7)
+    # coupling 0 needs no charge step; the same pieces at coupling 1/4 do
+    edge = TensorState.basis(2, (), ())
+    free_a, free_b = lorentz_pair(1, -1, lam=Fraction(0))
+    weak_commutator_parts(sp, free_a, free_b, edge, VAC, 3)
+    with pytest.raises(ValueError, match="bilinear step"):
+        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3)
+
+
+
+def test_an_overflowing_chiral_application_raises_on_every_call(monkeypatch):
+    # interior probes never overflow, so the kernel is made to flag it
+    def flagged(space, side, n, v):
+        out = apply_L_tensor(space, side, n, v)
+        return TensorState(out.entries, overflow=True)
+
+    clear_memos()
+    monkeypatch.setattr(desitter, "apply_L_tensor", flagged)
+    gen_a, gen_b = lorentz_pair(1, -1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="left the cutoff"):
+            weak_commutator_parts(space(8), gen_a, gen_b, EXCITED, EXCITED, 3)
+    clear_memos()
+
+
+def test_a_coupling_sweep_logs_its_reuse(caplog):
+    # the lorentz-sweep benchmark's config: 21 chiral applications for the
+    # whole sweep, where a memo-free run makes 756; coupling 0 builds no image
+    clear_memos()
+    sp = space(8)
+    with caplog.at_level(logging.INFO, logger="chargedfock.desitter"):
+        for lam in (Fraction(0), Fraction(1, 4), Fraction(1)):
+            verify_lorentz(sp, ALPHA, lam, interior_buffer=6, seed=0, samples=2)
+    lines = [r.getMessage() for r in caplog.records if r.name == "chargedfock.desitter"]
+    pattern = (
+        r"verify_lorentz: (\d+) records, (\d+) of (\d+) chiral applications computed,"
+        r" (\d+) coupling-free pieces computed, (\d+) reused, [\d.]+ s"
+    )
+    counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
+    assert [c[0] for c in counts] == [54, 54, 54]
+    assert sum(c[1] for c in counts) == 21
+    assert sum(c[2] for c in counts) == 756
+    # coupling 1 computes nothing: coupling 1/4 filled every bilinear piece
+    assert counts[2][1] == counts[2][3] == 0
+    assert counts[1][3] > 0 and counts[2][4] == counts[1][3] + counts[1][4]
+
+
+def test_the_other_reports_log_their_reuse(caplog):
+    with caplog.at_level(logging.INFO, logger="chargedfock.desitter"):
+        verify_virasoro_c0(space(8, ctx=GAUSS), ALPHA, LAM, samples=1)
+        explore_d_half(space(6), ALPHA, LAM, n_bands=4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "chargedfock.desitter"]
+    assert [line.split(":")[0] for line in lines] == ["verify_virasoro_c0", "explore_d_half"]
+
+
+def test_lowered_probe_level_warns_naming_the_dropped_probes(caplog):
+    with caplog.at_level(logging.WARNING, logger="chargedfock.desitter"):
+        rep = verify_lorentz(space(3), ALPHA, LAM, seed=0, samples=2)
+    assert len(rep["records"]) == 36
+    assert {r["probe"] for r in rep["records"]}.isdisjoint({"current-pair", "split-pair"})
+    (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert "dropped current-pair, split-pair" in warning.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="chargedfock.desitter"):
+        verify_lorentz(space(5), ALPHA, LAM, seed=0, samples=2)
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING]
