@@ -15,7 +15,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from chargedfock.diagnostics import loglog_slope
-from chargedfock.harness import float_partial_rows
 from chargedfock.twodim import partial_sum_norm_series, write_convergence_csv
 
 
@@ -26,21 +25,17 @@ def main() -> int:
     ap.add_argument("--out-dir", type=Path, default=None, help="write per-charge CSVs here")
     args = ap.parse_args()
 
+    # (label, alpha^2): exact below the threshold, float at it
     charges = [
-        ("1/4", Fraction(1, 4)),
-        ("1/2", Fraction(1, 2)),
-        ("critical", None),  # alpha^2 = 1/2, float only
+        ("1/4", Fraction(1, 16)),
+        ("1/2", Fraction(1, 4)),
+        ("critical", 0.5),
     ]
     print(f"{'alpha':>10} {'band slope':>12} {'S_2N - S_N at N=' + str(args.n_max // 2):>22}")
-    for label, alpha in charges:
-        if alpha is not None:
-            rows = partial_sum_norm_series(alpha, args.m, args.n_max)
-            series = [(band, float(val)) for band, val, _ in rows if val > 0]
-            sums = {band: float(total) for band, _, total in rows}
-        else:
-            rows = float_partial_rows(0.5, args.m, args.n_max)
-            series = [(band, val) for band, val, _ in rows if val > 0]
-            sums = {band: total for band, _, total in rows}
+    for label, alpha_sq in charges:
+        rows = partial_sum_norm_series(alpha_sq, args.m, args.n_max)
+        series = [(band, float(val)) for band, val, _ in rows if val > 0]
+        sums = {band: float(total) for band, _, total in rows}
         slope = loglog_slope(series, (args.n_max // 8, args.n_max - 1))
         n_half = args.n_max // 2
         increment = sums[args.n_max - 1] - sums[n_half - 1]

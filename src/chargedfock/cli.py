@@ -164,10 +164,7 @@ def _cmd_converge(args) -> int:
     if not m_list:
         raise ConfigError("m-list must name at least one mode")
     for m in m_list:
-        if ctx.exact:
-            rows = partial_sum_norm_series(alpha, m, args.n_max)
-        else:
-            rows = harness.float_partial_rows(ctx.abs_sq(alpha), m, args.n_max)
+        rows = partial_sum_norm_series(ctx.abs_sq(alpha), m, args.n_max)
         if cfg.output:
             path = _per_mode_path(cfg.output, m) if len(m_list) > 1 else cfg.output
             with open(path, "w", encoding="utf-8") as fp:

@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import virasoro
@@ -173,12 +174,13 @@ class PsiCache:
     """Memo for bilinear applications; they are reused across cells and
     coupling values because the mode itself does not depend on ``lam``.
 
-    Keyed by value (space, charge, index, entries of the input state), so an
-    equal state built twice hits.  Holds the unmaterialized image, to pair
-    through :func:`~chargedfock.twodim.image_inner_product`, and its band-tail
-    norm, read from :func:`~chargedfock.twodim.image_tail_norm`: the memo
-    that :func:`~chargedfock.twodim.psi_pair_form` reads too, so an image seen
-    by another cache or another coupling's sweep finds its norm there.
+    Keyed by value (space, charge, index, the input state's entries in
+    order), so an equal state built twice hits, and one in another order gets
+    its own image, with its terms in that order.  Holds the unmaterialized
+    image, to pair through :func:`~chargedfock.twodim.image_inner_product`,
+    and its band-tail norm, read from :func:`~chargedfock.twodim.image_tail_norm`:
+    the memo that :func:`~chargedfock.twodim.psi_pair_form` reads too, so an
+    image seen by another cache or another coupling's sweep finds its norm there.
     """
 
     def __init__(self):
@@ -187,7 +189,7 @@ class PsiCache:
     def apply(
         self, space: Space, alpha: Scalar, m: int, state: TensorState
     ) -> Tuple[TimeZeroImage, float]:
-        key = (space, alpha, m, frozenset(state.entries.items()))
+        key = (space, alpha, m, tuple(state.entries.items()))
         hit = self._store.get(key)
         if hit is None:
             image = time_zero_image(space, TimeZeroMode(alpha, m), state)
@@ -223,8 +225,6 @@ def default_interior_buffer(max_abs_m: int, probe_level: int) -> int:
 
 def _require_interior(space: Space, phi: TensorState, buffer: int, name: str) -> None:
     L = space.trunc.level_cutoff
-    if L is None:
-        raise ValueError("weak commutators need a finite level cutoff")
     if phi.overflow:
         raise ValueError(f"{name} already carries truncation drops")
     if phi.entries and phi.max_chiral_level() > L - buffer:
@@ -422,21 +422,6 @@ def commutator_targets(
     return ll_target, psi_target
 
 
-def _log_reuse(name: str, records: int, t0: float) -> None:
-    """One INFO line on what the report computed and what it reused."""
-    log.info(
-        "%s: %d records, %d of %d chiral applications computed,"
-        " %d coupling-free pieces computed, %d reused, %.3f s",
-        name,
-        records,
-        _REUSE["chiral_computed"],
-        _REUSE["chiral_requested"],
-        _REUSE["pieces_computed"],
-        _REUSE["pieces_reused"],
-        time.perf_counter() - t0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # symbolic coefficient checks
 
@@ -556,12 +541,18 @@ def _probe_pairs(
         pairs.append(("charge-step-pair", step, vac))
     rng = random.Random(seed)
     menu = [lam for lv in range(level + 1) for lam in partitions_of(lv)]
+    repeats = []
     for s in range(samples):
         j1 = rng.choice(js)
         j2 = rng.choice([j for j in (j1 - mult, j1, j1 + mult) if j in js])
         phi1 = TensorState.basis(j1, rng.choice(menu), rng.choice(menu))
         phi2 = TensorState.basis(j2, rng.choice(menu), rng.choice(menu))
+        same = [name for name, v, w in pairs if (v.entries, w.entries) == (phi1.entries, phi2.entries)]
+        if same:
+            repeats.append(f"sample-{s} = {same[0]}")
         pairs.append((f"sample-{s}", phi1, phi2))
+    if repeats:
+        log.warning("seeded probe samples repeat earlier pairs and check nothing new: %s", ", ".join(repeats))
     return pairs
 
 
@@ -615,6 +606,45 @@ def _residual_record(
     return record
 
 
+def _gap_record(
+    space: Space,
+    gen_a: PerturbedGenerator,
+    gen_b: PerturbedGenerator,
+    probe: str,
+    phi1: TensorState,
+    phi2: TensorState,
+    interior_buffer: int,
+    cache: PsiCache,
+) -> Tuple[dict, bool]:
+    """A measured cross-term gap of the constant-coefficient family against
+    its prediction ``lam (2d - 1) (m - n) <phi1, Psi_{m+n} phi2>``, and
+    whether the gap vanishes."""
+    ctx = space.ctx
+    m, n, lam = gen_a.m, gen_b.m, gen_a.lam
+    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer, cache=cache)
+    _ll_t, psi_t = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache=cache)
+    gap = parts.mixed - psi_t
+    if ctx.is_zero(lam) or m == n:
+        predicted = ctx.zero()
+    else:
+        psi_sum2, _ = cache.apply(space, gen_a.alpha, m + n, phi2)
+        gap_scale = lam * (2 * conformal_weight(gen_a.alpha) - 1)
+        predicted = gap_scale * ((m - n) * image_inner_product(phi1, psi_sum2))
+    gap_re, gap_im = ctx.re_im(gap)
+    pre_re, pre_im = ctx.re_im(predicted)
+    row = {
+        "m": m,
+        "n": n,
+        "probe": probe,
+        "gap_re": float(gap_re),
+        "gap_im": float(gap_im),
+        "predicted_re": float(pre_re),
+        "predicted_im": float(pre_im),
+        "matches_prediction": ctx.is_zero(gap - predicted),
+    }
+    return row, ctx.is_zero(gap)
+
+
 def _summarize(records: List[dict]) -> dict:
     id_fail = sum(1 for r in records if r["verdict"] == "identity_failure")
     over = sum(1 for r in records if r["verdict"] == "budget_exceeded")
@@ -630,6 +660,41 @@ def _summarize(records: List[dict]) -> dict:
         "max_tail_budget": max((r["tail_budget"] for r in records), default=0.0),
         "verdict": verdict,
     }
+
+
+def _cells(m_range: int) -> List[Tuple[int, int]]:
+    """The cells (m, n) with |m|, |n|, |m + n| <= m_range."""
+    span = range(-m_range, m_range + 1)
+    return [(m, n) for m, n in product(span, span) if abs(m + n) <= m_range]
+
+
+def _family_sweep(name, space, family, alpha, lam, cells, buffer, record, **probe_args) -> list:
+    """``record(space, gen_a, gen_b, probe, phi1, phi2, buffer, cache)`` on
+    each cell (m, n), gen_a and gen_b the family's members at m and n, and on
+    each probe pair of :func:`_probe_pairs`, cells outermost, through one
+    :class:`PsiCache`.  Logs one INFO line on what the sweep computed and
+    what it reused."""
+    t0 = time.perf_counter()
+    _REUSE.clear()
+    cache = PsiCache()
+    pairs = _probe_pairs(space, alpha, buffer, **probe_args)
+    records = []
+    for m, n in cells:
+        gen_a = PerturbedGenerator(family, m, lam, alpha)
+        gen_b = PerturbedGenerator(family, n, lam, alpha)
+        records += [record(space, gen_a, gen_b, probe, phi1, phi2, buffer, cache) for probe, phi1, phi2 in pairs]
+    log.info(
+        "%s: %d records, %d of %d chiral applications computed,"
+        " %d coupling-free pieces computed, %d reused, %.3f s",
+        name,
+        len(records),
+        _REUSE["chiral_computed"],
+        _REUSE["chiral_requested"],
+        _REUSE["pieces_computed"],
+        _REUSE["pieces_reused"],
+        time.perf_counter() - t0,
+    )
+    return records
 
 
 def verify_lorentz(
@@ -649,22 +714,11 @@ def verify_lorentz(
     probe_level = 2
     if interior_buffer is None:
         interior_buffer = default_interior_buffer(1, probe_level)
-    t0 = time.perf_counter()
-    _REUSE.clear()
-    cache = PsiCache()
-    pairs = _probe_pairs(space, alpha, interior_buffer, seed, samples, probe_level)
-    records = []
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            gen_a = PerturbedGenerator("lorentz", m, lam, alpha)
-            gen_b = PerturbedGenerator("lorentz", n, lam, alpha)
-            for probe, phi1, phi2 in pairs:
-                records.append(
-                    _residual_record(
-                        space, gen_a, gen_b, probe, phi1, phi2, interior_buffer, cache
-                    )
-                )
-    _log_reuse("verify_lorentz", len(records), t0)
+    cells = list(product((-1, 0, 1), repeat=2))
+    records = _family_sweep(
+        "verify_lorentz", space, "lorentz", alpha, lam, cells, interior_buffer, _residual_record,
+        seed=seed, samples=samples, probe_level=probe_level,
+    )
     return {"family": "lorentz", "records": records, "summary": _summarize(records)}
 
 
@@ -682,46 +736,20 @@ def verify_virasoro_c0(
     probe_level = 2
     if interior_buffer is None:
         interior_buffer = default_interior_buffer(m_range, probe_level)
-    t0 = time.perf_counter()
-    _REUSE.clear()
-    cache = PsiCache()
-    pairs = _probe_pairs(space, alpha, interior_buffer, seed, samples, probe_level)
-    records = []
-    for m in range(-m_range, m_range + 1):
-        for n in range(-m_range, m_range + 1):
-            if abs(m + n) > m_range:
-                continue
-            gen_a = PerturbedGenerator("virasoro_c0", m, lam, alpha)
-            gen_b = PerturbedGenerator("virasoro_c0", n, lam, alpha)
-            for probe, phi1, phi2 in pairs:
-                records.append(
-                    _residual_record(
-                        space, gen_a, gen_b, probe, phi1, phi2, interior_buffer, cache
-                    )
-                )
-    _log_reuse("verify_virasoro_c0", len(records), t0)
+    records = _family_sweep(
+        "verify_virasoro_c0", space, "virasoro_c0", alpha, lam, _cells(m_range), interior_buffer,
+        _residual_record, seed=seed, samples=samples, probe_level=probe_level,
+    )
     coefficient_rows = []
-    for m in range(-m_range, m_range + 1):
-        for n in range(-m_range, m_range + 1):
-            lhs, rhs = virasoro_combination(conformal_weight_fraction(alpha), m, n)
-            coefficient_rows.append(
-                {"m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs}
-            )
+    for m, n in product(range(-m_range, m_range + 1), repeat=2):
+        lhs, rhs = virasoro_combination(conformal_weight(alpha), m, n)
+        coefficient_rows.append({"m": m, "n": n, "lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs})
     return {
         "family": "virasoro_c0",
         "records": records,
         "coefficient_identity": coefficient_rows,
         "summary": _summarize(records),
     }
-
-
-def conformal_weight_fraction(alpha) -> Fraction:
-    """Exact weight for symbolic rows; float charges are rationalized first."""
-    if isinstance(alpha, float):
-        return Fraction(alpha).limit_denominator(10**12) ** 2 / 2
-    weight = conformal_weight(alpha)
-    re = getattr(weight, "re", weight)
-    return Fraction(re)
 
 
 def explore_d_half(
@@ -743,62 +771,24 @@ def explore_d_half(
     probe_level = 1
     if interior_buffer is None:
         interior_buffer = default_interior_buffer(m_range, probe_level)
-    t0 = time.perf_counter()
-    _REUSE.clear()
-    cache = PsiCache()
-    pairs = _probe_pairs(space, alpha, interior_buffer, seed=0, samples=0, probe_level=probe_level)
-    d = conformal_weight(alpha)
-    gap_scale = lam * (2 * d - 1)
-    measured = []
-    all_gaps_vanish = True
-    for m in range(-m_range, m_range + 1):
-        for n in range(-m_range, m_range + 1):
-            if abs(m + n) > m_range:
-                continue
-            gen_a = PerturbedGenerator("d_half", m, lam, alpha)
-            gen_b = PerturbedGenerator("d_half", n, lam, alpha)
-            for probe, phi1, phi2 in pairs:
-                parts = weak_commutator_parts(
-                    space, gen_a, gen_b, phi1, phi2, interior_buffer, cache=cache
-                )
-                _ll_t, psi_t = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache=cache)
-                gap = parts.mixed - psi_t
-                if ctx.is_zero(lam) or m == n:
-                    predicted = ctx.zero()
-                else:
-                    psi_sum2, _ = cache.apply(space, alpha, m + n, phi2)
-                    predicted = gap_scale * ((m - n) * image_inner_product(phi1, psi_sum2))
-                all_gaps_vanish = all_gaps_vanish and ctx.is_zero(gap)
-                gap_re, gap_im = ctx.re_im(gap)
-                pre_re, pre_im = ctx.re_im(predicted)
-                measured.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "probe": probe,
-                        "gap_re": float(gap_re),
-                        "gap_im": float(gap_im),
-                        "predicted_re": float(pre_re),
-                        "predicted_im": float(pre_im),
-                        "matches_prediction": ctx.is_zero(gap - predicted),
-                    }
-                )
-    _log_reuse("explore_d_half", len(measured), t0)
-    series = partial_sum_norm_series(alpha, 0, n_bands)
+    measured = _family_sweep(
+        "explore_d_half", space, "d_half", alpha, lam, _cells(m_range), interior_buffer, _gap_record,
+        seed=0, samples=0, probe_level=probe_level,
+    )
+    series = partial_sum_norm_series(ctx.abs_sq(alpha), 0, n_bands)
     band_rows = [
         {"band": band, "band_norm_sq": float(val), "partial_sum": float(total)}
         for band, val, total in series
     ]
-    d_re, _ = ctx.re_im(d)
     return {
         "family": "d_half",
-        "weight": ctx.json_real(d_re),
+        "weight": ctx.json_real(ctx.re_im(conformal_weight(alpha))[0]),
         "lambda": ctx.json_real(ctx.re_im(lam)[0]),
         "alpha": ctx.json_real(ctx.re_im(alpha)[0]),
         "L": space.trunc.level_cutoff,
         "buffer": interior_buffer,
-        "measured_gap": measured,
+        "measured_gap": [row for row, _ in measured],
         "closure_table": closure_table(m_range=3),
         "band_partial_sums": band_rows,
-        "closes_at_this_weight": all_gaps_vanish,
+        "closes_at_this_weight": all(vanishes for _, vanishes in measured),
     }

@@ -18,8 +18,6 @@ with a single shared ``j``.  Their Gram weight factorizes.
 Truncation keeps levels ``<= level_cutoff`` and sectors inside the window.
 Operations never round intermediate results; when a final component falls
 outside the truncation it is dropped and the state's ``overflow`` flag is set.
-A ``level_cutoff`` of ``None`` (used by identity-checking harnesses on interior
-vectors) disables the level drop entirely.
 
 A state maps each key to its nonzero value: a Fraction or an int in the
 exact modes (a GaussianRational once an imaginary unit appears), a float or
@@ -39,13 +37,12 @@ float mode sums float64 values.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, gcd, lcm, prod
-from typing import IO, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -94,33 +91,25 @@ def zsym(lam: Partition) -> int:
     return out
 
 
-def gram(lam: Partition, mu: Partition) -> int:
-    """Inner product of two basis partitions (same sector): zsym on the diagonal."""
-    return zsym(lam) if lam == mu else 0
-
-
 @dataclass(frozen=True)
 class Truncation:
     """Finite computational window: levels <= level_cutoff, j in [j_min, j_max]."""
 
-    level_cutoff: Optional[int]
+    level_cutoff: int
     j_min: int
     j_max: int
 
     def __post_init__(self):
-        if self.level_cutoff is not None and self.level_cutoff < 0:
-            raise ValueError("level_cutoff must be nonnegative")
+        if not isinstance(self.level_cutoff, int) or self.level_cutoff < 0:
+            raise ValueError(f"level_cutoff must be a nonnegative integer, got {self.level_cutoff!r}")
         if self.j_min > self.j_max:
             raise ValueError("empty sector window")
 
     def admits_level(self, level: int) -> bool:
-        return self.level_cutoff is None or level <= self.level_cutoff
+        return level <= self.level_cutoff
 
     def admits_sector(self, j: int) -> bool:
         return self.j_min <= j <= self.j_max
-
-    def unbounded(self) -> "Truncation":
-        return replace(self, level_cutoff=None)
 
 
 @dataclass(frozen=True)
@@ -265,7 +254,7 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
         row_den, level, mus, nums = row_of(key[0], key[side])
         if not mus:
             continue
-        if cutoff is not None and level > cutoff:
+        if level > cutoff:
             overflow = True
             continue
         if row_den != 1:
@@ -501,23 +490,3 @@ def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
     if ctx.exact:
         return not any(total.values())
     return all(abs(x) <= ctx.tolerance for x in total.values())
-
-
-def _sort_key(key):
-    if len(key) == 2:
-        j, lam = key
-        return (j, sum(lam), lam)
-    j, left, right = key
-    return (j, sum(left), left, sum(right), right)
-
-
-def dump_state(ctx: ArithmeticContext, state, fp: IO[str]) -> None:
-    """Write a state as JSON lines (sorted, exact coefficients as 'p/q' strings)."""
-    for key in sorted(state.entries, key=_sort_key):
-        c = state.entries[key]
-        re, im = ctx.json_re_im(c)
-        if len(key) == 2:
-            rec = {"j": key[0], "partition": list(key[1]), "re": re, "im": im}
-        else:
-            rec = {"j": key[0], "left": list(key[1]), "right": list(key[2]), "re": re, "im": im}
-        fp.write(json.dumps(rec, sort_keys=True) + "\n")

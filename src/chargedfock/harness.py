@@ -54,7 +54,7 @@ from .fock import (
     value_row,
 )
 from .heisenberg import j_matrices
-from .twodim import weak_psi_commutator
+from .twodim import partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
 from .vertex import (
     apply_Y_mode,
     apply_Y_mode_recursive,
@@ -79,8 +79,6 @@ __all__ = [
     "mode_oracle_suite",
     "mode_adjoint_suite",
     "decay_report",
-    "float_norm_series",
-    "float_partial_rows",
     "commutativity_report",
     "divergence_series",
 ]
@@ -462,21 +460,6 @@ def algebra_report(space: Space, alpha) -> dict:
 # decay of vacuum mode norms (verify-decay)
 
 
-def float_norm_series(alpha_sq: float, n_max: int) -> List[float]:
-    """Closed-form squared norms by the recurrence r_{n+1} = r_n (a+n)/(n+1).
-
-    Entry n is the squared norm of the level-raising-n mode on a vacuum; the
-    incremental form never materializes the huge factorials that overflow a
-    direct float evaluation past n ~ 170.
-    """
-    out = [1.0]
-    r = 1.0
-    for n in range(n_max):
-        r = r * (alpha_sq + n) / (n + 1)
-        out.append(r)
-    return out
-
-
 # verify-decay's fixed settings: the n window of the slope fit and its tolerance
 # against 2d - 1; the mode blocks' shift range and level cap, and their norm
 # bound 1 with float slack
@@ -530,7 +513,7 @@ def decay_report(space: Space, alpha, n_max: int = 512) -> dict:
         warnings.append("decay: charge window omits the shifted sector, exact table vacuous")
 
     alpha_sq = float(ctx.abs_sq(alpha))
-    series = float_norm_series(alpha_sq, n_max)
+    series = vacuum_norm_series(alpha_sq, n_max)
     lo, hi = SLOPE_WINDOW
     hi = min(hi, n_max)
     expected_slope = 2.0 * float(ctx.re_im(d)[0]) - 1.0
@@ -742,24 +725,6 @@ def commutativity_report(
 # partial-sum studies (converge / diverge-demo)
 
 
-def float_partial_rows(alpha_sq: float, m: int, n_bands: int) -> List[Tuple[int, float, float]]:
-    """Float twin of the exact band/partial-sum series, via the recurrence.
-
-    Same row shape (band, band_norm_sq, partial_sum); bands start at
-    max(0, -m) so both factors of each product are vacuum-supported.
-    """
-    start = max(0, -m)
-    top = start + n_bands - 1 + max(0, m)
-    norms = float_norm_series(alpha_sq, max(top, 0))
-    rows = []
-    total = 0.0
-    for band in range(start, start + n_bands):
-        val = norms[band] * norms[band + m]
-        total += val
-        rows.append((band, val, total))
-    return rows
-
-
 def divergence_series(n_max: int = 512) -> List[Tuple[int, float, float]]:
     """Vacuum partial sums at squared charge 1/2, the non-summable boundary.
 
@@ -767,12 +732,7 @@ def divergence_series(n_max: int = 512) -> List[Tuple[int, float, float]]:
     (N, S_N, S_N - S_{N/2}) for N a power of two, and the increment column
     settles near log(2)/pi instead of shrinking.
     """
-    norms = float_norm_series(0.5, n_max)
-    sums = []
-    total = 0.0
-    for r in norms:
-        total += r * r
-        sums.append(total)
+    sums = [total for _, _, total in partial_sum_norm_series(0.5, 0, n_max + 1)]
     rows = []
     n = 2
     while n <= n_max:

@@ -1,4 +1,4 @@
-"""Current mode actions J_m on sector and two-sided states.
+"""Current mode actions J_m on sector states.
 
 Conventions (fixed by positivity of the Gram form and J_m* = J_{-m}):
 
@@ -24,7 +24,6 @@ from .fock import (
     Row,
     SectorState,
     Space,
-    TensorState,
     apply_rows,
     exact_ratio,
     float_row,
@@ -99,11 +98,6 @@ def _j_rows(space: Space, m: int):
 
 def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
     return apply_rows(space, v, _j_rows(space, m))
-
-
-def apply_J_tensor(space: Space, side: str, m: int, v: TensorState) -> TensorState:
-    """J_m acting on one chiral factor of a diagonal two-sided state."""
-    return apply_rows(space, v, _j_rows(space, m), side)
 
 
 def j_matrices(space: Space, m: int) -> Callable[[int], LevelMatrix]:

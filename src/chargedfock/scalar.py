@@ -229,9 +229,6 @@ class ArithmeticContext:
             return x == 0
         return abs(x) <= self.tolerance
 
-    def eq(self, a: Scalar, b: Scalar) -> bool:
-        return self.is_zero(a - b)
-
     def json_real(self, r) -> Union[str, float]:
         """Real number as a JSON-stable value: 'p/q' string when exact."""
         if self.exact:

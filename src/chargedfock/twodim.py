@@ -5,8 +5,8 @@ The time-zero mode of charge ``alpha`` at integer index ``m`` is the band sum
     Psi_{alpha,m} = sum_{delta} Y_{alpha,delta} (x) Y_{alpha,delta+m}
 
 over the left level shift ``delta`` (both chiral factors shift the shared
-sector once).  The symmetrized variant adds the charge-reflected term with
-``alpha -> -alpha``; its adjoint is the index-reflected mode m -> -m.
+sector once).  Every mode is symmetrized: it adds the charge-reflected term
+with ``alpha -> -alpha``, so its adjoint is the index-reflected mode m -> -m.
 
 At a finite level cutoff only the bands whose two chiral outputs both stay
 inside it (and whose target sector stays inside the window) are kept.  Dropped
@@ -46,10 +46,6 @@ it.
 :class:`~chargedfock.fock.TensorState`, band by band.  Nothing in the
 verification paths calls it: it is the small-cutoff oracle the tests check
 the factorized kernel against.
-
-Two exact symmetries used by the vanishing arguments live here as well: the
-chiral ``flip`` and the ``sign_automorphism`` (every current negated, sectors
-reflected).
 """
 
 from __future__ import annotations
@@ -58,12 +54,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .diagnostics import loglog_slope, tail_budget
-from .fock import Partition, SectorState, Space, TensorState, norm_sq, zsym
+from .fock import Partition, Space, TensorState, norm_sq, zsym
 from .scalar import Scalar, decimal_str
-from .vertex import _y_row, charge_multiplier, vacuum_mode_norm_sq, y_mode_table
+from .vertex import _y_row, charge_multiplier, y_mode_table
 
 __all__ = [
     "TimeZeroMode",
@@ -78,10 +75,9 @@ __all__ = [
     "tail_product",
     "psi_pair_form",
     "weak_psi_commutator",
+    "vacuum_norm_series",
     "partial_sum_norm_series",
     "write_convergence_csv",
-    "flip",
-    "sign_automorphism",
 ]
 
 
@@ -89,12 +85,9 @@ __all__ = [
 class TimeZeroMode:
     alpha: Scalar
     m: int
-    symmetrized: bool = True
 
     def adjoint(self) -> "TimeZeroMode":
-        if self.symmetrized:
-            return TimeZeroMode(self.alpha, -self.m, True)
-        return TimeZeroMode(-self.alpha, -self.m, False)
+        return TimeZeroMode(self.alpha, -self.m)
 
 
 @dataclass(frozen=True)
@@ -121,19 +114,15 @@ class TimeZeroImage:
 
 def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZeroImage:
     """The mode on v, unmaterialized; pair it with :func:`image_inner_product`."""
-    if space.trunc.level_cutoff is None:
-        raise ValueError("time-zero modes need a finite level cutoff")
     mult = charge_multiplier(space, mode.alpha)
-    signs = (1, -1) if mode.symmetrized else (1,)
     terms = []
     charge_clipped = False
     for (j, left, right), c in v.entries.items():
-        for eps in signs:
+        for eps, alpha_eps in ((1, mode.alpha), (-1, -mode.alpha)):
             jt = j + eps * mult
             if not space.trunc.admits_sector(jt):
                 charge_clipped = True
                 continue
-            alpha_eps = mode.alpha if eps == 1 else -mode.alpha
             terms.append((jt, alpha_eps, c, left, right, sum(left), sum(right)))
     return TimeZeroImage(space, mode, tuple(terms), charge_clipped)
 
@@ -271,16 +260,12 @@ def apply_time_zero(space: Space, mode: TimeZeroMode, v: TensorState):
     Materializes every band; the test oracle for the factorized kernel.
     """
     L = space.trunc.level_cutoff
-    if L is None:
-        raise ValueError("time-zero modes need a finite level cutoff")
     mult = charge_multiplier(space, mode.alpha)
-    signs = (1, -1) if mode.symmetrized else (1,)
     band_acc: dict = {}
     charge_clipped = False
     for (j, left, right), c in v.entries.items():
         lL, lR = sum(left), sum(right)
-        for eps in signs:
-            alpha_eps = mode.alpha if eps == 1 else -mode.alpha
+        for eps, alpha_eps in ((1, mode.alpha), (-1, -mode.alpha)):
             jt = j + eps * mult
             if not space.trunc.admits_sector(jt):
                 charge_clipped = True
@@ -387,51 +372,29 @@ def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2):
     return first - second, b1 + b2
 
 
-def partial_sum_norm_series(alpha, m: int, n_bands: int) -> List[Tuple[int, Scalar, Scalar]]:
-    """Band-norm series of the unsymmetrized mode on a vacuum pair.
+def vacuum_norm_series(alpha_sq, n_max: int) -> list:
+    """[r_0, ..., r_{n_max}], r_n = prod_{k<n} (alpha_sq + k) / n! the squared
+    vacuum norm of the level-raising-n mode, by r_{n+1} = r_n (alpha_sq + n) /
+    (n + 1): exact for an exact alpha_sq, and float for a float one with no
+    factorial to overflow past n ~ 170."""
+    step = lambda r, n: r * (alpha_sq + n) / (n + 1)  # noqa: E731
+    return list(accumulate(range(n_max), step, initial=alpha_sq**0))  # r_0 = 1 of alpha_sq's type
 
-    Band n contributes ||Y_n vac||^2 * ||Y_{n+m} vac||^2; rows are
-    (band, band_norm_sq, partial_sum) for the first n_bands bands, exact when
-    alpha is exact.
+
+def partial_sum_norm_series(alpha_sq, m: int, n_bands: int) -> List[Tuple[int, Scalar, Scalar]]:
+    """Band-norm series of one charge of the mode on a vacuum pair.
+
+    Band n contributes r_n r_{n+m} (:func:`vacuum_norm_series`); rows are
+    (band, band_norm_sq, partial_sum) for the first n_bands bands from
+    max(0, -m), where both factors are vacuum-supported.
     """
-    rows = []
-    total = 0
-    band = max(0, -m)
-    for _ in range(n_bands):
-        val = vacuum_mode_norm_sq(alpha, band) * vacuum_mode_norm_sq(alpha, band + m)
-        total = total + val
-        rows.append((band, val, total))
-        band += 1
-    return rows
+    bands = range(max(0, -m), max(0, -m) + n_bands)
+    norms = vacuum_norm_series(alpha_sq, max(bands.stop - 1 + max(0, m), 0))
+    vals = [norms[band] * norms[band + m] for band in bands]
+    return list(zip(bands, vals, accumulate(vals)))
 
 
 def write_convergence_csv(rows, fp) -> None:
     fp.write("band,band_norm_sq,partial_sum\n")
     for band, val, total in rows:
         fp.write(f"{band},{decimal_str(val)},{decimal_str(total)}\n")
-
-
-def flip(v: TensorState) -> TensorState:
-    """Chiral swap (j, left, right) -> (j, right, left)."""
-    return TensorState(
-        {(j, right, left): c for (j, left, right), c in v.entries.items()}, v.overflow
-    )
-
-
-def sign_automorphism(v):
-    """Negate every current mode: sectors reflect and each part contributes -1."""
-    if isinstance(v, SectorState):
-        return SectorState(
-            {
-                (-j, lam): c * (-1) ** len(lam)
-                for (j, lam), c in v.entries.items()
-            },
-            v.overflow,
-        )
-    return TensorState(
-        {
-            (-j, left, right): c * (-1) ** (len(left) + len(right))
-            for (j, left, right), c in v.entries.items()
-        },
-        v.overflow,
-    )

@@ -274,8 +274,6 @@ def _mode_block_entries(space: Space, alpha, delta: int):
     coeff * sqrt(zsym(mu)/zsym(lam)).
     """
     L = space.trunc.level_cutoff
-    if L is None:
-        raise ValueError("mode block needs a finite level cutoff")
     lo = max(0, -delta)
     hi = min(L, L - delta)
     for level in range(lo, hi + 1):
@@ -300,8 +298,6 @@ def truncated_mode_norm(
     norm.  Raises PowerIterationError when the quotient fails to settle.
     """
     L = space.trunc.level_cutoff
-    if L is None:
-        raise ValueError("truncated_mode_norm needs a finite level cutoff")
     lo = max(0, -delta)
     hi = min(L, L - delta)
     if hi < lo:

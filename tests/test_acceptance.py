@@ -27,13 +27,12 @@ from chargedfock.harness import (
     current_bracket_suite,
     current_covariance_suite,
     divergence_series,
-    float_norm_series,
     mode_oracle_suite,
     primary_covariance_suite,
     virasoro_bracket_suite,
 )
 from chargedfock.scalar import make_context
-from chargedfock.twodim import partial_sum_norm_series
+from chargedfock.twodim import partial_sum_norm_series, vacuum_norm_series
 from chargedfock.vertex import apply_Y_mode, truncated_mode_norm
 
 EXACT = make_context("exact-rational")
@@ -97,7 +96,7 @@ def test_criterion_03_vacuum_norm_formula_and_decay():
         for k in range(n):
             binom *= (two_d + k) / (k + 1)
         exact_ok = exact_ok and computed == binom
-    series = float_norm_series(float(two_d), 512)
+    series = vacuum_norm_series(float(two_d), 512)
     fitted = loglog_slope([(n, series[n]) for n in range(1, 513)], (64, 512))
     slope_ok = abs(fitted - (-0.75)) <= DECAY_SLOPE_TOL
     _line(
@@ -147,7 +146,7 @@ def test_criterion_06_mode_oracle_equivalence():
 
 
 def test_criterion_07_convergence_threshold():
-    rows = partial_sum_norm_series(HALF, 0, 513)
+    rows = partial_sum_norm_series(HALF * HALF, 0, 513)
     sums = [float(total) for _, _, total in rows]
     points = [(N, sums[2 * N] - sums[N]) for N in (32, 64, 128, 256)]
     fitted = loglog_slope(points, (32, 256))

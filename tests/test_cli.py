@@ -352,6 +352,36 @@ def test_explore_d_half_reports_closure_at_unit_charge(capsys):
     assert all(r["matches_prediction"] for r in rep["measured_gap"])
 
 
+def test_float_explore_d_half_band_sums_are_the_converge_rows(capsys):
+    # the float band series runs on the recurrence: past n ~ 170 a product of
+    # factorials would overflow to nan and make the report non-JSON
+    float_args = ("--arithmetic", "float", "--tolerance", "1e-9", "--n-max", "400")
+    code, out = run(capsys, "explore-d-half", *float_args)
+    assert code == 0
+    bands = _strict_loads(out)["band_partial_sums"]
+    code, csv = run(capsys, "converge", *float_args)
+    assert code == 0
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert len(bands) == len(rows) == 400
+    for band, (n, val, total) in zip(bands, rows):
+        # 30 significant digits give each float back bit for bit
+        assert (band["band"], band["band_norm_sq"], band["partial_sum"]) == (int(n), float(val), float(total))
+
+
+def test_repeated_probe_samples_warn_and_stay_in_the_report(capsys, caplog):
+    # at cutoff 3 only the vacuum fits below the buffer, so both seeded
+    # samples draw the vacuum pair again
+    code, out = run(capsys, "verify-lorentz", "--level_cutoff", "3")
+    assert code == 0
+    assert "repeat earlier pairs and check nothing new: sample-0 = vacuum-pair, sample-1 = vacuum-pair" in caplog.text
+    probes = [r["probe"] for r in json.loads(out)["records"]]
+    assert len(probes) == 36
+    assert probes.count("vacuum-pair") == probes.count("sample-0") == probes.count("sample-1") == 9
+    caplog.clear()
+    run(capsys, "verify-lorentz", "--level_cutoff", "6")
+    assert "repeat earlier pairs" not in caplog.text
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run(

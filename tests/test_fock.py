@@ -11,8 +11,6 @@ from chargedfock.fock import (
     Space,
     TensorState,
     Truncation,
-    dump_state,
-    gram,
     inner_product,
     norm_sq,
     partitions_of,
@@ -20,6 +18,7 @@ from chargedfock.fock import (
     zsym,
 )
 from chargedfock.scalar import GaussianRational, make_context
+from state_reference import dump_state, gram
 
 EXACT = make_context("exact-rational")
 
@@ -93,7 +92,9 @@ def test_truncation_validation():
     t = Truncation(4, -2, 2)
     assert t.admits_level(4) and not t.admits_level(5)
     assert t.admits_sector(-2) and not t.admits_sector(3)
-    assert t.unbounded().admits_level(10**6)
+    for cutoff in (None, 4.0, "4"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Truncation(cutoff, -2, 2)
 
 
 def test_inner_product_conjugate_linear_first_slot():

@@ -27,8 +27,6 @@ from chargedfock.harness import (
     current_covariance_suite,
     decay_report,
     divergence_series,
-    float_norm_series,
-    float_partial_rows,
     lorentz_closure_suite,
     mode_adjoint_suite,
     mode_oracle_suite,
@@ -36,7 +34,7 @@ from chargedfock.harness import (
     virasoro_bracket_suite,
 )
 from chargedfock.scalar import make_context
-from chargedfock.twodim import partial_sum_norm_series
+from chargedfock.twodim import partial_sum_norm_series, vacuum_norm_series
 from chargedfock.vertex import conformal_weight, mode_index, vacuum_mode_norm_sq
 from chargedfock.virasoro import central_term
 
@@ -219,15 +217,15 @@ def test_headroom_keeps_identities_truncation_free():
 
 
 def test_float_norm_series_matches_exact_closed_form():
-    series = float_norm_series(float(HALF * HALF), 24)
+    series = vacuum_norm_series(float(HALF * HALF), 24)
     for n in range(25):
         exact = float(vacuum_mode_norm_sq(HALF, n))
         assert series[n] == pytest.approx(exact, rel=1e-12)
 
 
 def test_float_partial_rows_track_exact_series():
-    exact_rows = partial_sum_norm_series(HALF, 1, 12)
-    float_rows = float_partial_rows(0.25, 1, 12)
+    exact_rows = partial_sum_norm_series(HALF * HALF, 1, 12)
+    float_rows = partial_sum_norm_series(0.25, 1, 12)
     assert [r[0] for r in float_rows] == [r[0] for r in exact_rows]
     for (_, fv, ft), (_, ev, et) in zip(float_rows, exact_rows):
         assert fv == pytest.approx(float(ev), rel=1e-12)

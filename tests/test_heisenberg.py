@@ -12,14 +12,19 @@ from chargedfock.fock import (
     partitions_of,
     states_equal,
 )
-from chargedfock.heisenberg import apply_J, apply_J_tensor
+from chargedfock.heisenberg import apply_J
 from chargedfock.scalar import make_context
+from state_reference import apply_J_tensor
 
 EXACT = make_context("exact-rational")
 
 
+# a cutoff above every level these tests reach, so that nothing is dropped
+INTERIOR = 64
+
+
 def interior_space(alpha0=Fraction(1, 2), window=(-2, 2)):
-    return Space(EXACT, alpha0, Truncation(None, *window))
+    return Space(EXACT, alpha0, Truncation(INTERIOR, *window))
 
 
 SP = interior_space()

@@ -44,14 +44,18 @@ from chargedfock.fock import (
     states_equal,
     zsym,
 )
-from chargedfock.heisenberg import apply_J, apply_J_tensor, j_matrices, j_step
+from chargedfock.heisenberg import apply_J, j_matrices, j_step
 from chargedfock.scalar import GaussianRational, make_context
+from chargedfock.twodim import TimeZeroMode, time_zero_image
 from chargedfock.vertex import apply_Y_mode, y_matrices, y_mode_table
 from chargedfock.virasoro import apply_L, apply_L_tensor, l_matrices
 from fraction_reference import make_row, sugawara_row
+from state_reference import apply_J_tensor
 
 MODES = ("exact-rational", "exact-gaussian", "float")
 WINDOW = (-2, 2)
+# a cutoff above every level the drawn states and operators reach: nothing drops
+INTERIOR = 64
 
 
 def make_space(mode, cutoff):
@@ -79,7 +83,7 @@ sectors = st.integers(min_value=WINDOW[0], max_value=WINDOW[1])
 @st.composite
 def setups(draw, tensor=False):
     mode = draw(st.sampled_from(MODES))
-    cutoff = draw(st.one_of(st.none(), st.integers(min_value=2, max_value=6)))
+    cutoff = draw(st.one_of(st.just(INTERIOR), st.integers(min_value=2, max_value=6)))
     coeff = coefficients(mode)
     if tensor:
         key = st.tuples(sectors, partitions, partitions)
@@ -201,6 +205,19 @@ def test_equal_states_built_by_different_routes_share_one_psi_cache_entry():
     assert len(cache._store) == 1
 
 
+def test_a_reversed_state_gets_the_image_of_its_own_entry_order():
+    # equal states in two orders: float sums follow the order of the terms,
+    # so each order has its own cached image, that of a cold application
+    space = make_space("float", 6)
+    v = TensorState({(0, (1, 1), ()): 8 / 7, (0, (2,), (1,)): 4 / 7, (-1, (2,), ()): -2.0})
+    w = TensorState(dict(reversed(v.entries.items())))
+    cache = PsiCache()
+    for m in (-1, 1):
+        cache.apply(space, space.alpha0, m, v)
+        image, _tail = cache.apply(space, space.alpha0, m, w)
+        assert image.terms == time_zero_image(space, TimeZeroMode(space.alpha0, m), w).terms
+
+
 # 1/2 and 1 as in the default config, 1/3 and -2/3 for denominators past 2,
 # 0.3 for float mode, where a float charge must sum its terms as the Fraction
 # reference does
@@ -280,7 +297,7 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
     # sector's rows stacked alone over their own: at 2/7, J_0 and L_n reduce
     # to different denominators in different sectors
     ctx = make_context("float", 1e-9) if isinstance(charge, float) else make_context("exact-rational")
-    space = Space(ctx, charge, Truncation(None, *window))
+    space = Space(ctx, charge, Truncation(INTERIOR, *window))
     if mode == "J":
         stack, rows, shift = j_matrices(space, m), heisenberg._j_rows(space, m), -m
     elif mode == "L":

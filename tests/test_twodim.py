@@ -23,13 +23,11 @@ from chargedfock.twodim import (
     TimeZeroMode,
     apply_time_zero,
     band_tail_norm,
-    flip,
     image_band_report,
     image_inner_product,
     image_tail_norm,
     partial_sum_norm_series,
     psi_pair_form,
-    sign_automorphism,
     tail_product,
     time_zero_image,
     weak_psi_commutator,
@@ -37,6 +35,7 @@ from chargedfock.twodim import (
 )
 from chargedfock.vertex import vacuum_mode_norm_sq
 from fraction_reference import chiral_gram
+from state_reference import close, flip, sign_automorphism
 
 EXACT = make_context("exact-rational")
 A0 = Fraction(1, 2)
@@ -50,12 +49,13 @@ VAC = TensorState.basis(0, (), ())
 
 
 def test_vacuum_band_norms_match_closed_form():
+    # each band holds one vacuum pair of charge A0 and one of -A0
     sp = space(6)
     for m in (0, 1, -2):
-        mode = TimeZeroMode(A0, m, symmetrized=False)
+        mode = TimeZeroMode(A0, m)
         out, report = apply_time_zero(sp, mode, VAC)
         expected = {
-            band: float(vacuum_mode_norm_sq(A0, band) * vacuum_mode_norm_sq(A0, band + m))
+            band: float(2 * vacuum_mode_norm_sq(A0, band) * vacuum_mode_norm_sq(A0, band + m))
             for band in range(max(0, -m), 6 - max(0, m) + 1)
         }
         assert dict(report.bands) == pytest.approx(expected)
@@ -64,12 +64,15 @@ def test_vacuum_band_norms_match_closed_form():
 
 def test_symmetrized_doubles_vacuum_norms():
     sp = space(5)
-    plus, _ = apply_time_zero(sp, TimeZeroMode(A0, 1, symmetrized=False), VAC)
-    both, rep = apply_time_zero(sp, TimeZeroMode(A0, 1, symmetrized=True), VAC)
-    assert norm_sq(EXACT, both) == 2 * norm_sq(EXACT, plus)
-    # charge-reflected images live in opposite sectors
-    sectors = {j for (j, _, _) in both.entries}
-    assert sectors == {-1, 1}
+    both, rep = apply_time_zero(sp, TimeZeroMode(A0, 1), VAC)
+    # charge-reflected images live in opposite sectors, with equal norms
+    plus = TensorState({k: c for k, c in both.entries.items() if k[0] == 1})
+    minus = TensorState({k: c for k, c in both.entries.items() if k[0] == -1})
+    assert len(plus) + len(minus) == len(both)
+    assert norm_sq(EXACT, both) == 2 * norm_sq(EXACT, plus) == 2 * norm_sq(EXACT, minus)
+    assert norm_sq(EXACT, plus) == sum(
+        vacuum_mode_norm_sq(A0, band) * vacuum_mode_norm_sq(A0, band + 1) for band in range(5)
+    )
     assert not rep.charge_clipped
 
 
@@ -80,22 +83,29 @@ def test_charge_window_clipping():
     assert {j for (j, _, _) in out.entries} == {1}
 
 
-def test_requires_finite_cutoff():
-    sp = Space(EXACT, A0, Truncation(None, -2, 2))
-    with pytest.raises(ValueError):
-        apply_time_zero(sp, TimeZeroMode(A0, 0), VAC)
-    with pytest.raises(ValueError):
-        time_zero_image(sp, TimeZeroMode(A0, 0), VAC)
-
-
 def test_partial_sum_series_values():
-    rows = partial_sum_norm_series(A0, 0, 4)
+    rows = partial_sum_norm_series(A0 * A0, 0, 4)
     assert [r[0] for r in rows] == [0, 1, 2, 3]
     assert rows[0][1] == 1
     assert rows[1][1] == vacuum_mode_norm_sq(A0, 1) ** 2 == Fraction(1, 16)
     assert rows[-1][2] == sum(r[1] for r in rows)
-    shifted = partial_sum_norm_series(A0, -2, 3)
+    shifted = partial_sum_norm_series(A0 * A0, -2, 3)
     assert [r[0] for r in shifted] == [2, 3, 4]
+
+
+def test_exact_rows_equal_the_closed_form_products():
+    # the recurrence against the product formula, band by band, for n <= 64
+    for alpha in (A0, Fraction(2, 3)):
+        for m in range(-2, 3):
+            start = max(0, -m)
+            rows = partial_sum_norm_series(alpha * alpha, m, 65 - start)
+            assert [band for band, _, _ in rows] == list(range(start, 65))
+            total = 0
+            for band, val, partial in rows:
+                want = vacuum_mode_norm_sq(alpha, band) * vacuum_mode_norm_sq(alpha, band + m)
+                total += want
+                assert (val, partial) == (want, total), (alpha, m, band)
+                assert type(val) is type(partial) is Fraction
 
 
 def test_flip_and_sign_are_involutions():
@@ -136,8 +146,6 @@ def test_adjoint_pairing_exact_at_truncation():
         lhs = inner_product(EXACT, apply_time_zero(sp, mode, u)[0], w)
         rhs = inner_product(EXACT, u, apply_time_zero(sp, mode.adjoint(), w)[0])
         assert lhs == rhs, m
-    unsym = TimeZeroMode(A0, 2, symmetrized=False)
-    assert unsym.adjoint() == TimeZeroMode(-A0, -2, symmetrized=False)
 
 
 def test_vacuum_weak_commutators_vanish_exactly():
@@ -221,7 +229,7 @@ def test_psi_pair_form_budget_orthogonality():
 
 def test_convergence_csv_format():
     buf = io.StringIO()
-    write_convergence_csv(partial_sum_norm_series(A0, 0, 3), buf)
+    write_convergence_csv(partial_sum_norm_series(A0 * A0, 0, 3), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "band,band_norm_sq,partial_sum"
     assert lines[1] == "0,1,1"
@@ -256,8 +264,6 @@ CASES = st.fixed_dictionaries(
         "mult": st.integers(1, 2),
         "m_bra": st.integers(-3, 3),
         "m_ket": st.integers(-3, 3),
-        "sym_bra": st.booleans(),
-        "sym_ket": st.booleans(),
         "phi1": _raw_state(SMALL_PARTS),
         "phi2": _raw_state(SMALL_PARTS),
         "v": _raw_state(PARTNER_PARTS),
@@ -271,8 +277,6 @@ EDGE_CASE = {
     "mult": 1,
     "m_bra": 1,
     "m_ket": -1,
-    "sym_bra": True,
-    "sym_ket": True,
     "phi1": [(2, (1,), (), 1, 1, 2), (1, (), (1,), 1, 1, 2)],
     "phi2": [(-2, (), (), -2, 1, 3), (0, (2,), (1,), -2, 1, 3)],
     "v": [(1, (2,), (1,), 1, -1, 1), (-1, (1,), (), 1, -1, 1), (1, (3, 2), (), 1, -1, 1)],
@@ -304,8 +308,8 @@ def test_factorized_kernel_matches_materialized_oracle(ctx, case):
     alpha0 = Fraction(1, 2) if ctx.exact else 0.5
     sp = Space(ctx, alpha0, Truncation(case["L"], -2, 2))
     alpha = alpha0 * case["mult"]
-    mode_bra = TimeZeroMode(alpha, case["m_bra"], case["sym_bra"])
-    mode_ket = TimeZeroMode(alpha, case["m_ket"], case["sym_ket"])
+    mode_bra = TimeZeroMode(alpha, case["m_bra"])
+    mode_ket = TimeZeroMode(alpha, case["m_ket"])
     phi1, phi2, v = (_state(ctx, case[k]) for k in ("phi1", "phi2", "v"))
 
     u_img, w_img = time_zero_image(sp, mode_bra, phi1), time_zero_image(sp, mode_ket, phi2)
@@ -320,7 +324,7 @@ def test_factorized_kernel_matches_materialized_oracle(ctx, case):
         if ctx.exact:
             assert factorized == materialized
         else:
-            assert ctx.eq(factorized, materialized)
+            assert close(ctx, factorized, materialized)
 
     for img, rep in ((u_img, rep_u), (w_img, rep_w)):
         got = image_band_report(img)

@@ -33,7 +33,7 @@ from chargedfock.virasoro import apply_L
 
 EXACT = make_context("exact-rational")
 A0 = Fraction(1, 2)
-SP = Space(EXACT, A0, Truncation(None, -4, 4))
+SP = Space(EXACT, A0, Truncation(64, -4, 4))  # above every level these tests reach
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 

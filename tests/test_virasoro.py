@@ -15,7 +15,7 @@ from chargedfock.scalar import make_context
 from chargedfock.virasoro import apply_L, apply_L_tensor, central_term
 
 EXACT = make_context("exact-rational")
-SP = Space(EXACT, Fraction(1, 2), Truncation(None, -2, 2))
+SP = Space(EXACT, Fraction(1, 2), Truncation(64, -2, 2))  # above every level these tests reach
 
 
 def test_l0_grading():
