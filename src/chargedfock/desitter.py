@@ -40,20 +40,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import virasoro
 from .fock import Space, TensorState, inner_product, partitions_of
 from .scalar import Scalar
-from .twodim import (
-    TimeZeroImage,
-    TimeZeroMode,
-    image_inner_product,
-    image_tail_norm,
-    partial_sum_norm_series,
-    tail_product,
-    time_zero_image,
-)
+from .twodim import PsiCache, image_inner_product, partial_sum_norm_series, weak_psi_commutator
 from .vertex import charge_multiplier, conformal_weight
 from .virasoro import apply_L_tensor
 
@@ -63,7 +55,6 @@ __all__ = [
     "psi_coefficient",
     "chiral_sign",
     "apply_l_part",
-    "PsiCache",
     "WeakParts",
     "weak_commutator_parts",
     "commutator_targets",
@@ -170,39 +161,6 @@ def apply_l_part(space: Space, gen: PerturbedGenerator, v: TensorState) -> Tenso
     return slot[0]
 
 
-class PsiCache:
-    """Memo for bilinear applications; they are reused across cells and
-    coupling values because the mode itself does not depend on ``lam``.
-
-    Keyed by value (space, charge, index, the input state's entries in
-    order), so an equal state built twice hits, and one in another order gets
-    its own image, with its terms in that order.  Holds the unmaterialized
-    image, to pair through :func:`~chargedfock.twodim.image_inner_product`,
-    and its band-tail norm, read from :func:`~chargedfock.twodim.image_tail_norm`:
-    the memo that :func:`~chargedfock.twodim.psi_pair_form` reads too, so an
-    image seen by another cache or another coupling's sweep finds its norm there.
-    """
-
-    def __init__(self):
-        self._store: Dict[tuple, Tuple[TimeZeroImage, float]] = {}
-
-    def apply(
-        self, space: Space, alpha: Scalar, m: int, state: TensorState
-    ) -> Tuple[TimeZeroImage, float]:
-        key = (space, alpha, m, tuple(state.entries.items()))
-        hit = self._store.get(key)
-        if hit is None:
-            image = time_zero_image(space, TimeZeroMode(alpha, m), state)
-            if image.charge_clipped:
-                raise ValueError(
-                    "bilinear application left the charge window; test vectors"
-                    " must sit one charge step inside it"
-                )
-            hit = (image, image_tail_norm(image))
-            self._store[key] = hit
-        return hit
-
-
 @dataclass(frozen=True)
 class WeakParts:
     """Weak commutator split by operator content, plus the truncation budget
@@ -274,25 +232,20 @@ def _piece(entry: dict, name, compute: Callable) -> tuple:
 
 def _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral, cache) -> tuple:
     """The cross pairings of each bilinear that acts, then (when both act) the
-    two bilinear pairings and the four tail norms; None where one does not."""
+    bilinear/bilinear weak commutator and its budget; None where one does not."""
     la_ad1, lb_ad1, la2, lb2 = chiral
     alpha = gen_a.alpha
     b_ket = b_bra = a_bra = a_ket = None
     if use_b:
-        psi_b2, tail_b2 = cache.apply(space, alpha, gen_b.m, phi2)
-        psi_mb1, tail_mb1 = cache.apply(space, alpha, -gen_b.m, phi1)
-        b_ket = image_inner_product(la_ad1, psi_b2)
-        b_bra = image_inner_product(psi_mb1, la2)
+        b_ket = image_inner_product(la_ad1, cache.apply(space, alpha, gen_b.m, phi2)[0])
+        b_bra = image_inner_product(cache.apply(space, alpha, -gen_b.m, phi1)[0], la2)
     if use_a:
-        psi_a2, tail_a2 = cache.apply(space, alpha, gen_a.m, phi2)
-        psi_ma1, tail_ma1 = cache.apply(space, alpha, -gen_a.m, phi1)
-        a_bra = image_inner_product(psi_ma1, lb2)
-        a_ket = image_inner_product(lb_ad1, psi_a2)
+        a_bra = image_inner_product(cache.apply(space, alpha, -gen_a.m, phi1)[0], lb2)
+        a_ket = image_inner_product(lb_ad1, cache.apply(space, alpha, gen_a.m, phi2)[0])
     if not (use_a and use_b):
-        return (b_ket, b_bra, a_bra, a_ket) + (None,) * 6
-    first = image_inner_product(psi_ma1, psi_b2)
-    second = image_inner_product(psi_mb1, psi_a2)
-    return b_ket, b_bra, a_bra, a_ket, first, second, tail_ma1, tail_b2, tail_mb1, tail_a2
+        return b_ket, b_bra, a_bra, a_ket, None, None
+    value, budget = weak_psi_commutator(space, alpha, gen_a.m, gen_b.m, phi1, phi2, cache)
+    return b_ket, b_bra, a_bra, a_ket, value, budget
 
 
 def weak_commutator_parts(
@@ -302,7 +255,7 @@ def weak_commutator_parts(
     phi1: TensorState,
     phi2: TensorState,
     interior_buffer: int,
-    cache: Optional[PsiCache] = None,
+    cache: PsiCache,
 ) -> WeakParts:
     """<A* phi1, B phi2> - <B* phi1, A phi2> split into exact and budgeted parts.
 
@@ -334,7 +287,6 @@ def weak_commutator_parts(
         mult = charge_multiplier(space, gen_a.alpha)
         _require_charge_interior(space, phi1, mult, "phi1")
         _require_charge_interior(space, phi2, mult, "phi2")
-    cache = cache if cache is not None else PsiCache()
 
     entry = _entry(space, gen_a, gen_b, phi1, phi2)
     _REUSE["chiral_requested"] += 4
@@ -363,7 +315,7 @@ def weak_commutator_parts(
         return WeakParts(ll, mixed, psipsi, budget)
     # which bilinears act is fixed by the family and the modes once the
     # coupling is nonzero (psi_coefficient), so one set serves every coupling
-    b_ket, b_bra, a_bra, a_ket, first, second, *tails = _piece(
+    b_ket, b_bra, a_bra, a_ket, psi_commutator, psi_budget = _piece(
         entry,
         "bilinear",
         lambda: _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral, cache),
@@ -375,11 +327,8 @@ def weak_commutator_parts(
         mixed = mixed + a_coeff * a_bra
         mixed = mixed - a_coeff * a_ket
     if use_a and use_b:
-        tail_ma1, tail_b2, tail_mb1, tail_a2 = tails
-        psipsi = a_coeff * b_coeff * (first - second)
-        budget = abs(ctx.to_complex(a_coeff * b_coeff)) * (
-            tail_product(tail_ma1, tail_b2) + tail_product(tail_mb1, tail_a2)
-        )
+        psipsi = a_coeff * b_coeff * psi_commutator
+        budget = abs(ctx.to_complex(a_coeff * b_coeff)) * psi_budget
     return WeakParts(ll, mixed, psipsi, budget)
 
 
@@ -389,7 +338,7 @@ def commutator_targets(
     gen_b: PerturbedGenerator,
     phi1: TensorState,
     phi2: TensorState,
-    cache: Optional[PsiCache] = None,
+    cache: PsiCache,
 ) -> Tuple[Scalar, Scalar]:
     """Ladder target (m - n) <phi1, G_{m+n} phi2>, split like the commutator.
 
@@ -412,7 +361,6 @@ def commutator_targets(
     t_coeff = psi_coefficient(space, target)
     if ctx.is_zero(t_coeff):
         return ll_target, ctx.zero()
-    cache = cache if cache is not None else PsiCache()
     (psi_pairing,) = _piece(
         entry,
         "target_psi",
@@ -499,8 +447,10 @@ def _probe_pairs(
     with |m + n| <= 2 pairs nonvacuously against the vacuum.
     """
     L = space.trunc.level_cutoff
+    # a buffer above the cutoff leaves no probe interior, not even the vacuum
+    _require_interior(space, TensorState.basis(0, (), ()), interior_buffer, "the vacuum probe")
     mult = charge_multiplier(space, alpha)
-    level = max(0, min(probe_level, L - interior_buffer))
+    level = min(probe_level, L - interior_buffer)
     if level < probe_level:
         named = (("current-pair", 1), ("split-pair", 2))
         dropped = [name for name, need in named if level < need <= probe_level]
@@ -567,10 +517,8 @@ def _residual_record(
     cache: PsiCache,
 ) -> dict:
     ctx = space.ctx
-    parts = weak_commutator_parts(
-        space, gen_a, gen_b, phi1, phi2, interior_buffer, cache=cache
-    )
-    ll_target, psi_target = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache=cache)
+    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer, cache)
+    ll_target, psi_target = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache)
     ll_residual = parts.ll - ll_target
     mixed_residual = parts.mixed - psi_target
     residual = ll_residual + mixed_residual + parts.psipsi
@@ -621,15 +569,16 @@ def _gap_record(
     whether the gap vanishes."""
     ctx = space.ctx
     m, n, lam = gen_a.m, gen_b.m, gen_a.lam
-    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer, cache=cache)
-    _ll_t, psi_t = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache=cache)
+    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer, cache)
+    _ll_t, psi_t = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache)
     gap = parts.mixed - psi_t
     if ctx.is_zero(lam) or m == n:
         predicted = ctx.zero()
     else:
-        psi_sum2, _ = cache.apply(space, gen_a.alpha, m + n, phi2)
+        # <phi1, Psi_{m+n} phi2>, which commutator_targets has just paired
+        (pairing,) = _entry(space, gen_a, gen_b, phi1, phi2)["target_psi"]
         gap_scale = lam * (2 * conformal_weight(gen_a.alpha) - 1)
-        predicted = gap_scale * ((m - n) * image_inner_product(phi1, psi_sum2))
+        predicted = gap_scale * ((m - n) * pairing)
     gap_re, gap_im = ctx.re_im(gap)
     pre_re, pre_im = ctx.re_im(predicted)
     row = {

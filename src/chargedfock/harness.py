@@ -54,7 +54,7 @@ from .fock import (
     value_row,
 )
 from .heisenberg import j_matrices
-from .twodim import partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
+from .twodim import PsiCache, partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
 from .vertex import (
     apply_Y_mode,
     apply_Y_mode_recursive,
@@ -579,16 +579,18 @@ def decay_report(space: Space, alpha, n_max: int = 512) -> dict:
 # weak commutativity of the symmetrized time-zero modes (verify-commutativity)
 
 
-def _commutativity_probes(space: Space, seed: int, samples: int):
-    """Bra/ket pairs for the bilinear pairing checks.
+def _commutativity_probes(space: Space, alpha, seed: int, samples: int):
+    """Bra/ket pairs for the bilinear pairing checks, in sectors one charge
+    step |alpha / alpha0| inside the window.
 
     Two single-mode applications pair sectors with charge difference in
-    {0, -2, +2} (each side shifts by one step), so the probe list mixes
+    {0, -2, +2} steps (each side shifts by one step), so the probe list mixes
     same-sector pairs with a two-step transfer pair; extra pairs are sampled
     with the run seed.
     """
     trunc = space.trunc
-    inner_sectors = [j for j in range(trunc.j_min + 1, trunc.j_max) if trunc.admits_sector(j)]
+    step = abs(charge_multiplier(space, alpha))
+    inner_sectors = [j for j in range(trunc.j_min + step, trunc.j_max - step + 1) if trunc.admits_sector(j)]
     if not inner_sectors:
         return []
     j0 = 0 if 0 in inner_sectors else inner_sectors[0]
@@ -598,19 +600,14 @@ def _commutativity_probes(space: Space, seed: int, samples: int):
         probes.append(
             ("split", TensorState.basis(j0, (2,), (1,)), TensorState.basis(j0, (1,), ()))
         )
-    if j0 + 1 in inner_sectors and j0 - 1 in inner_sectors:
-        probes.append(
-            (
-                "charge-transfer",
-                TensorState.basis(j0 + 1, (1,), ()),
-                TensorState.basis(j0 - 1, (), ()),
-            )
-        )
+    if j0 + step in inner_sectors and j0 - step in inner_sectors:
+        transfer = TensorState.basis(j0 + step, (1,), ()), TensorState.basis(j0 - step, (), ())
+        probes.append(("charge-transfer", *transfer))
     rng = random.Random(seed)
     pool = [(), (1,), (2,), (1, 1)]
     for k in range(samples):
         j1 = rng.choice(inner_sectors)
-        j2 = j1 - rng.choice([-2, 0, 2])
+        j2 = j1 - rng.choice([-2 * step, 0, 2 * step])
         if j2 not in inner_sectors:
             j2 = j1
         pick = lambda: rng.choice(pool)  # noqa: E731
@@ -633,10 +630,12 @@ def commutativity_report(
     Vacuum cells are reported with an exactness flag (empirically the
     symmetric truncation cancels them identically, not just within budget).
     Excited pairs are evaluated at an escalating pair of cutoffs to show the
-    residual shrinking as the window grows.
+    residual shrinking as the window grows.  One :class:`PsiCache` holds
+    every image of the report.
     """
     ctx = space.ctx
     L = space.trunc.level_cutoff
+    cache = PsiCache()
     vac = TensorState.basis(0, (), ())
     vacuum_rows = []
     all_exact = True
@@ -644,7 +643,7 @@ def commutativity_report(
     vacuum_ok = True
     for m in range(-m_range, m_range + 1):
         for n in range(-m_range, m_range + 1):
-            value, budget = weak_psi_commutator(space, alpha, m, n, vac, vac)
+            value, budget = weak_psi_commutator(space, alpha, m, n, vac, vac, cache)
             re, im = ctx.re_im(value)
             mag = abs(ctx.to_complex(value))
             exact = ctx.is_zero(value)
@@ -671,12 +670,12 @@ def commutativity_report(
     nonincreasing = True
     shrank = False
     any_nonzero_low = False
-    for probe, phi1, phi2 in _commutativity_probes(space, seed, samples):
+    for probe, phi1, phi2 in _commutativity_probes(space, alpha, seed, samples):
         for m, n in cells:
             by_cutoff = {}
             for Lk in cutoffs:
                 sp_k = Space(ctx, space.alpha0, Truncation(Lk, space.trunc.j_min, space.trunc.j_max))
-                value, budget = weak_psi_commutator(sp_k, alpha, m, n, phi1, phi2)
+                value, budget = weak_psi_commutator(sp_k, alpha, m, n, phi1, phi2, cache)
                 mag = abs(ctx.to_complex(value))
                 by_cutoff[Lk] = mag
                 excited_rows.append(

@@ -37,10 +37,9 @@ materialized state, where every (entry, term) pair fixes its band and reads
 one entry from each of the band's two rows.  All sums are exact in the exact
 modes, so the values equal those of the materialized tensor.
 
-The tail norm of an image is computed once per distinct image:
-:func:`image_tail_norm` memoizes it by value and type in a bounded cache, and
-both :func:`psi_pair_form` and :class:`~chargedfock.desitter.PsiCache` read
-it.
+Every pairing of two images goes through :func:`psi_pair_form`, which reads
+both images and their tail norms from the caller's :class:`PsiCache`: one
+report builds each distinct image and its tail norm once.
 
 :func:`apply_time_zero` still builds the truncated band sum as a
 :class:`~chargedfock.fock.TensorState`, band by band.  Nothing in the
@@ -71,8 +70,8 @@ __all__ = [
     "image_inner_product",
     "apply_time_zero",
     "band_tail_norm",
-    "image_tail_norm",
     "tail_product",
+    "PsiCache",
     "psi_pair_form",
     "weak_psi_commutator",
     "vacuum_norm_series",
@@ -329,46 +328,52 @@ def tail_product(tail_bra: float, tail_ket: float) -> float:
     return tail_bra * tail_ket
 
 
-# one entry per distinct image: 63 at the commutativity benchmark's cutoffs 6 and 7
-@lru_cache(maxsize=4096)
-def _tail_norm(image: TimeZeroImage, kinds: frozenset) -> float:
-    return band_tail_norm(image_band_report(image))
+class PsiCache:
+    """The time-zero images of one report and their tail norms, each built once.
 
-
-def image_tail_norm(image: TimeZeroImage) -> float:
-    """:func:`band_tail_norm` of the image's band report, memoized.
-
-    Keyed by value and type: the image (space, mode and terms) together with
-    the types of its charge and coefficients, so a float charge never meets
-    an equal Fraction; bounded in size.
+    Keyed by value (space, charge and its type, index, the input state's
+    entries in order): an equal state built twice hits, a float charge never
+    meets an equal Fraction, and a state in another order gets its own image.
+    Refuses an image that left the charge window, whose dropped terms are not
+    orthogonal to the kept ones.
     """
-    kinds = frozenset(type(term[2]) for term in image.terms) | {type(image.mode.alpha)}
-    return _tail_norm(image, kinds)
+
+    def __init__(self):
+        self._store: Dict[tuple, Tuple[TimeZeroImage, float]] = {}
+
+    def apply(self, space: Space, alpha: Scalar, m: int, state: TensorState) -> Tuple[TimeZeroImage, float]:
+        key = (space, alpha, type(alpha), m, tuple(state.entries.items()))
+        hit = self._store.get(key)
+        if hit is None:
+            image = time_zero_image(space, TimeZeroMode(alpha, m), state)
+            if image.charge_clipped:
+                raise ValueError(
+                    "bilinear application left the charge window; test vectors"
+                    " must sit one charge step inside it"
+                )
+            hit = self._store[key] = (image, band_tail_norm(image_band_report(image)))
+        return hit
 
 
-def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2):
+def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2, cache: PsiCache):
     """<Psi_bra phi1, Psi_ket phi2> at the cutoff, with a truncation budget.
 
     Kept components stay inside the cutoff while dropped bands leave it on at
-    least one chiral factor (or leave the sector window), so cross terms
-    between kept and dropped parts vanish identically; the budget is the
-    product of the two extrapolated tail norms.
+    least one chiral factor, so cross terms between kept and dropped parts
+    vanish identically; the budget is the product of the two extrapolated
+    tail norms.  Both images come from ``cache``.
     """
-    u = time_zero_image(space, mode_bra, phi1)
-    w = time_zero_image(space, mode_ket, phi2)
-    value = image_inner_product(u, w)
-    return value, tail_product(image_tail_norm(u), image_tail_norm(w))
+    u, tail_u = cache.apply(space, mode_bra.alpha, mode_bra.m, phi1)
+    w, tail_w = cache.apply(space, mode_ket.alpha, mode_ket.m, phi2)
+    return image_inner_product(u, w), tail_product(tail_u, tail_w)
 
 
-def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2):
+def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2, cache: PsiCache):
     """Weak commutator of two symmetrized time-zero modes on a pair of states:
-    <Psi_{-m} phi1, Psi_n phi2> - <Psi_{-n} phi1, Psi_m phi2>."""
-    first, b1 = psi_pair_form(
-        space, TimeZeroMode(alpha, -m), TimeZeroMode(alpha, n), phi1, phi2
-    )
-    second, b2 = psi_pair_form(
-        space, TimeZeroMode(alpha, -n), TimeZeroMode(alpha, m), phi1, phi2
-    )
+    <Psi_{-m} phi1, Psi_n phi2> - <Psi_{-n} phi1, Psi_m phi2>, with the sum
+    of the two pairings' budgets."""
+    first, b1 = psi_pair_form(space, TimeZeroMode(alpha, -m), TimeZeroMode(alpha, n), phi1, phi2, cache)
+    second, b2 = psi_pair_form(space, TimeZeroMode(alpha, -n), TimeZeroMode(alpha, m), phi1, phi2, cache)
     return first - second, b1 + b2
 
 

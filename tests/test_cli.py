@@ -382,6 +382,32 @@ def test_repeated_probe_samples_warn_and_stay_in_the_report(capsys, caplog):
     assert "repeat earlier pairs" not in caplog.text
 
 
+def test_a_buffer_above_the_cutoff_is_the_only_message(capsys, caplog):
+    # the default buffer 4 leaves no interior probe at cutoff 3, so no probe
+    # warning may describe a run that never happens
+    assert main(["verify-virasoro-c0", "--level_cutoff", "3"]) == 1
+    assert capsys.readouterr().out == ""
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        (
+            "ERROR",
+            "the vacuum probe reaches chiral level 0, beyond the interior margin -1 (cutoff 3, buffer 4)",
+        )
+    ]
+
+
+def test_verify_commutativity_refuses_clipped_images(capsys, caplog):
+    # a one-sector window clips every image: no row may read "exact zero"
+    assert main(["verify-commutativity", "--level_cutoff", "6", "--charge_window", "0,0"]) == 1
+    assert capsys.readouterr().out == ""
+    assert "left the charge window" in caplog.text
+    # alpha = 2 alpha0: the probes keep two sectors of margin
+    code, out = run(
+        capsys, "verify-commutativity", "--level_cutoff", "6", "--alpha0", "1/4", "--alpha_multiplier", "2"
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run(

@@ -110,12 +110,26 @@ def test_interior_preconditions():
     gen_a, gen_b = lorentz_pair(1, -1)
     deep = TensorState.basis(0, (7,), ())
     with pytest.raises(ValueError):
-        weak_commutator_parts(sp, gen_a, gen_b, deep, VAC, 3)
+        weak_commutator_parts(sp, gen_a, gen_b, deep, VAC, 3, PsiCache())
     with pytest.raises(ValueError):
-        weak_commutator_parts(sp, gen_a, gen_b, VAC, VAC, 0)
+        weak_commutator_parts(sp, gen_a, gen_b, VAC, VAC, 0, PsiCache())
     edge = TensorState.basis(2, (), ())  # one bilinear branch exits the window
     with pytest.raises(ValueError):
-        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3)
+        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3, PsiCache())
+
+
+def test_commutator_targets_refuse_an_edge_state():
+    # the target G_1 carries a bilinear, whose image of a state in the
+    # window's last sector leaves the window
+    sp = space(8)
+    gen_a, gen_b = lorentz_pair(1, 0)
+    edge = TensorState.basis(2, (), ())
+    bra = TensorState.basis(0, (), (1,))
+    with pytest.raises(ValueError, match="left the charge window"):
+        commutator_targets(sp, gen_a, gen_b, bra, edge, PsiCache())
+    # one sector further in, the same target pairs to lam (m - n) <bra, Psi_1 vac_1>
+    _ll, psi_target = commutator_targets(sp, gen_a, gen_b, bra, TensorState.basis(1, (), ()), PsiCache())
+    assert psi_target == Fraction(-1, 8)
 
 
 def test_unperturbed_lorentz_relations_close_exactly():
@@ -441,7 +455,7 @@ def test_memos_are_bounded():
     gen_b = gen.at(-1)
     size = desitter._entry_slot.cache_info().maxsize
     for k in range(1, size + 11):
-        weak_commutator_parts(sp, gen, gen_b, VAC.scale(k), VAC, 3)
+        weak_commutator_parts(sp, gen, gen_b, VAC.scale(k), VAC, 3, PsiCache())
     assert desitter._entry_slot.cache_info().currsize == size
 
 
@@ -450,8 +464,8 @@ def test_float_and_exact_spaces_never_share_an_entry():
     exact, floats = space(6), Space(FLOAT, float(A0), Truncation(6, -2, 2))
     gen_a, gen_b = lorentz_pair(1, -1, lam=Fraction(1))
     float_a, float_b = (PerturbedGenerator("lorentz", g.m, 1.0, 0.5) for g in (gen_a, gen_b))
-    first = weak_commutator_parts(exact, gen_a, gen_b, EXCITED, EXCITED, 3)
-    second = weak_commutator_parts(floats, float_a, float_b, EXCITED, EXCITED, 3)
+    first = weak_commutator_parts(exact, gen_a, gen_b, EXCITED, EXCITED, 3, PsiCache())
+    second = weak_commutator_parts(floats, float_a, float_b, EXCITED, EXCITED, 3, PsiCache())
     assert desitter._entry_slot.cache_info().currsize == 2
     assert type(first.ll) is Fraction and type(first.psipsi) is Fraction
     assert type(second.ll) is float and type(second.psipsi) is float
@@ -464,7 +478,7 @@ def test_float_and_exact_spaces_never_share_an_entry():
     # an exact space with a float charge equals the exact space, and is a third entry
     mixed = Space(EXACT, float(A0), exact.trunc)
     assert mixed == exact
-    third = weak_commutator_parts(mixed, gen_a, gen_b, EXCITED, EXCITED, 3)
+    third = weak_commutator_parts(mixed, gen_a, gen_b, EXCITED, EXCITED, 3, PsiCache())
     assert desitter._entry_slot.cache_info().currsize == 3
     assert type(third.ll) is float  # float L rows, where the exact charge gives Fractions
 
@@ -499,17 +513,17 @@ def test_l_part_memo_follows_the_sugawara_fault(monkeypatch):
 def test_every_check_runs_on_a_memo_hit():
     sp = space(8)
     gen_a, gen_b = lorentz_pair(1, -1)
-    weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 3)
+    weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 3, PsiCache())
     with pytest.raises(ValueError, match="interior buffer"):
-        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 0)
+        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 0, PsiCache())
     with pytest.raises(ValueError, match="interior margin"):
-        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 7)
+        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 7, PsiCache())
     # coupling 0 needs no charge step; the same pieces at coupling 1/4 do
     edge = TensorState.basis(2, (), ())
     free_a, free_b = lorentz_pair(1, -1, lam=Fraction(0))
-    weak_commutator_parts(sp, free_a, free_b, edge, VAC, 3)
+    weak_commutator_parts(sp, free_a, free_b, edge, VAC, 3, PsiCache())
     with pytest.raises(ValueError, match="bilinear step"):
-        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3)
+        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3, PsiCache())
 
 
 
@@ -524,7 +538,7 @@ def test_an_overflowing_chiral_application_raises_on_every_call(monkeypatch):
     gen_a, gen_b = lorentz_pair(1, -1)
     for _ in range(2):
         with pytest.raises(ValueError, match="left the cutoff"):
-            weak_commutator_parts(space(8), gen_a, gen_b, EXCITED, EXCITED, 3)
+            weak_commutator_parts(space(8), gen_a, gen_b, EXCITED, EXCITED, 3, PsiCache())
     clear_memos()
 
 

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import chargedfock.heisenberg as heisenberg
+import chargedfock.twodim as twodim
 import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
 from chargedfock.desitter import PerturbedGenerator, apply_l_part
@@ -270,6 +271,40 @@ def test_commutativity_excited_residuals_shrink():
     assert exc["strictly_shrank"]
     nonzero = [r for r in exc["rows"] if r["residual_abs"] > 0]
     assert nonzero, "excited probes must exercise a nonzero bilinear residual"
+
+
+def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
+    # the commutativity benchmark's config: cutoffs 6 and 7, seed 0
+    calls = {"requests": 0, "images": 0}
+    apply, build = twodim.PsiCache.apply, twodim.time_zero_image
+
+    def counted_apply(cache, *args):
+        calls["requests"] += 1
+        return apply(cache, *args)
+
+    def counted_build(*args):
+        calls["images"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(twodim.PsiCache, "apply", counted_apply)
+    monkeypatch.setattr(twodim, "time_zero_image", counted_build)
+    rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
+    assert rep["verdict"] == "pass"
+    assert calls == {"requests": 220, "images": 63}
+
+
+def test_commutativity_probes_sit_one_charge_step_inside_the_window():
+    # alpha = 2 alpha0 moves a state two sectors, so a probe in sector +-1
+    # of the window (-2, 2) would have its image clipped
+    sp = Space(EXACT, Fraction(1, 4), Truncation(7, -2, 2))
+    rep = commutativity_report(sp, HALF, seed=0, samples=8, low_cutoff=6)
+    assert rep["verdict"] == "pass"
+    assert {row["probe"] for row in rep["excited"]["rows"]} == {"level-one", "split"} | {
+        f"sampled-{k}" for k in range(8)
+    }
+    narrow = Space(EXACT, HALF, Truncation(7, 0, 0))
+    with pytest.raises(ValueError, match="left the charge window"):
+        commutativity_report(narrow, HALF)
 
 
 def test_divergence_series_increments_settle():

@@ -60,9 +60,8 @@ def test_traced_run_installs_and_removes_cleanly():
         (mod_name, attr): getattr(_package_module(mod_name), attr)
         for mod_name, attr in tracer_module.FUNCTIONS
     }
-    # a cold tail memo, so that every distinct image computes its tail norm
-    # once, and cold coupling-free pieces, so that every image is requested
-    _package_module("twodim")._tail_norm.cache_clear()
+    # cold coupling-free pieces, so that every image is requested and each
+    # distinct one computes its tail norm once, in the sweep's PsiCache
     desitter._l_part_slot.cache_clear()
     desitter._entry_slot.cache_clear()
     tracer = tracer_module.Tracer()

@@ -20,12 +20,12 @@ from chargedfock.fock import (
 from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import (
     BandReport,
+    PsiCache,
     TimeZeroMode,
     apply_time_zero,
     band_tail_norm,
     image_band_report,
     image_inner_product,
-    image_tail_norm,
     partial_sum_norm_series,
     psi_pair_form,
     tail_product,
@@ -150,19 +150,21 @@ def test_adjoint_pairing_exact_at_truncation():
 
 def test_vacuum_weak_commutators_vanish_exactly():
     sp = space(6)
+    cache = PsiCache()
     for m in range(-3, 4):
         for n in range(-3, 4):
-            value, budget = weak_psi_commutator(sp, A0, m, n, VAC, VAC)
+            value, budget = weak_psi_commutator(sp, A0, m, n, VAC, VAC, cache)
             assert value == 0, (m, n)
             assert budget >= 0
 
 
 def test_flip_invariant_excited_pairs_vanish_exactly():
     sp = space(6)
+    cache = PsiCache()
     for phi in (TensorState.basis(0, (1,), (1,)), TensorState.basis(0, (2, 1), (2, 1))):
         for m in range(-2, 3):
             for n in range(-2, 3):
-                value, _ = weak_psi_commutator(sp, A0, m, n, phi, phi)
+                value, _ = weak_psi_commutator(sp, A0, m, n, phi, phi, cache)
                 assert value == 0, (m, n)
 
 
@@ -171,8 +173,8 @@ def test_grading_selection_rule():
     sp = space(6)
     phi1 = VAC
     phi2 = TensorState.basis(0, (2,), (1,))  # k = 1
-    val_match, _ = weak_psi_commutator(sp, A0, 1, 0, phi1, phi2)
-    val_miss, _ = weak_psi_commutator(sp, A0, 1, 1, phi1, phi2)
+    val_match, _ = weak_psi_commutator(sp, A0, 1, 0, phi1, phi2, PsiCache())
+    val_miss, _ = weak_psi_commutator(sp, A0, 1, 1, phi1, phi2, PsiCache())
     assert val_match != 0
     assert val_miss == 0
 
@@ -181,9 +183,10 @@ def test_single_sided_excitation_against_vacuum_still_exact():
     # an unexpected extra exactness: one excited chiral factor is not enough
     # to expose the cutoff when the other state is the vacuum pair
     sp = space(6)
+    cache = PsiCache()
     for phi2 in (TensorState.basis(0, (1,), ()), TensorState.basis(0, (2,), ())):
         for m, n in ((1, 0), (0, 1), (2, -1), (2, 0)):
-            value, _ = weak_psi_commutator(sp, A0, m, n, VAC, phi2)
+            value, _ = weak_psi_commutator(sp, A0, m, n, VAC, phi2, cache)
             assert value == 0, (phi2, m, n)
 
 
@@ -191,7 +194,7 @@ def test_asymmetric_pair_residual_shrinks_with_cutoff():
     phi = TensorState.basis(0, (1,), ())
     vals = []
     for L in (4, 8):
-        value, budget = weak_psi_commutator(space(L), A0, 1, -1, phi, phi)
+        value, budget = weak_psi_commutator(space(L), A0, 1, -1, phi, phi, PsiCache())
         assert abs(float(value)) <= budget
         vals.append(abs(float(value)))
     assert 0 < vals[1] < vals[0]
@@ -221,7 +224,7 @@ def test_tail_product_of_an_empty_side_is_zero():
 def test_psi_pair_form_budget_orthogonality():
     sp = space(6)
     value, budget = psi_pair_form(
-        sp, TimeZeroMode(A0, 0), TimeZeroMode(A0, 0), VAC, VAC
+        sp, TimeZeroMode(A0, 0), TimeZeroMode(A0, 0), VAC, VAC, PsiCache()
     )
     assert value == norm_sq(EXACT, apply_time_zero(sp, TimeZeroMode(A0, 0), VAC)[0])
     assert budget < 1.0
@@ -413,14 +416,13 @@ def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
     sp = Space(ctx, half, Truncation(7, -2, 2))
     phi1, phi2 = TensorState.basis(0, (2,), (1,)), TensorState.basis(0, (1,), ())
     modes = (TimeZeroMode(half, -1), TimeZeroMode(half, 2))
-    twodim._tail_norm.cache_clear()
     twodim._gram_table.cache_clear()
-    cold = psi_pair_form(sp, *modes, phi1, phi2)
-    misses = twodim._tail_norm.cache_info().misses
-    assert misses == 2
-    warm = psi_pair_form(sp, *modes, phi1, phi2)
-    assert twodim._tail_norm.cache_info().misses == misses
-    assert twodim._tail_norm.cache_info().hits == 2
+    cache = PsiCache()
+    cold = psi_pair_form(sp, *modes, phi1, phi2, cache)
+    assert len(cache._store) == 2
+    with mock.patch.object(twodim, "time_zero_image", side_effect=AssertionError("rebuilt")):
+        warm = psi_pair_form(sp, *modes, phi1, phi2, cache)
+    assert len(cache._store) == 2
     _same(warm[0], cold[0])
     _same(warm[1], cold[1])
 
@@ -428,29 +430,38 @@ def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
 def test_float_and_fraction_charges_never_share_a_memo_entry():
     sp = space(6)
     state = TensorState.basis(0, (1,), ())
-    exact = time_zero_image(sp, TimeZeroMode(A0, 1), state)
-    floating = time_zero_image(sp, TimeZeroMode(0.5, 1), state)
-    assert exact == floating and hash(exact) == hash(floating)  # equal by value alone
-    twodim._tail_norm.cache_clear()
-    image_tail_norm(exact)
-    image_tail_norm(floating)
-    assert twodim._tail_norm.cache_info().misses == 2
-    assert twodim._tail_norm.cache_info().currsize == 2
+    assert time_zero_image(sp, TimeZeroMode(A0, 1), state) == time_zero_image(
+        sp, TimeZeroMode(0.5, 1), state
+    )  # equal by value alone
+    cache = PsiCache()
+    exact, _ = cache.apply(sp, A0, 1, state)
+    floating, _ = cache.apply(sp, 0.5, 1, state)
+    assert len(cache._store) == 2
+    assert {type(term[1]) for term in exact.terms} == {Fraction}
+    assert {type(term[1]) for term in floating.terms} == {float}
     assert twodim._gram_table(0.5, 0.5) is not twodim._gram_table(A0, A0)
     # Y_0 (1,) = (1 - alpha^2) (1,), so its Gram is (3/4)^2 zsym((1,)) in both
     assert type(twodim._gram_table(0.5, 0.5)(0, (1,), 0, (1,))) is float
     assert twodim._gram_table(A0, A0)(0, (1,), 0, (1,)) == Fraction(9, 16)
 
 
-def test_tail_memo_and_gram_tables_are_bounded():
-    sp = space(1)
-    bound = twodim._tail_norm.cache_info().maxsize
-    assert bound is not None
-    twodim._tail_norm.cache_clear()
-    for k in range(1, bound + 6):
-        image_tail_norm(time_zero_image(sp, TimeZeroMode(A0, 0), TensorState.basis(0, (), (), k)))
-    info = twodim._tail_norm.cache_info()
-    assert info.misses == bound + 5
-    assert info.currsize == bound
+def test_psi_cache_refuses_an_image_that_leaves_the_charge_window():
+    # dropped terms of a clipped image are not orthogonal to the kept ones,
+    # so no pairing may read one
+    sp = space(6)
+    cache = PsiCache()
+    edge = TensorState.basis(2, (1,), ())
+    with pytest.raises(ValueError, match="left the charge window"):
+        cache.apply(sp, A0, 1, edge)
+    assert cache._store == {}
+    assert time_zero_image(sp, TimeZeroMode(A0, 1), edge).charge_clipped
+    with pytest.raises(ValueError, match="left the charge window"):
+        weak_psi_commutator(sp, A0, 1, 0, VAC, edge, cache)
+    cache.apply(sp, A0, 1, TensorState.basis(1, (1,), ()))  # one step inside: kept
+    images = [image for image, _tail in cache._store.values()]
+    assert len(images) == 2 and not any(image.charge_clipped for image in images)
+
+
+def test_gram_tables_are_bounded():
     assert twodim._gram_table.cache_info().maxsize is not None
     assert twodim._gram_table(A0, A0).cache_info().maxsize is not None
