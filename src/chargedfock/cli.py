@@ -109,6 +109,16 @@ def _require_subcritical(ctx, alpha, subcommand: str) -> None:
         )
 
 
+def _require_charged(cfg, subcommand: str) -> None:
+    """Refuse alpha = 0: its charge step is zero sectors, so a probe pair
+    meant to differ by a charge step would pair one sector with itself."""
+    if cfg.alpha_multiplier == 0:
+        raise ConfigError(
+            f"{subcommand} needs a charged perturbation; --alpha_multiplier 0 gives alpha = 0, a charge "
+            f"step of zero sectors, so its charge-step probe pairs would pair a sector with itself"
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -202,7 +212,16 @@ def _cmd_verify_commutativity(args) -> int:
     cfg = _resolve(args)
     space, alpha, _lam = build_space(cfg)
     _require_subcritical(space.ctx, alpha, "verify-commutativity")
+    _require_charged(cfg, "verify-commutativity")
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
+    # the vacuum rows pair images of the sector-0 vacuum, one charge step away
+    step, (lo, hi) = abs(cfg.alpha_multiplier), cfg.charge_window
+    if not lo <= -step < step <= hi:
+        raise ConfigError(
+            f"--charge_window {lo},{hi} must hold sectors {-step}..{step}: verify-commutativity pairs "
+            f"the images of the sector-0 vacuum there, and an image that left the charge window "
+            f"would be clipped"
+        )
     t0 = time.perf_counter()
     body = harness.commutativity_report(
         space, alpha, m_range=args.m_range, seed=cfg.seed, samples=args.samples
@@ -217,6 +236,7 @@ def _cmd_verify_lorentz(args) -> int:
     cfg = _resolve(args)
     space, alpha, lam = build_space(cfg)
     _require_subcritical(space.ctx, alpha, "verify-lorentz")
+    _require_charged(cfg, "verify-lorentz")
     t0 = time.perf_counter()
     body = desitter.verify_lorentz(
         space,
@@ -238,6 +258,7 @@ def _cmd_verify_virasoro_c0(args) -> int:
     space, alpha, lam = build_space(cfg)
     ctx = space.ctx
     _require_subcritical(ctx, alpha, "verify-virasoro-c0")
+    _require_charged(cfg, "verify-virasoro-c0")
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
     if cfg.arithmetic == "exact-rational" and not ctx.is_zero(lam):
         raise ConfigError(

@@ -20,6 +20,12 @@ before it are those of a sweep one basis vector at a time.  Exact modes
 compute in integers, in int64 only under a certified bound; no pass rests on
 modular, probabilistic or float arithmetic.
 
+The two bracket suites compute one residual for each pair of mirrored
+cells: when the right-hand side of cell (n, m) is the negation of that of
+(m, n), its residual is the other's times -1, term for term, so it fails the
+same columns in int64, in Python ints and in float64, where fl(y - x) =
+-fl(x - y) (see :func:`_commutator`).
+
 Reports are plain dicts of JSON-native values, deterministic for a fixed
 configuration and seed: no timestamps, no unordered containers.
 """
@@ -87,7 +93,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the sweep engine and its interior bookkeeping
 
-# residuals computed in the running sweep, and those of them in Python ints
+# residuals computed in the running sweep, those of them in Python ints, and
+# those taken from mirrored cells instead
 _RESIDUALS = Counter()
 
 
@@ -97,8 +104,8 @@ def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dic
     (size, failed): `size` states that all hold when failed is None, else
     failed = (k, where) for the first that fails, the k-th of the block,
     labelled by `where`; the sweep stops there.  It logs, at INFO, its states
-    checked, its batched residuals, how many needed Python ints, and its
-    seconds."""
+    checked, its batched residuals, how many needed Python ints, how many
+    residuals it reused from mirrored cells, and its seconds."""
     _RESIDUALS.clear()
     t0 = time.perf_counter()
     checked = cells = vacuous = 0
@@ -118,11 +125,13 @@ def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dic
             break
         vacuous += seen == 0
     log.info(
-        "%s: %d states checked, %d batched residuals, %d in Python ints, %.3f s",
+        "%s: %d states checked, %d batched residuals, %d in Python ints, %d reused from mirrored cells,"
+        " %.3f s",
         name,
         checked,
         _RESIDUALS["batched"],
         _RESIDUALS["python_ints"],
+        _RESIDUALS["mirrored"],
         time.perf_counter() - t0,
     )
     warnings = []
@@ -225,18 +234,31 @@ class _Op(NamedTuple):
 _IDENTITY = _Op(lambda level: identity(len(partitions_of(level))), 0)
 
 
-def _commutator(space: Space, a: _Op, b: _Op, rhs):
+def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = None):
     """Checks of a b - b a = sum of c R over `rhs`, pairs (c, R) with c one
-    scalar or an array of one per sector: one block per interior level."""
+    scalar or an array of one per sector: one block per interior level.
+
+    With `mirrors`, one dict per sweep, each level's failing-column mask is
+    kept under (a, b, rhs, level) until the mirror cell (b, a, -rhs) takes
+    it in place of its own residual.  The key compares the operators' stacks
+    and the coefficients' values, so a right-hand side that is not the
+    mirror's negation is computed in full.  Scalar coefficients only."""
 
     def checks(rows, levels):
         for level in levels:
-            terms = [
-                (1, ((a.at(rows, level + b.shift, b.jshift), b.at(rows, level)),)),
-                (-1, ((b.at(rows, level + a.shift, a.jshift), a.at(rows, level)),)),
-            ]
-            terms += [(-c, ((r.at(rows, level),),)) for c, r in rhs]
-            yield partial(_column_where, level), _failing_columns(space, terms)
+            bad = None if mirrors is None else mirrors.pop((b, a, tuple((-c, r) for c, r in rhs), level), None)
+            if bad is not None:
+                _RESIDUALS["mirrored"] += 1
+            else:
+                terms = [
+                    (1, ((a.at(rows, level + b.shift, b.jshift), b.at(rows, level)),)),
+                    (-1, ((b.at(rows, level + a.shift, a.jshift), a.at(rows, level)),)),
+                ]
+                terms += [(-c, ((r.at(rows, level),),)) for c, r in rhs]
+                bad = _failing_columns(space, terms)
+                if mirrors is not None:
+                    mirrors[a, b, tuple(rhs), level] = bad
+            yield partial(_column_where, level), bad
 
     return checks
 
@@ -248,10 +270,11 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs):
 def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[int] = None) -> dict:
     """[J_m, J_n] = m delta_{m,-n} on every interior basis vector."""
     J = lambda m: _Op(j_matrices(space, m), -m)  # noqa: E731
+    mirrors = {}
 
     def bracket(m, n):
         rhs = [(m, _IDENTITY)] if m + n == 0 else []
-        return max(0, -m, -n, -m - n), _commutator(space, J(m), J(n), rhs)
+        return max(0, -m, -n, -m - n), _commutator(space, J(m), J(n), rhs, mirrors)
 
     ranges = {"m": m_range, "n": m_range}
     return _bracket_sweep("current_bracket", space, bracket, _sectors(space), max_level, **ranges)
@@ -260,10 +283,11 @@ def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[in
 def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[int] = None) -> dict:
     """[L_m, L_n] = (m-n) L_{m+n} + central(m, n) with unit central charge."""
     L = lambda m: _Op(l_matrices(space, m), -m)  # noqa: E731
+    mirrors = {}
 
     def bracket(m, n):
         rhs = [(c, r) for c, r in ((m - n, L(m + n)), (central_term(m, n), _IDENTITY)) if c]
-        return max(0, -m, -n, -m - n), _commutator(space, L(m), L(n), rhs)
+        return max(0, -m, -n, -m - n), _commutator(space, L(m), L(n), rhs, mirrors)
 
     ranges = {"m": m_range, "n": m_range}
     return _bracket_sweep("virasoro_bracket", space, bracket, _sectors(space), max_level, **ranges)
@@ -377,9 +401,21 @@ def mode_oracle_suite(
 ) -> dict:
     """Expansion route against the commutator-recursion oracle, every matrix
     element between basis states of level <= max_level: each column of the
-    mode's level matrix against the oracle's state on that basis vector."""
+    mode's level matrix against the oracle's state on that basis vector.
+    The oracle's matrix elements take no sector, so each (delta, level)
+    oracle stack is built once and compared with every sector's own plane
+    of the mode's stack."""
     admitted = _sectors(space, charge_multiplier(space, alpha))
     top = min(max_level, space.trunc.level_cutoff)
+    oracles = {}
+
+    def oracle(j, delta, level):
+        if (delta, level) not in oracles:
+            lams = partitions_of(level)
+            states = [apply_Y_mode_recursive(space, alpha, delta, SectorState.basis(j, lam)) for lam in lams]
+            rows = [value_row(level + delta, {mu: c for (_, mu), c in v.entries.items()}) for v in states]
+            oracles[delta, level] = stack_rows([rows], level + delta)
+        return oracles[delta, level]
 
     def cases(j, delta):
         if j not in admitted:
@@ -387,10 +423,7 @@ def mode_oracle_suite(
         Y, rows = _Op(y_matrices(space, alpha, delta), delta), _positions(space, range(j, j + 1))
         blocks = []
         for level in range(max(0, -delta), top - max(0, delta) + 1):
-            lams = partitions_of(level)
-            oracle = [apply_Y_mode_recursive(space, alpha, delta, SectorState.basis(j, lam)) for lam in lams]
-            oracle = [value_row(level + delta, {mu: c for (_, mu), c in v.entries.items()}) for v in oracle]
-            terms = [(1, ((Y.at(rows, level),),)), (-1, ((stack_rows([oracle], level + delta),),))]
+            terms = [(1, ((Y.at(rows, level),),)), (-1, ((oracle(j, delta, level),),))]
             blocks.append((partial(_column_where, level), _failing_columns(space, terms)))
         yield from _replay([j], blocks)
 

@@ -8,8 +8,10 @@ resulting bracket is 1:
     [L_m, L_n] = (m - n) L_{m+n} + (1/12) m (m^2 - 1) delta_{m,-n}
 
 A row is built in integers: with J_0 the charge ``beta = j p / q``, every
-term of the double sum is an integer over ``2 q^2``.  :func:`l_matrices` stacks
-the rows into one matrix per level, over every sector of the window.
+term of the double sum is an integer over ``2 q^2``.  The terms depend on the
+sector only through J_0 = beta, so they are listed once per mode and
+partition, and each sector's row evaluates that list.  :func:`l_matrices`
+stacks the rows into one matrix per level, over every sector of the window.
 """
 
 from __future__ import annotations
@@ -39,30 +41,50 @@ from .heisenberg import j_step
 FAULT_SUGAWARA = False
 
 
-# 7,660 rows fill at verify-algebra's default cutoff 10
+# 1,389 lists fill at verify-algebra's default cutoff 10, one per (mode, partition)
+@lru_cache(maxsize=4096)
+def _sugawara_terms(n: int, lam: Partition, fault: bool) -> tuple:
+    """The terms of L_n's double sum on lam, in ascending k, without the
+    sector: (mu, e, f, c1, c2) adds f c1 c2 / 2 to mu, with c1 the
+    coefficient of the current applied first and c2 of the second, None for
+    J_0 = beta, and e the number of nonzero modes, whose charge scale q**e
+    exact modes multiply in.  Only a k with max(k, n - k) <= 0 or a part of
+    lam can act: the annihilating current applies first."""
+    ks = set(range(n, 1)) | {k for p in set(lam) for k in (p, n - p) if max(k, n - k) == p}
+    terms = []
+    for k in sorted(ks):
+        a = n - k
+        lo, hi = (a, k) if a <= k else (k, a)
+        e, f = (lo != 0) + (hi != 0), 2 if fault and n == 2 and k == 1 else 1
+        for mu1, c1 in j_step(lam, hi, None):
+            terms += [(mu2, e, f, c1, c2) for mu2, c2 in j_step(mu1, lo, None)]
+    return tuple(terms)
+
+
+# 6,945 rows fill at verify-algebra's default cutoff 10
 @lru_cache(maxsize=16384, typed=True)
 def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> Row:
-    """Row of L_n on basis (j, lam).  Exact modes scale each current by q, so
-    J_0 = beta becomes j p, and sum integers over 2 q^2; float mode sums
-    halves of float products in the same order."""
+    """Row of L_n on basis (j, lam): the sector's value of its term list.
+    Exact modes scale each current by q, so J_0 = beta becomes j p, and sum
+    integers over 2 q^2; float mode sums halves of float products in the
+    same order.  A zero beta drops its terms, as :func:`j_step` does."""
     ratio = exact_ratio(alpha0)
     if ratio is None:
         beta, half, q = alpha0 * j, 0.5, 1
     else:
         beta, half, q = j * ratio[0], 1, ratio[1]
-    ell = sum(lam)
-    bound = ell + abs(n)
+    powers = (1, q, q * q)
     acc = {}
-    for k in range(-bound, bound + 1):
-        a = n - k
-        lo, hi = (a, k) if a <= k else (k, a)
-        scale = half * q ** ((lo != 0) + (hi != 0)) * (2 if fault and n == 2 and k == 1 else 1)
-        for mu1, c1 in j_step(lam, hi, beta):
-            for mu2, c2 in j_step(mu1, lo, beta):
-                acc[mu2] = acc.get(mu2, 0) + scale * c1 * c2
+    for mu, e, f, c1, c2 in _sugawara_terms(n, lam, fault):
+        if c1 is None or c2 is None:
+            if not beta:
+                continue
+            c1, c2 = beta if c1 is None else c1, beta if c2 is None else c2
+        acc[mu] = acc.get(mu, 0) + half * powers[e] * f * c1 * c2
+    level = sum(lam) - n
     if ratio is None:
-        return float_row(ell - n, acc)
-    return integer_row(ell - n, acc, 2 * q * q)
+        return float_row(level, acc)
+    return integer_row(level, acc, 2 * q * q)
 
 
 # (sector, partition) -> row of one mode, charge and fault flag: see heisenberg._j_table

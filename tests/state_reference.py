@@ -6,13 +6,25 @@ one chiral factor of a two-sided state through the same row kernel as the
 package's other applications.  ``flip`` and ``sign_automorphism`` are the two
 exact symmetries of the time-zero modes that the vanishing arguments use.
 ``close`` compares two scalars within a context's tolerance.
+``sugawara_k_loop`` builds an L_n row by running the whole double sum over
+k in every sector, as ``virasoro._sugawara_on_basis`` did before it read a
+sector-free term list.
 """
 
 import json
 from typing import IO
 
-from chargedfock.fock import Partition, SectorState, TensorState, apply_rows, zsym
-from chargedfock.heisenberg import _j_rows
+from chargedfock.fock import (
+    Partition,
+    SectorState,
+    TensorState,
+    apply_rows,
+    exact_ratio,
+    float_row,
+    integer_row,
+    zsym,
+)
+from chargedfock.heisenberg import _j_rows, j_step
 
 
 def gram(lam: Partition, mu: Partition) -> int:
@@ -63,3 +75,25 @@ def sign_automorphism(v):
 def close(ctx, a, b) -> bool:
     """a == b, within the tolerance in float mode."""
     return ctx.is_zero(a - b)
+
+
+def sugawara_k_loop(n: int, j: int, lam: Partition, alpha0, fault: bool):
+    """Row of L_n on basis (j, lam), every k with |k| <= level + |n| in turn."""
+    ratio = exact_ratio(alpha0)
+    if ratio is None:
+        beta, half, q = alpha0 * j, 0.5, 1
+    else:
+        beta, half, q = j * ratio[0], 1, ratio[1]
+    ell = sum(lam)
+    bound = ell + abs(n)
+    acc = {}
+    for k in range(-bound, bound + 1):
+        a = n - k
+        lo, hi = (a, k) if a <= k else (k, a)
+        scale = half * q ** ((lo != 0) + (hi != 0)) * (2 if fault and n == 2 and k == 1 else 1)
+        for mu1, c1 in j_step(lam, hi, beta):
+            for mu2, c2 in j_step(mu1, lo, beta):
+                acc[mu2] = acc.get(mu2, 0) + scale * c1 * c2
+    if ratio is None:
+        return float_row(ell - n, acc)
+    return integer_row(ell - n, acc, 2 * q * q)

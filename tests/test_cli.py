@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from chargedfock import harness
 from chargedfock.cli import main
 from chargedfock.config import ConfigError, RunConfig, load_config_file, resolve_config
 
@@ -406,6 +407,25 @@ def test_verify_commutativity_refuses_clipped_images(capsys, caplog):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("subcommand", ["verify-commutativity", "verify-lorentz", "verify-virasoro-c0"])
+def test_a_zero_charge_is_a_usage_error(capsys, caplog, subcommand):
+    # alpha = 0 moves no sector, so a charge-step probe pair is one sector
+    assert main([subcommand, "--alpha_multiplier", "0", "--level_cutoff", "6"]) == 1
+    assert capsys.readouterr().out == ""
+    assert f"{subcommand} needs a charged perturbation; --alpha_multiplier 0 gives alpha = 0" in caplog.text
+
+
+def test_verify_commutativity_names_the_sectors_its_window_must_hold(capsys, caplog, monkeypatch):
+    # refused before any work, naming the option and the sectors it lacks
+    monkeypatch.setattr(harness, "commutativity_report", None)
+    assert main(["verify-commutativity", "--charge_window", "0,4"]) == 1
+    assert "--charge_window 0,4 must hold sectors -1..1" in caplog.text
+    argv = ["--alpha0", "1/4", "--alpha_multiplier", "-2", "--charge_window=-2,1"]
+    assert main(["verify-commutativity", *argv]) == 1
+    assert "--charge_window -2,1 must hold sectors -2..2" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

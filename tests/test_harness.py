@@ -5,8 +5,10 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
+import numpy as np
 import pytest
 
+import chargedfock.harness as harness
 import chargedfock.heisenberg as heisenberg
 import chargedfock.twodim as twodim
 import chargedfock.vertex as vertex
@@ -19,6 +21,7 @@ from chargedfock.fock import (
     Truncation,
     inner_product,
     partitions_of,
+    residual,
     states_equal,
 )
 from chargedfock.harness import (
@@ -196,8 +199,15 @@ def test_each_suite_logs_its_counts(caplog):
     assert [line.split(":")[0] for line in lines] == [s["suite"] for s in rep["suites"]]
     for line, suite in zip(lines, rep["suites"]):
         assert f": {suite['states_checked']} states checked, " in line
-    pattern = r"current_bracket: \d+ states checked, \d+ batched residuals, 0 in Python ints, [\d.]+ s"
-    assert re.fullmatch(pattern, lines[0])
+    pattern = (
+        r"current_bracket: \d+ states checked, (\d+) batched residuals, 0 in Python ints,"
+        r" (\d+) reused from mirrored cells, [\d.]+ s"
+    )
+    computed, mirrored = map(int, re.fullmatch(pattern, lines[0]).groups())
+    assert 0 < mirrored < computed
+    # only the two bracket suites have mirrored cells
+    for line in lines[2:]:
+        assert ", 0 reused from mirrored cells, " in line
     # at alpha0 = 2/7 some covariance residuals take Python ints, not all
     caplog.clear()
     sp = Space(EXACT, Fraction(2, 7), Truncation(8, -2, 2))
@@ -206,6 +216,87 @@ def test_each_suite_logs_its_counts(caplog):
     (line,) = [r.getMessage() for r in caplog.records if r.name == "chargedfock.harness"]
     batched, wide = map(int, re.search(r"(\d+) batched residuals, (\d+) in Python ints", line).groups())
     assert 0 < wide < batched
+
+
+def _bracket_cells(monkeypatch, suite, sp):
+    """(m, n) -> the residual of each interior level of that cell of a
+    bracket suite, every cell computed in full, none reused from its mirror."""
+    computed = []
+
+    def recorded(ctx, terms):
+        computed.append(residual(ctx, terms))
+        return computed[-1]
+
+    commutator = harness._commutator
+    sweeps = []
+    monkeypatch.setattr(harness, "residual", recorded)
+    monkeypatch.setattr(harness, "_commutator", lambda space, a, b, rhs, mirrors=None: commutator(space, a, b, rhs))
+    monkeypatch.setattr(harness, "_bracket_sweep", lambda *args, **ranges: sweeps.append((args, ranges)))
+    suite(sp)
+    ((_, _, bracket, sectors, _), ranges), = sweeps
+    rows = harness._positions(sp, sectors)
+    out = {}
+    for m, n in product(*(range(-r, r + 1) for r in ranges.values())):
+        headroom, checks = bracket(m, n)
+        out[m, n] = []
+        for level in range(sp.trunc.level_cutoff - headroom + 1):
+            list(checks(rows, [level]))
+            out[m, n].append(computed[-1])
+    return out
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("mode", ["exact-rational", "float"])
+@pytest.mark.parametrize("suite", [current_bracket_suite, virasoro_bracket_suite])
+def test_mirrored_cells_have_negated_residuals(monkeypatch, suite, mode, fault):
+    # cell (n, m) reuses the failing columns of (m, n): its residual must be
+    # the other's times -1, entry by entry, on every level, in both modes
+    ctx = make_context(mode, 1e-9 if mode == "float" else 0.0)
+    sp = Space(ctx, ctx.parse("1/2"), Truncation(5, -2, 2))
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", fault)
+    cells = _bracket_cells(monkeypatch, suite, sp)
+    for (m, n), levels in cells.items():
+        assert len(cells[n, m]) == len(levels)
+        for x, y in zip(levels, cells[n, m]):
+            assert x.dtype == y.dtype
+            assert np.array_equal(y, -x), (m, n)
+            if mode == "float":
+                # bit for bit, up to the sign of a zero
+                assert (y + 0.0).tobytes() == (-x + 0.0).tobytes(), (m, n)
+    failing = any(x.any() for levels in cells.values() for x in levels)
+    assert failing == (fault and suite is virasoro_bracket_suite)
+
+
+def test_a_right_hand_side_that_is_not_the_mirrors_negation_is_computed(monkeypatch):
+    # a central term doubled only for m > 0 breaks the bracket at (2, -2) but
+    # not at its mirror (-2, 2), which runs first: reusing the mirror's
+    # passing columns would hide the fault
+    monkeypatch.setattr(harness, "central_term", lambda m, n: central_term(m, n) * (2 if m > 0 else 1))
+    suite = virasoro_bracket_suite(space(6), m_range=4)
+    assert suite["status"] == "fail"
+    assert (suite["first_failure"]["m"], suite["first_failure"]["n"]) == (2, -2)
+
+
+def test_mode_oracle_fails_a_fault_of_one_sector_in_that_sector(monkeypatch):
+    # both sectors compare with one oracle stack, each with its own plane of
+    # the mode's stack: Y rows doubled for source sector 1 alone fail there
+    make = vertex._y_table
+
+    def faulty(alpha, delta):
+        rows = make(alpha, delta)
+
+        def row(j, lam):
+            den, level, mus, nums = rows(j, lam)
+            return den, level, mus, tuple(2 * n for n in nums) if j == 1 else nums
+
+        return row
+
+    monkeypatch.setattr(vertex, "_y_table", faulty)
+    suite = mode_oracle_suite(space(4), HALF, max_level=3)
+    assert suite["status"] == "fail"
+    assert suite["first_failure"]["sector"] == 1
+    # every cell of sector 0 ran and passed first
+    assert suite["first_failure"]["delta"] == -3
 
 
 def test_headroom_keeps_identities_truncation_free():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import chargedfock.virasoro as virasoro
 from chargedfock.desitter import PerturbedGenerator, apply_l_part
@@ -13,6 +14,7 @@ from chargedfock.fock import (
 from chargedfock.heisenberg import apply_J
 from chargedfock.scalar import make_context
 from chargedfock.virasoro import apply_L, apply_L_tensor, central_term
+from state_reference import sugawara_k_loop
 
 EXACT = make_context("exact-rational")
 SP = Space(EXACT, Fraction(1, 2), Truncation(64, -2, 2))  # above every level these tests reach
@@ -154,3 +156,16 @@ def test_sugawara_rows_keep_float_and_exact_charges_apart():
     assert exact.entries == floats.entries == {(1, ()): Fraction(1, 8)}
     assert type(exact.entries[(1, ())]) is Fraction
     assert type(floats.entries[(1, ())]) is float
+
+
+def test_term_lists_give_the_k_loop_rows():
+    # one sector-free term list per (mode, partition) serves every sector:
+    # its rows equal, by repr, those of the whole k-loop run in each sector,
+    # the order of their entries and float sums included, at a zero charge
+    # (every J_0 term dropped) and with the fault on
+    build = virasoro._sugawara_on_basis.__wrapped__
+    for alpha0, fault in product((Fraction(1, 2), Fraction(2, 7), Fraction(0), 0.3), (False, True)):
+        for n, level, j in product(range(-6, 7), range(9), range(-2, 3)):
+            for lam in partitions_of(level):
+                want = repr(sugawara_k_loop(n, j, lam, alpha0, fault))
+                assert repr(build(n, j, lam, alpha0, fault)) == want, (alpha0, fault, n, j, lam)
