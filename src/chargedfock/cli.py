@@ -145,6 +145,11 @@ def _cmd_verify_algebra(args) -> int:
 def _cmd_verify_decay(args) -> int:
     cfg = _resolve(args)
     space, alpha, _lam = build_space(cfg)
+    if cfg.alpha_multiplier == 0:
+        raise ConfigError(
+            "verify-decay fits the decay slope of the vacuum mode norms; --alpha_multiplier 0 gives "
+            "alpha = 0, whose vacuum mode norms are 0 past n = 0, so there is no slope to fit"
+        )
     # the fit needs its window (lo, min(hi, n_max)) at least two wide
     least = harness.SLOPE_WINDOW[0] + 2
     _require_count(args.n_max, least, "--n-max", "leaves the slope window too short to fit")
@@ -216,7 +221,7 @@ def _cmd_verify_commutativity(args) -> int:
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
     # the vacuum rows pair images of the sector-0 vacuum, one charge step away
     step, (lo, hi) = abs(cfg.alpha_multiplier), cfg.charge_window
-    if not lo <= -step < step <= hi:
+    if 0 not in space.trunc.interior_sectors(step):
         raise ConfigError(
             f"--charge_window {lo},{hi} must hold sectors {-step}..{step}: verify-commutativity pairs "
             f"the images of the sector-0 vacuum there, and an image that left the charge window "
@@ -284,6 +289,7 @@ def _cmd_verify_virasoro_c0(args) -> int:
 def _cmd_explore_d_half(args) -> int:
     cfg = _resolve(args)
     space, alpha, lam = build_space(cfg)
+    _require_charged(cfg, "explore-d-half")
     _require_count(args.n_max, 1, "--n-max")
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
     t0 = time.perf_counter()
@@ -372,13 +378,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # a ConfigError is a ValueError
         log.error("%s", exc)
         return EXIT_USAGE
 

@@ -142,15 +142,7 @@ def build_space(cfg: RunConfig):
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """The nine run parameters as they entered the run, for the report."""
-    return {
-        "alpha0": cfg.alpha0,
-        "alpha_multiplier": cfg.alpha_multiplier,
-        "level_cutoff": cfg.level_cutoff,
-        "charge_window": list(cfg.charge_window),
-        "lambda": cfg.lam,
-        "arithmetic": cfg.arithmetic,
-        "tolerance": cfg.tolerance,
-        "seed": cfg.seed,
-        "output": cfg.output,
-    }
+    """The run parameters as they entered the run, for the report, by config
+    key; the charge window as a list."""
+    values = {key: getattr(cfg, attr) for key, attr in CONFIG_KEYS.items()}
+    return {**values, "charge_window": list(cfg.charge_window)}

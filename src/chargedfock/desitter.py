@@ -171,10 +171,6 @@ class WeakParts:
     psipsi: Scalar
     tail_budget: float
 
-    @property
-    def total(self) -> Scalar:
-        return self.ll + self.mixed + self.psipsi
-
 
 def default_interior_buffer(max_abs_m: int, probe_level: int) -> int:
     """One chiral Virasoro application plus the deepest sampled probe."""
@@ -193,8 +189,9 @@ def _require_interior(space: Space, phi: TensorState, buffer: int, name: str) ->
 
 
 def _require_charge_interior(space: Space, phi: TensorState, mult: int, name: str) -> None:
+    inner = space.trunc.interior_sectors(mult)
     for (j, _l, _r) in phi.entries:
-        if not (space.trunc.admits_sector(j - mult) and space.trunc.admits_sector(j + mult)):
+        if j not in inner:
             raise ValueError(
                 f"{name} occupies charge sector {j}, less than one bilinear"
                 " step inside the charge window"
@@ -405,12 +402,13 @@ def virasoro_combination(d, m: int, n: int) -> Tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def closure_table(weights=(Fraction(1, 2), Fraction(1, 8)), m_range: int = 3) -> List[dict]:
-    """Symbolic closure survey of the constant-coefficient family."""
+def closure_table() -> List[dict]:
+    """Symbolic closure survey of the constant-coefficient family at weights
+    1/2 and 1/8, |m|, |n| <= 3."""
     rows = []
-    for d in weights:
-        for m in range(-m_range, m_range + 1):
-            for n in range(-m_range, m_range + 1):
+    for d in (Fraction(1, 2), Fraction(1, 8)):
+        for m in range(-3, 4):
+            for n in range(-3, 4):
                 info = mixed_gap_coefficients(d, m, n)
                 rows.append(
                     {
@@ -464,11 +462,7 @@ def _probe_pairs(
             ", ".join(dropped),
             level,
         )
-    js = [
-        j
-        for j in range(space.trunc.j_min + mult, space.trunc.j_max - mult + 1)
-        if space.trunc.admits_sector(j)
-    ]
+    js = list(space.trunc.interior_sectors(mult))
     if not js:
         raise ValueError("charge window too narrow for any interior sector")
     j0 = 0 if 0 in js else js[0]
@@ -737,7 +731,7 @@ def explore_d_half(
         "L": space.trunc.level_cutoff,
         "buffer": interior_buffer,
         "measured_gap": [row for row, _ in measured],
-        "closure_table": closure_table(m_range=3),
+        "closure_table": closure_table(),
         "band_partial_sums": band_rows,
         "closes_at_this_weight": all(vanishes for _, vanishes in measured),
     }

@@ -111,6 +111,11 @@ class Truncation:
     def admits_sector(self, j: int) -> bool:
         return self.j_min <= j <= self.j_max
 
+    def interior_sectors(self, step: int) -> range:
+        """The sectors |step| or more inside the window: a charge step of
+        either sign moves them to sectors the window still holds."""
+        return range(self.j_min + abs(step), self.j_max - abs(step) + 1)
+
 
 @dataclass(frozen=True)
 class Space:
@@ -205,8 +210,8 @@ class SectorState(_State):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, j: int, lam: Partition, coeff: Scalar = 1) -> "SectorState":
-        return cls({(j, tuple(lam)): coeff})
+    def basis(cls, j: int, lam: Partition) -> "SectorState":
+        return cls({(j, tuple(lam)): 1})
 
 
 class TensorState(_State):
@@ -215,8 +220,8 @@ class TensorState(_State):
     __slots__ = ()
 
     @classmethod
-    def basis(cls, j: int, left: Partition, right: Partition, coeff: Scalar = 1) -> "TensorState":
-        return cls({(j, tuple(left), tuple(right)): coeff})
+    def basis(cls, j: int, left: Partition, right: Partition) -> "TensorState":
+        return cls({(j, tuple(left), tuple(right)): 1})
 
     def max_chiral_level(self) -> int:
         return max((max(sum(left), sum(right)) for (_, left, right) in self.entries), default=0)
@@ -298,13 +303,12 @@ class LevelMatrix:
         return LevelMatrix(self.den, self.ints[start:stop], self.top)
 
 
-def _matrix(den: int, cells: list, shape: tuple) -> LevelMatrix:
-    """The entries ``cells``, flat in C order, as a LevelMatrix of ``shape``."""
-    if not cells:
-        return LevelMatrix(1, np.zeros(shape, dtype=np.int64), 0)
-    if any(type(x) is float for x in cells):
+def _matrix(den: int, cells, shape: tuple, top: Optional[int]) -> LevelMatrix:
+    """The entries ``cells``, in C order, as a LevelMatrix of ``shape``:
+    float64 when ``top`` is None (float mode), else int64 when ``top``, the
+    largest |entry|, is below :data:`INT64_BOUND`, and Python ints otherwise."""
+    if top is None:
         return LevelMatrix(den, np.array(cells, dtype=float).reshape(shape), 0)
-    top = max(map(abs, cells))
     return LevelMatrix(den, np.array(cells, dtype=np.int64 if top < INT64_BOUND else object).reshape(shape), top)
 
 
@@ -315,9 +319,15 @@ def _positions(level: int) -> dict:
 
 def stack_rows(sectors, out_level: int) -> LevelMatrix:
     """Rows at output level ``out_level``, one equally long list per sector,
-    as the columns of one stack over the least common denominator of all."""
+    as the columns of one stack over the least common denominator of all:
+    float64 if a row holds floats (float mode)."""
     positions = _positions(out_level)
     den = lcm(1, *[row[0] for rows in sectors for row in rows])
+    filled = [(row_den, nums) for rows in sectors for row_den, _, _, nums in rows if nums]
+    if any(type(nums[0]) is float for _, nums in filled):
+        top = None
+    else:
+        top = max((max(map(abs, nums)) * (den // row_den) for row_den, nums in filled), default=0)
     cols = len(sectors[0])
     size = len(positions) * cols
     cells = [0] * (len(sectors) * size)
@@ -327,7 +337,7 @@ def stack_rows(sectors, out_level: int) -> LevelMatrix:
             base = s * size + col
             for mu, n in zip(mus, nums):
                 cells[base + positions[mu] * cols] = n * scale
-    return _matrix(den, cells, (len(sectors), len(positions), cols))
+    return _matrix(den, cells, (len(sectors), len(positions), cols), top)
 
 
 # one table per (operator, window), each with one stack per level
@@ -355,7 +365,8 @@ def level_matrices(table, shift: int, window: Tuple[int, int], *args):
 def gram_matrix(level: int) -> LevelMatrix:
     """The diagonal Gram weights zsym of ``partitions_of(level)``."""
     lams = partitions_of(level)
-    return _matrix(1, [zsym(lam) if lam == mu else 0 for mu in lams for lam in lams], (len(lams),) * 2)
+    cells = [zsym(lam) if lam == mu else 0 for mu in lams for lam in lams]
+    return _matrix(1, cells, (len(lams),) * 2, max(map(zsym, lams)))
 
 
 @lru_cache(maxsize=64)
@@ -372,12 +383,14 @@ def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     blocks = [block(level) for level in range(top + 1)]
     den = lcm(*[b.den for b in blocks])
     cells = np.zeros(blocks[0].ints.shape[:-2] + (offsets[-1],) * 2, dtype=object)
+    floating = False
     for level, b in enumerate(blocks):
         out = level + shift
         if 0 <= out <= top:
             rows, cols = slice(offsets[out], offsets[out + 1]), slice(offsets[level], offsets[level + 1])
             cells[..., rows, cols] = b.ints.astype(object) * (den // b.den)
-    return _matrix(den, cells.ravel().tolist(), cells.shape)
+            floating = floating or b.ints.dtype == float
+    return _matrix(den, cells, cells.shape, None if floating else np.abs(cells).max())
 
 
 def _chain_bound(chain) -> int:
@@ -478,15 +491,13 @@ def norm_sq(ctx: ArithmeticContext, v):
     return total
 
 
-def states_equal(ctx: ArithmeticContext, v, w, minus=None) -> bool:
-    """v == w, or v - minus == w: one pass over the values, no difference
-    state.  Float mode compares within tolerance."""
-    states = (v, w) if minus is None else (v, minus, w)
-    total = {}
+def states_equal(ctx: ArithmeticContext, v, w) -> bool:
+    """v == w: one pass over the values, no difference state.  Float mode
+    compares within tolerance."""
+    total = dict(v.entries)
     get = total.get
-    for sign, s in zip((1, -1, -1), states):
-        for k, c in s.entries.items():
-            total[k] = get(k, 0) + sign * c
+    for k, c in w.entries.items():
+        total[k] = get(k, 0) - c
     if ctx.exact:
         return not any(total.values())
     return all(abs(x) <= ctx.tolerance for x in total.values())

@@ -1,11 +1,12 @@
 """Verification suites behind the command-line harness.
 
 The verify-algebra suites run on one sweep engine, `_sweep`: a grid of cells
-labelled like (m, n), each a lazy stream of checks on interior basis vectors
--- states far enough below the level cutoff that the identity under test is
-unaffected by truncation.  It stops at the first failure, so a corrupted
-coefficient is pinpointed by (m, n, sector, basis), and it reports a cell with
-no interior states as a "vacuous interior" warning instead of a silent pass.
+labelled like (m, n), each computed whole into blocks of checks on interior
+basis vectors -- states far enough below the level cutoff that the identity
+under test is unaffected by truncation.  It stops at the first failure, so a
+corrupted coefficient is pinpointed by (m, n, sector, basis), and it reports
+a cell with no interior states as a "vacuous interior" warning instead of a
+silent pass.  Each suite's label ranges and level caps are fixed.
 
 Each identity is checked as a matrix identity per level on the operators'
 level stacks (see :mod:`chargedfock.fock`), whose leading axis runs over the
@@ -13,12 +14,12 @@ sectors: a bracket A B - B A - c R = 0 on the whole interior basis of one
 level, in every admitted sector, in one batched residual, whose nonzero
 (sector, column) pairs are the failing basis vectors.  A sector-dependent
 coefficient, such as the mode index of a covariance, scales the sector axis.
-Every basis vector is still computed and checked.  The engine counts blocks
-of passing states; once a cell has a failure, its blocks are replayed in
-(sector, level, basis) order, so the first failure and the states checked
-before it are those of a sweep one basis vector at a time.  Exact modes
-compute in integers, in int64 only under a certified bound; no pass rests on
-modular, probabilistic or float arithmetic.
+Every basis vector is still computed and checked.  A cell that passes counts
+all its states at once; a cell with a failure is replayed in (sector, level,
+basis) order, so the first failure and the states checked before it are
+those of a sweep one basis vector at a time.  Exact modes compute in
+integers, in int64 only under a certified bound; no pass rests on modular,
+probabilistic or float arithmetic.
 
 The two bracket suites compute one residual for each pair of mirrored
 cells: when the right-hand side of cell (n, m) is the negation of that of
@@ -38,7 +39,7 @@ import time
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import product
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -98,28 +99,37 @@ __all__ = [
 _RESIDUALS = Counter()
 
 
-def _sweep(name: str, cases: Callable[..., Iterable], **labels: Iterable) -> dict:
+def _sweep(name: str, cell: Callable, **labels: Iterable) -> dict:
     """Suite report over one cell per combination of the label values, the
-    first label outermost.  `cases(*values)` lazily streams a cell's blocks
-    (size, failed): `size` states that all hold when failed is None, else
-    failed = (k, where) for the first that fails, the k-th of the block,
-    labelled by `where`; the sweep stops there.  It logs, at INFO, its states
-    checked, its batched residuals, how many needed Python ints, how many
-    residuals it reused from mirrored cells, and its seconds."""
+    first label outermost.  `cell(*values)` gives the cell's sectors and its
+    computed blocks (where, bad): bad[s, k] marks the k-th state of the s-th
+    sector failing, and where(j, k) labels it.  A cell with a failure is
+    replayed in (sector, block, state) order, and the sweep stops at its
+    first failing state.  It logs, at INFO, its states checked, its batched
+    residuals, how many needed Python ints, how many residuals it reused from
+    mirrored cells, and its seconds."""
     _RESIDUALS.clear()
     t0 = time.perf_counter()
     checked = cells = vacuous = 0
     failure = None
     for values in product(*labels.values()):
         cells += 1
+        sectors, blocks = cell(*values)
         seen = 0
-        for size, failed in cases(*values):
-            if failed is not None:
-                k, where = failed
-                seen += k + 1
-                failure = {**dict(zip(labels, values)), **where}
-                break
-            seen += size
+        if any(bad.any() for _, bad in blocks):
+            for s, j in enumerate(sectors):
+                for where, bad in blocks:
+                    hits = np.flatnonzero(np.broadcast_to(bad, (len(sectors), bad.shape[-1]))[s])
+                    if hits.size:
+                        k = int(hits[0])
+                        seen += k + 1
+                        failure = {**dict(zip(labels, values)), **where(j, k)}
+                        break
+                    seen += bad.shape[-1]
+                if failure is not None:
+                    break
+        else:
+            seen = len(sectors) * sum(bad.shape[-1] for _, bad in blocks)
         checked += seen
         if failure is not None:
             break
@@ -181,41 +191,20 @@ def _failing_columns(space: Space, terms) -> np.ndarray:
     return _nonzero(space, terms).any(axis=-2)
 
 
-def _replay(sectors, blocks):
-    """Sweep blocks of a cell whose checks are all computed: each block is
-    (where, bad), bad[s, k] marks the k-th state of the s-th sector failing
-    and where(j, k) labels it.  Replayed in (sector, block, state) order, the
-    first failure and the states before it are those of a sweep one state at
-    a time; a cell that holds everywhere is one block."""
-    if not any(bad.any() for _, bad in blocks):
-        yield len(sectors) * sum(bad.shape[-1] for _, bad in blocks), None
-        return
-    for s, j in enumerate(sectors):
-        for where, bad in blocks:
-            hits = np.flatnonzero(np.broadcast_to(bad, (len(sectors), bad.shape[-1]))[s])
-            if hits.size:
-                yield bad.shape[-1], (int(hits[0]), where(j, int(hits[0])))
-                return
-            yield bad.shape[-1], None
-
-
-def _bracket_sweep(name: str, space: Space, bracket, sectors, max_level, **ranges) -> dict:
+def _bracket_sweep(name: str, space: Space, bracket, sectors, **labels) -> dict:
     """Matrix identities on every cell's interior basis, on all `sectors` at
-    once; each of the two label keywords r runs its label from -r to r.
-    `bracket(x, y)` gives a cell's headroom and its checks:
-    `checks(rows, levels)` streams the (where, bad) blocks of :func:`_replay`
-    on the window positions `rows`."""
-    cap = space.trunc.level_cutoff if max_level is None else max_level
+    once, one cell per combination of the `labels` ranges.  `bracket(x, y)`
+    gives a cell's headroom and its checks: `checks(rows, levels)` gives the
+    blocks of :func:`_sweep` on the window positions `rows`."""
     rows = _positions(space, sectors)
 
-    def cases(x, y):
+    def cell(x, y):
         headroom, checks = bracket(x, y)
         # interior levels: their states survive `headroom` extra levels of raising
-        levels = range(min(space.trunc.level_cutoff - headroom, cap) + 1)
-        if levels and sectors:
-            yield from _replay(sectors, list(checks(rows, levels)))
+        levels = range(space.trunc.level_cutoff - headroom + 1)
+        return sectors, list(checks(rows, levels)) if levels and sectors else []
 
-    return _sweep(name, cases, **{label: range(-r, r + 1) for label, r in ranges.items()})
+    return _sweep(name, cell, **labels)
 
 
 class _Op(NamedTuple):
@@ -267,8 +256,8 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = Non
 # exact identity suites (verify-algebra)
 
 
-def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[int] = None) -> dict:
-    """[J_m, J_n] = m delta_{m,-n} on every interior basis vector."""
+def current_bracket_suite(space: Space) -> dict:
+    """[J_m, J_n] = m delta_{m,-n} on every interior basis vector, |m|, |n| <= 6."""
     J = lambda m: _Op(j_matrices(space, m), -m)  # noqa: E731
     mirrors = {}
 
@@ -276,12 +265,12 @@ def current_bracket_suite(space: Space, m_range: int = 6, max_level: Optional[in
         rhs = [(m, _IDENTITY)] if m + n == 0 else []
         return max(0, -m, -n, -m - n), _commutator(space, J(m), J(n), rhs, mirrors)
 
-    ranges = {"m": m_range, "n": m_range}
-    return _bracket_sweep("current_bracket", space, bracket, _sectors(space), max_level, **ranges)
+    return _bracket_sweep("current_bracket", space, bracket, _sectors(space), m=range(-6, 7), n=range(-6, 7))
 
 
-def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[int] = None) -> dict:
-    """[L_m, L_n] = (m-n) L_{m+n} + central(m, n) with unit central charge."""
+def virasoro_bracket_suite(space: Space) -> dict:
+    """[L_m, L_n] = (m-n) L_{m+n} + central(m, n) with unit central charge,
+    |m|, |n| <= 4."""
     L = lambda m: _Op(l_matrices(space, m), -m)  # noqa: E731
     mirrors = {}
 
@@ -289,14 +278,14 @@ def virasoro_bracket_suite(space: Space, m_range: int = 4, max_level: Optional[i
         rhs = [(c, r) for c, r in ((m - n, L(m + n)), (central_term(m, n), _IDENTITY)) if c]
         return max(0, -m, -n, -m - n), _commutator(space, L(m), L(n), rhs, mirrors)
 
-    ranges = {"m": m_range, "n": m_range}
-    return _bracket_sweep("virasoro_bracket", space, bracket, _sectors(space), max_level, **ranges)
+    return _bracket_sweep("virasoro_bracket", space, bracket, _sectors(space), m=range(-4, 5), n=range(-4, 5))
 
 
-def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
+def lorentz_closure_suite(space: Space) -> dict:
     """[G_m, G_n] = (m-n) G_{m+n} for the unperturbed two-sided generators
     G_m = L_m (x) 1 + s 1 (x) L_{-m}, with the sign s of
-    :func:`~chargedfock.desitter.chiral_sign`.
+    :func:`~chargedfock.desitter.chiral_sign`, |m|, |n| <= 1, on two-sided
+    basis states of chiral levels up to 3.
 
     Each product of two generators expands by (A (x) B)(C (x) D) = AC (x) BD
     into Kronecker products of chiral chains on all levels up to two above the
@@ -333,9 +322,10 @@ def lorentz_closure_suite(space: Space, max_level: Optional[int] = 3) -> dict:
                 masks.append(_failing_columns(space, terms))
             yield partial(_pair_where, levels), np.concatenate(masks)
 
-        return 2, checks
+        # two levels of headroom, and the interior capped at level 3
+        return max(2, space.trunc.level_cutoff - 3), checks
 
-    return _bracket_sweep("lorentz_closure", space, bracket, _sectors(space), max_level, m=1, n=1)
+    return _bracket_sweep("lorentz_closure", space, bracket, _sectors(space), m=range(-1, 2), n=range(-1, 2))
 
 
 def _chiral_dim(top: int) -> int:
@@ -349,9 +339,10 @@ def _pair_where(levels, j: int, k: int) -> dict:
     return {"sector": j, "basis": [list(chiral[left]), list(chiral[right])]}
 
 
-def _covariance_sweep(name, space, alpha, op_matrices, coefficient, m_range, delta_range, max_level) -> dict:
-    """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, with s the mode index
-    of Y_delta out of the source sector: one coefficient per sector."""
+def _covariance_sweep(name, space, alpha, op_matrices, coefficient) -> dict:
+    """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, |m|, |delta| <= 3,
+    with s the mode index of Y_delta out of the source sector: one
+    coefficient per sector."""
     mult = charge_multiplier(space, alpha)
     sectors = _sectors(space, mult)
     Y = lambda delta: _Op(y_matrices(space, alpha, delta), delta, mult)  # noqa: E731
@@ -361,52 +352,32 @@ def _covariance_sweep(name, space, alpha, op_matrices, coefficient, m_range, del
         rhs = [(np.array(scale, dtype=object), Y(delta - m))]
         return max(0, delta, -m, delta - m), _commutator(space, _Op(op_matrices(space, m), -m), Y(delta), rhs)
 
-    ranges = {"m": m_range, "delta": delta_range}
-    return _bracket_sweep(name, space, bracket, sectors, max_level, **ranges)
+    return _bracket_sweep(name, space, bracket, sectors, m=range(-3, 4), delta=range(-3, 4))
 
 
-def current_covariance_suite(
-    space: Space,
-    alpha,
-    m_range: int = 3,
-    delta_range: int = 3,
-    max_level: Optional[int] = None,
-) -> dict:
+def current_covariance_suite(space: Space, alpha) -> dict:
     """[J_m, Y_delta] = alpha Y_{delta-m} on interior basis vectors."""
     coefficient = lambda m, s: alpha  # noqa: E731
-    args = (m_range, delta_range, max_level)
-    return _covariance_sweep("current_covariance", space, alpha, j_matrices, coefficient, *args)
+    return _covariance_sweep("current_covariance", space, alpha, j_matrices, coefficient)
 
 
-def primary_covariance_suite(
-    space: Space,
-    alpha,
-    m_range: int = 3,
-    delta_range: int = 3,
-    max_level: Optional[int] = None,
-) -> dict:
+def primary_covariance_suite(space: Space, alpha) -> dict:
     """[L_m, Y_delta] = ((d-1)m - s) Y_{delta-m}, with s the real mode index
     of the shift-delta mode out of the source sector."""
     d = conformal_weight(alpha)
     coefficient = lambda m, s: (d - 1) * m - s  # noqa: E731
-    args = (m_range, delta_range, max_level)
-    return _covariance_sweep("primary_covariance", space, alpha, l_matrices, coefficient, *args)
+    return _covariance_sweep("primary_covariance", space, alpha, l_matrices, coefficient)
 
 
-def mode_oracle_suite(
-    space: Space,
-    alpha,
-    sectors: Sequence[int] = (0, 1),
-    max_level: int = 8,
-) -> dict:
-    """Expansion route against the commutator-recursion oracle, every matrix
-    element between basis states of level <= max_level: each column of the
-    mode's level matrix against the oracle's state on that basis vector.
-    The oracle's matrix elements take no sector, so each (delta, level)
-    oracle stack is built once and compared with every sector's own plane
-    of the mode's stack."""
+def mode_oracle_suite(space: Space, alpha) -> dict:
+    """Expansion route against the commutator-recursion oracle in sectors 0
+    and 1, every matrix element between basis states of level <= 8: each
+    column of the mode's level matrix against the oracle's state on that
+    basis vector.  The oracle's matrix elements take no sector, so each
+    (delta, level) oracle stack is built once and compared with every
+    sector's own plane of the mode's stack."""
     admitted = _sectors(space, charge_multiplier(space, alpha))
-    top = min(max_level, space.trunc.level_cutoff)
+    top = min(8, space.trunc.level_cutoff)
     oracles = {}
 
     def oracle(j, delta, level):
@@ -417,31 +388,27 @@ def mode_oracle_suite(
             oracles[delta, level] = stack_rows([rows], level + delta)
         return oracles[delta, level]
 
-    def cases(j, delta):
+    def cell(j, delta):
         if j not in admitted:
-            return
+            return (), []
         Y, rows = _Op(y_matrices(space, alpha, delta), delta), _positions(space, range(j, j + 1))
         blocks = []
         for level in range(max(0, -delta), top - max(0, delta) + 1):
             terms = [(1, ((Y.at(rows, level),),)), (-1, ((oracle(j, delta, level),),))]
             blocks.append((partial(_column_where, level), _failing_columns(space, terms)))
-        yield from _replay([j], blocks)
+        return [j], blocks
 
-    return _sweep("mode_oracle_equivalence", cases, sector=sectors, delta=range(-top, top + 1))
+    return _sweep("mode_oracle_equivalence", cell, sector=(0, 1), delta=range(-top, top + 1))
 
 
-def mode_adjoint_suite(
-    space: Space,
-    alpha,
-    delta_range: int = 4,
-    max_level: int = 4,
-) -> dict:
-    """<Y_{alpha,delta} v, w> = <v, Y_{-alpha,-delta} w> on basis pairs: with
-    Z the diagonal Gram weights and real charges, the matrix identity
-    Y_{alpha,delta}^T Z_t = Z_s Y_{-alpha,-delta}, entry (v, w) per pair, on
-    every sector at once; the pairs run by v, then by w."""
+def mode_adjoint_suite(space: Space, alpha) -> dict:
+    """<Y_{alpha,delta} v, w> = <v, Y_{-alpha,-delta} w> on basis pairs, |delta|
+    <= 4 and source levels <= 4: with Z the diagonal Gram weights and real
+    charges, the matrix identity Y_{alpha,delta}^T Z_t = Z_s Y_{-alpha,-delta},
+    entry (v, w) per pair, on every sector at once; the pairs run by v, then
+    by w."""
     mult = charge_multiplier(space, alpha)
-    top = min(max_level, space.trunc.level_cutoff)
+    top = min(4, space.trunc.level_cutoff)
     sectors = _sectors(space, mult)
     rows = _positions(space, sectors)
 
@@ -449,9 +416,9 @@ def mode_adjoint_suite(
         col, row = divmod(k, len(partitions_of(level + delta)))
         return {**_column_where(level, j, col), "target": list(partitions_of(level + delta)[row])}
 
-    def cases(delta):
+    def cell(delta):
         if not sectors:
-            return
+            return sectors, []
         forward, backward = _Op(y_matrices(space, alpha, delta), delta), _Op(y_matrices(space, -alpha, -delta), -delta)
         blocks = []
         for level in range(max(0, -delta), top + 1):
@@ -462,9 +429,9 @@ def mode_adjoint_suite(
                 ]
                 bad = _nonzero(space, terms)
                 blocks.append((partial(where, level, delta), bad.reshape(bad.shape[:-2] + (-1,))))
-        yield from _replay(sectors, blocks)
+        return sectors, blocks
 
-    return _sweep("mode_adjoint", cases, delta=range(-delta_range, delta_range + 1))
+    return _sweep("mode_adjoint", cell, delta=range(-4, 5))
 
 
 def algebra_report(space: Space, alpha) -> dict:
@@ -573,7 +540,7 @@ def decay_report(space: Space, alpha, n_max: int = 512) -> dict:
     charges = (alpha,) if alpha == ctx.one() else (alpha, ctx.one())
     for alpha_k in charges:
         for delta in range(-BLOCK_DELTA_RANGE, BLOCK_DELTA_RANGE + 1):
-            nrm = truncated_mode_norm(block_space, alpha_k, delta, seed=0)
+            nrm = truncated_mode_norm(block_space, alpha_k, delta)
             ok = nrm <= BLOCK_BOUND
             blocks_ok = blocks_ok and ok
             block_rows.append(
@@ -621,13 +588,12 @@ def _commutativity_probes(space: Space, alpha, seed: int, samples: int):
     same-sector pairs with a two-step transfer pair; extra pairs are sampled
     with the run seed.
     """
-    trunc = space.trunc
     step = abs(charge_multiplier(space, alpha))
-    inner_sectors = [j for j in range(trunc.j_min + step, trunc.j_max - step + 1) if trunc.admits_sector(j)]
+    inner_sectors = list(space.trunc.interior_sectors(step))
     if not inner_sectors:
         return []
     j0 = 0 if 0 in inner_sectors else inner_sectors[0]
-    L = trunc.level_cutoff
+    L = space.trunc.level_cutoff
     probes = [("level-one", TensorState.basis(j0, (1,), ()), TensorState.basis(j0, (1,), ()))]
     if L >= 2:
         probes.append(

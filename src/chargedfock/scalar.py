@@ -245,14 +245,14 @@ def make_context(mode: str, tolerance: float = 0.0) -> ArithmeticContext:
     return ArithmeticContext(mode=mode, tolerance=tolerance)
 
 
-def decimal_str(r, digits: int = 30) -> str:
-    """Decimal rendering of a real scalar with `digits` significant digits.
+def decimal_str(r) -> str:
+    """Decimal rendering of a real scalar with 30 significant digits.
 
-    Exact inputs are rounded once at the requested precision, so serialized
-    tables are reproducible byte for byte.
+    Exact inputs are rounded once at that precision, so serialized tables are
+    reproducible byte for byte.
     """
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 30
         if isinstance(r, Fraction):
             d = Decimal(r.numerator) / Decimal(r.denominator)
         elif isinstance(r, int):

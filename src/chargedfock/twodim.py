@@ -85,9 +85,6 @@ class TimeZeroMode:
     alpha: Scalar
     m: int
 
-    def adjoint(self) -> "TimeZeroMode":
-        return TimeZeroMode(self.alpha, -self.m)
-
 
 @dataclass(frozen=True)
 class BandReport:

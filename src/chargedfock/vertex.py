@@ -283,14 +283,13 @@ def _mode_block_entries(space: Space, alpha, delta: int):
                 yield level, lam, mu, n if den == 1 else Fraction(n, den)
 
 
-def truncated_mode_norm(
-    space: Space,
-    alpha,
-    delta: int,
-    seed: int = 0,
-    tol: float = 1e-12,
-    maxiter: int = 20000,
-) -> float:
+# power iteration from a seed-0 normal vector: it stops once an iteration
+# moves the estimate by at most POWER_TOL relative, or fails after POWER_MAXITER
+POWER_TOL = 1e-12
+POWER_MAXITER = 20000
+
+
+def truncated_mode_norm(space: Space, alpha, delta: int) -> float:
     """Operator norm of the truncated mode block via power iteration.
 
     Rayleigh quotients increase to the top singular value, so the estimate
@@ -315,11 +314,11 @@ def truncated_mode_norm(
         A[targets[mu], src_index[lam]] = float(coeff) * (zsym(mu) / zsym(lam)) ** 0.5
     if not A.any():
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for it in range(1, maxiter + 1):
+    for it in range(1, POWER_MAXITER + 1):
         w = A @ v
         u = A.T @ w
         nu = np.linalg.norm(u)
@@ -327,15 +326,15 @@ def truncated_mode_norm(
             return 0.0
         new_sigma = float(np.sqrt(w @ w))
         u /= nu
-        if abs(new_sigma - sigma) <= tol * max(1.0, new_sigma) and it > 2:
+        if abs(new_sigma - sigma) <= POWER_TOL * max(1.0, new_sigma) and it > 2:
             return new_sigma
         sigma = new_sigma
         v = u
     raise PowerIterationError(
-        f"power iteration did not settle after {maxiter} iterations "
+        f"power iteration did not settle after {POWER_MAXITER} iterations "
         f"(last increment {abs(new_sigma - sigma):.3e})",
         residual=abs(new_sigma - sigma),
-        iterations=maxiter,
+        iterations=POWER_MAXITER,
     )
 
 

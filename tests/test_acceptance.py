@@ -61,7 +61,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_current_relations():
     t0 = time.perf_counter()
-    suite = current_bracket_suite(space(10), m_range=6)
+    suite = current_bracket_suite(space(10))
     elapsed = time.perf_counter() - t0
     ok = suite["status"] == "pass" and elapsed < CURRENT_SECONDS
     _line(
@@ -74,7 +74,7 @@ def test_criterion_01_current_relations():
 
 def test_criterion_02_virasoro_unit_central_charge():
     t0 = time.perf_counter()
-    suite = virasoro_bracket_suite(space(10), m_range=4)
+    suite = virasoro_bracket_suite(space(10))
     elapsed = time.perf_counter() - t0
     ok = suite["status"] == "pass" and elapsed < VIRASORO_SECONDS
     _line(
@@ -108,8 +108,8 @@ def test_criterion_03_vacuum_norm_formula_and_decay():
 
 
 def test_criterion_04_primary_and_current_covariance():
-    current = current_covariance_suite(space(10), HALF, m_range=3, delta_range=3)
-    primary = primary_covariance_suite(space(10), HALF, m_range=3, delta_range=3)
+    current = current_covariance_suite(space(10), HALF)
+    primary = primary_covariance_suite(space(10), HALF)
     ok = current["status"] == "pass" and primary["status"] == "pass"
     _line(
         4,
@@ -124,7 +124,7 @@ def test_criterion_05_truncated_mode_block_bound():
     worst = 0.0
     for alpha in (HALF, Fraction(1)):
         for delta in range(-6, 7):
-            worst = max(worst, truncated_mode_norm(sp, alpha, delta, seed=0))
+            worst = max(worst, truncated_mode_norm(sp, alpha, delta))
     ok = worst <= 1.0 + BLOCK_SLACK
     _line(
         5,
@@ -135,7 +135,7 @@ def test_criterion_05_truncated_mode_block_bound():
 
 
 def test_criterion_06_mode_oracle_equivalence():
-    suite = mode_oracle_suite(space(8), HALF, sectors=(0, 1), max_level=8)
+    suite = mode_oracle_suite(space(8), HALF)
     ok = suite["status"] == "pass" and suite["states_checked"] > 0
     _line(
         6,
@@ -224,7 +224,7 @@ def test_criterion_10_weak_centerless_virasoro():
 
 
 def test_criterion_11_closure_only_at_weight_half():
-    rows = closure_table(weights=(Fraction(1, 2), Fraction(1, 8)), m_range=3)
+    rows = closure_table()
     identity_ok = all(row["identity_2d"] for row in rows)
     at_half = [row for row in rows if row["d"] == "1/2"]
     at_eighth = [row for row in rows if row["d"] == "1/8" and row["m"] != row["n"]]

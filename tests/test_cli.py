@@ -409,12 +409,37 @@ def test_verify_commutativity_refuses_clipped_images(capsys, caplog):
     assert json.loads(out)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("subcommand", ["verify-commutativity", "verify-lorentz", "verify-virasoro-c0"])
+@pytest.mark.parametrize(
+    "subcommand", ["verify-commutativity", "verify-lorentz", "verify-virasoro-c0", "explore-d-half"]
+)
 def test_a_zero_charge_is_a_usage_error(capsys, caplog, subcommand):
     # alpha = 0 moves no sector, so a charge-step probe pair is one sector
     assert main([subcommand, "--alpha_multiplier", "0", "--level_cutoff", "6"]) == 1
     assert capsys.readouterr().out == ""
     assert f"{subcommand} needs a charged perturbation; --alpha_multiplier 0 gives alpha = 0" in caplog.text
+
+
+def test_verify_decay_refuses_a_zero_charge_before_any_work(capsys, caplog, monkeypatch):
+    # alpha = 0 leaves the vacuum norms 0 past n = 0: no slope to fit
+    monkeypatch.setattr(harness, "decay_report", None)
+    assert main(["verify-decay", "--alpha_multiplier", "0"]) == 1
+    assert capsys.readouterr().out == ""
+    assert "--alpha_multiplier 0 gives alpha = 0, whose vacuum mode norms are 0 past n = 0" in caplog.text
+
+
+NEGATIVE_MULTIPLIERS = [
+    *[("verify-lorentz", "--level_cutoff", "8", "--alpha_multiplier=-1", "--seed", str(s)) for s in range(4)],
+    *[("verify-virasoro-c0", "--level_cutoff", "8", "--alpha_multiplier=-1", "--seed", str(s)) for s in range(4)],
+    ("verify-lorentz", "--alpha0", "1/4", "--alpha_multiplier=-2", "--charge_window=-4,4", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_MULTIPLIERS, ids=" ".join)
+def test_negative_multipliers_draw_probes_inside_the_window(capsys, argv):
+    # a charge step of -k sectors needs the same |k| sectors of margin as +k
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["summary"]["verdict"] == "pass"
 
 
 def test_verify_commutativity_names_the_sectors_its_window_must_hold(capsys, caplog, monkeypatch):

@@ -212,6 +212,11 @@ def test_bilinear_residual_within_tail_budget():
     assert by_cutoff[12].tail_budget < by_cutoff[8].tail_budget
 
 
+def _total(parts):
+    """The whole weak commutator: the sum of its three pieces."""
+    return parts.ll + parts.mixed + parts.psipsi
+
+
 def test_starred_antisymmetry_every_cell():
     sp = space(8, ctx=GAUSS)
     cache = PsiCache()
@@ -226,12 +231,8 @@ def test_starred_antisymmetry_every_cell():
         for m, n in cells:
             gen_a = PerturbedGenerator(family, m, lam, ALPHA)
             gen_b = PerturbedGenerator(family, n, lam, ALPHA)
-            lhs = GAUSS.conj(
-                weak_commutator_parts(sp, gen_a, gen_b, phi2, phi1, 4, cache=cache).total
-            )
-            rhs = weak_commutator_parts(
-                sp, gen_b.adjoint(), gen_a.adjoint(), phi1, phi2, 4, cache=cache
-            ).total
+            lhs = GAUSS.conj(_total(weak_commutator_parts(sp, gen_a, gen_b, phi2, phi1, 4, cache=cache)))
+            rhs = _total(weak_commutator_parts(sp, gen_b.adjoint(), gen_a.adjoint(), phi1, phi2, 4, cache=cache))
             assert lhs == rhs
 
 
@@ -243,10 +244,8 @@ def test_literal_antisymmetry_on_adjoint_paired_cells():
     for family, m in [("virasoro_c0", 2), ("lorentz", 1), ("d_half", 1)]:
         gen_a = PerturbedGenerator(family, m, Fraction(1, 2), ALPHA)
         gen_b = gen_a.adjoint()
-        lhs = weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, 4, cache=cache).total
-        rhs = -GAUSS.conj(
-            weak_commutator_parts(sp, gen_b, gen_a, phi2, phi1, 4, cache=cache).total
-        )
+        lhs = _total(weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, 4, cache=cache))
+        rhs = -GAUSS.conj(_total(weak_commutator_parts(sp, gen_b, gen_a, phi2, phi1, 4, cache=cache)))
         assert lhs == rhs
 
 
@@ -396,7 +395,7 @@ def memo_cases(draw):
             elif mode == "exact-gaussian" and draw(st.booleans()):
                 c = GaussianRational(c, draw(values))
             j = draw(st.integers(-1, 1))
-            state = state.add(TensorState.basis(j, draw(parts), draw(parts), c))
+            state = state.add(TensorState.basis(j, draw(parts), draw(parts)).scale(c))
         return state
 
     alpha0 = A0 if ctx.exact else float(A0)
@@ -473,7 +472,7 @@ def test_float_and_exact_spaces_never_share_an_entry():
     assert {type(c) for c in apply_l_part(exact, gen_a, v).entries.values()} <= {int, Fraction}
     assert {type(c) for c in apply_l_part(floats, float_a, v).entries.values()} == {float}
     # so is an equal state with float values in the exact space
-    v_float = TensorState.basis(1, (2,), (1,), 1.0)
+    v_float = TensorState.basis(1, (2,), (1,)).scale(1.0)
     assert {type(c) for c in apply_l_part(exact, gen_a, v_float).entries.values()} == {float}
     # an exact space with a float charge equals the exact space, and is a third entry
     mixed = Space(EXACT, float(A0), exact.trunc)
@@ -486,7 +485,7 @@ def test_float_and_exact_spaces_never_share_an_entry():
 def test_l_part_memo_keeps_each_state_s_entry_order():
     # an equal state with its entries in another order is another key: the
     # output lists its terms in its input's order, as a cold application does
-    v = TensorState.basis(0, (1,), (1,), 0.5).add(TensorState.basis(1, (2,), (), 0.25))
+    v = TensorState.basis(0, (1,), (1,)).scale(0.5).add(TensorState.basis(1, (2,), ()).scale(0.25))
     w = TensorState(dict(reversed(v.entries.items())))
     sp = Space(FLOAT, 0.5, Truncation(6, -2, 2))
     gen = PerturbedGenerator("lorentz", 1, 0.0, 0.5)

@@ -97,11 +97,19 @@ def test_truncation_validation():
             Truncation(cutoff, -2, 2)
 
 
+def test_interior_sectors_take_the_step_s_size_not_its_sign():
+    t = Truncation(4, -2, 2)
+    assert t.interior_sectors(1) == t.interior_sectors(-1) == range(-1, 2)
+    assert t.interior_sectors(-2) == range(0, 1)
+    assert list(t.interior_sectors(3)) == []
+    assert t.interior_sectors(0) == range(-2, 3)
+
+
 def test_inner_product_conjugate_linear_first_slot():
     ctx = make_context("exact-gaussian")
     i = ctx.imaginary_unit()
-    v = SectorState.basis(0, (1,), i)
-    w = SectorState.basis(0, (1,), 1)
+    v = SectorState.basis(0, (1,)).scale(i)
+    w = SectorState.basis(0, (1,))
     assert inner_product(ctx, v, w) == -i
     assert inner_product(ctx, w, v) == i
     assert norm_sq(ctx, v) == 1

@@ -1,3 +1,4 @@
+import inspect
 import logging
 import math
 import re
@@ -53,13 +54,13 @@ def space(L, window=(-2, 2)):
 def test_identity_suites_pass_on_small_window():
     sp = space(6)
     for suite in (
-        current_bracket_suite(sp, m_range=3),
-        virasoro_bracket_suite(sp, m_range=2),
-        lorentz_closure_suite(sp, max_level=2),
-        current_covariance_suite(sp, HALF, m_range=2, delta_range=2),
-        primary_covariance_suite(sp, HALF, m_range=2, delta_range=2),
-        mode_oracle_suite(sp, HALF, max_level=4),
-        mode_adjoint_suite(sp, HALF, delta_range=3, max_level=3),
+        current_bracket_suite(sp),
+        virasoro_bracket_suite(sp),
+        lorentz_closure_suite(sp),
+        current_covariance_suite(sp, HALF),
+        primary_covariance_suite(sp, HALF),
+        mode_oracle_suite(sp, HALF),
+        mode_adjoint_suite(sp, HALF),
     ):
         assert suite["status"] == "pass", suite
         assert suite["first_failure"] is None
@@ -70,7 +71,7 @@ def test_fault_injection_is_pinpointed():
     sp = space(6)
     virasoro.FAULT_SUGAWARA = True
     try:
-        suite = virasoro_bracket_suite(sp, m_range=4)
+        suite = virasoro_bracket_suite(sp)
     finally:
         virasoro.FAULT_SUGAWARA = False
     assert suite["status"] == "fail"
@@ -79,7 +80,7 @@ def test_fault_injection_is_pinpointed():
     assert failure["n"] == 2 or failure["m"] == 2
     assert failure == {"m": -4, "n": 2, "sector": -2, "basis": [1]}
     # a clean rerun must not inherit the corrupt generator
-    assert virasoro_bracket_suite(sp, m_range=4)["status"] == "pass"
+    assert virasoro_bracket_suite(sp)["status"] == "pass"
 
 
 def test_degenerate_cutoff_warns_vacuous_interior():
@@ -129,25 +130,25 @@ def _sugawara_fault(monkeypatch):
 
 
 # suite -> (fault, run, (states checked, cells, vacuous cells, first failure)), the
-# figures each suite reported before the sweep engine replaced its own loop.
-# Each fault sits in the rows that both the state kernels and the level
-# matrices read.
+# figures each suite reported before the sweep engine replaced its own loop,
+# at its fixed ranges.  Each fault sits in the rows that both the state
+# kernels and the level matrices read.
 FAULT_CASES = {
     "current_bracket": (
         lambda mp: _doubled_rows(mp, "J", lambda m, alpha0: m == 1),
-        lambda sp: current_bracket_suite(sp, m_range=3),
-        (211, 19, 3, {"m": -1, "n": 1, "sector": -2, "basis": []}),
+        current_bracket_suite,
+        (336, 73, 44, {"m": -1, "n": 1, "sector": -2, "basis": []}),
     ),
     "virasoro_bracket": (
         _sugawara_fault,
-        lambda sp: virasoro_bracket_suite(sp, m_range=4),
+        virasoro_bracket_suite,
         (52, 16, 7, {"m": -3, "n": 2, "sector": -2, "basis": [1]}),
     ),
     # doubling L_1 doubles G_1's left and G_-1's right factor, where the
     # state-based suite doubled all of G_1: the same cell fails first
     "lorentz_closure": (
         lambda mp: _doubled_rows(mp, "L", lambda n, alpha0, fault: n == 1),
-        lambda sp: lorentz_closure_suite(sp, max_level=2),
+        lorentz_closure_suite,
         (162, 3, 0, {"m": -1, "n": 1, "sector": -2, "basis": [[], [1]]}),
     ),
     "current_covariance": (
@@ -162,14 +163,14 @@ FAULT_CASES = {
     ),
     "mode_oracle_equivalence": (
         lambda mp: _doubled_rows(mp, "Y", lambda alpha, delta: delta == 1),
-        lambda sp: mode_oracle_suite(sp, HALF, max_level=3),
-        (22, 5, 0, {"delta": 1, "sector": 0, "basis": []}),
+        lambda sp: mode_oracle_suite(sp, HALF),
+        (47, 6, 0, {"delta": 1, "sector": 0, "basis": []}),
     ),
     # the failing cell's states count, although the cell never finishes
     "mode_adjoint": (
         lambda mp: _doubled_rows(mp, "Y", lambda alpha, delta: delta == 1),
-        lambda sp: mode_adjoint_suite(sp, HALF, delta_range=3, max_level=3),
-        (33, 3, 0, {"delta": -1, "sector": -2, "basis": [1], "target": []}),
+        lambda sp: mode_adjoint_suite(sp, HALF),
+        (113, 4, 0, {"delta": -1, "sector": -2, "basis": [1], "target": []}),
     ),
 }
 
@@ -212,7 +213,7 @@ def test_each_suite_logs_its_counts(caplog):
     caplog.clear()
     sp = Space(EXACT, Fraction(2, 7), Truncation(8, -2, 2))
     with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
-        primary_covariance_suite(sp, Fraction(2, 7), m_range=2, delta_range=2)
+        primary_covariance_suite(sp, Fraction(2, 7))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "chargedfock.harness"]
     batched, wide = map(int, re.search(r"(\d+) batched residuals, (\d+) in Python ints", line).groups())
     assert 0 < wide < batched
@@ -231,12 +232,12 @@ def _bracket_cells(monkeypatch, suite, sp):
     sweeps = []
     monkeypatch.setattr(harness, "residual", recorded)
     monkeypatch.setattr(harness, "_commutator", lambda space, a, b, rhs, mirrors=None: commutator(space, a, b, rhs))
-    monkeypatch.setattr(harness, "_bracket_sweep", lambda *args, **ranges: sweeps.append((args, ranges)))
+    monkeypatch.setattr(harness, "_bracket_sweep", lambda *args, **labels: sweeps.append((args, labels)))
     suite(sp)
-    ((_, _, bracket, sectors, _), ranges), = sweeps
+    ((_, _, bracket, sectors), labels), = sweeps
     rows = harness._positions(sp, sectors)
     out = {}
-    for m, n in product(*(range(-r, r + 1) for r in ranges.values())):
+    for m, n in product(*labels.values()):
         headroom, checks = bracket(m, n)
         out[m, n] = []
         for level in range(sp.trunc.level_cutoff - headroom + 1):
@@ -272,7 +273,7 @@ def test_a_right_hand_side_that_is_not_the_mirrors_negation_is_computed(monkeypa
     # not at its mirror (-2, 2), which runs first: reusing the mirror's
     # passing columns would hide the fault
     monkeypatch.setattr(harness, "central_term", lambda m, n: central_term(m, n) * (2 if m > 0 else 1))
-    suite = virasoro_bracket_suite(space(6), m_range=4)
+    suite = virasoro_bracket_suite(space(6))
     assert suite["status"] == "fail"
     assert (suite["first_failure"]["m"], suite["first_failure"]["n"]) == (2, -2)
 
@@ -292,18 +293,18 @@ def test_mode_oracle_fails_a_fault_of_one_sector_in_that_sector(monkeypatch):
         return row
 
     monkeypatch.setattr(vertex, "_y_table", faulty)
-    suite = mode_oracle_suite(space(4), HALF, max_level=3)
+    suite = mode_oracle_suite(space(4), HALF)
     assert suite["status"] == "fail"
     assert suite["first_failure"]["sector"] == 1
     # every cell of sector 0 ran and passed first
-    assert suite["first_failure"]["delta"] == -3
+    assert suite["first_failure"]["delta"] == -4
 
 
 def test_headroom_keeps_identities_truncation_free():
     # the same suite at a deeper cutoff checks strictly more states, and both
     # pass: interior selection never trades exactness for coverage
-    small = current_bracket_suite(space(4), m_range=2)
-    big = current_bracket_suite(space(6), m_range=2)
+    small = current_bracket_suite(space(4))
+    big = current_bracket_suite(space(6))
     assert small["status"] == big["status"] == "pass"
     assert big["states_checked"] > small["states_checked"]
 
@@ -426,7 +427,7 @@ def _reference_bracket(name, sp, ranges, bracket, sectors, sides, cap=None):
             for lams in product(chiral, repeat=sides):
                 v = (SectorState if sides == 1 else TensorState).basis(j, *lams)
                 seen += 1
-                if not states_equal(EXACT, a(b(v)), rhs(j, v), minus=b(a(v))):
+                if not states_equal(EXACT, a(b(v)).sub(b(a(v))), rhs(j, v)):
                     basis = list(lams[0]) if sides == 1 else [list(lam) for lam in lams]
                     failure = {x_label: x, y_label: y, "sector": j, "basis": basis}
                     break
@@ -570,3 +571,13 @@ def test_block_sweep_isolates_columns(monkeypatch, name):
     if name.endswith("last_sector") or suite == "mode_adjoint":
         assert want["first_failure"]["sector"] == sp.trunc.j_max - int(suite == "mode_adjoint")
     assert run() == want
+
+
+def test_suites_take_no_ranges():
+    # every range and level cap is fixed in the suite itself
+    suites = [current_bracket_suite, virasoro_bracket_suite, lorentz_closure_suite]
+    charged = [current_covariance_suite, primary_covariance_suite, mode_oracle_suite, mode_adjoint_suite]
+    for suite in suites:
+        assert list(inspect.signature(suite).parameters) == ["space"], suite.__name__
+    for suite in charged:
+        assert list(inspect.signature(suite).parameters) == ["space", "alpha"], suite.__name__

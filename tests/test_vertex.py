@@ -195,10 +195,12 @@ def test_truncated_norm_empty_block():
     assert truncated_mode_norm(space, A0, 7) == 0.0
 
 
-def test_power_iteration_failure_reports():
+def test_power_iteration_failure_reports(monkeypatch):
     space = Space(EXACT, A0, Truncation(6, -2, 2))
+    monkeypatch.setattr(vertex, "POWER_TOL", 1e-16)
+    monkeypatch.setattr(vertex, "POWER_MAXITER", 3)
     with pytest.raises(PowerIterationError) as err:
-        truncated_mode_norm(space, A0, 0, tol=1e-16, maxiter=3)
+        truncated_mode_norm(space, A0, 0)
     assert err.value.iterations == 3
 
 
