@@ -497,6 +497,18 @@ def _probe_pairs(
         pairs.append((f"sample-{s}", phi1, phi2))
     if repeats:
         log.warning("seeded probe samples repeat earlier pairs and check nothing new: %s", ", ".join(repeats))
+    if j0 + mult not in js:
+        crossing = [name for name, v, w in pairs if next(iter(v.entries))[0] != next(iter(w.entries))[0]]
+        log.warning(
+            "probe charge-step-pair dropped: sector %d, one charge step from sector %d, is not interior (%d..%d); %s",
+            j0 + mult,
+            j0,
+            js[0],
+            js[-1],
+            f"only these pairs cross sectors: {', '.join(crossing)}"
+            if crossing
+            else "every remaining pair is same-sector, so the one-bilinear pieces are checked only where they vanish",
+        )
     return pairs
 
 

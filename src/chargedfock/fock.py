@@ -28,7 +28,10 @@ without Fractions.
 The same rows, stacked by :func:`level_matrices`, give each operator one
 :class:`LevelMatrix` per level: integer numerators over one denominator, with
 a leading axis over every sector of the charge window, so a contiguous run of
-sectors is a view.  :func:`residual` sums products of such stacks exactly, one
+sectors is a view.  When every sector's rows are equal, as for J_m (m != 0)
+and every Y_delta, that axis is a stride-0 view of one plane; a row that
+differs in one sector, a fault's included, gives every sector its own plane.
+:func:`residual` sums products of such stacks exactly, one
 identity on all sectors in one batched product, in int64 only while a bound
 certified from the entries' magnitudes, the inner dimensions and the
 cross-multiplication factors stays below 2**63, and in Python ints otherwise;
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 from typing import Optional, Tuple
 
 import numpy as np
@@ -138,7 +141,6 @@ def exact_ratio(charge) -> Optional[Tuple[int, int]]:
     (float mode)."""
     if isinstance(charge, (float, complex)):
         return None
-    charge = Fraction(charge)
     return charge.numerator, charge.denominator
 
 
@@ -155,17 +157,6 @@ def float_row(level: int, acc: dict) -> Row:
     """Row from output partition -> float value (float mode), zeros dropped."""
     pairs = [(mu, c * 1.0) for mu, c in acc.items() if c != 0]
     return 1, level, tuple(mu for mu, _ in pairs), tuple(c for _, c in pairs)
-
-
-def value_row(level: int, values: dict) -> Row:
-    """Row from output partition -> nonzero value at one output level:
-    integers over the values' least common denominator, which leaves the row
-    reduced, or floats (float mode) as soon as one value is a float or
-    complex."""
-    if any(isinstance(c, (float, complex)) for c in values.values()):
-        return float_row(level, values)
-    den = lcm(1, *[c.denominator for c in values.values()])
-    return den, level, tuple(values), tuple(c.numerator * (den // c.denominator) for c in values.values())
 
 
 class _State:
@@ -283,7 +274,8 @@ class LevelMatrix:
     """An operator on the basis of one level, ``ints / den``: column c holds
     the row of ``partitions_of(level)[c]``, entry r its coefficient on the
     r-th output partition.  A stack has a leading sector axis, ``ints[s]``
-    on the s-th sector of the charge window; a matrix without one holds in
+    on the s-th sector of the charge window, a stride-0 view of one plane
+    when the rows are equal in every sector; a matrix without one holds in
     every sector.  ``ints`` is int64 when every entry fits, Python ints
     (object dtype) otherwise, float64 values in float mode; ``top`` bounds
     the absolute value of every exact entry of the whole stack."""
@@ -349,14 +341,19 @@ def level_matrices(table, shift: int, window: Tuple[int, int], *args):
     row-table factory, the level shift, the window and the factory's
     arguments, each by type as well, so a float charge never meets an equal
     Fraction; the returned table is found once per operator, so a lookup
-    hashes only the level."""
+    hashes only the level.  A level whose row lists are equal in every sector
+    stacks one sector's rows and views them over all (stride 0)."""
     row_of = table(*args)
     sectors = range(window[0], window[1] + 1)
 
     @lru_cache(maxsize=64)
     def stack(level: int) -> LevelMatrix:
         lams = partitions_of(level)
-        return stack_rows([[row_of(j, lam) for lam in lams] for j in sectors], level + shift)
+        rows = [[row_of(j, lam) for lam in lams] for j in sectors]
+        if any(r != rows[0] for r in rows[1:]):
+            return stack_rows(rows, level + shift)
+        one = stack_rows(rows[:1], level + shift)  # every sector's rows equal: one plane, stride 0
+        return LevelMatrix(one.den, np.broadcast_to(one.ints, (len(rows),) + one.ints.shape[1:]), one.top)
 
     return stack
 
@@ -393,15 +390,6 @@ def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     return _matrix(den, cells, cells.shape, None if floating else np.abs(cells).max())
 
 
-def _chain_bound(chain) -> int:
-    """Bound on every entry, and every partial sum, of a matrix product
-    applied right to left: inner dimensions times the factors' tops."""
-    bound = chain[-1].top
-    for m in chain[-2::-1]:
-        bound *= m.ints.shape[-1] * m.top
-    return bound
-
-
 def _chain_product(chain, convert):
     """The chain's matrix product, applied right to left, of ``convert(m)``."""
     out = None
@@ -426,22 +414,44 @@ def residual(ctx: ArithmeticContext, terms) -> np.ndarray:
     otherwise.  Float mode sums float64.  By bilinearity, the left products
     of the two-sided terms that share a right chain (the same matrix objects)
     are summed before one Kronecker product with it."""
-    coefficients = [list(c) if isinstance(c, np.ndarray) else [c] for c, _ in terms]
     if ctx.exact:
-        scales = [prod(m.den for chain in chains for m in chain) for _, chains in terms]
-        den = lcm(*[scale * x.denominator for cs, scale in zip(coefficients, scales) for x in cs])
-        factors = [[x.numerator * (den // (x.denominator * s)) for x in cs] for cs, s in zip(coefficients, scales)]
-        # a term of zero matrices still counts its factor, which must fit too
-        bounds = [max(prod(map(_chain_bound, chains)), 1) for _, chains in terms]
-        dtype = np.int64 if sum(max(map(abs, f)) * b for f, b in zip(factors, bounds)) < INT64_BOUND else object
-        convert = lambda m: m.ints.astype(dtype, copy=False)  # noqa: E731
+        # one pass for each term's scale and bound, and the common denominator
+        den, prepared = 1, []
+        for c, chains in terms:
+            scale = bound = 1
+            for chain in chains:
+                # every entry and partial sum of a chain's product: its last
+                # factor's top times each other factor's inner dimension and top
+                b = chain[-1].top
+                for m in chain:
+                    scale *= m.den
+                for m in chain[:-1]:
+                    b *= m.ints.shape[-1] * m.top
+                bound *= b
+            # a term of zero matrices still counts its factor, which must fit too
+            prepared.append((c, scale, max(bound, 1)))
+            for x in c if isinstance(c, np.ndarray) else (c,):
+                d = scale * x.denominator
+                den *= d // gcd(den, d)
+        factors, certified = [], 0
+        for c, scale, b in prepared:
+            if isinstance(c, np.ndarray):
+                f = [x.numerator * (den // (x.denominator * scale)) for x in c]
+                certified += max(map(abs, f)) * b
+            else:
+                f = c.numerator * (den // (c.denominator * scale))
+                certified += abs(f) * b
+            factors.append(f)
+        dtype = np.int64 if certified < INT64_BOUND else object
+        convert = lambda m: m.ints if m.ints.dtype == dtype else m.ints.astype(dtype)  # noqa: E731
     else:
-        factors, dtype = [[float(x) for x in cs] for cs in coefficients], float
-        convert = lambda m: m.ints / m.den  # noqa: E731
+        factors = [[float(x) for x in c] if isinstance(c, np.ndarray) else float(c) for c, _ in terms]
+        dtype, convert = float, lambda m: m.ints / m.den  # noqa: E731
     total = None
     shared = {}  # right chain by identity -> (right chain, [(factor, left chain)])
     for f, (_, chains) in zip(factors, terms):
-        f = f[0] if len(f) == 1 else np.array(f, dtype=dtype).reshape(-1, 1, 1)
+        if isinstance(f, list):  # one factor per sector
+            f = f[0] if len(f) == 1 else np.array(f, dtype=dtype).reshape(-1, 1, 1)
         if len(chains) == 1:
             x = f * _chain_product(chains[0], convert)
             total = x if total is None else total + x

@@ -58,16 +58,15 @@ from .fock import (
     partitions_of,
     residual,
     stack_rows,
-    value_row,
 )
 from .heisenberg import j_matrices
 from .twodim import PsiCache, partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
 from .vertex import (
     apply_Y_mode,
-    apply_Y_mode_recursive,
     charge_multiplier,
     conformal_weight,
     mode_index,
+    recursive_row,
     truncated_mode_norm,
     vacuum_mode_norm_sq,
     y_matrices,
@@ -372,21 +371,17 @@ def primary_covariance_suite(space: Space, alpha) -> dict:
 def mode_oracle_suite(space: Space, alpha) -> dict:
     """Expansion route against the commutator-recursion oracle in sectors 0
     and 1, every matrix element between basis states of level <= 8: each
-    column of the mode's level matrix against the oracle's state on that
-    basis vector.  The oracle's matrix elements take no sector, so each
-    (delta, level) oracle stack is built once and compared with every
-    sector's own plane of the mode's stack."""
+    column of the mode's level matrix against the oracle's row on that basis
+    vector, the recursion's integers F over q**(len(mu) + len(lam)) zsym(mu)
+    (see :func:`~chargedfock.vertex.recursive_row`).  The oracle's matrix
+    elements take no sector, so each (delta, level) oracle stack is built
+    once and compared with every sector's own plane of the mode's stack."""
     admitted = _sectors(space, charge_multiplier(space, alpha))
     top = min(8, space.trunc.level_cutoff)
-    oracles = {}
 
-    def oracle(j, delta, level):
-        if (delta, level) not in oracles:
-            lams = partitions_of(level)
-            states = [apply_Y_mode_recursive(space, alpha, delta, SectorState.basis(j, lam)) for lam in lams]
-            rows = [value_row(level + delta, {mu: c for (_, mu), c in v.entries.items()}) for v in states]
-            oracles[delta, level] = stack_rows([rows], level + delta)
-        return oracles[delta, level]
+    @lru_cache(maxsize=None)
+    def oracle(delta, level):
+        return stack_rows([[recursive_row(alpha, delta, lam) for lam in partitions_of(level)]], level + delta)
 
     def cell(j, delta):
         if j not in admitted:
@@ -394,7 +389,7 @@ def mode_oracle_suite(space: Space, alpha) -> dict:
         Y, rows = _Op(y_matrices(space, alpha, delta), delta), _positions(space, range(j, j + 1))
         blocks = []
         for level in range(max(0, -delta), top - max(0, delta) + 1):
-            terms = [(1, ((Y.at(rows, level),),)), (-1, ((oracle(j, delta, level),),))]
+            terms = [(1, ((Y.at(rows, level),),)), (-1, ((oracle(delta, level),),))]
             blocks.append((partial(_column_where, level), _failing_columns(space, terms)))
         return [j], blocks
 

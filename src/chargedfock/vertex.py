@@ -22,7 +22,12 @@ Two independent evaluation routes are kept deliberately separate:
 * :func:`apply_Y_mode` -- the explicit exponential-expansion sum above;
 * :func:`apply_Y_mode_recursive` -- matrix elements rebuilt from nothing but
   the commutation relation ``[J_m, Y_delta] = alpha * Y_{delta-m}``, the
-  adjoint pairing, and the vacuum anchor ``<vac', Y_delta vac> = delta_{delta,0}``.
+  adjoint pairing, and the vacuum anchor ``<vac', Y_delta vac> = delta_{delta,0}``,
+  in integers: with ``alpha = p / q``, ``F = q**(len(mu) + len(lam)) <b_mu,
+  Y_delta b_lam>`` obeys ``F(mu, delta, lam) = p F(mu', delta - mu_1, lam) +
+  mu_1 cnt q**2 F(mu', delta, lam - mu_1)``, cnt the parts of lam equal to
+  mu_1, ``F((), delta, lam) = -p F((), delta + lam_1, lam')`` and
+  ``F((), 0, ()) = 1``; float mode runs it at ``(alpha, 1)``.
 
 Cross-checking them is a structural test of the whole mode calculus.
 """
@@ -61,10 +66,10 @@ __all__ = [
     "apply_Y_mode",
     "y_matrices",
     "apply_Y_mode_recursive",
+    "recursive_row",
     "vacuum_mode_norm_sq",
     "truncated_mode_norm",
     "export_mode_block",
-    "PowerIterationError",
 ]
 
 
@@ -203,49 +208,48 @@ def y_matrices(space: Space, alpha, delta: int) -> Callable[[int], LevelMatrix]:
 
 # 4,489 elements fill at verify-algebra's default cutoff 10
 @lru_cache(maxsize=8192, typed=True)
-def _recursive_element(alpha, mu: Partition, delta: int, lam: Partition):
-    """<b_mu, Y_delta b_lam> in the target sector, from commutators alone."""
+def _recursive_element(p, q, mu: Partition, delta: int, lam: Partition):
+    """F = q**(len(mu) + len(lam)) <b_mu, Y_delta b_lam> in the target
+    sector, alpha = p / q, from commutators alone: an integer in the exact
+    modes, a float in float mode (p = alpha, q = 1)."""
     if sum(mu) != sum(lam) + delta:
-        return Fraction(0)
+        return 0
     if mu:
-        p, rest = mu[0], mu[1:]
-        total = alpha * _recursive_element(alpha, rest, delta - p, lam)
-        # J_p moved through the mode acts on lam: remove one part p
-        cnt = lam.count(p)
+        first, rest = mu[0], mu[1:]
+        total = p * _recursive_element(p, q, rest, delta - first, lam)
+        # J_first moved through the mode acts on lam: remove one part first
+        cnt = lam.count(first)
         if cnt:
             out = list(lam)
-            out.remove(p)
-            total = total + p * cnt * _recursive_element(alpha, rest, delta, tuple(out))
+            out.remove(first)
+            total = total + first * cnt * q * q * _recursive_element(p, q, rest, delta, tuple(out))
         return total
     if lam:
-        q, rest = lam[0], lam[1:]
-        return -alpha * _recursive_element(alpha, (), delta + q, rest)
-    return Fraction(1) if delta == 0 else Fraction(0)
+        return -p * _recursive_element(p, q, (), delta + lam[0], lam[1:])
+    return 1 if delta == 0 else 0
+
+
+def recursive_row(alpha, delta: int, lam: Partition) -> Row:
+    """The row of Y_delta on ``lam`` from :func:`_recursive_element`: the
+    coefficient on mu is F / (q**(len(mu) + len(lam)) zsym(mu)), summed as
+    integers over q**(T + len(lam)) lcm zsym(mu), T the longest mu."""
+    level = sum(lam) + delta
+    mus = partitions_of(level)
+    ratio = exact_ratio(alpha)
+    if ratio is None:
+        return float_row(level, {mu: _recursive_element(alpha, 1, mu, delta, lam) * (1 / zsym(mu)) for mu in mus})
+    p, q = ratio
+    top = max(map(len, mus), default=0)
+    zlcm = lcm(*map(zsym, mus))
+    acc = {mu: _recursive_element(p, q, mu, delta, lam) * q ** (top - len(mu)) * (zlcm // zsym(mu)) for mu in mus}
+    return integer_row(level, acc, q ** (top + len(lam)) * zlcm)
 
 
 def apply_Y_mode_recursive(space: Space, alpha, delta: int, v: SectorState) -> SectorState:
-    """Independent oracle route for apply_Y_mode; same contract."""
-    mult = charge_multiplier(space, alpha)
-    out = {}
-    overflow = v.overflow
-    for (j, lam), c in v.entries.items():
-        jt = j + mult
-        if not space.trunc.admits_sector(jt):
-            overflow = True
-            continue
-        target_level = sum(lam) + delta
-        if target_level < 0:
-            continue
-        if not space.trunc.admits_level(target_level):
-            overflow = True
-            continue
-        for mu in partitions_of(target_level):
-            elem = _recursive_element(alpha, mu, delta, lam)
-            if elem == 0:
-                continue
-            key = (jt, mu)
-            out[key] = out.get(key, 0) + c * elem * Fraction(1, zsym(mu))
-    return SectorState(out, overflow)
+    """Independent oracle route for apply_Y_mode, same contract: the rows of
+    :func:`recursive_row`, the integers F of the commutator recursion over
+    q**(len(mu) + len(lam)) zsym(mu)."""
+    return apply_rows(space, v, lambda j, lam: recursive_row(alpha, delta, lam), shift=charge_multiplier(space, alpha))
 
 
 def vacuum_mode_norm_sq(alpha, n: int):
@@ -257,13 +261,6 @@ def vacuum_mode_norm_sq(alpha, n: int):
     for k in range(n):
         num = num * (alpha * alpha + k)
     return num * Fraction(1, factorial(n))
-
-
-class PowerIterationError(RuntimeError):
-    def __init__(self, message, residual, iterations):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 def _mode_block_entries(space: Space, alpha, delta: int):
@@ -283,19 +280,9 @@ def _mode_block_entries(space: Space, alpha, delta: int):
                 yield level, lam, mu, n if den == 1 else Fraction(n, den)
 
 
-# power iteration from a seed-0 normal vector: it stops once an iteration
-# moves the estimate by at most POWER_TOL relative, or fails after POWER_MAXITER
-POWER_TOL = 1e-12
-POWER_MAXITER = 20000
-
-
 def truncated_mode_norm(space: Space, alpha, delta: int) -> float:
-    """Operator norm of the truncated mode block via power iteration.
-
-    Rayleigh quotients increase to the top singular value, so the estimate
-    converges from below; compression by the level cutoff can only shrink the
-    norm.  Raises PowerIterationError when the quotient fails to settle.
-    """
+    """Operator norm of the truncated mode block in the normalized basis: its
+    largest singular value."""
     L = space.trunc.level_cutoff
     lo = max(0, -delta)
     hi = min(L, L - delta)
@@ -312,30 +299,7 @@ def truncated_mode_norm(space: Space, alpha, delta: int) -> float:
     A = np.zeros((len(targets), len(sources)))
     for level, lam, mu, coeff in _mode_block_entries(space, alpha, delta):
         A[targets[mu], src_index[lam]] = float(coeff) * (zsym(mu) / zsym(lam)) ** 0.5
-    if not A.any():
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for it in range(1, POWER_MAXITER + 1):
-        w = A @ v
-        u = A.T @ w
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        new_sigma = float(np.sqrt(w @ w))
-        u /= nu
-        if abs(new_sigma - sigma) <= POWER_TOL * max(1.0, new_sigma) and it > 2:
-            return new_sigma
-        sigma = new_sigma
-        v = u
-    raise PowerIterationError(
-        f"power iteration did not settle after {POWER_MAXITER} iterations "
-        f"(last increment {abs(new_sigma - sigma):.3e})",
-        residual=abs(new_sigma - sigma),
-        iterations=POWER_MAXITER,
-    )
+    return float(np.linalg.norm(A, 2))
 
 
 def export_mode_block(space: Space, alpha, delta: int, fp: IO[str]) -> None:

@@ -5,13 +5,17 @@ the way the operator modules did before they built rows in integers, and
 ``sugawara_row`` is the Fraction double step that ``_sugawara_on_basis`` ran
 then.  Tests compare every integer row, and so every column of a level matrix,
 against these.  ``chiral_gram`` pairs two Fraction ``y_mode_table`` rows, as
-``twodim`` did before it paired the integer Y rows.
+``twodim`` did before it paired the integer Y rows.  ``value_row`` turns a
+state's values back into a row, as the mode oracle did before it stacked
+integer rows, and ``recursive_element`` is the Fraction commutator recursion
+that ``vertex._recursive_element`` ran before it went to integers.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from chargedfock.fock import zsym
+from chargedfock.fock import float_row, zsym
 from chargedfock.heisenberg import j_step
 from chargedfock.vertex import y_mode_table
 
@@ -66,3 +70,34 @@ def chiral_gram(alpha1, delta1, lam1, alpha2, delta2, lam2):
             if c2 is not None:
                 total = total + c1 * c2 * zsym(mu)
     return total
+
+
+def value_row(level, values):
+    """Row from output partition -> nonzero value at one output level:
+    integers over the values' least common denominator, which leaves the row
+    reduced, or floats (float mode) as soon as one value is a float or
+    complex."""
+    if any(isinstance(c, (float, complex)) for c in values.values()):
+        return float_row(level, values)
+    den = lcm(1, *[c.denominator for c in values.values()])
+    return den, level, tuple(values), tuple(c.numerator * (den // c.denominator) for c in values.values())
+
+
+@lru_cache(maxsize=None)
+def recursive_element(alpha, mu, delta, lam):
+    """<b_mu, Y_delta b_lam> in Fractions, from [J_p, Y_delta] = alpha
+    Y_{delta-p}, the adjoint pairing and <vac', Y_delta vac> = delta_{delta,0}."""
+    if sum(mu) != sum(lam) + delta:
+        return Fraction(0)
+    if mu:
+        p, rest = mu[0], mu[1:]
+        total = alpha * recursive_element(alpha, rest, delta - p, lam)
+        cnt = lam.count(p)
+        if cnt:
+            out = list(lam)
+            out.remove(p)
+            total = total + p * cnt * recursive_element(alpha, rest, delta, tuple(out))
+        return total
+    if lam:
+        return -alpha * recursive_element(alpha, (), delta + lam[0], lam[1:])
+    return Fraction(1) if delta == 0 else Fraction(0)

@@ -383,6 +383,28 @@ def test_repeated_probe_samples_warn_and_stay_in_the_report(capsys, caplog):
     assert "repeat earlier pairs" not in caplog.text
 
 
+def test_a_dropped_charge_step_probe_is_announced(capsys, caplog):
+    # at charge step 2 the window -3..3 leaves interior sectors -1..1, so the
+    # charge-step probe from sector 0 would need sector 2; stdout and exit
+    # code stay those of a pass
+    argv = ["--alpha0", "1/4", "--alpha_multiplier", "2", "--charge_window=-3,3", "--level_cutoff", "8"]
+    code, out = run(capsys, "verify-lorentz", *argv)
+    assert code == 0
+    assert "charge-step-pair" not in {r["probe"] for r in json.loads(out)["records"]}
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "probe charge-step-pair dropped: sector 2, one charge step from sector 0, is not interior (-1..1);"
+        " every remaining pair is same-sector, so the one-bilinear pieces are checked only where they vanish"
+    ]
+
+
+@pytest.mark.parametrize("subcommand", ["verify-lorentz", "verify-virasoro-c0", "explore-d-half"])
+def test_no_default_config_drops_the_charge_step_probe(capsys, caplog, subcommand):
+    code, _ = run(capsys, subcommand)
+    assert code == 0
+    assert "charge-step-pair dropped" not in caplog.text
+
+
 def test_a_buffer_above_the_cutoff_is_the_only_message(capsys, caplog):
     # the default buffer 4 leaves no interior probe at cutoff 3, so no probe
     # warning may describe a run that never happens

@@ -49,7 +49,7 @@ from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import TimeZeroMode, time_zero_image
 from chargedfock.vertex import apply_Y_mode, y_matrices, y_mode_table
 from chargedfock.virasoro import apply_L, apply_L_tensor, l_matrices
-from fraction_reference import make_row, sugawara_row
+from fraction_reference import make_row, sugawara_row, value_row
 from state_reference import apply_J_tensor
 
 MODES = ("exact-rational", "exact-gaussian", "float")
@@ -236,8 +236,8 @@ def test_integer_rows_equal_their_fraction_references(lam, charge, m, j, fault):
     assert l_row == sugawara_row(m, j, lam, charge, fault)
     y_row = vertex._y_table(charge, m)(j, lam)
     assert y_row == make_row(sum(lam) + m, y_mode_table(charge, m, lam), charge)
-    # the oracle's route: a state's values back to a row
-    assert fock.value_row(sum(lam) + m, {mu: c for mu, c in y_mode_table(charge, m, lam) if c}) == y_row
+    # the Y row from its table's values, the way a state's values give a row
+    assert value_row(sum(lam) + m, {mu: c for mu, c in y_mode_table(charge, m, lam) if c}) == y_row
 
 
 def column_values(matrix, col):
@@ -272,6 +272,17 @@ def test_level_matrix_columns_match_applications():
         broken[3, 2, 3] += 1
         total = residual(ctx, [(1, ((matrix,),)), (-1, ((LevelMatrix(matrix.den, broken, matrix.top + 1),),))])
         assert np.argwhere(nonzero(ctx, total).any(axis=1)).tolist() == [[3, 3]]
+
+
+def test_sector_free_stacks_are_one_plane():
+    # J_m (m != 0) and Y_delta read the same rows in every sector, so their
+    # stacks are one plane viewed with stride 0 on the sector axis; J_0 and
+    # L_n take the sector's charge, so each sector keeps its own plane
+    for mode in ("exact-rational", "float"):
+        space = make_space(mode, INTERIOR)
+        for stack in (j_matrices(space, 1)(3), y_matrices(space, space.alpha0, 1)(3)):
+            assert stack.ints.shape[0] == 5 and stack.ints.strides[0] == 0
+        assert l_matrices(space, 0)(3).ints.strides[0] != 0
 
 
 WINDOWS = ((0, 0), (-2, 2), (-3, 3))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chargedfock.vertex as vertex
 from chargedfock.fock import (
@@ -18,7 +20,6 @@ from chargedfock.fock import (
 from chargedfock.heisenberg import apply_J
 from chargedfock.scalar import make_context
 from chargedfock.vertex import (
-    PowerIterationError,
     apply_Y_mode,
     apply_Y_mode_recursive,
     charge_multiplier,
@@ -30,6 +31,7 @@ from chargedfock.vertex import (
     y_mode_table,
 )
 from chargedfock.virasoro import apply_L
+from fraction_reference import recursive_element
 
 EXACT = make_context("exact-rational")
 A0 = Fraction(1, 2)
@@ -107,6 +109,32 @@ def test_expansion_matches_recursion_oracle():
                     assert states_equal(EXACT, direct, recur), (alpha, lam, delta)
 
 
+RECURSION_CHARGES = (Fraction(1, 2), Fraction(-2, 7), Fraction(3, 5), Fraction(-1), Fraction(2))
+
+
+@st.composite
+def recursion_cells(draw):
+    """(charge, delta, lam), with lam and every output of level <= 7."""
+    level = draw(st.integers(0, 7))
+    delta = draw(st.integers(max(-4, -level), min(4, 7 - level)))
+    return draw(st.sampled_from(RECURSION_CHARGES)), delta, draw(st.sampled_from(partitions_of(level)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(recursion_cells())
+def test_integer_recursion_equals_the_fraction_recursion(cell):
+    # F = q**(len(mu) + len(lam)) <b_mu, Y_delta b_lam> at alpha = p / q, an
+    # int; float mode runs the same recursion at (alpha, 1)
+    alpha, delta, lam = cell
+    p, q = alpha.numerator, alpha.denominator
+    for mu in partitions_of(sum(lam) + delta):
+        want = recursive_element(alpha, mu, delta, lam)
+        got = vertex._recursive_element(p, q, mu, delta, lam)
+        assert type(got) is int and got == q ** (len(mu) + len(lam)) * want, (mu, delta, lam)
+        floats = vertex._recursive_element(float(alpha), 1, mu, delta, lam)
+        assert floats == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+
 def test_current_covariance():
     # [J_m, Y_delta] v = alpha * Y_{delta-m} v
     alpha = HALF
@@ -180,7 +208,7 @@ def test_truncated_norm_matches_svd():
             for _, lam, mu, coeff in entries:
                 A[targets[mu], sources[lam]] = float(coeff) * (zsym(mu) / zsym(lam)) ** 0.5
             expected = float(np.linalg.svd(A, compute_uv=False)[0])
-            assert sigma == pytest.approx(expected, abs=1e-9), (alpha, delta)
+            assert sigma == pytest.approx(expected, abs=1e-12), (alpha, delta)
 
 
 def test_truncated_norm_bounded_by_one():
@@ -193,15 +221,6 @@ def test_truncated_norm_bounded_by_one():
 def test_truncated_norm_empty_block():
     space = Space(EXACT, A0, Truncation(3, -1, 1))
     assert truncated_mode_norm(space, A0, 7) == 0.0
-
-
-def test_power_iteration_failure_reports(monkeypatch):
-    space = Space(EXACT, A0, Truncation(6, -2, 2))
-    monkeypatch.setattr(vertex, "POWER_TOL", 1e-16)
-    monkeypatch.setattr(vertex, "POWER_MAXITER", 3)
-    with pytest.raises(PowerIterationError) as err:
-        truncated_mode_norm(space, A0, 0)
-    assert err.value.iterations == 3
 
 
 def test_overflow_and_charge_window():
