@@ -5,6 +5,10 @@ configured output path or stdout; an unbounded budget is the string
 ``"unbounded"`` and a NaN is an error.  Series are CSV; logs go to stderr.
 Exit codes: 0 every check passed, 1 usage or configuration error, 2 an exact
 identity failed, 3 a residual exceeded its truncation budget.
+
+The report contract (config, space, timing, warnings, config echo, output
+and exit code) is written once, in :func:`_run_report`; each JSON
+subcommand's handler states only its refusals and its body call.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ import time
 from pathlib import Path
 
 from . import desitter, harness, virasoro
-from .config import (
-    CONFIG_KEYS,
-    ConfigError,
-    build_space,
-    config_echo,
-    resolve_config,
-)
+from .config import CONFIG_KEYS, ConfigError, build_space, config_echo, resolve_config
 from .twodim import partial_sum_norm_series, write_convergence_csv
 
 log = logging.getLogger("chargedfock")
@@ -58,12 +56,6 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_config_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("config", nargs="?", metavar="CONFIG", help="flat key=value config file")
-    for key in CONFIG_KEYS:
-        p.add_argument(f"--{key}", dest=f"cfg_{key}", metavar="VALUE", help=f"override {key}")
-
-
 def _resolve(args: argparse.Namespace, **defaults: str):
     """The run config: ``defaults`` replace the global ones for this
     subcommand, below the config file and the flags."""
@@ -80,13 +72,43 @@ def _strict(value):
     return "unbounded" if value == math.inf else value
 
 
-def _emit_json(cfg, report: dict) -> None:
-    text = json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _emit(cfg, text: str, what: str) -> None:
+    """Write ``text`` to the configured output path, or to stdout."""
     if cfg.output:
         Path(cfg.output).write_text(text, encoding="utf-8")
-        log.info("report written to %s", cfg.output)
+        log.info("%s written to %s", what, cfg.output)
     else:
         sys.stdout.write(text)
+
+
+def _exit_code(body: dict) -> int:
+    """The verdict's exit code: read at the body's top level or in its summary,
+    or, for explore-d-half, failed where a measured gap misses the 2d(m - n) law."""
+    if "measured_gap" in body:
+        return EXIT_OK if all(row["matches_prediction"] for row in body["measured_gap"]) else EXIT_IDENTITY
+    return _VERDICT_CODE[body.get("summary", body)["verdict"]]
+
+
+def _run_report(args, handler, defaults: dict) -> int:
+    """The report contract of every JSON subcommand, around the handler that
+    raises its refusals and returns its body call."""
+    cfg = _resolve(args, **defaults)
+    space, alpha, lam = build_space(cfg)
+    body_call = handler(args, cfg, space, alpha, lam)
+    t0 = time.perf_counter()
+    body = body_call()
+    log.info("%s finished in %.2f s", args.subcommand, time.perf_counter() - t0)
+    for warning in body.get("warnings", ()):
+        log.warning("%s", warning)
+    report = {"subcommand": args.subcommand, "config": config_echo(cfg), **body}
+    _emit(cfg, json.dumps(_strict(report), sort_keys=True, indent=2, allow_nan=False) + "\n", "report")
+    return _exit_code(body)
+
+
+def _report(**defaults: str):
+    """Make ``handler(args, cfg, space, alpha, lam) -> body call`` a JSON
+    subcommand; ``defaults`` replace the global config defaults for it."""
+    return lambda handler: lambda args: _run_report(args, handler, defaults)
 
 
 def _require_count(count: int, least: int, option: str, effect: str = "gives an empty series") -> None:
@@ -123,28 +145,22 @@ def _require_charged(cfg, subcommand: str) -> None:
 # subcommands
 
 
-def _cmd_verify_algebra(args) -> int:
-    cfg = _resolve(args)
-    space, alpha, _lam = build_space(cfg)
-    if args.inject_fault == "sugawara":
-        virasoro.FAULT_SUGAWARA = True
-        log.warning("fault injection active: corrupted quadratic-current coefficient")
-    t0 = time.perf_counter()
-    try:
-        body = harness.algebra_report(space, alpha)
-    finally:
-        virasoro.FAULT_SUGAWARA = False
-    log.info("verify-algebra finished in %.2f s", time.perf_counter() - t0)
-    for warning in body["warnings"]:
-        log.warning("%s", warning)
-    report = {"subcommand": "verify-algebra", "config": config_echo(cfg), **body}
-    _emit_json(cfg, report)
-    return _VERDICT_CODE[body["verdict"]]
+@_report()
+def _verify_algebra(args, cfg, space, alpha, lam):
+    def body():
+        if args.inject_fault == "sugawara":
+            virasoro.FAULT_SUGAWARA = True
+            log.warning("fault injection active: corrupted quadratic-current coefficient")
+        try:
+            return harness.algebra_report(space, alpha)
+        finally:
+            virasoro.FAULT_SUGAWARA = False
+
+    return body
 
 
-def _cmd_verify_decay(args) -> int:
-    cfg = _resolve(args)
-    space, alpha, _lam = build_space(cfg)
+@_report()
+def _verify_decay(args, cfg, space, alpha, lam):
     if cfg.alpha_multiplier == 0:
         raise ConfigError(
             "verify-decay fits the decay slope of the vacuum mode norms; --alpha_multiplier 0 gives "
@@ -153,20 +169,10 @@ def _cmd_verify_decay(args) -> int:
     # the fit needs its window (lo, min(hi, n_max)) at least two wide
     least = harness.SLOPE_WINDOW[0] + 2
     _require_count(args.n_max, least, "--n-max", "leaves the slope window too short to fit")
-    t0 = time.perf_counter()
-    body = harness.decay_report(space, alpha, n_max=args.n_max)
-    log.info("verify-decay finished in %.2f s", time.perf_counter() - t0)
-    report = {"subcommand": "verify-decay", "config": config_echo(cfg), **body}
-    _emit_json(cfg, report)
-    return _VERDICT_CODE[body["verdict"]]
+    return lambda: harness.decay_report(space, alpha, n_max=args.n_max)
 
 
-def _per_mode_path(output: str, m: int) -> str:
-    path = Path(output)
-    return str(path.with_name(f"{path.stem}_m{m}{path.suffix}"))
-
-
-def _cmd_converge(args) -> int:
+def _converge(args) -> int:
     cfg = _resolve(args)
     space, alpha, _lam = build_space(cfg)
     ctx = space.ctx
@@ -181,7 +187,8 @@ def _cmd_converge(args) -> int:
     for m in m_list:
         rows = partial_sum_norm_series(ctx.abs_sq(alpha), m, args.n_max)
         if cfg.output:
-            path = _per_mode_path(cfg.output, m) if len(m_list) > 1 else cfg.output
+            out = Path(cfg.output)
+            path = str(out.with_name(f"{out.stem}_m{m}{out.suffix}")) if len(m_list) > 1 else cfg.output
             with open(path, "w", encoding="utf-8") as fp:
                 write_convergence_csv(rows, fp)
             log.info("mode %d series written to %s", m, path)
@@ -192,30 +199,19 @@ def _cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _cmd_diverge_demo(args) -> int:
+def _diverge_demo(args) -> int:
     cfg = _resolve(args)
     _require_count(args.n_max, 2, "--n-max")  # the first doubling is N = 2
     rows = harness.divergence_series(args.n_max)
     lines = ["N,partial_sum,increment"]
-    for n, total, increment in rows:
-        lines.append(f"{n},{total!r},{increment!r}")
-    text = "\n".join(lines) + "\n"
-    log.info(
-        "divergence demo at the critical charge: %d doublings, last increment %.6f",
-        len(rows),
-        rows[-1][2],
-    )
-    if cfg.output:
-        Path(cfg.output).write_text(text, encoding="utf-8")
-        log.info("series written to %s", cfg.output)
-    else:
-        sys.stdout.write(text)
+    lines += [f"{n},{total!r},{increment!r}" for n, total, increment in rows]
+    log.info("divergence demo at the critical charge: %d doublings, last increment %.6f", len(rows), rows[-1][2])
+    _emit(cfg, "\n".join(lines) + "\n", "series")
     return EXIT_OK
 
 
-def _cmd_verify_commutativity(args) -> int:
-    cfg = _resolve(args)
-    space, alpha, _lam = build_space(cfg)
+@_report()
+def _verify_commutativity(args, cfg, space, alpha, lam):
     _require_subcritical(space.ctx, alpha, "verify-commutativity")
     _require_charged(cfg, "verify-commutativity")
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
@@ -223,149 +219,96 @@ def _cmd_verify_commutativity(args) -> int:
     step, (lo, hi) = abs(cfg.alpha_multiplier), cfg.charge_window
     if 0 not in space.trunc.interior_sectors(step):
         raise ConfigError(
-            f"--charge_window {lo},{hi} must hold sectors {-step}..{step}: verify-commutativity pairs "
-            f"the images of the sector-0 vacuum there, and an image that left the charge window "
-            f"would be clipped"
+            f"--charge_window {lo},{hi} must hold sectors {-step}..{step}: verify-commutativity pairs the images "
+            f"of the sector-0 vacuum there, and an image that left the charge window would be clipped"
         )
-    t0 = time.perf_counter()
-    body = harness.commutativity_report(
+    return lambda: harness.commutativity_report(
         space, alpha, m_range=args.m_range, seed=cfg.seed, samples=args.samples
     )
-    log.info("verify-commutativity finished in %.2f s", time.perf_counter() - t0)
-    report = {"subcommand": "verify-commutativity", "config": config_echo(cfg), **body}
-    _emit_json(cfg, report)
-    return _VERDICT_CODE[body["verdict"]]
 
 
-def _cmd_verify_lorentz(args) -> int:
-    cfg = _resolve(args)
-    space, alpha, lam = build_space(cfg)
+@_report()
+def _verify_lorentz(args, cfg, space, alpha, lam):
     _require_subcritical(space.ctx, alpha, "verify-lorentz")
     _require_charged(cfg, "verify-lorentz")
-    t0 = time.perf_counter()
-    body = desitter.verify_lorentz(
-        space,
-        alpha,
-        lam,
-        interior_buffer=args.interior_buffer,
-        seed=cfg.seed,
-        samples=args.samples,
+    return lambda: desitter.verify_lorentz(
+        space, alpha, lam, interior_buffer=args.interior_buffer, seed=cfg.seed, samples=args.samples
     )
-    log.info("verify-lorentz finished in %.2f s", time.perf_counter() - t0)
-    report = {"subcommand": "verify-lorentz", "config": config_echo(cfg), **body}
-    _emit_json(cfg, report)
-    return _VERDICT_CODE[body["summary"]["verdict"]]
 
 
-def _cmd_verify_virasoro_c0(args) -> int:
-    # the family's coefficients are imaginary, which exact-rational cannot hold
-    cfg = _resolve(args, arithmetic="exact-gaussian")
-    space, alpha, lam = build_space(cfg)
-    ctx = space.ctx
-    _require_subcritical(ctx, alpha, "verify-virasoro-c0")
+# the family's coefficients are imaginary, which exact-rational cannot hold
+@_report(arithmetic="exact-gaussian")
+def _verify_virasoro_c0(args, cfg, space, alpha, lam):
+    _require_subcritical(space.ctx, alpha, "verify-virasoro-c0")
     _require_charged(cfg, "verify-virasoro-c0")
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
-    if cfg.arithmetic == "exact-rational" and not ctx.is_zero(lam):
+    if cfg.arithmetic == "exact-rational" and not space.ctx.is_zero(lam):
         raise ConfigError(
             "the chiral-difference Virasoro family carries imaginary coefficients; "
             "use exact-gaussian or float arithmetic"
         )
-    t0 = time.perf_counter()
-    body = desitter.verify_virasoro_c0(
-        space,
-        alpha,
-        lam,
-        m_range=args.m_range,
-        interior_buffer=args.interior_buffer,
-        seed=cfg.seed,
+    return lambda: desitter.verify_virasoro_c0(
+        space, alpha, lam, m_range=args.m_range, interior_buffer=args.interior_buffer, seed=cfg.seed,
         samples=args.samples,
     )
-    log.info("verify-virasoro-c0 finished in %.2f s", time.perf_counter() - t0)
-    report = {"subcommand": "verify-virasoro-c0", "config": config_echo(cfg), **body}
-    _emit_json(cfg, report)
-    return _VERDICT_CODE[body["summary"]["verdict"]]
 
 
-def _cmd_explore_d_half(args) -> int:
-    cfg = _resolve(args)
-    space, alpha, lam = build_space(cfg)
+@_report()
+def _explore_d_half(args, cfg, space, alpha, lam):
     _require_charged(cfg, "explore-d-half")
     _require_count(args.n_max, 1, "--n-max")
     _require_count(args.m_range, 1, "--m-range", TRIVIAL_CELL)
-    t0 = time.perf_counter()
-    body = desitter.explore_d_half(
-        space,
-        alpha,
-        lam,
-        m_range=args.m_range,
-        n_bands=args.n_max,
-        interior_buffer=args.interior_buffer,
+    return lambda: desitter.explore_d_half(
+        space, alpha, lam, m_range=args.m_range, n_bands=args.n_max, interior_buffer=args.interior_buffer
     )
-    log.info("explore-d-half finished in %.2f s", time.perf_counter() - t0)
-    report = {"subcommand": "explore-d-half", "config": config_echo(cfg), **body}
-    _emit_json(cfg, report)
-    mismatches = [row for row in body["measured_gap"] if not row["matches_prediction"]]
-    return EXIT_IDENTITY if mismatches else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 
+# the options several subcommands share; a table entry may override any field
+_OPTIONS = {
+    "--n-max": dict(type=_count),
+    "--m-range": dict(type=_count, default=2, help="cell range |m|,|n|"),
+    "--samples": dict(type=_count, default=2, help="extra seeded probe pairs"),
+    "--interior-buffer": dict(type=int, default=None, help="levels reserved below the cutoff"),
+}
+
+# (name, help, handler, options): an option is a flag or (flag, overrides)
+_SUBCOMMANDS = [
+    ("verify-algebra", "exact current/Virasoro/mode identities", _verify_algebra,
+     [("--inject-fault", dict(choices=["sugawara"], help=argparse.SUPPRESS))]),
+    ("verify-decay", "vacuum norm formula and mode-block bounds", _verify_decay,
+     [("--n-max", dict(default=512, help="closed-form table length"))]),
+    ("converge", "vacuum partial-sum series as CSV", _converge,
+     [("--m-list", dict(default="0", help="comma-separated mode numbers")),
+      ("--n-max", dict(default=64, help="number of bands per series"))]),
+    ("diverge-demo", "partial sums at the critical charge (float)", _diverge_demo,
+     [("--n-max", dict(default=512, help="deepest band"))]),
+    ("verify-commutativity", "weak commutators of the symmetrized modes", _verify_commutativity,
+     [("--m-range", dict(help="vacuum cell range |m|,|n|")), "--samples"]),
+    ("verify-lorentz", "perturbed boost-family ladder relations", _verify_lorentz,
+     ["--interior-buffer", "--samples"]),
+    ("verify-virasoro-c0", "centerless chiral-difference Virasoro relations", _verify_virasoro_c0,
+     ["--m-range", "--interior-buffer", "--samples"]),
+    ("explore-d-half", "closure gap of the constant-coefficient family", _explore_d_half,
+     ["--m-range", ("--n-max", dict(default=48, help="bands in the partial-sum study")), "--interior-buffer"]),
+]
+
 
 def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="chargedfock",
-        description="Exact verification harness for charged Fock-space identities.",
-    )
+    description = "Exact verification harness for charged Fock-space identities."
+    parser = _Parser(prog="chargedfock", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("verify-algebra", help="exact current/Virasoro/mode identities")
-    _add_config_arguments(p)
-    p.add_argument("--inject-fault", choices=["sugawara"], help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_verify_algebra)
-
-    p = sub.add_parser("verify-decay", help="vacuum norm formula and mode-block bounds")
-    _add_config_arguments(p)
-    p.add_argument("--n-max", type=_count, default=512, help="closed-form table length")
-    p.set_defaults(func=_cmd_verify_decay)
-
-    p = sub.add_parser("converge", help="vacuum partial-sum series as CSV")
-    _add_config_arguments(p)
-    p.add_argument("--m-list", default="0", help="comma-separated mode numbers")
-    p.add_argument("--n-max", type=_count, default=64, help="number of bands per series")
-    p.set_defaults(func=_cmd_converge)
-
-    p = sub.add_parser("diverge-demo", help="partial sums at the critical charge (float)")
-    _add_config_arguments(p)
-    p.add_argument("--n-max", type=_count, default=512, help="deepest band")
-    p.set_defaults(func=_cmd_diverge_demo)
-
-    p = sub.add_parser("verify-commutativity", help="weak commutators of the symmetrized modes")
-    _add_config_arguments(p)
-    p.add_argument("--m-range", type=_count, default=2, help="vacuum cell range |m|,|n|")
-    p.add_argument("--samples", type=_count, default=2, help="extra seeded probe pairs")
-    p.set_defaults(func=_cmd_verify_commutativity)
-
-    p = sub.add_parser("verify-lorentz", help="perturbed boost-family ladder relations")
-    _add_config_arguments(p)
-    p.add_argument("--interior-buffer", type=int, default=None, help="levels reserved below the cutoff")
-    p.add_argument("--samples", type=_count, default=2, help="extra seeded probe pairs")
-    p.set_defaults(func=_cmd_verify_lorentz)
-
-    p = sub.add_parser("verify-virasoro-c0", help="centerless chiral-difference Virasoro relations")
-    _add_config_arguments(p)
-    p.add_argument("--m-range", type=_count, default=2, help="cell range |m|,|n|")
-    p.add_argument("--interior-buffer", type=int, default=None, help="levels reserved below the cutoff")
-    p.add_argument("--samples", type=_count, default=2, help="extra seeded probe pairs")
-    p.set_defaults(func=_cmd_verify_virasoro_c0)
-
-    p = sub.add_parser("explore-d-half", help="closure gap of the constant-coefficient family")
-    _add_config_arguments(p)
-    p.add_argument("--m-range", type=_count, default=2, help="cell range |m|,|n|")
-    p.add_argument("--n-max", type=_count, default=48, help="bands in the partial-sum study")
-    p.add_argument("--interior-buffer", type=int, default=None, help="levels reserved below the cutoff")
-    p.set_defaults(func=_cmd_explore_d_half)
-
+    for name, help_text, handler, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config", nargs="?", metavar="CONFIG", help="flat key=value config file")
+        for key in CONFIG_KEYS:
+            p.add_argument(f"--{key}", dest=f"cfg_{key}", metavar="VALUE", help=f"override {key}")
+        for option in options:
+            flag, overrides = (option, {}) if isinstance(option, str) else option
+            p.add_argument(flag, **{**_OPTIONS.get(flag, {}), **overrides})
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -325,7 +325,7 @@ def weak_commutator_parts(
         mixed = mixed - a_coeff * a_ket
     if use_a and use_b:
         psipsi = a_coeff * b_coeff * psi_commutator
-        budget = abs(ctx.to_complex(a_coeff * b_coeff)) * psi_budget
+        budget = abs(complex(a_coeff * b_coeff)) * psi_budget
     return WeakParts(ll, mixed, psipsi, budget)
 
 
@@ -532,7 +532,7 @@ def _residual_record(
     mixed_ok = ctx.is_zero(mixed_residual)
     if not (ll_ok and mixed_ok):
         verdict = "identity_failure"
-    elif abs(ctx.to_complex(parts.psipsi)) <= parts.tail_budget + ctx.tolerance:
+    elif abs(complex(parts.psipsi)) <= parts.tail_budget + ctx.tolerance:
         verdict = "pass"
     else:
         verdict = "budget_exceeded"

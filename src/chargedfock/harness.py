@@ -639,7 +639,7 @@ def commutativity_report(
         for n in range(-m_range, m_range + 1):
             value, budget = weak_psi_commutator(space, alpha, m, n, vac, vac, cache)
             re, im = ctx.re_im(value)
-            mag = abs(ctx.to_complex(value))
+            mag = abs(complex(value))
             exact = ctx.is_zero(value)
             all_exact = all_exact and exact
             max_abs = max(max_abs, mag)
@@ -658,6 +658,12 @@ def commutativity_report(
             )
 
     cutoffs = sorted({min(low_cutoff, L), L})
+    if len(cutoffs) == 1:
+        log.warning(
+            "commutativity: excited pairs are evaluated at the single cutoff %d; shrinking is checked only above %d",
+            L,
+            low_cutoff,
+        )
     cells = [(1, 0), (2, -1), (1, -1)]
     cells = [(m, n) for m, n in cells if abs(m) <= m_range and abs(n) <= m_range]
     excited_rows = []
@@ -670,7 +676,7 @@ def commutativity_report(
             for Lk in cutoffs:
                 sp_k = Space(ctx, space.alpha0, Truncation(Lk, space.trunc.j_min, space.trunc.j_max))
                 value, budget = weak_psi_commutator(sp_k, alpha, m, n, phi1, phi2, cache)
-                mag = abs(ctx.to_complex(value))
+                mag = abs(complex(value))
                 by_cutoff[Lk] = mag
                 excited_rows.append(
                     {

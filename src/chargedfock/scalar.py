@@ -61,9 +61,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -93,24 +90,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = o.norm_sq()
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o.__truediv__(self)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -220,9 +199,6 @@ class ArithmeticContext:
     def abs_sq(self, x: Scalar):
         re, im = self.re_im(x)
         return re * re + im * im
-
-    def to_complex(self, x: Scalar) -> complex:
-        return complex(x)
 
     def is_zero(self, x: Scalar) -> bool:
         if self.exact:

@@ -1,11 +1,12 @@
 import json
+import logging
 import math
 
 import pytest
 
-from chargedfock import harness
+from chargedfock import desitter, harness
 from chargedfock.cli import main
-from chargedfock.config import ConfigError, RunConfig, load_config_file, resolve_config
+from chargedfock.config import ConfigError, RunConfig, build_space, load_config_file, resolve_config
 
 
 def run(capsys, *argv):
@@ -490,3 +491,96 @@ def test_reports_are_deterministic(capsys):
     _, first = run(capsys, "verify-lorentz", "--level_cutoff", "6", "--seed", "3")
     _, second = run(capsys, "verify-lorentz", "--level_cutoff", "6", "--seed", "3")
     assert first == second
+
+
+# the six JSON subcommands at small cutoffs, each through the one report runner
+REPORTS = [
+    ("verify-algebra", "--level_cutoff", "4"),
+    ("verify-decay", "--level_cutoff", "4"),
+    ("verify-commutativity", "--level_cutoff", "4"),
+    ("verify-lorentz", "--level_cutoff", "6"),
+    ("verify-virasoro-c0", "--level_cutoff", "6"),
+    ("explore-d-half", "--level_cutoff", "6", "--n-max", "8"),
+]
+
+
+def _expected_code(rep):
+    if rep["subcommand"] == "explore-d-half":
+        return 0 if all(row["matches_prediction"] for row in rep["measured_gap"]) else 2
+    verdict = rep.get("summary", rep)["verdict"]
+    return {"pass": 0, "identity_failure": 2, "budget_exceeded": 3}[verdict]
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=[a[0] for a in REPORTS])
+def test_every_report_follows_one_contract(capsys, caplog, tmp_path, argv):
+    caplog.set_level(logging.INFO)
+    subcommand = argv[0]
+    code, out = run(capsys, *argv)
+    rep = json.loads(out)
+    assert rep["subcommand"] == subcommand
+    assert code == _expected_code(rep)
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--output", str(path)) == (code, "")
+    # the same bytes, but for the config echo of the output path itself
+    assert out.count('"output": ""') == 1
+    assert path.read_bytes() == out.replace('"output": ""', f'"output": {json.dumps(str(path))}').encode("utf-8")
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith(f"{subcommand} finished in ") for m in messages)
+    assert f"report written to {path}" in messages
+
+
+# where each subcommand's body keeps its verdict: the top level, the summary,
+# or (explore-d-half) the measured gaps against the 2d(m - n) law
+VERDICT_BODIES = [
+    ("verify-decay", harness, "decay_report", {"verdict": "budget_exceeded"}, 3),
+    ("verify-lorentz", desitter, "verify_lorentz", {"summary": {"verdict": "identity_failure"}}, 2),
+    ("verify-lorentz", desitter, "verify_lorentz", {"summary": {"verdict": "budget_exceeded"}}, 3),
+    ("explore-d-half", desitter, "explore_d_half", {"measured_gap": [{"matches_prediction": False}]}, 2),
+    ("explore-d-half", desitter, "explore_d_half", {"measured_gap": [{"matches_prediction": True}]}, 0),
+]
+
+
+@pytest.mark.parametrize("subcommand,module,name,body,expected", VERDICT_BODIES)
+def test_the_exit_code_is_the_verdicts(capsys, monkeypatch, subcommand, module, name, body, expected):
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: body)
+    code, out = run(capsys, subcommand, "--level_cutoff", "6")
+    assert code == expected
+    rep = json.loads(out)
+    assert rep.pop("config")["level_cutoff"] == 6
+    assert rep == {"subcommand": subcommand, **body}
+
+
+def test_decay_warnings_reach_the_log(capsys, caplog):
+    # a one-sector window has no shifted sector for the exact table
+    code, out = run(capsys, "verify-decay", "--charge_window", "0,0")
+    assert code == 0
+    message = "decay: charge window omits the shifted sector, exact table vacuous"
+    assert message in json.loads(out)["warnings"]
+    assert ("WARNING", message) in [(r.levelname, r.getMessage()) for r in caplog.records]
+
+
+SINGLE_CUTOFF = "excited pairs are evaluated at the single cutoff"
+
+
+def test_a_single_commutativity_cutoff_is_announced(capsys, caplog):
+    # at or below the low cutoff 8 the excited pairs run at one cutoff, so
+    # their shrinking compares nothing; report and exit code stay a pass
+    code, out = run(capsys, "verify-commutativity", "--level_cutoff", "8")
+    assert code == 0
+    assert json.loads(out)["excited"]["cutoffs"] == [8]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "commutativity: excited pairs are evaluated at the single cutoff 8; shrinking is checked only above 8"
+    ]
+    caplog.clear()
+    code, out = run(capsys, "verify-commutativity")
+    assert code == 0
+    assert SINGLE_CUTOFF not in caplog.text
+
+
+def test_the_benchmark_commutativity_config_checks_two_cutoffs(caplog):
+    # the benchmark runs cutoff 7 against a low cutoff of 6
+    space, alpha, _lam = build_space(resolve_config(None, {"level_cutoff": "7"}))
+    body = harness.commutativity_report(space, alpha, low_cutoff=6)
+    assert body["excited"]["cutoffs"] == [6, 7]
+    assert SINGLE_CUTOFF not in caplog.text
