@@ -60,7 +60,7 @@ from .fock import (
     stack_rows,
 )
 from .heisenberg import j_matrices
-from .twodim import PsiCache, partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
+from .twodim import GRAMS, PsiCache, partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
 from .vertex import (
     apply_Y_mode,
     charge_multiplier,
@@ -625,8 +625,10 @@ def commutativity_report(
     symmetric truncation cancels them identically, not just within budget).
     Excited pairs are evaluated at an escalating pair of cutoffs to show the
     residual shrinking as the window grows.  One :class:`PsiCache` holds
-    every image of the report.
+    every image of the report.  Logs one INFO line on the rows, the images
+    built and requested, the chiral Grams computed and the seconds.
     """
+    t0, grams = time.perf_counter(), GRAMS["computed"]
     ctx = space.ctx
     L = space.trunc.level_cutoff
     cache = PsiCache()
@@ -698,6 +700,9 @@ def commutativity_report(
                         shrank = True
                     else:
                         nonincreasing = False
+    log.info("commutativity: %d vacuum and %d excited rows, %d of %d time-zero images built, %d chiral Grams"
+             " computed, %.3f s", len(vacuum_rows), len(excited_rows), len(cache._store), cache.requests,
+             GRAMS["computed"] - grams, time.perf_counter() - t0)
     excited_ok = nonincreasing and (shrank or not any_nonzero_low)
     verdict = "pass" if (vacuum_ok and excited_ok) else "budget_exceeded"
     return {

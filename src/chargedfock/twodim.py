@@ -27,15 +27,16 @@ basis vector is the product of two chiral weights, so
 
 over term pairs with one target sector and over the bands ``delta`` with
 ``delta' = delta + |l_k| - |l_k'|``.  Each chiral Gram pairs two integer rows
-of :func:`~chargedfock.vertex._y_row` with ``zsym`` weights: the numerators'
-products are summed in Python ints and divided once by the two rows'
-denominators (float charges sum the float rows).  Grams are memoized in one
-bounded table per pair of charges, so a lookup hashes no charge.  The same
-kernel gives each band's squared norm (same ``delta`` on both sides) for the
-tail budget, and :func:`image_inner_product` also pairs an image against a
-materialized state, where every (entry, term) pair fixes its band and reads
-one entry from each of the band's two rows.  All sums are exact in the exact
-modes, so the values equal those of the materialized tensor.
+of :func:`~chargedfock.vertex._y_row` with ``zsym`` weights into a Python-int
+numerator over the two rows' denominators, memoized in one bounded table per
+pair of charges, so a lookup hashes no charge.  A band sums its terms'
+numerator products by denominator and divides once, over their lcm; its
+squared norm (same ``delta`` on both sides, for the tail budget) becomes a
+float by one correctly rounded int division.  Float charges pair the float
+rows over 1, in order.  :func:`image_inner_product` also pairs an image
+against a materialized state: an (entry, term) pair fixes its band and one
+entry of each of the band's two rows, and each entry divides once.  The
+exact modes stay exact, so the values equal those of the materialized tensor.
 
 Every pairing of two images goes through :func:`psi_pair_form`, which reads
 both images and their tail norms from the caller's :class:`PsiCache`: one
@@ -50,6 +51,7 @@ the factorized kernel against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -124,13 +126,14 @@ def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZer
 
 
 def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2: Partition):
-    """<Y^{alpha1}_{delta1} lam1, Y^{alpha2}_{delta2} lam2> in one chiral factor.
+    """<Y^{alpha1}_{delta1} lam1, Y^{alpha2}_{delta2} lam2> in one chiral
+    factor, as (numerator, denominator).
 
     Pairs the integer rows of :func:`~chargedfock.vertex._y_row`: exact
-    charges sum n1 n2 zsym(mu) in Python ints and divide once by the product
-    of the two row denominators; float charges sum the float rows in the bra
-    row's order.  Charges are real, so rows are real and the bra row needs no
-    conjugation.
+    charges give the Python-int sum of n1 n2 zsym(mu) over the product of the
+    two row denominators, unreduced; float charges give the sum of the float
+    rows in the bra row's order, over 1.  Charges are real, so rows are real
+    and the bra row needs no conjugation.
     """
     den1, _, mus1, nums1 = _y_row(alpha1, delta1, lam1)
     den2, _, mus2, nums2 = _y_row(alpha2, delta2, lam2)
@@ -140,12 +143,17 @@ def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2
         n2 = ket.get(mu)
         if n2 is not None:
             total = total + n1 * n2 * zsym(mu)
-    return Fraction(total, den1 * den2) if type(total) is int and total else total
+    GRAMS["computed"] += 1
+    return total, den1 * den2
 
 
-# (delta1, lam1, delta2, lam2) -> Gram, one table per pair of charges, so a
-# lookup hashes no charge (see fock.row_table); a run pairs +-alpha with
-# +-alpha, and verify-commutativity at cutoff 20 fills 126 Grams per table
+# chiral Grams computed in this process; each is computed once per memo entry
+GRAMS = Counter()
+
+
+# (delta1, lam1, delta2, lam2) -> (numerator, denominator), one table per pair
+# of charges, so a lookup hashes no charge (see fock.row_table); a run pairs
+# +-alpha with +-alpha, and verify-commutativity at cutoff 20 fills 126 Grams per table
 @lru_cache(maxsize=16, typed=True)
 def _gram_table(alpha1, alpha2):
     return lru_cache(maxsize=4096)(partial(_chiral_gram, alpha1, alpha2))
@@ -158,17 +166,28 @@ def _by_sector(terms) -> Dict[int, List[Term]]:
     return out
 
 
-def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[int, Scalar]:
-    """Bra band delta -> its share of <u, w>.
+def _over_lcm(sums: Dict[int, Scalar]) -> Tuple[Scalar, int]:
+    """Numerator sums keyed by denominator -> (their sum over the lcm, the lcm)."""
+    den = math.lcm(*sums)
+    return (sums[den] if len(sums) == 1 else sum(num * (den // d) for d, num in sums.items())), den
 
-    With ``same_band`` only equal left shifts pair (delta' = delta), which is
-    the squared norm of each band when u is w.
-    """
+
+def _scalar(num, den: int) -> Scalar:
+    """num / den: one Fraction for an int numerator; a float one comes over 1."""
+    return Fraction(num, den) if type(num) is int else num if den == 1 else num * Fraction(1, den)
+
+
+def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[int, Tuple[Scalar, int]]:
+    """Bra band delta -> its share of <u, w> as (numerator, denominator): each
+    band sums coeff n_left n_right by the denominator of its two Grams, and
+    adds the sums over their lcm once.  With ``same_band`` only equal left
+    shifts pair (delta' = delta), which is the squared norm of each band when
+    u is w."""
     ctx = u.space.ctx
     L = u.space.trunc.level_cutoff
     a, b = u.mode.m, w.mode.m
     kets = _by_sector(w.terms)
-    out: Dict[int, Scalar] = {}
+    out: Dict[int, Dict[int, Scalar]] = {}
     for jt, al, c, left, right, ll, lr in u.terms:
         for _jt, al2, c2, left2, right2, ll2, lr2 in kets.get(jt, ()):
             # both chiral output levels must agree: the left one fixes delta',
@@ -179,13 +198,15 @@ def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[
             coeff = ctx.conj(c) * c2
             gram = _gram_table(al, al2)
             for d in range(max(-ll, -a - lr), min(L - ll, L - a - lr) + 1):
-                g = gram(d, left, d + shift, left2)
-                if not g:
+                nl, dl = gram(d, left, d + shift, left2)
+                if not nl:
                     continue
-                g = g * gram(d + a, right, d + shift + b, right2)
+                nr, dr = gram(d + a, right, d + shift + b, right2)
+                g = nl * nr
                 if g:
-                    out[d] = out.get(d, 0) + coeff * g
-    return out
+                    band = out.setdefault(d, {})
+                    band[dl * dr] = band.get(dl * dr, 0) + coeff * g
+    return {d: _over_lcm(sums) for d, sums in out.items()}
 
 
 def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
@@ -202,7 +223,7 @@ def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
         llv, lrv = sum(lv), sum(rv)
         if not terms or llv > L or lrv > L:
             continue
-        acc = 0
+        sums = {}  # the entry's coefficient: numerator sums by denominator
         for i, (_jt, al, c, left, right, ll, lr) in enumerate(terms):
             d = llv - ll
             if lrv != lr + d + m:
@@ -217,7 +238,8 @@ def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
                 continue
             y = pair[1].get(rv)
             if y is not None:
-                acc = acc + (c * x * y if pair[2] == 1 else c * Fraction(x * y, pair[2]))
+                sums[pair[2]] = sums.get(pair[2], 0) + c * x * y
+        acc = _scalar(*_over_lcm(sums)) if sums else 0
         if acc:
             total = total + ctx.conj(cv) * acc * (zsym(lv) * zsym(rv))
     return total
@@ -230,8 +252,8 @@ def image_inner_product(u, w) -> Scalar:
         if u.space != w.space:
             raise ValueError("images from different spaces do not pair")
         total = u.space.ctx.zero()
-        for value in _band_pairings(u, w, False).values():
-            total = total + value
+        for num, den in _band_pairings(u, w, False).values():
+            total = total + _scalar(num, den)
         return total
     if isinstance(w, TimeZeroImage):
         return _pair_state(u, w)
@@ -243,11 +265,11 @@ def image_inner_product(u, w) -> Scalar:
 def image_band_report(image: TimeZeroImage) -> BandReport:
     """Band norms of the image, the same ones :func:`apply_time_zero` reports."""
     ctx = image.space.ctx
-    norms = _band_pairings(image, image, True)
-    bands = tuple(
-        (d, float(ctx.re_im(norms[d])[0])) for d in sorted(norms) if norms[d] != 0
-    )
-    return BandReport(bands, image.charge_clipped)
+    bands = []
+    for d, (num, den) in sorted(_band_pairings(image, image, True).items()):
+        if num != 0:  # int true division rounds correctly, as float(Fraction(num, den)) does
+            bands.append((d, num / den if type(num) is int else float(ctx.re_im(_scalar(num, den))[0])))
+    return BandReport(tuple(bands), image.charge_clipped)
 
 
 def apply_time_zero(space: Space, mode: TimeZeroMode, v: TensorState):
@@ -337,8 +359,10 @@ class PsiCache:
 
     def __init__(self):
         self._store: Dict[tuple, Tuple[TimeZeroImage, float]] = {}
+        self.requests = 0
 
     def apply(self, space: Space, alpha: Scalar, m: int, state: TensorState) -> Tuple[TimeZeroImage, float]:
+        self.requests += 1
         key = (space, alpha, type(alpha), m, tuple(state.entries.items()))
         hit = self._store.get(key)
         if hit is None:

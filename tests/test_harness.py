@@ -385,6 +385,22 @@ def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
     assert calls == {"requests": 220, "images": 63}
 
 
+def test_commutativity_report_logs_its_images_and_grams(caplog):
+    # README quotes this line at the commutativity benchmark's config, with
+    # the Gram memos cold; warm, the report computes no Gram again
+    twodim._gram_table.cache_clear()
+    for grams in (96, 0):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
+            rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("commutativity: ")]
+        assert line.startswith(
+            f"commutativity: 25 vacuum and 30 excited rows, 63 of 220 time-zero images built,"
+            f" {grams} chiral Grams computed, "
+        )
+        assert (len(rep["vacuum"]["rows"]), len(rep["excited"]["rows"])) == (25, 30)
+
+
 def test_commutativity_probes_sit_one_charge_step_inside_the_window():
     # alpha = 2 alpha0 moves a state two sectors, so a probe in sector +-1
     # of the window (-2, 2) would have its image clipped

@@ -356,6 +356,17 @@ def _same(got, want):
         assert float(got).hex() == float(want).hex()
 
 
+def _gram_value(pair):
+    """A kernel Gram (numerator, denominator) as the reference's value: an
+    exact charge's Python-int numerator over its denominator, a float one's
+    sum over 1."""
+    num, den = pair
+    if type(num) is int:
+        return Fraction(num, den)
+    assert den == 1
+    return num
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from(GRAM_CHARGES),
@@ -370,12 +381,18 @@ def test_integer_grams_equal_the_fraction_reference(charge, signs, lam1, lam2, d
     delta2 = sum(lam1) + delta1 - sum(lam2) + skew
     alpha1, alpha2 = signs[0] * charge, signs[1] * charge
     got = twodim._chiral_gram(alpha1, alpha2, delta1, lam1, delta2, lam2)
-    _same(got, chiral_gram(alpha1, delta1, lam1, alpha2, delta2, lam2))
-    _same(twodim._gram_table(alpha1, alpha2)(delta1, lam1, delta2, lam2), got)
+    if isinstance(charge, Fraction):
+        assert type(got[0]) is int  # a sum of integer numerators, never a Fraction
+    _same(_gram_value(got), chiral_gram(alpha1, delta1, lam1, alpha2, delta2, lam2))
+    assert twodim._gram_table(alpha1, alpha2)(delta1, lam1, delta2, lam2) == got
 
 
 def _reference_gram_table(alpha1, alpha2):
-    return lambda d1, l1, d2, l2: chiral_gram(alpha1, d1, l1, alpha2, d2, l2)
+    def gram(d1, l1, d2, l2):
+        g = chiral_gram(alpha1, d1, l1, alpha2, d2, l2)
+        return (g, 1) if isinstance(g, float) else (g.numerator, g.denominator)
+
+    return gram
 
 
 PAIRING_CASES = st.fixed_dictionaries(
@@ -409,6 +426,134 @@ def test_pairings_equal_those_of_the_reference_grams(mode, case):
             _same(a, b)
 
 
+def _reference_bands(u, w, same_band):
+    """Bra band -> its share of <u, w>, one Fraction Gram of the reference per
+    chiral factor, the term pairs in the kernel's order (so that float sums
+    are bit for bit the kernel's)."""
+    ctx, L, a, b = u.space.ctx, u.space.trunc.level_cutoff, u.mode.m, w.mode.m
+    out = {}
+    for jt, al, c, left, right, ll, lr in u.terms:
+        for jt2, al2, c2, left2, right2, ll2, lr2 in w.terms:
+            shift = ll - ll2
+            if jt2 != jt or lr + a - ll != lr2 + b - ll2 or (same_band and shift):
+                continue
+            for d in range(max(-ll, -a - lr), min(L - ll, L - a - lr) + 1):
+                g = chiral_gram(al, d, left, al2, d + shift, left2)
+                g = g * chiral_gram(al, d + a, right, al2, d + shift + b, right2) if g else 0
+                if g:
+                    out[d] = out.get(d, 0) + ctx.conj(c) * c2 * g
+    return out
+
+
+def _kernel_state(ctx, raw):
+    """Like _state, but an exact-rational coefficient over 1 is a Python int,
+    as in a basis probe, so that its bands sum Python ints."""
+    integer = ctx.mode == "exact-rational"
+    return TensorState(
+        {(j, l, r): re if integer and den == 1 else _scalar(ctx, re, im, den) for j, l, r, re, im, den in raw}
+    )
+
+
+# a band whose terms carry two different Gram denominators, at charge 1/3
+# and at -2/3
+MIXED_THIRD = {
+    "L": 2,
+    "charge": Fraction(1, 3),
+    "m_bra": 1,
+    "m_ket": 1,
+    "phi1": [(-1, (2,), (), -1, 0, 1), (1, (), (), 1, 0, 1)],
+    "phi2": [(-1, (2,), (), 1, 2, 1), (1, (), (), 1, -1, 3)],
+}
+MIXED_TWO_THIRDS = {**MIXED_THIRD, "charge": Fraction(-2, 3)}
+# a band norm whose numerator and denominator pass 2**53, where
+# float(num) / float(den) and num / den round differently
+WIDE = {
+    "L": 6,
+    "charge": Fraction(-2, 3),
+    "m_bra": 2,
+    "m_ket": 0,
+    "phi1": [(0, (2, 1), (), -1, 0, 1)],
+    "phi2": [(0, (1,), (1,), 2, 1, 1)],
+}
+
+
+def _kernel_images(mode, case):
+    ctx = make_context(mode, 0.0 if mode != "float" else 1e-9)
+    charge = case["charge"] if ctx.exact else float(case["charge"])
+    sp = Space(ctx, charge, Truncation(case["L"], -2, 2))
+    return tuple(
+        time_zero_image(sp, TimeZeroMode(charge, case[m]), _kernel_state(ctx, case[phi]))
+        for m, phi in (("m_bra", "phi1"), ("m_ket", "phi2"))
+    )
+
+
+@pytest.mark.parametrize("mode", ["exact-rational", "exact-gaussian", "float"])
+@settings(max_examples=60, deadline=None)
+@example(case=MIXED_THIRD)
+@example(case=MIXED_TWO_THIRDS)
+@example(case=WIDE)
+@given(case=PAIRING_CASES)
+def test_band_sums_equal_those_of_fraction_grams(mode, case):
+    # every band of a pairing and of each band-norm series, its pairing and
+    # its float norms against Fraction Grams: exact in the exact modes, bit
+    # for bit in float mode
+    u, w = _kernel_images(mode, case)
+    ctx = u.space.ctx
+    for x, y, same_band in ((u, w, False), (u, u, True), (w, w, True)):
+        got, want = twodim._band_pairings(x, y, same_band), _reference_bands(x, y, same_band)
+        assert list(got) == list(want)
+        for d in want:
+            _same(twodim._scalar(*got[d]), want[d])
+    total = ctx.zero()
+    for value in _reference_bands(u, w, False).values():
+        total = total + value
+    _same(image_inner_product(u, w), total)
+    for image in (u, w):
+        norms = _reference_bands(image, image, True)
+        want = [(d, float(ctx.re_im(norms[d])[0])) for d in sorted(norms) if norms[d] != 0]
+        got = image_band_report(image).bands
+        assert [d for d, _ in got] == [d for d, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.hex() == b.hex()
+
+
+def test_the_kernel_examples_keep_their_purpose():
+    # the @examples above must keep reaching what they were chosen for
+    sizes = []
+    over_lcm = twodim._over_lcm
+    with mock.patch.object(twodim, "_over_lcm", lambda sums: sizes.append(len(sums)) or over_lcm(sums)):
+        for case in (MIXED_THIRD, MIXED_TWO_THIRDS):
+            sizes.clear()
+            u, _w = _kernel_images("exact-rational", case)
+            twodim._band_pairings(u, u, True)
+            assert max(sizes) >= 2
+    u, _w = _kernel_images("exact-rational", WIDE)
+    wide = [
+        (num, den)
+        for num, den in twodim._band_pairings(u, u, True).values()
+        if type(num) is int and num > 2**53 and float(num) / float(den) != num / den
+    ]
+    assert wide
+
+
+def test_band_norms_build_at_most_one_fraction_per_band():
+    # the kernel's shape, not its speed: band norms of Psi_{-1} on a basis
+    # probe sum Python ints, and divide at most once per band
+    image = time_zero_image(space(7), TimeZeroMode(A0, -1), TensorState.basis(0, (2,), (1,)))
+    twodim._gram_table.cache_clear()
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    with mock.patch.object(Fraction, "__new__", counted):
+        bands = twodim._band_pairings(image, image, True)
+    assert len(bands) == 6
+    assert len(made) <= len(bands)
+
+
 @pytest.mark.parametrize("mode", ["exact-rational", "float"])
 def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
     ctx = make_context(mode, 0.0 if mode != "float" else 1e-9)
@@ -440,9 +585,12 @@ def test_float_and_fraction_charges_never_share_a_memo_entry():
     assert {type(term[1]) for term in exact.terms} == {Fraction}
     assert {type(term[1]) for term in floating.terms} == {float}
     assert twodim._gram_table(0.5, 0.5) is not twodim._gram_table(A0, A0)
-    # Y_0 (1,) = (1 - alpha^2) (1,), so its Gram is (3/4)^2 zsym((1,)) in both
-    assert type(twodim._gram_table(0.5, 0.5)(0, (1,), 0, (1,))) is float
-    assert twodim._gram_table(A0, A0)(0, (1,), 0, (1,)) == Fraction(9, 16)
+    # Y_0 (1,) = (1 - alpha^2) (1,), so its Gram is (3/4)^2 zsym((1,)) in both:
+    # a float over 1, and Python ints
+    num, den = twodim._gram_table(0.5, 0.5)(0, (1,), 0, (1,))
+    assert type(num) is float and num == 0.5625 and den == 1
+    num, den = twodim._gram_table(A0, A0)(0, (1,), 0, (1,))
+    assert type(num) is int and type(den) is int and Fraction(num, den) == Fraction(9, 16)
 
 
 def test_psi_cache_refuses_an_image_that_leaves_the_charge_window():
