@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # a ConfigError is a ValueError
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError; an unusable path an OSError
         log.error("%s", exc)
         return EXIT_USAGE
 

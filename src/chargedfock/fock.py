@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import Optional, Tuple
 
 import numpy as np
@@ -127,9 +127,6 @@ class Space:
     ctx: ArithmeticContext
     alpha0: Scalar
     trunc: Truncation
-
-    def charge(self, j: int) -> Scalar:
-        return self.alpha0 * j
 
 
 # A chiral operator on one basis partition: outputs mus[i] at one level, coefficients nums[i] / den
@@ -399,68 +396,67 @@ def _chain_product(chain, convert):
     return out
 
 
+def _chain_bound(chain) -> int:
+    """A bound on every entry and partial sum of an exact chain's product:
+    its last factor's top times each other factor's inner dimension and top."""
+    b = chain[-1].top
+    for m in chain[:-1]:
+        b *= m.ints.shape[-1] * m.top
+    return b
+
+
 def residual(ctx: ArithmeticContext, terms) -> np.ndarray:
     """The sum over terms ``(c, chains)`` of c times the Kronecker product of
     its chains' matrix products, each applied right to left: one chain for a
     chiral operator, a left and a right one for a two-sided operator.  The
     matrices' sector axes broadcast, so one call checks an identity on every
-    sector of a stack; c is one scalar, or an object array of one per sector.
+    sector of a stack; each term's c is one scalar.
 
-    Exact modes return integer numerators over one common denominator per
-    sector: each term is cross-multiplied to it, and the sum is computed in
-    int64 when the certified bound -- the sum over terms of the largest
-    |factor| times the product of its chains' bounds -- stays below
-    :data:`INT64_BOUND`, so that no partial sum can wrap, and in Python ints
-    otherwise.  Float mode sums float64.  By bilinearity, the left products
-    of the two-sided terms that share a right chain (the same matrix objects)
-    are summed before one Kronecker product with it."""
+    Exact modes return integer numerators over one common denominator: each
+    term is cross-multiplied to it, and the sum is computed in int64 when the
+    certified bound -- the sum over terms of |factor| times the product of
+    its chains' bounds -- stays below :data:`INT64_BOUND`, so that no partial
+    sum can wrap, and in Python ints otherwise; a chain whose own bound fits
+    is multiplied out in int64 before it is widened.  Float mode sums float64.
+    By bilinearity, the left products of the two-sided terms that share a
+    right chain (the same matrix objects) are summed before one Kronecker
+    product with it."""
     if ctx.exact:
         # one pass for each term's scale and bound, and the common denominator
         den, prepared = 1, []
         for c, chains in terms:
-            scale = bound = 1
-            for chain in chains:
-                # every entry and partial sum of a chain's product: its last
-                # factor's top times each other factor's inner dimension and top
-                b = chain[-1].top
-                for m in chain:
-                    scale *= m.den
-                for m in chain[:-1]:
-                    b *= m.ints.shape[-1] * m.top
-                bound *= b
+            scale = prod(m.den for chain in chains for m in chain)
+            bound = prod(map(_chain_bound, chains))
             # a term of zero matrices still counts its factor, which must fit too
             prepared.append((c, scale, max(bound, 1)))
-            for x in c if isinstance(c, np.ndarray) else (c,):
-                d = scale * x.denominator
-                den *= d // gcd(den, d)
+            d = scale * c.denominator
+            den *= d // gcd(den, d)
         factors, certified = [], 0
         for c, scale, b in prepared:
-            if isinstance(c, np.ndarray):
-                f = [x.numerator * (den // (x.denominator * scale)) for x in c]
-                certified += max(map(abs, f)) * b
-            else:
-                f = c.numerator * (den // (c.denominator * scale))
-                certified += abs(f) * b
+            f = c.numerator * (den // (c.denominator * scale))
+            certified += abs(f) * b
             factors.append(f)
         dtype = np.int64 if certified < INT64_BOUND else object
-        convert = lambda m: m.ints if m.ints.dtype == dtype else m.ints.astype(dtype)  # noqa: E731
+
+        def product(chain):  # in int64 while the chain's own bound fits, then in dtype
+            t = np.int64 if max(_chain_bound(chain), *(m.top for m in chain)) < INT64_BOUND else object
+            p = _chain_product(chain, lambda m: m.ints if m.ints.dtype == t else m.ints.astype(t))
+            return p.astype(dtype, copy=False)
     else:
-        factors = [[float(x) for x in c] if isinstance(c, np.ndarray) else float(c) for c, _ in terms]
-        dtype, convert = float, lambda m: m.ints / m.den  # noqa: E731
+        factors = [float(c) for c, _ in terms]
+        product = lambda chain: _chain_product(chain, lambda m: m.ints / m.den)  # noqa: E731
     total = None
     shared = {}  # right chain by identity -> (right chain, [(factor, left chain)])
     for f, (_, chains) in zip(factors, terms):
-        if isinstance(f, list):  # one factor per sector
-            f = f[0] if len(f) == 1 else np.array(f, dtype=dtype).reshape(-1, 1, 1)
         if len(chains) == 1:
-            x = f * _chain_product(chains[0], convert)
+            x = f * product(chains[0])
             total = x if total is None else total + x
         else:
             shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
     for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless first
-        a = sum(f * _chain_product(left, convert) for f, left in lefts)
+        a = sum(f * product(left) for f, left in lefts)
         if total is None or a.any():
-            b = _chain_product(right, convert)
+            b = product(right)
             x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
             x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
             total = x if total is None else total + x

@@ -12,8 +12,8 @@ Each identity is checked as a matrix identity per level on the operators'
 level stacks (see :mod:`chargedfock.fock`), whose leading axis runs over the
 sectors: a bracket A B - B A - c R = 0 on the whole interior basis of one
 level, in every admitted sector, in one batched residual, whose nonzero
-(sector, column) pairs are the failing basis vectors.  A sector-dependent
-coefficient, such as the mode index of a covariance, scales the sector axis.
+(sector, column) pairs are the failing basis vectors.  Each coefficient is a
+scalar; a sector's charge enters as J_0, which is that charge on the sector.
 Every basis vector is still computed and checked.  A cell that passes counts
 all its states at once; a cell with a failure is replayed in (sector, level,
 basis) order, so the first failure and the states checked before it are
@@ -65,7 +65,6 @@ from .vertex import (
     apply_Y_mode,
     charge_multiplier,
     conformal_weight,
-    mode_index,
     recursive_row,
     truncated_mode_norm,
     vacuum_mode_norm_sq,
@@ -223,14 +222,15 @@ _IDENTITY = _Op(lambda level: identity(len(partitions_of(level))), 0)
 
 
 def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = None):
-    """Checks of a b - b a = sum of c R over `rhs`, pairs (c, R) with c one
-    scalar or an array of one per sector: one block per interior level.
+    """Checks, one block per interior level, of a b - b a = sum over `rhs` of
+    c R_1 R_2 ..., scalars c and chains whose factors after the first keep
+    level and sector, as J_0 does: all are sliced at the cell's level and rows.
 
     With `mirrors`, one dict per sweep, each level's failing-column mask is
     kept under (a, b, rhs, level) until the mirror cell (b, a, -rhs) takes
     it in place of its own residual.  The key compares the operators' stacks
     and the coefficients' values, so a right-hand side that is not the
-    mirror's negation is computed in full.  Scalar coefficients only."""
+    mirror's negation is computed in full."""
 
     def checks(rows, levels):
         for level in levels:
@@ -242,7 +242,7 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = Non
                     (1, ((a.at(rows, level + b.shift, b.jshift), b.at(rows, level)),)),
                     (-1, ((b.at(rows, level + a.shift, a.jshift), a.at(rows, level)),)),
                 ]
-                terms += [(-c, ((r.at(rows, level),),)) for c, r in rhs]
+                terms += [(-c, (tuple(r.at(rows, level) for r in chain),)) for c, chain in rhs]
                 bad = _failing_columns(space, terms)
                 if mirrors is not None:
                     mirrors[a, b, tuple(rhs), level] = bad
@@ -261,7 +261,7 @@ def current_bracket_suite(space: Space) -> dict:
     mirrors = {}
 
     def bracket(m, n):
-        rhs = [(m, _IDENTITY)] if m + n == 0 else []
+        rhs = [(m, (_IDENTITY,))] if m + n == 0 else []
         return max(0, -m, -n, -m - n), _commutator(space, J(m), J(n), rhs, mirrors)
 
     return _bracket_sweep("current_bracket", space, bracket, _sectors(space), m=range(-6, 7), n=range(-6, 7))
@@ -274,7 +274,7 @@ def virasoro_bracket_suite(space: Space) -> dict:
     mirrors = {}
 
     def bracket(m, n):
-        rhs = [(c, r) for c, r in ((m - n, L(m + n)), (central_term(m, n), _IDENTITY)) if c]
+        rhs = [(c, (r,)) for c, r in ((m - n, L(m + n)), (central_term(m, n), _IDENTITY)) if c]
         return max(0, -m, -n, -m - n), _commutator(space, L(m), L(n), rhs, mirrors)
 
     return _bracket_sweep("virasoro_bracket", space, bracket, _sectors(space), m=range(-4, 5), n=range(-4, 5))
@@ -339,16 +339,17 @@ def _pair_where(levels, j: int, k: int) -> dict:
 
 
 def _covariance_sweep(name, space, alpha, op_matrices, coefficient) -> dict:
-    """[op_m, Y_delta] = coefficient(m, s) Y_{delta-m}, |m|, |delta| <= 3,
-    with s the mode index of Y_delta out of the source sector: one
-    coefficient per sector."""
+    """[op_m, Y_delta] = c Y_{delta-m} + c_J Y_{delta-m} J_0, |m|, |delta| <= 3,
+    (c, c_J) = coefficient(m, delta): J_0, applied first, is the source
+    sector's charge.  A zero scalar drops its term."""
     mult = charge_multiplier(space, alpha)
     sectors = _sectors(space, mult)
     Y = lambda delta: _Op(y_matrices(space, alpha, delta), delta, mult)  # noqa: E731
+    J0 = _Op(j_matrices(space, 0), 0)
 
     def bracket(m, delta):
-        scale = [coefficient(m, mode_index(space, alpha, j, delta)) for j in sectors]
-        rhs = [(np.array(scale, dtype=object), Y(delta - m))]
+        c, c_J = coefficient(m, delta)
+        rhs = [(x, chain) for x, chain in ((c, (Y(delta - m),)), (c_J, (Y(delta - m), J0))) if x]
         return max(0, delta, -m, delta - m), _commutator(space, _Op(op_matrices(space, m), -m), Y(delta), rhs)
 
     return _bracket_sweep(name, space, bracket, sectors, m=range(-3, 4), delta=range(-3, 4))
@@ -356,15 +357,16 @@ def _covariance_sweep(name, space, alpha, op_matrices, coefficient) -> dict:
 
 def current_covariance_suite(space: Space, alpha) -> dict:
     """[J_m, Y_delta] = alpha Y_{delta-m} on interior basis vectors."""
-    coefficient = lambda m, s: alpha  # noqa: E731
+    coefficient = lambda m, delta: (alpha, 0)  # noqa: E731
     return _covariance_sweep("current_covariance", space, alpha, j_matrices, coefficient)
 
 
 def primary_covariance_suite(space: Space, alpha) -> dict:
-    """[L_m, Y_delta] = ((d-1)m - s) Y_{delta-m}, with s the real mode index
-    of the shift-delta mode out of the source sector."""
+    """[L_m, Y_delta] = ((d-1)m - s) Y_{delta-m}, s = -alpha beta - d - delta the
+    mode index out of a source sector of charge beta: ((d-1)m + d + delta)
+    Y_{delta-m} + alpha Y_{delta-m} J_0 on every sector."""
     d = conformal_weight(alpha)
-    coefficient = lambda m, s: (d - 1) * m - s  # noqa: E731
+    coefficient = lambda m, delta: ((d - 1) * m + d + delta, alpha)  # noqa: E731
     return _covariance_sweep("primary_covariance", space, alpha, l_matrices, coefficient)
 
 

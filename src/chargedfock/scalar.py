@@ -126,6 +126,7 @@ class GaussianRational:
 Scalar = Union[int, Fraction, GaussianRational, float, complex]
 
 IMAG_UNIT = GaussianRational(0, 1)
+_ZERO, _ONE = Fraction(0), Fraction(1)  # immutable, so every exact context shares them
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,10 @@ class ArithmeticContext:
         return self.mode != "float"
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.exact else 0.0
+        return _ZERO if self.exact else 0.0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
+        return _ONE if self.exact else 1.0
 
     def imaginary_unit(self) -> Scalar:
         if self.mode == "exact-rational":
@@ -193,7 +194,7 @@ class ArithmeticContext:
         if isinstance(x, complex):
             return x.real, x.imag
         if self.exact:
-            return Fraction(x), Fraction(0)
+            return x if isinstance(x, Fraction) else Fraction(x), _ZERO
         return float(x), 0.0
 
     def abs_sq(self, x: Scalar):

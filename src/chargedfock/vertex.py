@@ -61,7 +61,6 @@ from .fock import (
 __all__ = [
     "charge_multiplier",
     "conformal_weight",
-    "mode_index",
     "y_mode_table",
     "apply_Y_mode",
     "y_matrices",
@@ -91,11 +90,6 @@ def charge_multiplier(space: Space, alpha) -> int:
 def conformal_weight(alpha):
     """d = alpha^2 / 2."""
     return alpha * alpha / 2
-
-
-def mode_index(space: Space, alpha, j: int, delta: int):
-    """Real mode index s of the level-shift-``delta`` mode out of sector j."""
-    return -alpha * space.charge(j) - conformal_weight(alpha) + (-delta)
 
 
 # one entry per partition: 139 up to level 10

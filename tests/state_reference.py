@@ -8,7 +8,9 @@ exact symmetries of the time-zero modes that the vanishing arguments use.
 ``close`` compares two scalars within a context's tolerance.
 ``sugawara_k_loop`` builds an L_n row by running the whole double sum over
 k in every sector, as ``virasoro._sugawara_on_basis`` did before it read a
-sector-free term list.
+sector-free term list.  ``mode_index`` is the real mode index s of a
+level-shift mode out of one sector, the per-sector form of the covariance
+coefficients.
 """
 
 import json
@@ -25,6 +27,7 @@ from chargedfock.fock import (
     zsym,
 )
 from chargedfock.heisenberg import _j_rows, j_step
+from chargedfock.vertex import conformal_weight
 
 
 def gram(lam: Partition, mu: Partition) -> int:
@@ -97,3 +100,9 @@ def sugawara_k_loop(n: int, j: int, lam: Partition, alpha0, fault: bool):
     if ratio is None:
         return float_row(ell - n, acc)
     return integer_row(ell - n, acc, 2 * q * q)
+
+
+def mode_index(space, alpha, j: int, delta: int):
+    """Real mode index s = -alpha*beta - d - delta of the level-shift-``delta``
+    mode out of sector j, beta = j * alpha0 and d = alpha**2 / 2."""
+    return -alpha * space.alpha0 * j - conformal_weight(alpha) + (-delta)

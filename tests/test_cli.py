@@ -66,6 +66,24 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diverge-demo", "--output", "{dir}"],
+        ["verify-lorentz", "--level_cutoff", "4", "--output", "{dir}"],
+        ["verify-algebra", "{dir}"],
+    ],
+    ids=["diverge-demo-output", "verify-lorentz-output", "config"],
+)
+def test_a_directory_as_a_path_is_one_error_line(capsys, caplog, tmp_path, argv):
+    # writing a report to a directory, or reading one as a config, used to
+    # end in a traceback
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and str(tmp_path) in errors[0].getMessage()
+    assert capsys.readouterr().out == ""
+
+
 # each count option of each subcommand: a negative value used to run an empty
 # sweep (zero records, exit 0) or an empty series
 NEGATIVE_COUNTS = [

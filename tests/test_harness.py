@@ -21,6 +21,7 @@ from chargedfock.fock import (
     TensorState,
     Truncation,
     inner_product,
+    nonzero,
     partitions_of,
     residual,
     states_equal,
@@ -40,8 +41,9 @@ from chargedfock.harness import (
 )
 from chargedfock.scalar import make_context
 from chargedfock.twodim import partial_sum_norm_series, vacuum_norm_series
-from chargedfock.vertex import conformal_weight, mode_index, vacuum_mode_norm_sq
+from chargedfock.vertex import charge_multiplier, conformal_weight, vacuum_mode_norm_sq, y_matrices
 from chargedfock.virasoro import central_term
+from state_reference import mode_index
 
 EXACT = make_context("exact-rational")
 A0 = HALF = Fraction(1, 2)
@@ -587,6 +589,72 @@ def test_block_sweep_isolates_columns(monkeypatch, name):
     if name.endswith("last_sector") or suite == "mode_adjoint":
         assert want["first_failure"]["sector"] == sp.trunc.j_max - int(suite == "mode_adjoint")
     assert run() == want
+
+
+def _suite_masks(monkeypatch, run):
+    """(m, delta, level) -> the failing (sector, column) mask the suite
+    computes there, for every cell: the sweep is replaced by one that keeps
+    every block and stops at no failure."""
+    masks = {}
+
+    def every_block(name, cell, **labels):
+        for values in product(*labels.values()):
+            sectors, blocks = cell(*values)
+            for where, bad in blocks:
+                masks[values + where.args] = np.broadcast_to(bad, (len(sectors), bad.shape[-1]))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_sweep", every_block)
+        run()
+    return masks
+
+
+def _per_sector_masks(sp, alpha, op_matrices, coefficient):
+    """The masks of :func:`_suite_masks` from the per-sector form: on each
+    source sector j its own slices, and the scalar coefficient(m, s) with s
+    the mode index of Y_delta out of j."""
+    mult = charge_multiplier(sp, alpha)
+    sectors = [j for j in range(sp.trunc.j_min, sp.trunc.j_max + 1) if sp.trunc.admits_sector(j + mult)]
+    at = lambda stack, s: stack.sectors(s, s + 1)  # noqa: E731
+    masks = {}
+    for m, delta in product(range(-3, 4), repeat=2):
+        op, Y, Y_rhs = op_matrices(sp, m), y_matrices(sp, alpha, delta), y_matrices(sp, alpha, delta - m)
+        for level in range(sp.trunc.level_cutoff - max(0, delta, -m, delta - m) + 1):
+            rows = []
+            for j in sectors:
+                s = j - sp.trunc.j_min
+                c = coefficient(m, mode_index(sp, alpha, j, delta))
+                terms = [
+                    (1, ((at(op(level + delta), s + mult), at(Y(level), s)),)),
+                    (-1, ((at(Y(level - m), s), at(op(level), s)),)),
+                    (-c, ((at(Y_rhs(level), s),),)),
+                ]
+                rows.append(nonzero(EXACT, residual(EXACT, terms)).any(axis=-2)[0])
+            if sectors:
+                masks[m, delta, level] = np.array(rows)
+    return masks
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("alpha0", [HALF, Fraction(2, 7), Fraction(-1, 3)], ids=str)
+@pytest.mark.parametrize("mult", [1, 2])
+def test_covariance_suites_fail_the_per_sector_columns(monkeypatch, mult, alpha0, fault):
+    # the suites state a sector's charge as the chain Y J_0; the per-sector
+    # form scales each sector's slice by its own coefficient (d-1)m - s
+    sp = Space(EXACT, alpha0, Truncation(6, -2, 2))
+    alpha, d = mult * alpha0, conformal_weight(mult * alpha0)
+    if fault:  # the coefficient of (2,) in Y_1 on the partition (1,) of sector 0 only
+        _doubled_rows(monkeypatch, "Y", lambda a, delta: a == alpha and delta == 1, (mult, (2,)), mult)
+    cases = [
+        (current_covariance_suite, heisenberg.j_matrices, lambda m, s: alpha),
+        (primary_covariance_suite, virasoro.l_matrices, lambda m, s: (d - 1) * m - s),
+    ]
+    for suite, op_matrices, coefficient in cases:
+        got = _suite_masks(monkeypatch, partial(suite, sp, alpha))
+        want = _per_sector_masks(sp, alpha, op_matrices, coefficient)
+        assert got.keys() == want.keys()
+        assert all((got[key] == want[key]).all() for key in want), suite.__name__
+        assert any(mask.any() for mask in want.values()) == fault, suite.__name__
 
 
 def test_suites_take_no_ranges():

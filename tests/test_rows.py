@@ -147,7 +147,7 @@ def check(space, got, want):
 @given(setups(), st.integers(min_value=-3, max_value=3))
 def test_sector_applications_match_value_rows(setup, m):
     space, v, _w, _c = setup
-    j_rows = lambda j, lam: j_step(lam, m, space.charge(j))  # noqa: E731
+    j_rows = lambda j, lam: j_step(lam, m, space.alpha0 * j)  # noqa: E731
     check(space, apply_J(space, m, v), value_row_sum(space, v, j_rows))
     check(space, apply_L(space, m, v), value_row_sum(space, v, sugawara_values(space, m)))
     for alpha, shift in ((space.alpha0, 1), (-2 * space.alpha0, -2)):
@@ -160,7 +160,7 @@ def test_sector_applications_match_value_rows(setup, m):
 @given(setups(tensor=True), st.integers(min_value=-3, max_value=3), st.sampled_from(["left", "right"]))
 def test_tensor_applications_match_value_rows(setup, m, side):
     space, v, _w, _c = setup
-    j_rows = lambda j, lam: j_step(lam, m, space.charge(j))  # noqa: E731
+    j_rows = lambda j, lam: j_step(lam, m, space.alpha0 * j)  # noqa: E731
     check(space, apply_J_tensor(space, side, m, v), value_row_sum(space, v, j_rows, side))
     want = value_row_sum(space, v, sugawara_values(space, m), side)
     check(space, apply_L_tensor(space, side, m, v), want)
@@ -376,17 +376,19 @@ def test_int64_and_python_int_paths_fail_the_same_columns(terms):
 
 @st.composite
 def sector_products(draw):
-    """Terms on stacks of 1-4 sectors: a product of two stacks with a scalar
-    coefficient, and a stack or a matrix without a sector axis, scaled by
-    one coefficient per sector."""
+    """Terms on stacks of 1-4 sectors, each with one scalar coefficient: a
+    product of two stacks, and a stack or a matrix without a sector axis
+    times a diagonal stack of one value per sector, as Y_{delta-m} J_0."""
     s, r, k, c = (draw(st.integers(min_value=1, max_value=4)) for _ in range(4))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=5)
     stack = lambda rows, cols: int_matrices(rows * s, cols).map(  # noqa: E731
         lambda m: LevelMatrix(m.den, m.ints.reshape(s, rows, cols), m.top)
     )
-    per_sector = np.array(draw(st.lists(coeff, min_size=s, max_size=s)), dtype=object)
+    charges = draw(st.lists(small_ints, min_size=s, max_size=s))
+    diagonal = np.array(charges, dtype=np.int64).reshape(s, 1, 1) * np.eye(c, dtype=np.int64)
+    charge = LevelMatrix(draw(st.integers(min_value=1, max_value=12)), diagonal, max(map(abs, charges)))
     last = draw(st.one_of(stack(r, c), int_matrices(r, c)))
-    return s, [(draw(coeff), ((draw(stack(r, k)), draw(stack(k, c))),)), (per_sector, ((last,),))]
+    return s, [(draw(coeff), ((draw(stack(r, k)), draw(stack(k, c))),)), (draw(coeff), ((last, charge),))]
 
 
 def failing_sector_columns(ctx, terms, sectors):
@@ -397,8 +399,7 @@ def failing_sector_columns(ctx, terms, sectors):
     one_by_one = []
     for s in range(sectors):
         at = lambda m: m if m.ints.ndim == 2 else LevelMatrix(m.den, m.ints[s], m.top)  # noqa: E731
-        scalar = lambda c: c[s] if isinstance(c, np.ndarray) else c  # noqa: E731
-        single = [(scalar(c), tuple(tuple(at(m) for m in chain) for chain in chains)) for c, chains in terms]
+        single = [(c, tuple(tuple(at(m) for m in chain) for chain in chains)) for c, chains in terms]
         total = residual(ctx, single)
         one_by_one += [(s, int(col)) for col in np.flatnonzero(nonzero(ctx, total).any(axis=0))]
     return [tuple(x) for x in np.argwhere(batched).tolist()], one_by_one
@@ -436,17 +437,15 @@ def test_python_int_path_where_int64_would_wrap():
     half = LevelMatrix(1, np.array([[2**31]], dtype=np.int64), 2**31)
     assert residual(ctx, [(2, ((half, half),))]).dtype == object
     assert residual(ctx, [(1, ((half, half),))]).dtype == np.int64
-
-
-def test_python_int_path_takes_the_largest_sector_factor():
-    # a stack whose second sector's factor alone lifts the bound past 2**63
-    ctx = make_context("exact-rational")
-    half = LevelMatrix(1, np.full((2, 1, 1), 2**31, dtype=np.int64), 2**31)
-    total = residual(ctx, [(np.array([1, 2], dtype=object), ((half, half),))])
-    assert total.dtype == object
-    assert total.ravel().tolist() == [2**62, 2**63]
-    assert residual(ctx, [(np.array([2, 1], dtype=object), ((half, half),))]).dtype == object
-    assert residual(ctx, [(np.array([1, 1], dtype=object), ((half, half),))]).dtype == np.int64
+    # a factor past int64 widens the sum; a chain whose own bound fits is
+    # multiplied out in int64 first, one whose factor does not fit is not
+    small = LevelMatrix(1, np.array([[3, -1], [2, 5]], dtype=np.int64), 5)
+    wide = residual(ctx, [(2**70, ((small, small),))])
+    assert wide.dtype == object
+    assert wide.tolist() == [[7 * 2**70, -8 * 2**70], [16 * 2**70, 23 * 2**70]]
+    huge = LevelMatrix(1, np.array([[2**70]], dtype=object), 2**70)
+    zero = LevelMatrix(1, np.zeros((1, 1), dtype=np.int64), 0)
+    assert residual(ctx, [(1, ((huge, zero),))]).tolist() == [[0]]
 
 
 def test_suites_fall_back_to_python_ints_and_agree(monkeypatch):

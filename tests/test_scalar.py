@@ -84,3 +84,16 @@ def test_is_zero_tolerance():
     exact = make_context("exact-rational")
     assert exact.is_zero(Fraction(0))
     assert not exact.is_zero(Fraction(1, 10**40))
+
+
+@pytest.mark.parametrize("mode", ["exact-rational", "exact-gaussian"])
+def test_exact_zero_and_one_are_shared(mode):
+    # Fractions are immutable, so one zero and one one serve every caller
+    ctx = make_context(mode)
+    assert ctx.zero() is ctx.zero() and ctx.zero() == 0 and type(ctx.zero()) is Fraction
+    assert ctx.one() is ctx.one() and ctx.one() == 1 and type(ctx.one()) is Fraction
+    third = Fraction(1, 3)
+    assert ctx.re_im(third)[0] is third
+    assert ctx.re_im(third)[1] is ctx.zero()
+    assert ctx.re_im(2) == (2, 0) and type(ctx.re_im(2)[0]) is Fraction
+    assert ctx.re_im(GaussianRational(third, -1)) == (third, -1)

@@ -4,6 +4,7 @@ They call the library the way a user does, so a changed signature in the
 package shows up here and not first in a user's run.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,14 @@ def test_script_exits_zero(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_report_digests_prints_one_line_per_run():
+    spec = importlib.util.spec_from_file_location("report_digests", SCRIPTS / "report_digests.py")
+    report_digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_digests)
+    checkout = SCRIPTS.parent
+    assert "diverge-demo" in report_digests.subcommands(checkout / "src")
+    name, mode, cutoff, code, digest = report_digests.digest_line(checkout, "diverge-demo", "float", "4").split()
+    assert (name, mode, cutoff, code) == ("diverge-demo", "float", "4", "0")
+    assert len(digest) == 64

@@ -25,13 +25,13 @@ from chargedfock.vertex import (
     charge_multiplier,
     conformal_weight,
     export_mode_block,
-    mode_index,
     truncated_mode_norm,
     vacuum_mode_norm_sq,
     y_mode_table,
 )
 from chargedfock.virasoro import apply_L
 from fraction_reference import recursive_element
+from state_reference import mode_index
 
 EXACT = make_context("exact-rational")
 A0 = Fraction(1, 2)

@@ -23,7 +23,7 @@ SP = Space(EXACT, Fraction(1, 2), Truncation(64, -2, 2))  # above every level th
 def test_l0_grading():
     # L_0 eigenvalue = level + beta^2/2
     for j in (-2, 0, 1):
-        beta = SP.charge(j)
+        beta = SP.alpha0 * j
         for level in range(5):
             for lam in partitions_of(level):
                 v = SectorState.basis(j, lam)
