@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""One line per CLI run: subcommand, arithmetic mode, cutoff, exit code and a
-sha256 of stdout.
+"""One line per CLI run: subcommand and its fixed flags, arithmetic mode,
+cutoff, exit code and a sha256 of stdout.
 
-Runs every subcommand of ``chargedfock.cli`` in each arithmetic mode (float at
-``--tolerance 1e-9``) and at each cutoff, one fresh ``python -m
+Runs every subcommand of ``chargedfock.cli``, and ``verify-algebra
+--inject-fault sugawara`` for a failing verdict, in each arithmetic mode
+(float at ``--tolerance 1e-9``) and at each cutoff, one fresh ``python -m
 chargedfock.cli`` process per run, on the source tree of a checkout.  Two
 checkouts behave the same on these runs when their outputs are equal:
 
@@ -20,6 +21,8 @@ import sys
 from pathlib import Path
 
 MODES = {"exact-rational": [], "exact-gaussian": [], "float": ["--tolerance", "1e-9"]}
+# runs with fixed flags after those of the bare subcommands
+FIXED_RUNS = [("verify-algebra", "--inject-fault", "sugawara")]
 
 
 def _env(src: Path) -> dict:
@@ -33,15 +36,16 @@ def subcommands(src: Path) -> list:
     return out.stdout.split()
 
 
-def digest_line(checkout: Path, name: str, mode: str, cutoff: str) -> str:
-    """One fresh CLI run of subcommand `name` on the checkout's src/, as
-    ``subcommand mode cutoff exit sha256(stdout)``."""
-    argv = [name, "--arithmetic", mode, *MODES[mode]]
+def digest_line(checkout: Path, name: str, mode: str, cutoff: str, flags=()) -> str:
+    """One fresh CLI run of subcommand `name` with `flags` on the checkout's
+    src/, as ``subcommand [flags] mode cutoff exit sha256(stdout)``."""
+    argv = [name, *flags, "--arithmetic", mode, *MODES[mode]]
     if cutoff != "default":
         argv += ["--level_cutoff", cutoff]
     proc = subprocess.run([sys.executable, "-m", "chargedfock.cli", *argv], cwd=checkout,
                           env=_env(checkout / "src"), capture_output=True)
-    return f"{name} {mode} {cutoff} {proc.returncode} {hashlib.sha256(proc.stdout).hexdigest()}"
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    return " ".join([name, *flags, mode, cutoff, str(proc.returncode), digest])
 
 
 def main() -> int:
@@ -52,10 +56,10 @@ def main() -> int:
     args = ap.parse_args()
 
     checkout = Path(args.checkout).resolve()
-    for name in subcommands(checkout / "src"):
+    for name, *flags in [(name,) for name in subcommands(checkout / "src")] + FIXED_RUNS:
         for mode in MODES:
             for cutoff in args.cutoffs.split(","):
-                print(digest_line(checkout, name, mode, cutoff), flush=True)
+                print(digest_line(checkout, name, mode, cutoff, flags), flush=True)
     return 0
 
 

@@ -95,6 +95,8 @@ def _run_report(args, handler, defaults: dict) -> int:
     cfg = _resolve(args, **defaults)
     space, alpha, lam = build_space(cfg)
     body_call = handler(args, cfg, space, alpha, lam)
+    if cfg.output:  # an unusable path fails before the body runs; appending truncates nothing
+        Path(cfg.output).open("a").close()
     t0 = time.perf_counter()
     body = body_call()
     log.info("%s finished in %.2f s", args.subcommand, time.perf_counter() - t0)

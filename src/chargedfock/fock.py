@@ -31,11 +31,11 @@ a leading axis over every sector of the charge window, so a contiguous run of
 sectors is a view.  When every sector's rows are equal, as for J_m (m != 0)
 and every Y_delta, that axis is a stride-0 view of one plane; a row that
 differs in one sector, a fault's included, gives every sector its own plane.
-:func:`residual` sums products of such stacks exactly, one
-identity on all sectors in one batched product, in int64 only while a bound
-certified from the entries' magnitudes, the inner dimensions and the
-cross-multiplication factors stays below 2**63, and in Python ints otherwise;
-float mode sums float64 values.
+:func:`residual` finds where a sum of products of such stacks is nonzero,
+one identity on all sectors in one batched product, exactly: modulo 2**64,
+and modulo primes as well while a bound certified from the entries'
+magnitudes, the inner dimensions and the cross-multiplication factors is at
+least 2**64; float mode sums float64 values.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
 # ---------------------------------------------------------------------------
 # level matrices: an operator's rows on one level, stacked over the sectors
 
-# an exact product is computed in int64 only when its certified bound is below this
+# an exact stack is int64 when its largest entry is below this, Python ints otherwise
 INT64_BOUND = 2**63
 
 
@@ -274,8 +274,8 @@ class LevelMatrix:
     on the s-th sector of the charge window, a stride-0 view of one plane
     when the rows are equal in every sector; a matrix without one holds in
     every sector.  ``ints`` is int64 when every entry fits, Python ints
-    (object dtype) otherwise, float64 values in float mode; ``top`` bounds
-    the absolute value of every exact entry of the whole stack."""
+    (object dtype) otherwise, both read as residues by :func:`residual`, and
+    float64 values in float mode; ``top`` bounds every exact |entry|."""
 
     den: int
     ints: np.ndarray
@@ -387,88 +387,84 @@ def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     return _matrix(den, cells, cells.shape, None if floating else np.abs(cells).max())
 
 
-def _chain_product(chain, convert):
-    """The chain's matrix product, applied right to left, of ``convert(m)``."""
+def _chain_product(chain, mod, signed=False):
+    """The chain's product, right to left, each product reduced modulo a prime ``mod``."""
     out = None
     for m in reversed(chain):
-        x = convert(m)
-        out = x if out is None else x @ out
+        if mod is None:  # float mode
+            x = m.ints / m.den
+        elif signed:  # int64 stacks are their own residues modulo 2**64
+            x = m.ints
+        else:  # residues in uint64, int64 read as uint64 modulo 2**64
+            x = m.ints.view(np.uint64) if mod == 2**64 and m.ints.dtype != object else (m.ints % mod).astype(np.uint64)
+        out = x if out is None else x @ out % mod if mod in PRIMES else x @ out
     return out
 
 
-def _chain_bound(chain) -> int:
-    """A bound on every entry and partial sum of an exact chain's product:
-    its last factor's top times each other factor's inner dimension and top."""
-    b = chain[-1].top
-    for m in chain[:-1]:
-        b *= m.ints.shape[-1] * m.top
-    return b
+# moduli after 2**64: primes below 2**26, so MAX_INNER products of two residues sum to below 2**63
+PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108757, 67108753, 67108747)
+MAX_INNER = 2**11
 
 
-def residual(ctx: ArithmeticContext, terms) -> np.ndarray:
-    """The sum over terms ``(c, chains)`` of c times the Kronecker product of
-    its chains' matrix products, each applied right to left: one chain for a
-    chiral operator, a left and a right one for a two-sided operator.  The
-    matrices' sector axes broadcast, so one call checks an identity on every
-    sector of a stack; each term's c is one scalar.
+def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
+    """Where the sum over terms ``(c, chains)`` of c times the Kronecker
+    product of its chains' matrix products, each applied right to left, is
+    nonzero, and how many primes that took: one chain for a chiral operator,
+    a left and a right one for a two-sided operator, whose left products are
+    summed per right chain (the same matrix objects) before one Kronecker
+    product with it.  Sector axes broadcast, so one call checks an identity
+    on every sector of a stack; each term's c is one scalar.
 
-    Exact modes return integer numerators over one common denominator: each
-    term is cross-multiplied to it, and the sum is computed in int64 when the
-    certified bound -- the sum over terms of |factor| times the product of
-    its chains' bounds -- stays below :data:`INT64_BOUND`, so that no partial
-    sum can wrap, and in Python ints otherwise; a chain whose own bound fits
-    is multiplied out in int64 before it is widened.  Float mode sums float64.
-    By bilinearity, the left products of the two-sided terms that share a
-    right chain (the same matrix objects) are summed before one Kronecker
-    product with it."""
+    Exact modes cross-multiply the terms to one common denominator.  The
+    certified bound B, the sum over terms of |factor| times the product of
+    its chains' bounds (the last factor's top times each other factor's
+    inner dimension and top, a zero factor or top counted as 1), bounds
+    every entry r, partial product and partial sum.  The sum is computed
+    modulo 2**64 -- in int64 while B < 2**63, where nothing can overflow,
+    else in uint64, which wraps -- and modulo each of :data:`PRIMES` while
+    the moduli's product is at most B, every factor, product and left sum
+    reduced.  An entry fails when it is nonzero modulo any modulus; where
+    every residue is zero, r = 0 by the Chinese remainder theorem, as the
+    moduli's product exceeds B.  Float mode sums float64 and fails an entry
+    past the tolerance."""
     if ctx.exact:
-        # one pass for each term's scale and bound, and the common denominator
-        den, prepared = 1, []
-        for c, chains in terms:
-            scale = prod(m.den for chain in chains for m in chain)
-            bound = prod(map(_chain_bound, chains))
-            # a term of zero matrices still counts its factor, which must fit too
-            prepared.append((c, scale, max(bound, 1)))
-            d = scale * c.denominator
-            den *= d // gcd(den, d)
-        factors, certified = [], 0
-        for c, scale, b in prepared:
-            f = c.numerator * (den // (c.denominator * scale))
-            certified += abs(f) * b
-            factors.append(f)
-        dtype = np.int64 if certified < INT64_BOUND else object
-
-        def product(chain):  # in int64 while the chain's own bound fits, then in dtype
-            t = np.int64 if max(_chain_bound(chain), *(m.top for m in chain)) < INT64_BOUND else object
-            p = _chain_product(chain, lambda m: m.ints if m.ints.dtype == t else m.ints.astype(t))
-            return p.astype(dtype, copy=False)
+        scales = [prod(m.den for chain in chains for m in chain) * c.denominator for c, chains in terms]
+        den = lcm(*scales)
+        factors = [c.numerator * (den // scale) for (c, _), scale in zip(terms, scales)]
+        bounds = (prod((ch[-1].top or 1) * prod(m.ints.shape[-1] * (m.top or 1) for m in ch[:-1]) for ch in cs)
+                  for _, cs in terms)
+        certified = sum((abs(f) or 1) * b for f, b in zip(factors, bounds))
+        moduli = [2**64]  # then primes, until the moduli's product passes the bound
+        while prod(moduli) <= certified:
+            inner = max([len(terms), *(m.ints.shape[-1] for _, cs in terms for ch in cs for m in ch[:-1])])
+            if len(moduli) > len(PRIMES) or inner > MAX_INNER:
+                raise OverflowError(f"no moduli decide {certified.bit_length()} bits on sums of {inner} products")
+            moduli.append(PRIMES[len(moduli) - 1])
     else:
-        factors = [float(c) for c, _ in terms]
-        product = lambda chain: _chain_product(chain, lambda m: m.ints / m.den)  # noqa: E731
-    total = None
-    shared = {}  # right chain by identity -> (right chain, [(factor, left chain)])
-    for f, (_, chains) in zip(factors, terms):
-        if len(chains) == 1:
-            x = f * product(chains[0])
-            total = x if total is None else total + x
-        else:
-            shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
-    for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless first
-        a = sum(f * product(left) for f, left in lefts)
-        if total is None or a.any():
-            b = product(right)
-            x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
-            x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
-            total = x if total is None else total + x
-    return total
-
-
-def nonzero(ctx: ArithmeticContext, matrix) -> np.ndarray:
-    """Where a residual fails: nonzero entries, or in float mode entries
-    beyond the tolerance."""
-    if ctx.exact:
-        return matrix != 0
-    return np.abs(matrix) > ctx.tolerance
+        moduli = [None]
+    failing = None
+    for mod in moduli:
+        signed = mod == 2**64 and certified < 2**63
+        fs = [float(c) for c, _ in terms] if mod is None else factors if signed else [f % mod for f in factors]
+        total = None
+        shared = {}  # right chain by identity -> (right chain, [(factor, left chain)])
+        for f, (_, chains) in zip(fs, terms):
+            if len(chains) == 1:
+                x = f * _chain_product(chains[0], mod, signed)
+                total = x if total is None else total + x
+            else:
+                shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
+        for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless first
+            a = sum(f * _chain_product(left, mod, signed) for f, left in lefts)
+            a = a % mod if mod in PRIMES else a
+            if total is None or a.any():
+                b = _chain_product(right, mod, signed)
+                x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
+                x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
+                total = x if total is None else total + x
+        bad = np.abs(total) > ctx.tolerance if mod is None else (total % mod if mod in PRIMES else total) != 0
+        failing = bad if failing is None else failing | bad
+    return failing, len(moduli) - 1
 
 
 def _weight(key) -> int:

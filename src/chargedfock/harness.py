@@ -18,13 +18,14 @@ Every basis vector is still computed and checked.  A cell that passes counts
 all its states at once; a cell with a failure is replayed in (sector, level,
 basis) order, so the first failure and the states checked before it are
 those of a sweep one basis vector at a time.  Exact modes compute in
-integers, in int64 only under a certified bound; no pass rests on modular,
-probabilistic or float arithmetic.
+integers modulo 2**64, and modulo primes as well where a certified bound on
+the residual passes 2**64, so that each zero is exact by the Chinese
+remainder theorem; no exact check is probabilistic or rests on float arithmetic.
 
 The two bracket suites compute one residual for each pair of mirrored
 cells: when the right-hand side of cell (n, m) is the negation of that of
 (m, n), its residual is the other's times -1, term for term, so it fails the
-same columns in int64, in Python ints and in float64, where fl(y - x) =
+same columns modulo every modulus and in float64, where fl(y - x) =
 -fl(x - y) (see :func:`_commutator`).
 
 Reports are plain dicts of JSON-native values, deterministic for a fixed
@@ -53,7 +54,6 @@ from .fock import (
     gram_matrix,
     graded_matrix,
     identity,
-    nonzero,
     norm_sq,
     partitions_of,
     residual,
@@ -92,8 +92,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the sweep engine and its interior bookkeeping
 
-# residuals computed in the running sweep, those of them in Python ints, and
-# those taken from mirrored cells instead
+# residuals computed in the running sweep, those of them that needed primes and
+# the most one needed, and those taken from mirrored cells instead
 _RESIDUALS = Counter()
 
 
@@ -104,8 +104,8 @@ def _sweep(name: str, cell: Callable, **labels: Iterable) -> dict:
     sector failing, and where(j, k) labels it.  A cell with a failure is
     replayed in (sector, block, state) order, and the sweep stops at its
     first failing state.  It logs, at INFO, its states checked, its batched
-    residuals, how many needed Python ints, how many residuals it reused from
-    mirrored cells, and its seconds."""
+    residuals, how many needed a prime and the most primes one needed, how
+    many residuals it reused from mirrored cells, and its seconds."""
     _RESIDUALS.clear()
     t0 = time.perf_counter()
     checked = cells = vacuous = 0
@@ -133,12 +133,13 @@ def _sweep(name: str, cell: Callable, **labels: Iterable) -> dict:
             break
         vacuous += seen == 0
     log.info(
-        "%s: %d states checked, %d batched residuals, %d in Python ints, %d reused from mirrored cells,"
-        " %.3f s",
+        "%s: %d states checked, %d batched residuals, %d needed primes (at most %d), %d reused from mirrored"
+        " cells, %.3f s",
         name,
         checked,
         _RESIDUALS["batched"],
-        _RESIDUALS["python_ints"],
+        _RESIDUALS["primed"],
+        _RESIDUALS["most_primes"],
         _RESIDUALS["mirrored"],
         time.perf_counter() - t0,
     )
@@ -178,10 +179,11 @@ def _column_where(level: int, j: int, col: int) -> dict:
 
 def _nonzero(space: Space, terms) -> np.ndarray:
     """Where a residual fails, entry by entry, on every sector of its stack."""
-    total = residual(space.ctx, terms)
+    bad, primes = residual(space.ctx, terms)
     _RESIDUALS["batched"] += 1
-    _RESIDUALS["python_ints"] += total.dtype == object
-    return nonzero(space.ctx, total)
+    _RESIDUALS["primed"] += primes > 0
+    _RESIDUALS["most_primes"] = max(_RESIDUALS["most_primes"], primes)
+    return bad
 
 
 def _failing_columns(space: Space, terms) -> np.ndarray:

@@ -9,11 +9,16 @@ against these.  ``chiral_gram`` pairs two Fraction ``y_mode_table`` rows, as
 state's values back into a row, as the mode oracle did before it stacked
 integer rows, and ``recursive_element`` is the Fraction commutator recursion
 that ``vertex._recursive_element`` ran before it went to integers.
+``reference_residual`` is the residual sum that ``fock.residual`` computed in
+Python ints (object dtype) before it went to residues, with its float64 sum
+of float mode; ``reference_failing`` is where that sum fails.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
+
+import numpy as np
 
 from chargedfock.fock import float_row, zsym
 from chargedfock.heisenberg import j_step
@@ -101,3 +106,50 @@ def recursive_element(alpha, mu, delta, lam):
     if lam:
         return -alpha * recursive_element(alpha, (), delta + lam[0], lam[1:])
     return Fraction(1) if delta == 0 else Fraction(0)
+
+
+def reference_residual(ctx, terms):
+    """The sum over terms ``(c, chains)`` of c times the Kronecker product of
+    its chains' matrix products, each applied right to left: in the exact
+    modes integer numerators over one common denominator, every product in
+    Python ints; in float mode float64 values.  The left products of the
+    two-sided terms that share a right chain are summed before one Kronecker
+    product with it, in the order of ``fock.residual``."""
+    if ctx.exact:
+        scales = [prod(m.den for chain in chains for m in chain) * c.denominator for c, chains in terms]
+        den = lcm(1, *scales)
+        factors = [c.numerator * den // scale for (c, _), scale in zip(terms, scales)]
+        convert = lambda m: m.ints.astype(object)  # noqa: E731
+    else:
+        factors = [float(c) for c, _ in terms]
+        convert = lambda m: m.ints / m.den  # noqa: E731
+
+    def product(chain):
+        out = convert(chain[-1])
+        for m in chain[-2::-1]:
+            out = convert(m) @ out
+        return out
+
+    total = None
+    shared = {}
+    for f, (_, chains) in zip(factors, terms):
+        if len(chains) == 1:
+            x = f * product(chains[0])
+            total = x if total is None else total + x
+        else:
+            shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
+    for right, lefts in reversed(shared.values()):
+        a = sum(f * product(left) for f, left in lefts)
+        if total is None or a.any():
+            b = product(right)
+            x = a[..., :, None, :, None] * b[..., None, :, None, :]
+            x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
+            total = x if total is None else total + x
+    return total
+
+
+def reference_failing(ctx, terms):
+    """Where :func:`reference_residual` is nonzero, or in float mode beyond
+    the tolerance."""
+    total = reference_residual(ctx, terms)
+    return total != 0 if ctx.exact else np.abs(total) > ctx.tolerance

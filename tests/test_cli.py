@@ -71,17 +71,21 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     [
         ["diverge-demo", "--output", "{dir}"],
         ["verify-lorentz", "--level_cutoff", "4", "--output", "{dir}"],
+        ["verify-lorentz", "--level_cutoff", "4", "--output", "{dir}/missing/report.json"],
         ["verify-algebra", "{dir}"],
     ],
-    ids=["diverge-demo-output", "verify-lorentz-output", "config"],
+    ids=["diverge-demo-output", "verify-lorentz-output", "verify-lorentz-missing-parent", "config"],
 )
 def test_a_directory_as_a_path_is_one_error_line(capsys, caplog, tmp_path, argv):
     # writing a report to a directory, or reading one as a config, used to
-    # end in a traceback
+    # end in a traceback; a report's output path is refused before its body
+    # runs, so no "finished in" record precedes the error
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
     errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1 and str(tmp_path) in errors[0].getMessage()
+    assert not [r for r in caplog.records if "finished in" in r.getMessage()]
     assert capsys.readouterr().out == ""
+    assert not any(tmp_path.iterdir())
 
 
 # each count option of each subcommand: a negative value used to run an empty

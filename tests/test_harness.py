@@ -21,7 +21,6 @@ from chargedfock.fock import (
     TensorState,
     Truncation,
     inner_product,
-    nonzero,
     partitions_of,
     residual,
     states_equal,
@@ -43,6 +42,7 @@ from chargedfock.scalar import make_context
 from chargedfock.twodim import partial_sum_norm_series, vacuum_norm_series
 from chargedfock.vertex import charge_multiplier, conformal_weight, vacuum_mode_norm_sq, y_matrices
 from chargedfock.virasoro import central_term
+from fraction_reference import reference_failing, reference_residual
 from state_reference import mode_index
 
 EXACT = make_context("exact-rational")
@@ -203,7 +203,7 @@ def test_each_suite_logs_its_counts(caplog):
     for line, suite in zip(lines, rep["suites"]):
         assert f": {suite['states_checked']} states checked, " in line
     pattern = (
-        r"current_bracket: \d+ states checked, (\d+) batched residuals, 0 in Python ints,"
+        r"current_bracket: \d+ states checked, (\d+) batched residuals, 0 needed primes \(at most 0\),"
         r" (\d+) reused from mirrored cells, [\d.]+ s"
     )
     computed, mirrored = map(int, re.fullmatch(pattern, lines[0]).groups())
@@ -211,24 +211,28 @@ def test_each_suite_logs_its_counts(caplog):
     # only the two bracket suites have mirrored cells
     for line in lines[2:]:
         assert ", 0 reused from mirrored cells, " in line
-    # at alpha0 = 2/7 some covariance residuals take Python ints, not all
+    # at alpha0 = 2/7 some covariance residuals pass 2**64 and take a prime, not all
     caplog.clear()
     sp = Space(EXACT, Fraction(2, 7), Truncation(8, -2, 2))
     with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
         primary_covariance_suite(sp, Fraction(2, 7))
     (line,) = [r.getMessage() for r in caplog.records if r.name == "chargedfock.harness"]
-    batched, wide = map(int, re.search(r"(\d+) batched residuals, (\d+) in Python ints", line).groups())
-    assert 0 < wide < batched
+    pattern = r"(\d+) batched residuals, (\d+) needed primes \(at most (\d+)\)"
+    batched, wide, most = map(int, re.search(pattern, line).groups())
+    assert 0 < wide < batched and most >= 1
 
 
 def _bracket_cells(monkeypatch, suite, sp):
-    """(m, n) -> the residual of each interior level of that cell of a
-    bracket suite, every cell computed in full, none reused from its mirror."""
+    """(m, n) -> the Python-int or float64 residual sum of each interior
+    level of that cell of a bracket suite, every cell computed in full, none
+    reused from its mirror; each fails the entries that the suite's fails."""
     computed = []
 
     def recorded(ctx, terms):
-        computed.append(residual(ctx, terms))
-        return computed[-1]
+        computed.append(reference_residual(ctx, terms))
+        bad, primes = residual(ctx, terms)
+        assert (bad == reference_failing(ctx, terms)).all()
+        return bad, primes
 
     commutator = harness._commutator
     sweeps = []
@@ -629,7 +633,7 @@ def _per_sector_masks(sp, alpha, op_matrices, coefficient):
                     (-1, ((at(Y(level - m), s), at(op(level), s)),)),
                     (-c, ((at(Y_rhs(level), s),),)),
                 ]
-                rows.append(nonzero(EXACT, residual(EXACT, terms)).any(axis=-2)[0])
+                rows.append(residual(EXACT, terms)[0].any(axis=-2)[0])
             if sectors:
                 masks[m, delta, level] = np.array(rows)
     return masks

@@ -11,17 +11,21 @@ of the reference value rows, truncation flags included; and add/sub/scale,
 ``states_equal`` and ``inner_product`` must agree with the same operations on
 the ``entries`` dicts.  Each sector of a level stack must be that sector's
 rows stacked alone, each column the application to its basis vector, and
-``fock.residual`` must name the same failing columns on its int64 and its
-Python-int path, taking the second wherever int64 could wrap, and the same
-(sector, column) pairs batched over a stack as one sector at a time.  Exact
+``fock.residual`` must fail the entries where the sum in Python ints
+(``fraction_reference.reference_residual``) is nonzero, with the primes
+past 2**64 deciding where 2**64 divides it, and the same (sector, column)
+pairs batched over a stack as one sector at a time.  Exact
 modes must agree exactly, float mode within the tolerance.  The row tables
 and level-stack caches must stay bounded and keyed by the charge's type as
 well as its value, and the stacks by the window.
 """
 
 from fractions import Fraction
+from functools import partial
+from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +42,6 @@ from chargedfock.fock import (
     TensorState,
     Truncation,
     inner_product,
-    nonzero,
     partitions_of,
     residual,
     states_equal,
@@ -49,7 +52,7 @@ from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import TimeZeroMode, time_zero_image
 from chargedfock.vertex import apply_Y_mode, y_matrices, y_mode_table
 from chargedfock.virasoro import apply_L, apply_L_tensor, l_matrices
-from fraction_reference import make_row, sugawara_row, value_row
+from fraction_reference import make_row, reference_failing, sugawara_row, value_row
 from state_reference import apply_J_tensor
 
 MODES = ("exact-rational", "exact-gaussian", "float")
@@ -270,8 +273,8 @@ def test_level_matrix_columns_match_applications():
         matrix = l_matrices(space, 0)(4)
         broken = matrix.ints.copy()
         broken[3, 2, 3] += 1
-        total = residual(ctx, [(1, ((matrix,),)), (-1, ((LevelMatrix(matrix.den, broken, matrix.top + 1),),))])
-        assert np.argwhere(nonzero(ctx, total).any(axis=1)).tolist() == [[3, 3]]
+        bad, _ = residual(ctx, [(1, ((matrix,),)), (-1, ((LevelMatrix(matrix.den, broken, matrix.top + 1),),))])
+        assert np.argwhere(bad.any(axis=1)).tolist() == [[3, 3]]
 
 
 def test_sector_free_stacks_are_one_plane():
@@ -327,11 +330,12 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
 
 
 small_ints = st.integers(min_value=-50, max_value=50)
+wide_ints = st.integers(min_value=-(2**61), max_value=2**61)
 
 
 @st.composite
-def int_matrices(draw, rows, cols):
-    ints = draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+def int_matrices(draw, rows, cols, entries=small_ints):
+    ints = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     den = draw(st.integers(min_value=1, max_value=12))
     return LevelMatrix(den, np.array(ints, dtype=np.int64).reshape(rows, cols), max((abs(x) for r in ints for x in r), default=0))
 
@@ -356,22 +360,100 @@ def fraction_sum(terms):
     return total
 
 
+EXACT = make_context("exact-rational")
+
+
+def decided(terms):
+    """The exact residual's failing entries, as lists, and its primes."""
+    bad, primes = residual(EXACT, terms)
+    return bad.tolist(), primes
+
+
 @settings(max_examples=150, deadline=None)
 @given(products())
-def test_int64_and_python_int_paths_fail_the_same_columns(terms):
-    ctx = make_context("exact-rational")
-    fast = residual(ctx, terms)
-    assert fast.dtype == np.int64
-    wide = fock.INT64_BOUND
-    fock.INT64_BOUND = 0
-    try:
-        slow = residual(ctx, terms)
-    finally:
-        fock.INT64_BOUND = wide
-    assert slow.dtype == object
-    assert fast.tolist() == slow.tolist()
-    exact = fraction_sum(terms)
-    assert (nonzero(ctx, fast) == (exact != 0)).all()
+def test_residual_fails_the_nonzero_entries_of_the_sum(terms):
+    bad, primes = residual(EXACT, terms)
+    assert primes == 0
+    assert (bad == reference_failing(EXACT, terms)).all()
+    assert (bad == (fraction_sum(terms) != 0)).all()
+
+
+def exact_matrix(den, values):
+    """Python-int values as a LevelMatrix, int64 where every entry fits."""
+    top = int(np.abs(values).max())
+    return LevelMatrix(den, values.astype(np.int64 if top < 2**63 else object), top)
+
+
+# fault values that vanish modulo 2**64, modulo 2**64 and the first prime, and
+# modulo 2**64 and the first two primes
+FAULTS = st.sampled_from((2**64, -(2**64), 2**64 * fock.PRIMES[0], 2**64 * fock.PRIMES[0] * fock.PRIMES[1]))
+
+
+@st.composite
+def planted_faults(draw):
+    """Terms c (A B) - c D on stacks of 1-3 sectors with entries of up to 61
+    bits, D the exact product A B plus planted faults, A and B bounded by
+    2**61 so that the certified bound passes 2**64; optionally both taken
+    two-sided, with one shared right chain."""
+    s, r, k, c = (draw(st.integers(min_value=1, max_value=3)) for _ in range(4))
+    a = draw(int_matrices(s * r, k, wide_ints))
+    a = LevelMatrix(a.den, a.ints.reshape(s, r, k), 2**61)
+    b = draw(st.one_of(int_matrices(k, c, wide_ints), int_matrices(k, c)))
+    b = LevelMatrix(b.den, b.ints, 2**61)
+    cells = s * r * c
+    faults = draw(st.lists(st.one_of(st.just(0), st.just(0), FAULTS, wide_ints), min_size=cells, max_size=cells))
+    d = a.ints.astype(object) @ b.ints.astype(object) + np.array(faults, dtype=object).reshape(s, r, c)
+    d = exact_matrix(a.den * b.den, d)
+    coeff = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    if draw(st.booleans()):
+        right = draw(int_matrices(draw(st.integers(1, 3)), draw(st.integers(1, 3)))).ints
+        right = (LevelMatrix(1, right, 50),)
+        return [(coeff, ((a, b), right)), (-coeff, ((d,), right))]
+    return [(coeff, ((a, b),)), (-coeff, ((d,),))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_faults())
+def test_residues_fail_the_entries_of_the_python_int_sum(terms):
+    bad, primes = residual(EXACT, terms)
+    assert primes > 0
+    assert (bad == reference_failing(EXACT, terms)).all()
+
+
+def test_the_primes_run_until_their_product_passes_the_bound():
+    # r = 2**64 p1 vanishes modulo 2**64 and p1; its bound, |r| itself, takes
+    # p2 as well, which fails it: a residual that stopped one prime early
+    # would pass it
+    one = LevelMatrix(1, np.ones((1, 1), dtype=np.int64), 1)
+    p1, p2 = fock.PRIMES[:2]
+    assert decided([(2**64 * p1, ((one,),))]) == ([[True]], 2)
+    assert decided([(2**64 * p1 * p2, ((one,),))]) == ([[True]], 3)
+    # past the product of every modulus no residual is decided
+    with pytest.raises(OverflowError):
+        residual(EXACT, [(2**64 * prod(fock.PRIMES), ((one,),))])
+
+
+def test_each_matrix_product_is_reduced():
+    # A B C - D = 0 with entries of 61 bits: modulo a prime, B C reduced has
+    # entries below 2**53, and A times that unreduced would pass 2**64 and wrap
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.integers(2**60, 2**61, size=(2, 2)) for _ in range(3))
+    exact = a.astype(object) @ b.astype(object) @ c.astype(object)
+    factors = [LevelMatrix(1, x, 2**61) for x in (a, b, c)]
+    bad, primes = residual(EXACT, [(1, (tuple(factors),)), (-1, ((exact_matrix(1, exact),),))])
+    assert primes > 0 and not bad.any()
+    exact[1, 0] += 2**64
+    bad, _ = residual(EXACT, [(1, (tuple(factors),)), (-1, ((exact_matrix(1, exact),),))])
+    assert bad.tolist() == [[False, False], [True, False]]
+
+
+def test_a_sum_of_residues_that_could_wrap_is_refused():
+    # past the bound 2**64 the inner dimension may hold at most 2**11 products
+    row = LevelMatrix(1, np.full((1, fock.MAX_INNER), 2**40, dtype=np.int64), 2**40)
+    assert decided([(1, ((row, row.T),))]) == ([[True]], 2)
+    row = LevelMatrix(1, np.full((1, fock.MAX_INNER + 1), 2**40, dtype=np.int64), 2**40)
+    with pytest.raises(OverflowError):
+        residual(EXACT, [(1, ((row, row.T),))])
 
 
 @st.composite
@@ -391,17 +473,16 @@ def sector_products(draw):
     return s, [(draw(coeff), ((draw(stack(r, k)), draw(stack(k, c))),)), (draw(coeff), ((last, charge),))]
 
 
-def failing_sector_columns(ctx, terms, sectors):
-    """(sector, column) pairs that fail, by one batched residual and by a
-    residual per sector on each stack's own slice."""
+def failing_sector_columns(failing, terms, sectors):
+    """(sector, column) pairs where ``failing(terms)`` fails, by one batched
+    residual and by a residual per sector on each stack's own slice."""
     columns = terms[0][1][0][-1].ints.shape[-1]
-    batched = np.broadcast_to(nonzero(ctx, residual(ctx, terms)).any(axis=-2), (sectors, columns))
+    batched = np.broadcast_to(failing(terms).any(axis=-2), (sectors, columns))
     one_by_one = []
     for s in range(sectors):
         at = lambda m: m if m.ints.ndim == 2 else LevelMatrix(m.den, m.ints[s], m.top)  # noqa: E731
         single = [(c, tuple(tuple(at(m) for m in chain) for chain in chains)) for c, chains in terms]
-        total = residual(ctx, single)
-        one_by_one += [(s, int(col)) for col in np.flatnonzero(nonzero(ctx, total).any(axis=0))]
+        one_by_one += [(s, int(col)) for col in np.flatnonzero(failing(single).any(axis=0))]
     return [tuple(x) for x in np.argwhere(batched).tolist()], one_by_one
 
 
@@ -409,67 +490,56 @@ def failing_sector_columns(ctx, terms, sectors):
 @given(sector_products())
 def test_batched_residual_fails_the_per_sector_columns(case):
     sectors, terms = case
-    ctx = make_context("exact-rational")
-    assert residual(ctx, terms).dtype == np.int64
-    batched, one_by_one = failing_sector_columns(ctx, terms, sectors)
+    batched, one_by_one = failing_sector_columns(lambda t: residual(EXACT, t)[0], terms, sectors)
     assert batched == one_by_one
-    wide = fock.INT64_BOUND
-    fock.INT64_BOUND = 0
-    try:
-        assert residual(ctx, terms).dtype == object
-        assert failing_sector_columns(ctx, terms, sectors) == (batched, one_by_one)
-    finally:
-        fock.INT64_BOUND = wide
+    assert failing_sector_columns(partial(reference_failing, EXACT), terms, sectors) == (batched, one_by_one)
 
 
-def test_python_int_path_where_int64_would_wrap():
-    ctx = make_context("exact-rational")
+def test_primes_decide_where_2_64_divides_the_residual():
     big = LevelMatrix(1, np.array([[2**32, 0], [0, 2**32]], dtype=np.int64), 2**32)
     assert not (big.ints @ big.ints).any()  # 2**64 wraps to 0 in int64
-    total = residual(ctx, [(1, ((big, big),))])
-    assert total.dtype == object
-    assert total.tolist() == [[2**64, 0], [0, 2**64]]
+    assert decided([(1, ((big, big),))]) == ([[True, False], [False, True]], 1)
     # each product fits, their sum over the inner dimension does not
     row = LevelMatrix(1, np.full((1, 4), 2**31, dtype=np.int64), 2**31)
-    assert residual(ctx, [(1, ((row, row.T),))]).tolist() == [[2**64]]
-    # a certified bound just past 2**63 takes Python ints although the true
-    # value fits; just below it stays in int64
+    assert decided([(1, ((row, row.T),))]) == ([[True]], 1)
+    # a certified bound below 2**64 takes the one pass modulo 2**64, in int64
+    # below 2**63 and in uint64 from there; at 2**64 it takes a prime, which
+    # fails the value 2**64
     half = LevelMatrix(1, np.array([[2**31]], dtype=np.int64), 2**31)
-    assert residual(ctx, [(2, ((half, half),))]).dtype == object
-    assert residual(ctx, [(1, ((half, half),))]).dtype == np.int64
-    # a factor past int64 widens the sum; a chain whose own bound fits is
-    # multiplied out in int64 first, one whose factor does not fit is not
-    small = LevelMatrix(1, np.array([[3, -1], [2, 5]], dtype=np.int64), 5)
-    wide = residual(ctx, [(2**70, ((small, small),))])
-    assert wide.dtype == object
-    assert wide.tolist() == [[7 * 2**70, -8 * 2**70], [16 * 2**70, 23 * 2**70]]
+    quarter = LevelMatrix(1, np.array([[2**30]], dtype=np.int64), 2**30)
+    assert decided([(1, ((quarter, quarter),)), (-1, ((LevelMatrix(1, quarter.ints**2, 2**60),),))]) == ([[False]], 0)
+    assert decided([(1, ((half, half),)), (-1, ((LevelMatrix(1, half.ints**2, 2**62),),))]) == ([[False]], 0)
+    assert decided([(3, ((half, half),))]) == ([[True]], 0)
+    assert decided([(4, ((half, half),))]) == ([[True]], 1)
+    # a factor past int64, and factor matrices in Python ints
+    small = LevelMatrix(1, np.array([[1, 1], [1, -1]], dtype=np.int64), 1)
+    assert decided([(2**70, ((small, small),))]) == ([[True, False], [False, True]], 1)
+    # a zero factor counts as 1 in the bound, which so still bounds the
+    # Python-int factor's entries and takes a prime for them
     huge = LevelMatrix(1, np.array([[2**70]], dtype=object), 2**70)
     zero = LevelMatrix(1, np.zeros((1, 1), dtype=np.int64), 0)
-    assert residual(ctx, [(1, ((huge, zero),))]).tolist() == [[0]]
+    assert decided([(1, ((huge, zero),))]) == ([[False]], 1)
+    assert decided([(1, ((huge, huge),)), (-1, ((exact_matrix(1, huge.ints * 2**70),),))]) == ([[False]], 3)
 
 
-def test_suites_fall_back_to_python_ints_and_agree(monkeypatch):
-    # at alpha0 = 2/7 the Y denominators push some covariance checks past the
-    # int64 bound; a suite must give the same dict on either path
-    space = Space(make_context("exact-rational"), Fraction(2, 7), Truncation(8, -2, 2))
-    paths = []
+def test_covariance_residuals_past_2_64_fail_the_reference_entries(monkeypatch):
+    # at alpha0 = 2/7 the Y denominators push some covariance residuals past
+    # 2**64: every residual of the suite must fail the entries of its
+    # Python-int sum, without a fault and with one
+    space = Space(EXACT, Fraction(2, 7), Truncation(8, -2, 2))
+    primes = []
 
-    def counted(ctx, terms):
-        total = residual(ctx, terms)
-        paths.append(total.dtype == object)
-        return total
+    def checked(ctx, terms):
+        bad, used = residual(ctx, terms)
+        assert (bad == reference_failing(ctx, terms)).all()
+        primes.append(used)
+        return bad, used
 
-    monkeypatch.setattr(harness, "residual", counted)
-    run = lambda: harness.primary_covariance_suite(space, Fraction(2, 7))  # noqa: E731
-    want = run()
-    assert want["status"] == "pass"
-    assert any(paths) and not all(paths)
+    monkeypatch.setattr(harness, "residual", checked)
+    assert harness.primary_covariance_suite(space, Fraction(2, 7))["status"] == "pass"
+    assert any(primes) and not all(primes)
     monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", True)
-    faulty = run()
-    monkeypatch.setattr(fock, "INT64_BOUND", 0)
-    assert run() == faulty
-    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", False)
-    assert run() == want
+    assert harness.primary_covariance_suite(space, Fraction(2, 7))["status"] == "fail"
 
 
 def test_row_tables_are_bounded_and_keep_float_and_exact_charges_apart():
