@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -95,8 +96,9 @@ def _run_report(args, handler, defaults: dict) -> int:
     cfg = _resolve(args, **defaults)
     space, alpha, lam = build_space(cfg)
     body_call = handler(args, cfg, space, alpha, lam)
-    if cfg.output:  # an unusable path fails before the body runs; appending truncates nothing
-        Path(cfg.output).open("a").close()
+    path = Path(cfg.output) if cfg.output else None  # refused before the body runs, and never created
+    if path and (path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK)):
+        raise ConfigError(f"cannot write a report to {path}")
     t0 = time.perf_counter()
     body = body_call()
     log.info("%s finished in %.2f s", args.subcommand, time.perf_counter() - t0)

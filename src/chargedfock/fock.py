@@ -262,9 +262,6 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
 # ---------------------------------------------------------------------------
 # level matrices: an operator's rows on one level, stacked over the sectors
 
-# an exact stack is int64 when its largest entry is below this, Python ints otherwise
-INT64_BOUND = 2**63
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class LevelMatrix:
@@ -295,10 +292,10 @@ class LevelMatrix:
 def _matrix(den: int, cells, shape: tuple, top: Optional[int]) -> LevelMatrix:
     """The entries ``cells``, in C order, as a LevelMatrix of ``shape``:
     float64 when ``top`` is None (float mode), else int64 when ``top``, the
-    largest |entry|, is below :data:`INT64_BOUND`, and Python ints otherwise."""
+    largest |entry|, is below 2**63, and Python ints otherwise."""
     if top is None:
         return LevelMatrix(den, np.array(cells, dtype=float).reshape(shape), 0)
-    return LevelMatrix(den, np.array(cells, dtype=np.int64 if top < INT64_BOUND else object).reshape(shape), top)
+    return LevelMatrix(den, np.array(cells, dtype=np.int64 if top < 2**63 else object).reshape(shape), top)
 
 
 @lru_cache(maxsize=64)
@@ -387,18 +384,24 @@ def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     return _matrix(den, cells, cells.shape, None if floating else np.abs(cells).max())
 
 
-def _chain_product(chain, mod, signed=False):
-    """The chain's product, right to left, each product reduced modulo a prime ``mod``."""
+def _chain_product(chain, mod):
+    """The chain's product, right to left: of float64 values when ``mod`` is
+    None, else of residues modulo ``mod`` in uint64, each product reduced."""
     out = None
     for m in reversed(chain):
         if mod is None:  # float mode
             x = m.ints / m.den
-        elif signed:  # int64 stacks are their own residues modulo 2**64
-            x = m.ints
-        else:  # residues in uint64, int64 read as uint64 modulo 2**64
-            x = m.ints.view(np.uint64) if mod == 2**64 and m.ints.dtype != object else (m.ints % mod).astype(np.uint64)
-        out = x if out is None else x @ out % mod if mod in PRIMES else x @ out
+        elif mod in PRIMES or m.ints.dtype == object:
+            x = (m.ints % mod).astype(np.uint64)
+        else:  # int64 read as uint64 is its residue modulo 2**64
+            x = m.ints.view(np.uint64)
+        out = x if out is None else _reduce(x @ out, mod)
     return out
+
+
+def _reduce(x, mod):
+    """``x`` modulo ``mod`` when it is a prime; uint64 arithmetic is already modulo 2**64."""
+    return x % mod if mod in PRIMES else x
 
 
 # moduli after 2**64: primes below 2**26, so MAX_INNER products of two residues sum to below 2**63
@@ -418,51 +421,50 @@ def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
     Exact modes cross-multiply the terms to one common denominator.  The
     certified bound B, the sum over terms of |factor| times the product of
     its chains' bounds (the last factor's top times each other factor's
-    inner dimension and top, a zero factor or top counted as 1), bounds
-    every entry r, partial product and partial sum.  The sum is computed
-    modulo 2**64 -- in int64 while B < 2**63, where nothing can overflow,
-    else in uint64, which wraps -- and modulo each of :data:`PRIMES` while
-    the moduli's product is at most B, every factor, product and left sum
-    reduced.  An entry fails when it is nonzero modulo any modulus; where
-    every residue is zero, r = 0 by the Chinese remainder theorem, as the
-    moduli's product exceeds B.  Float mode sums float64 and fails an entry
-    past the tolerance."""
+    inner dimension and top), bounds every entry r of the sum.  The sum is
+    computed in uint64, which wraps modulo 2**64, and modulo each of
+    :data:`PRIMES` as well while the moduli's product is at most B, every
+    factor, product and left sum reduced; past every prime, or past
+    :data:`MAX_INNER` products in a sum, it raises ValueError.  An entry
+    fails when it is nonzero modulo any modulus; where every residue is
+    zero, r = 0 by the Chinese remainder theorem, as the moduli's product
+    exceeds B.  Float mode sums float64 and fails an entry past the
+    tolerance."""
     if ctx.exact:
         scales = [prod(m.den for chain in chains for m in chain) * c.denominator for c, chains in terms]
         den = lcm(*scales)
         factors = [c.numerator * (den // scale) for (c, _), scale in zip(terms, scales)]
-        bounds = (prod((ch[-1].top or 1) * prod(m.ints.shape[-1] * (m.top or 1) for m in ch[:-1]) for ch in cs)
+        bounds = (prod(ch[-1].top * prod(m.ints.shape[-1] * m.top for m in ch[:-1]) for ch in cs)
                   for _, cs in terms)
-        certified = sum((abs(f) or 1) * b for f, b in zip(factors, bounds))
+        certified = sum(abs(f) * b for f, b in zip(factors, bounds))
         moduli = [2**64]  # then primes, until the moduli's product passes the bound
         while prod(moduli) <= certified:
             inner = max([len(terms), *(m.ints.shape[-1] for _, cs in terms for ch in cs for m in ch[:-1])])
             if len(moduli) > len(PRIMES) or inner > MAX_INNER:
-                raise OverflowError(f"no moduli decide {certified.bit_length()} bits on sums of {inner} products")
+                raise ValueError(f"no moduli decide a residual of {certified.bit_length()} bits summing {inner}"
+                                 f" products (at most {MAX_INNER}); lower the level cutoff")
             moduli.append(PRIMES[len(moduli) - 1])
     else:
         moduli = [None]
     failing = None
     for mod in moduli:
-        signed = mod == 2**64 and certified < 2**63
-        fs = [float(c) for c, _ in terms] if mod is None else factors if signed else [f % mod for f in factors]
+        fs = [float(c) for c, _ in terms] if mod is None else [f % mod for f in factors]
         total = None
         shared = {}  # right chain by identity -> (right chain, [(factor, left chain)])
         for f, (_, chains) in zip(fs, terms):
             if len(chains) == 1:
-                x = f * _chain_product(chains[0], mod, signed)
+                x = f * _chain_product(chains[0], mod)
                 total = x if total is None else total + x
             else:
                 shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
         for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless first
-            a = sum(f * _chain_product(left, mod, signed) for f, left in lefts)
-            a = a % mod if mod in PRIMES else a
+            a = _reduce(sum(f * _chain_product(left, mod) for f, left in lefts), mod)
             if total is None or a.any():
-                b = _chain_product(right, mod, signed)
+                b = _chain_product(right, mod)
                 x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
                 x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
                 total = x if total is None else total + x
-        bad = np.abs(total) > ctx.tolerance if mod is None else (total % mod if mod in PRIMES else total) != 0
+        bad = np.abs(total) > ctx.tolerance if mod is None else _reduce(total, mod) != 0
         failing = bad if failing is None else failing | bad
     return failing, len(moduli) - 1
 

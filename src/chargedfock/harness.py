@@ -186,11 +186,6 @@ def _nonzero(space: Space, terms) -> np.ndarray:
     return bad
 
 
-def _failing_columns(space: Space, terms) -> np.ndarray:
-    """(sector, column) -> whether that column of the residual fails."""
-    return _nonzero(space, terms).any(axis=-2)
-
-
 def _bracket_sweep(name: str, space: Space, bracket, sectors, **labels) -> dict:
     """Matrix identities on every cell's interior basis, on all `sectors` at
     once, one cell per combination of the `labels` ranges.  `bracket(x, y)`
@@ -245,7 +240,7 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = Non
                     (-1, ((b.at(rows, level + a.shift, a.jshift), a.at(rows, level)),)),
                 ]
                 terms += [(-c, (tuple(r.at(rows, level) for r in chain),)) for c, chain in rhs]
-                bad = _failing_columns(space, terms)
+                bad = _nonzero(space, terms).any(axis=-2)
                 if mirrors is not None:
                     mirrors[a, b, tuple(rhs), level] = bad
             yield partial(_column_where, level), bad
@@ -320,7 +315,7 @@ def lorentz_closure_suite(space: Space) -> dict:
                         terms.append((c * s1 * s2, (l1 + l2 + (interior,), r1 + r2 + (interior,))))
                 if m != n:
                     terms += [(-(m - n) * g, (l + (interior,), r + (interior,))) for g, l, r in G(s, m + n, top)]
-                masks.append(_failing_columns(space, terms))
+                masks.append(_nonzero(space, terms).any(axis=-2))
             yield partial(_pair_where, levels), np.concatenate(masks)
 
         # two levels of headroom, and the interior capped at level 3
@@ -394,7 +389,7 @@ def mode_oracle_suite(space: Space, alpha) -> dict:
         blocks = []
         for level in range(max(0, -delta), top - max(0, delta) + 1):
             terms = [(1, ((Y.at(rows, level),),)), (-1, ((oracle(delta, level),),))]
-            blocks.append((partial(_column_where, level), _failing_columns(space, terms)))
+            blocks.append((partial(_column_where, level), _nonzero(space, terms).any(axis=-2)))
         return [j], blocks
 
     return _sweep("mode_oracle_equivalence", cell, sector=(0, 1), delta=range(-top, top + 1))

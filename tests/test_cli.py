@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from chargedfock import desitter, harness
+from chargedfock import desitter, fock, harness
 from chargedfock.cli import main
 from chargedfock.config import ConfigError, RunConfig, build_space, load_config_file, resolve_config
 
@@ -86,6 +86,22 @@ def test_a_directory_as_a_path_is_one_error_line(capsys, caplog, tmp_path, argv)
     assert not [r for r in caplog.records if "finished in" in r.getMessage()]
     assert capsys.readouterr().out == ""
     assert not any(tmp_path.iterdir())
+
+
+def test_a_residual_past_every_modulus_is_one_error_line(capsys, caplog, tmp_path, monkeypatch):
+    # a certified bound past the product of every modulus is refused, not
+    # passed: one ERROR line and exit 1, and no report file, not even an
+    # empty one, since the output path is checked without creating it
+    def scaled(ctx, terms):
+        return fock.residual(ctx, [(c * 2**300, chains) for c, chains in terms])
+
+    monkeypatch.setattr(harness, "residual", scaled)
+    out = tmp_path / "report.json"
+    assert main(["verify-algebra", "--level_cutoff", "2", "--output", str(out)]) == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1 and "lower the level cutoff" in errors[0].getMessage()
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 # each count option of each subcommand: a negative value used to run an empty

@@ -429,7 +429,7 @@ def test_the_primes_run_until_their_product_passes_the_bound():
     assert decided([(2**64 * p1, ((one,),))]) == ([[True]], 2)
     assert decided([(2**64 * p1 * p2, ((one,),))]) == ([[True]], 3)
     # past the product of every modulus no residual is decided
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="lower the level cutoff"):
         residual(EXACT, [(2**64 * prod(fock.PRIMES), ((one,),))])
 
 
@@ -452,7 +452,7 @@ def test_a_sum_of_residues_that_could_wrap_is_refused():
     row = LevelMatrix(1, np.full((1, fock.MAX_INNER), 2**40, dtype=np.int64), 2**40)
     assert decided([(1, ((row, row.T),))]) == ([[True]], 2)
     row = LevelMatrix(1, np.full((1, fock.MAX_INNER + 1), 2**40, dtype=np.int64), 2**40)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="lower the level cutoff"):
         residual(EXACT, [(1, ((row, row.T),))])
 
 
@@ -502,9 +502,8 @@ def test_primes_decide_where_2_64_divides_the_residual():
     # each product fits, their sum over the inner dimension does not
     row = LevelMatrix(1, np.full((1, 4), 2**31, dtype=np.int64), 2**31)
     assert decided([(1, ((row, row.T),))]) == ([[True]], 1)
-    # a certified bound below 2**64 takes the one pass modulo 2**64, in int64
-    # below 2**63 and in uint64 from there; at 2**64 it takes a prime, which
-    # fails the value 2**64
+    # a certified bound below 2**64, past 2**63 as well, takes the one pass
+    # modulo 2**64; at 2**64 it takes a prime, which fails the value 2**64
     half = LevelMatrix(1, np.array([[2**31]], dtype=np.int64), 2**31)
     quarter = LevelMatrix(1, np.array([[2**30]], dtype=np.int64), 2**30)
     assert decided([(1, ((quarter, quarter),)), (-1, ((LevelMatrix(1, quarter.ints**2, 2**60),),))]) == ([[False]], 0)
@@ -514,11 +513,12 @@ def test_primes_decide_where_2_64_divides_the_residual():
     # a factor past int64, and factor matrices in Python ints
     small = LevelMatrix(1, np.array([[1, 1], [1, -1]], dtype=np.int64), 1)
     assert decided([(2**70, ((small, small),))]) == ([[True, False], [False, True]], 1)
-    # a zero factor counts as 1 in the bound, which so still bounds the
-    # Python-int factor's entries and takes a prime for them
+    # a zero factor makes the product, and its bound, 0 modulo every modulus,
+    # whatever the Python-int factor beside it; a zero coefficient likewise
     huge = LevelMatrix(1, np.array([[2**70]], dtype=object), 2**70)
     zero = LevelMatrix(1, np.zeros((1, 1), dtype=np.int64), 0)
-    assert decided([(1, ((huge, zero),))]) == ([[False]], 1)
+    assert decided([(1, ((huge, zero),))]) == ([[False]], 0)
+    assert decided([(0, ((huge, huge),)), (1, ((zero,),))]) == ([[False]], 0)
     assert decided([(1, ((huge, huge),)), (-1, ((exact_matrix(1, huge.ints * 2**70),),))]) == ([[False]], 3)
 
 
