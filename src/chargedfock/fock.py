@@ -391,17 +391,17 @@ def _chain_product(chain, mod):
     for m in reversed(chain):
         if mod is None:  # float mode
             x = m.ints / m.den
-        elif mod in PRIMES or m.ints.dtype == object:
-            x = (m.ints % mod).astype(np.uint64)
-        else:  # int64 read as uint64 is its residue modulo 2**64
+        elif mod == 2**64 and m.top < 2**63:  # an int64 stack read as uint64 is its residue
             x = m.ints.view(np.uint64)
+        else:
+            x = (m.ints % mod).astype(np.uint64)
         out = x if out is None else _reduce(x @ out, mod)
     return out
 
 
 def _reduce(x, mod):
-    """``x`` modulo ``mod`` when it is a prime; uint64 arithmetic is already modulo 2**64."""
-    return x % mod if mod in PRIMES else x
+    """``x`` modulo ``mod`` when it is a prime; float64 values stay, and uint64 wraps modulo 2**64."""
+    return x if mod is None or mod == 2**64 else x % mod
 
 
 # moduli after 2**64: primes below 2**26, so MAX_INNER products of two residues sum to below 2**63
@@ -431,12 +431,13 @@ def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
     exceeds B.  Float mode sums float64 and fails an entry past the
     tolerance."""
     if ctx.exact:
-        scales = [prod(m.den for chain in chains for m in chain) * c.denominator for c, chains in terms]
+        scales = [prod([m.den for chain in chains for m in chain]) * c.denominator for c, chains in terms]
         den = lcm(*scales)
-        factors = [c.numerator * (den // scale) for (c, _), scale in zip(terms, scales)]
-        bounds = (prod(ch[-1].top * prod(m.ints.shape[-1] * m.top for m in ch[:-1]) for ch in cs)
-                  for _, cs in terms)
-        certified = sum(abs(f) * b for f, b in zip(factors, bounds))
+        factors, certified = [], 0
+        for (c, chains), scale in zip(terms, scales):  # lists, not generators: this runs per residual
+            factors.append(c.numerator * (den // scale))
+            bound = prod([m.ints.shape[-1] * m.top for chain in chains for m in chain[:-1]], start=abs(factors[-1]))
+            certified += prod([chain[-1].top for chain in chains], start=bound)
         moduli = [2**64]  # then primes, until the moduli's product passes the bound
         while prod(moduli) <= certified:
             inner = max([len(terms), *(m.ints.shape[-1] for _, cs in terms for ch in cs for m in ch[:-1])])
@@ -464,7 +465,7 @@ def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
                 x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
                 x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
                 total = x if total is None else total + x
-        bad = np.abs(total) > ctx.tolerance if mod is None else _reduce(total, mod) != 0
+        bad = np.abs(total) > ctx.tolerance if mod is None else _reduce(total, mod).astype(bool)
         failing = bad if failing is None else failing | bad
     return failing, len(moduli) - 1
 
