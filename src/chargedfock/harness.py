@@ -35,8 +35,12 @@ configuration and seed: no timestamps, no unordered containers.
 from __future__ import annotations
 
 import logging
+import os
+import pickle
 import random
+import sys
 import time
+import traceback
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import product
@@ -223,14 +227,18 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = Non
     c R_1 R_2 ..., scalars c and chains whose factors after the first keep
     level and sector, as J_0 does: all are sliced at the cell's level and rows.
 
-    With `mirrors`, one dict per sweep, each level's failing-column mask is
-    kept under (a, b, rhs, level) until the mirror cell (b, a, -rhs) takes
-    it in place of its own residual.  The key compares the operators' stacks
-    and the coefficients' values, so a right-hand side that is not the
-    mirror's negation is computed in full."""
+    A level whose output level lies below 0 has an empty residual: its
+    states pass without one.  With `mirrors`, one dict per sweep, each
+    level's failing-column mask is kept under (a, b, rhs, level) until the
+    mirror cell (b, a, -rhs) takes it in place of its own residual.  The key
+    compares the operators' stacks and the coefficients' values, so a
+    right-hand side that is not the mirror's negation is computed in full."""
 
     def checks(rows, levels):
         for level in levels:
+            if level + a.shift + b.shift < 0:
+                yield partial(_column_where, level), np.zeros((len(rows), len(partitions_of(level))), bool)
+                continue
             bad = None if mirrors is None else mirrors.pop((b, a, tuple((-c, r) for c, r in rhs), level), None)
             if bad is not None:
                 _RESIDUALS["mirrored"] += 1
@@ -428,18 +436,148 @@ def mode_adjoint_suite(space: Space, alpha) -> dict:
     return _sweep("mode_adjoint", cell, delta=range(-4, 5))
 
 
-def algebra_report(space: Space, alpha) -> dict:
-    """All exact-identity suites in one report; verdict 'identity_failure'
-    if any suite pinpointed a failing cell."""
-    suites = [
-        current_bracket_suite(space),
-        virasoro_bracket_suite(space),
-        lorentz_closure_suite(space),
+def _current_family(space: Space, alpha) -> List[dict]:
+    """The suites on the J and L stacks, in report order."""
+    return [current_bracket_suite(space), virasoro_bracket_suite(space), lorentz_closure_suite(space)]
+
+
+def _vertex_family(space: Space, alpha) -> List[dict]:
+    """The suites on the Y stacks, in report order, after the current family's."""
+    return [
         current_covariance_suite(space, alpha),
         primary_covariance_suite(space, alpha),
         mode_oracle_suite(space, alpha),
         mode_adjoint_suite(space, alpha),
     ]
+
+
+def _timed(family: Callable, space: Space, alpha) -> Tuple[List[dict], float]:
+    """The family's suite reports and its seconds."""
+    t0 = time.perf_counter()
+    return family(space, alpha), time.perf_counter() - t0
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this process when `parent` dies (Linux), and end
+    it now if that has happened already."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+        import signal
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _captured(task: Callable) -> bytes:
+    """Run `task()` with every log record kept instead of handled -> the
+    pickled (records, (True, result) or (False, exception)).  Only a forked
+    child calls this: the patched logging ends with its process."""
+    records = []
+
+    def keep(logger, record):
+        record.msg, record.args = record.getMessage(), None
+        records.append(record)
+
+    logging.Logger.callHandlers = keep
+    try:
+        outcome = True, task()
+    except Exception as exc:
+        outcome = False, exc
+    return pickle.dumps((records, outcome))
+
+
+class _Forked:
+    """`task()` in a child made by os.fork.  The child handles no log record
+    itself: it sends its records, then its result or exception, pickled over
+    a pipe, and ends with os._exit, so it never returns into its parent's
+    stack, writes nothing to stdout and runs no exit handler.  On Linux it
+    dies with its parent.  A fork carries the parent's module state, such as
+    a fault flag or a test's monkeypatch, into the child unchanged."""
+
+    def __init__(self, task: Callable):
+        parent = os.getpid()
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                _die_with(parent)
+                with os.fdopen(write, "wb") as pipe:
+                    pipe.write(_captured(task))
+                status = 0
+            except BaseException:
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._read = read
+        self.peak_rss_mb = 0.0
+
+    def join(self):
+        """Reap the child, handle its log records here in their order, and
+        return its result or raise its exception."""
+        try:
+            with os.fdopen(self._read, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            _, status, usage = os.wait4(self.pid, 0)
+        self.peak_rss_mb = usage.ru_maxrss / 1024
+        try:
+            records, (ok, value) = pickle.loads(data)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"a forked verification process ended with status {code} and no result") from None
+        for record in records:
+            logging.getLogger(record.name).callHandlers(record)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """End and reap the child unread."""
+        import signal  # not at module level: building its enums costs every command about 1 ms of start-up
+
+        os.close(self._read)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def algebra_report(space: Space, alpha) -> dict:
+    """All exact-identity suites in one report; verdict 'identity_failure'
+    if any suite pinpointed a failing cell.
+
+    With two CPUs or more, a forked child (see :class:`_Forked`) runs the
+    vertex family while this process runs the current family; each builds
+    the row tables it reads.  The report, the log records and their order
+    are those of one process: the child's records come after this process's
+    own.  Then one INFO line per family gives its suites, its process and
+    its seconds, and the forked child's peak RSS."""
+    vertex = partial(_timed, _vertex_family, space, alpha)
+    child = _Forked(vertex) if _cpus() > 1 and hasattr(os, "fork") else None
+    try:
+        current = _timed(_current_family, space, alpha)
+    except BaseException:
+        if child is not None:
+            child.kill()
+        raise
+    families = [("current", current, f"pid {os.getpid()}")]
+    if child is None:
+        families.append(("vertex", vertex(), f"pid {os.getpid()}"))
+    else:
+        families.append(("vertex", child.join(), f"pid {child.pid} (forked, peak RSS {child.peak_rss_mb:.1f} MB)"))
+    for name, (suites, seconds), process in families:
+        log.info("%s family (%s): %s, %.3f s", name, ", ".join(s["suite"] for s in suites), process, seconds)
+    suites = [s for _, (family, _), _ in families for s in family]
     failed = [s for s in suites if s["status"] == "fail"]
     return {
         "suites": suites,

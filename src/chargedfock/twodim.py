@@ -115,8 +115,9 @@ def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZer
     mult = charge_multiplier(space, mode.alpha)
     terms = []
     charge_clipped = False
+    charges = ((1, mode.alpha), (-1, -mode.alpha))  # one object per charge, shared by the terms
     for (j, left, right), c in v.entries.items():
-        for eps, alpha_eps in ((1, mode.alpha), (-1, -mode.alpha)):
+        for eps, alpha_eps in charges:
             jt = j + eps * mult
             if not space.trunc.admits_sector(jt):
                 charge_clipped = True
@@ -187,6 +188,10 @@ def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[
     L = u.space.trunc.level_cutoff
     a, b = u.mode.m, w.mode.m
     kets = _by_sector(w.terms)
+    # Gram tables by the identities of the two charges: an image's terms share
+    # its two charge objects, so a pair of terms finds its table without
+    # hashing a charge, and a charge pair is looked up once per call
+    tables = {}
     out: Dict[int, Dict[int, Scalar]] = {}
     for jt, al, c, left, right, ll, lr in u.terms:
         for _jt, al2, c2, left2, right2, ll2, lr2 in kets.get(jt, ()):
@@ -196,7 +201,9 @@ def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[
             if lr + a - ll != lr2 + b - ll2 or (same_band and shift):
                 continue
             coeff = ctx.conj(c) * c2
-            gram = _gram_table(al, al2)
+            gram = tables.get((id(al), id(al2)))
+            if gram is None:
+                gram = tables[id(al), id(al2)] = _gram_table(al, al2)
             for d in range(max(-ll, -a - lr), min(L - ll, L - a - lr) + 1):
                 nl, dl = gram(d, left, d + shift, left2)
                 if not nl:
