@@ -34,6 +34,7 @@ configuration and seed: no timestamps, no unordered containers.
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import pickle
@@ -478,9 +479,11 @@ def _die_with(parent: int) -> None:
 
 
 def _captured(task: Callable) -> bytes:
-    """Run `task()` with every log record kept instead of handled -> the
-    pickled (records, (True, result) or (False, exception)).  Only a forked
-    child calls this: the patched logging ends with its process."""
+    """Run `task()` with every log record kept instead of handled -> two
+    pickles: (records, the exception's traceback text or None), then (True,
+    result) or (False, exception).  The text comes first, so the parent has
+    it even when the exception cannot be rebuilt.  Only a forked child calls
+    this: the patched logging ends with its process."""
     records = []
 
     def keep(logger, record):
@@ -489,10 +492,10 @@ def _captured(task: Callable) -> bytes:
 
     logging.Logger.callHandlers = keep
     try:
-        outcome = True, task()
+        ok, value, text = True, task(), None
     except Exception as exc:
-        outcome = False, exc
-    return pickle.dumps((records, outcome))
+        ok, value, text = False, exc, traceback.format_exc()
+    return pickle.dumps((records, text)) + pickle.dumps((ok, value))
 
 
 class _Forked:
@@ -506,7 +509,12 @@ class _Forked:
     def __init__(self, task: Callable):
         parent = os.getpid()
         read, write = os.pipe()
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
         if self.pid == 0:
             status = 1
             try:
@@ -525,22 +533,27 @@ class _Forked:
 
     def join(self):
         """Reap the child, handle its log records here in their order, and
-        return its result or raise its exception."""
+        return its result or raise its exception, chained to a
+        ChildProcessError that holds the child's traceback."""
         try:
             with os.fdopen(self._read, "rb") as pipe:
-                data = pipe.read()
+                data = io.BytesIO(pipe.read())
         finally:
             _, status, usage = os.wait4(self.pid, 0)
         self.peak_rss_mb = usage.ru_maxrss / 1024
         try:
-            records, (ok, value) = pickle.loads(data)
+            records, text = pickle.load(data)
         except Exception:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(f"a forked verification process ended with status {code} and no result") from None
         for record in records:
             logging.getLogger(record.name).callHandlers(record)
+        try:
+            ok, value = pickle.load(data)
+        except Exception:
+            raise ChildProcessError(f"a forked verification process raised an error that cannot be rebuilt here:\n{text}") from None
         if not ok:
-            raise value
+            raise value from ChildProcessError(text)
         return value
 
     def kill(self) -> None:
@@ -550,6 +563,18 @@ class _Forked:
         os.close(self._read)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
+
+
+def _forked(task: Callable) -> Optional[_Forked]:
+    """`task()` in a forked child, or None where this process must run it:
+    fewer than two CPUs, no os.fork, or a pipe or fork the system refuses
+    (at a process limit or short of memory)."""
+    if _cpus() < 2 or not hasattr(os, "fork"):
+        return None
+    try:
+        return _Forked(task)
+    except OSError:
+        return None
 
 
 def algebra_report(space: Space, alpha) -> dict:
@@ -563,7 +588,7 @@ def algebra_report(space: Space, alpha) -> dict:
     own.  Then one INFO line per family gives its suites, its process and
     its seconds, and the forked child's peak RSS."""
     vertex = partial(_timed, _vertex_family, space, alpha)
-    child = _Forked(vertex) if _cpus() > 1 and hasattr(os, "fork") else None
+    child = _forked(vertex)
     try:
         current = _timed(_current_family, space, alpha)
     except BaseException:

@@ -115,7 +115,10 @@ def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZer
     mult = charge_multiplier(space, mode.alpha)
     terms = []
     charge_clipped = False
-    charges = ((1, mode.alpha), (-1, -mode.alpha))  # one object per charge, shared by the terms
+    # one object per charge, shared by every term: `_band_pairings` keys its
+    # Gram tables by these objects' identities, so a charge built per term
+    # would cost a table lookup per term pair again
+    charges = ((1, mode.alpha), (-1, -mode.alpha))
     for (j, left, right), c in v.entries.items():
         for eps, alpha_eps in charges:
             jt = j + eps * mult
@@ -189,8 +192,8 @@ def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[
     a, b = u.mode.m, w.mode.m
     kets = _by_sector(w.terms)
     # Gram tables by the identities of the two charges: an image's terms share
-    # its two charge objects, so a pair of terms finds its table without
-    # hashing a charge, and a charge pair is looked up once per call
+    # its two charge objects (built once in `time_zero_image`), so a pair of
+    # terms finds its table without hashing a charge
     tables = {}
     out: Dict[int, Dict[int, Scalar]] = {}
     for jt, al, c, left, right, ll, lr in u.terms:

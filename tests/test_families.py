@@ -141,6 +141,57 @@ def test_a_suite_that_raises_is_one_error_line(capsys, caplog, monkeypatch, tmp_
     assert not out.exists()
 
 
+def test_a_refused_fork_runs_both_families_here(capsys, caplog, monkeypatch):
+    # at a process limit the fork raises; the run is then the one-worker run,
+    # and the pipe made for the child is closed
+    argv = ["verify-algebra", "--level_cutoff", "3"]
+    one = _run(capsys, caplog, monkeypatch, 1, *argv)
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        pipes.extend(real_pipe())
+        return tuple(pipes[-2:])
+
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _run(capsys, caplog, monkeypatch, 2, *argv) == one
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    _no_child_left()
+
+
+class _Unrebuilt(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, suite, reason):
+        super().__init__(f"{suite}: {reason}")
+
+
+def _raise_unrebuilt(*args):
+    raise _Unrebuilt("primary_covariance", "refused")
+
+
+def test_the_childs_exception_carries_its_traceback(monkeypatch):
+    monkeypatch.setattr(harness, "primary_covariance_suite", _raise)
+    _workers(monkeypatch, 2)
+    with pytest.raises(ValueError, match="the suite raised") as info:
+        harness.algebra_report(space(2), HALF)
+    cause = info.value.__cause__
+    assert isinstance(cause, ChildProcessError)
+    assert "in _vertex_family" in str(cause) and "in _raise" in str(cause)
+    # one that cannot be rebuilt here is reported by its traceback, not as a child without a result
+    monkeypatch.setattr(harness, "primary_covariance_suite", _raise_unrebuilt)
+    with pytest.raises(ChildProcessError, match="cannot be rebuilt") as info:
+        harness.algebra_report(space(2), HALF)
+    assert "_Unrebuilt: primary_covariance: refused" in str(info.value)
+    _no_child_left()
+
+
 def test_a_child_that_ends_without_a_result_is_one_error_line(capsys, caplog, monkeypatch):
     monkeypatch.setattr(harness, "mode_adjoint_suite", lambda *args: os._exit(3))
     code, out, records = _run(capsys, caplog, monkeypatch, 2, "verify-algebra", "--level_cutoff", "3")
