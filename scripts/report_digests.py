@@ -2,11 +2,12 @@
 """One line per CLI run: subcommand and its fixed flags, arithmetic mode,
 cutoff, exit code and a sha256 of stdout.
 
-Runs every subcommand of ``chargedfock.cli``, and ``verify-algebra
---inject-fault sugawara`` for a failing verdict, in each arithmetic mode
-(float at ``--tolerance 1e-9``) and at each cutoff, one fresh ``python -m
-chargedfock.cli`` process per run, on the source tree of a checkout.  Two
-checkouts behave the same on these runs when their outputs are equal:
+Runs every subcommand of ``chargedfock.cli``, ``verify-algebra
+--inject-fault sugawara`` for a failing verdict and ``converge --m-list 0,1``
+for a series per mode, in each arithmetic mode (float at ``--tolerance
+1e-9``) and at each cutoff, one fresh ``python -m chargedfock.cli`` process
+per run, on the source tree of a checkout.  Two checkouts behave the same on
+these runs when their outputs are equal:
 
     python scripts/report_digests.py OLD_CHECKOUT > old.txt
     python scripts/report_digests.py NEW_CHECKOUT > new.txt
@@ -22,7 +23,7 @@ from pathlib import Path
 
 MODES = {"exact-rational": [], "exact-gaussian": [], "float": ["--tolerance", "1e-9"]}
 # runs with fixed flags after those of the bare subcommands
-FIXED_RUNS = [("verify-algebra", "--inject-fault", "sugawara")]
+FIXED_RUNS = [("verify-algebra", "--inject-fault", "sugawara"), ("converge", "--m-list", "0,1")]
 
 
 def _env(src: Path) -> dict:

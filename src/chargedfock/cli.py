@@ -25,6 +25,7 @@ from pathlib import Path
 from . import desitter, harness, virasoro
 from .config import CONFIG_KEYS, ConfigError, build_space, config_echo, resolve_config
 from .twodim import partial_sum_norm_series, write_convergence_csv
+from .vertex import charge_multiplier
 
 log = logging.getLogger("chargedfock")
 
@@ -73,6 +74,15 @@ def _strict(value):
     return "unbounded" if value == math.inf else value
 
 
+def _require_writable(output, what: str, several: bool = False) -> None:
+    """Refuse an output path that is a directory or cannot be written, before
+    any work and without creating it; ``several`` files, one per mode beside
+    the path, need its folder writable."""
+    path = Path(output) if output else None
+    if path and (path.is_dir() or not os.access(path if path.exists() and not several else path.parent, os.W_OK)):
+        raise ConfigError(f"cannot write a {what} to {path}")
+
+
 def _emit(cfg, text: str, what: str) -> None:
     """Write ``text`` to the configured output path, or to stdout."""
     if cfg.output:
@@ -96,9 +106,7 @@ def _run_report(args, handler, defaults: dict) -> int:
     cfg = _resolve(args, **defaults)
     space, alpha, lam = build_space(cfg)
     body_call = handler(args, cfg, space, alpha, lam)
-    path = Path(cfg.output) if cfg.output else None  # refused before the body runs, and never created
-    if path and (path.is_dir() or not os.access(path if path.exists() else path.parent, os.W_OK)):
-        raise ConfigError(f"cannot write a report to {path}")
+    _require_writable(cfg.output, "report")
     t0 = time.perf_counter()
     body = body_call()
     log.info("%s finished in %.2f s", args.subcommand, time.perf_counter() - t0)
@@ -151,6 +159,8 @@ def _require_charged(cfg, subcommand: str) -> None:
 
 @_report()
 def _verify_algebra(args, cfg, space, alpha, lam):
+    charge_multiplier(space, alpha)  # refuses alpha0 = 0 before any suite runs
+
     def body():
         if args.inject_fault == "sugawara":
             virasoro.FAULT_SUGAWARA = True
@@ -188,6 +198,7 @@ def _converge(args) -> int:
         raise ConfigError(f"bad m-list {args.m_list!r}") from exc
     if not m_list:
         raise ConfigError("m-list must name at least one mode")
+    _require_writable(cfg.output, "series", several=len(m_list) > 1)
     for m in m_list:
         rows = partial_sum_norm_series(ctx.abs_sq(alpha), m, args.n_max)
         if cfg.output:
@@ -206,6 +217,7 @@ def _converge(args) -> int:
 def _diverge_demo(args) -> int:
     cfg = _resolve(args)
     _require_count(args.n_max, 2, "--n-max")  # the first doubling is N = 2
+    _require_writable(cfg.output, "series")
     rows = harness.divergence_series(args.n_max)
     lines = ["N,partial_sum,increment"]
     lines += [f"{n},{total!r},{increment!r}" for n, total, increment in rows]

@@ -43,7 +43,7 @@ from itertools import product
 from typing import Callable, List, Optional, Tuple
 
 from . import virasoro
-from .fock import Space, TensorState, inner_product, partitions_of
+from .fock import Space, TensorState, charge_key, inner_product, partitions_of
 from .scalar import Scalar
 from .twodim import PsiCache, image_inner_product, partial_sum_norm_series, weak_psi_commutator
 from .vertex import charge_multiplier, conformal_weight
@@ -136,9 +136,9 @@ _REUSE = Counter()
 
 
 def _space_key(space: Space) -> tuple:
-    """The space by value, its charge's type (a float charge never meets an
+    """The space by value, its charge's key (a float charge never meets an
     equal Fraction) and the Sugawara fault flag, which changes every L row."""
-    return space, type(space.alpha0), virasoro.FAULT_SUGAWARA
+    return space, charge_key(space.alpha0), virasoro.FAULT_SUGAWARA
 
 
 def _state_key(v: TensorState) -> tuple:
@@ -205,8 +205,7 @@ def _entry(space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, p
         _space_key(space),
         gen_a.family,
         gen_b.family,
-        gen_a.alpha,
-        type(gen_a.alpha),
+        charge_key(gen_a.alpha),
         gen_a.m,
         gen_b.m,
         _state_key(phi1),

@@ -22,8 +22,8 @@ outside the truncation it is dropped and the state's ``overflow`` flag is set.
 A state maps each key to its nonzero value: a Fraction or an int in the
 exact modes (a GaussianRational once an imaginary unit appears), a float or
 complex in float mode.  Current, Virasoro and vertex modes all go through
-:func:`apply_rows`, one cached integer :data:`Row` per basis partition, built
-without Fractions.
+:func:`apply_rows`, one cached integer :data:`Row` per basis partition and
+:func:`charge_key`, built without Fractions.
 
 The same rows, stacked by :func:`level_matrices`, give each operator one
 :class:`LevelMatrix` per level: integer numerators over one denominator, with
@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, gcd, lcm, prod
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -133,11 +133,16 @@ class Space:
 Row = Tuple[int, int, Tuple[Partition, ...], Tuple[Scalar, ...]]
 
 
-def exact_ratio(charge) -> Optional[Tuple[int, int]]:
-    """(p, q) with charge = p / q in lowest terms, or None for a float charge
-    (float mode)."""
-    if isinstance(charge, (float, complex)):
-        return None
+ChargeKey = Union[Tuple[int, int], float]
+
+
+def charge_key(charge) -> ChargeKey:
+    """The memo key of a real charge: (p, q) with charge = p / q in lowest
+    terms, or the float itself (float mode).  Hashing it takes no modular
+    inverse, as hashing a Fraction does, and a float charge never meets an
+    equal exact one."""
+    if isinstance(charge, float):
+        return charge
     return charge.numerator, charge.denominator
 
 
@@ -213,17 +218,6 @@ class TensorState(_State):
 
     def max_chiral_level(self) -> int:
         return max((max(sum(left), sum(right)) for (_, left, right) in self.entries), default=0)
-
-
-# as many operators as the 64 J, 64 L and 128 Y tables it replaced held
-@lru_cache(maxsize=256, typed=True)
-def row_table(table, *args):
-    """The rows ``table(*args)(j, lam)`` of one operator, memoized by
-    (sector, partition) for :func:`apply_rows`: found once per application,
-    so no entry's lookup hashes the charge.  A memo holds at most 5 sectors x
-    139 partitions at verify-algebra's default cutoff 10.  The level stacks
-    read ``table(*args)`` directly: they are cached themselves."""
-    return lru_cache(maxsize=2048, typed=True)(table(*args))
 
 
 def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int = 0):
@@ -327,16 +321,15 @@ def stack_rows(sectors, out_level: int) -> LevelMatrix:
 
 
 # one table per (operator, window), each with one stack per level
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def level_matrices(table, shift: int, window: Tuple[int, int], *args):
     """level -> the rows ``table(*args)(j, lam)`` of ``lam`` in
     ``partitions_of(level)``, mapping to ``level + shift``, stacked for every
     sector j of the charge window ``(j_min, j_max)``.  Keyed by value: the
     row-table factory, the level shift, the window and the factory's
-    arguments, each by type as well, so a float charge never meets an equal
-    Fraction; the returned table is found once per operator, so a lookup
-    hashes only the level.  A level whose row lists are equal in every sector
-    stacks one sector's rows and views them over all (stride 0)."""
+    arguments, a charge among them by its :func:`charge_key`.  A level whose
+    row lists are equal in every sector stacks one sector's rows and views
+    them over all (stride 0)."""
     row_of = table(*args)
     sectors = range(window[0], window[1] + 1)
 

@@ -56,6 +56,7 @@ from .fock import (
     Space,
     TensorState,
     Truncation,
+    charge_key,
     gram_matrix,
     graded_matrix,
     identity,
@@ -386,10 +387,11 @@ def mode_oracle_suite(space: Space, alpha) -> dict:
     once and compared with every sector's own plane of the mode's stack."""
     admitted = _sectors(space, charge_multiplier(space, alpha))
     top = min(8, space.trunc.level_cutoff)
+    key = charge_key(alpha)
 
     @lru_cache(maxsize=None)
     def oracle(delta, level):
-        return stack_rows([[recursive_row(alpha, delta, lam) for lam in partitions_of(level)]], level + delta)
+        return stack_rows([[recursive_row(key, delta, lam) for lam in partitions_of(level)]], level + delta)
 
     def cell(j, delta):
         if j not in admitted:

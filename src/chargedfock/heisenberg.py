@@ -19,17 +19,17 @@ from functools import lru_cache
 from typing import Callable
 
 from .fock import (
+    ChargeKey,
     LevelMatrix,
     Partition,
     Row,
     SectorState,
     Space,
     apply_rows,
-    exact_ratio,
+    charge_key,
     float_row,
     integer_row,
     level_matrices,
-    row_table,
 )
 
 
@@ -67,37 +67,33 @@ def j_step(lam: Partition, m: int, beta):
 
 
 # 1,799 rows fill at verify-algebra's default cutoff 10
-@lru_cache(maxsize=4096, typed=True)
-def _j_row(m: int, j: int, lam: Partition, alpha0) -> Row:
+@lru_cache(maxsize=4096)
+def _j_row(m: int, j: int, lam: Partition, key: ChargeKey) -> Row:
     """Row of J_m on basis (j, lam): integer coefficients, except J_0, the
-    charge j * alpha0, over the charge's denominator."""
+    charge j * alpha0 over its denominator, alpha0 given by its
+    :func:`~chargedfock.fock.charge_key`."""
     level = sum(lam) - m
     if m:
         return integer_row(level, dict(j_step(lam, m, None)), 1)
-    ratio = exact_ratio(alpha0)
-    if ratio is None:
-        return float_row(level, {lam: alpha0 * j})
-    return integer_row(level, {lam: j * ratio[0]}, ratio[1])
+    if isinstance(key, float):
+        return float_row(level, {lam: key * j})
+    p, q = key
+    return integer_row(level, {lam: j * p}, q)
 
 
-# (sector, partition) -> row of one mode and charge: the state kernels read
-# it through fock.row_table, the level stacks once per stack entry
-def _j_table(m: int, alpha0):
+# (sector, partition) -> row of one mode and charge key, for apply_rows and the level stacks
+def _j_table(m: int, key: ChargeKey):
     if m:
         return lambda j, lam: _j_row(m, 0, lam, None)
-    return lambda j, lam: _j_row(0, j, lam, alpha0)
+    return lambda j, lam: _j_row(0, j, lam, key)
 
 
 def _j_key(space: Space, m: int) -> tuple:
-    return m, None if m else space.alpha0  # the charge only enters J_0
-
-
-def _j_rows(space: Space, m: int):
-    return row_table(_j_table, *_j_key(space, m))
+    return m, None if m else charge_key(space.alpha0)  # the charge only enters J_0
 
 
 def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
-    return apply_rows(space, v, _j_rows(space, m))
+    return apply_rows(space, v, _j_table(*_j_key(space, m)))
 
 
 def j_matrices(space: Space, m: int) -> Callable[[int], LevelMatrix]:

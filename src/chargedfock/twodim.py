@@ -18,9 +18,10 @@ Factorized pairing
 ------------------
 Psi phi is never materialized.  :func:`time_zero_image` keeps it as its terms:
 for each entry ``c |j, l, r>`` of phi and each sign ``eps`` whose target
-sector ``j + eps*alpha/alpha0`` is admitted, the coefficient, the charge
-``eps*alpha`` and the two chiral partitions.  The Gram weight of a diagonal
-basis vector is the product of two chiral weights, so
+sector ``j + eps*alpha/alpha0`` is admitted, the coefficient, the key
+(:func:`~chargedfock.fock.charge_key`) of the charge ``eps*alpha`` and the
+two chiral partitions.  The Gram weight of a diagonal basis vector is the
+product of two chiral weights, so
 
     <Psi_a phi1, Psi_b phi2> = sum conj(c_k) c_k'
         <Y_delta l_k, Y_delta' l_k'> <Y_{delta+a} r_k, Y_{delta'+b} r_k'>
@@ -28,14 +29,13 @@ basis vector is the product of two chiral weights, so
 over term pairs with one target sector and over the bands ``delta`` with
 ``delta' = delta + |l_k| - |l_k'|``.  Each chiral Gram pairs two integer rows
 of :func:`~chargedfock.vertex._y_row` with ``zsym`` weights into a Python-int
-numerator over the two rows' denominators, memoized in one bounded table per
-pair of charges, so a lookup hashes no charge.  A band sums its terms'
-numerator products by denominator and divides once, over their lcm; its
-squared norm (same ``delta`` on both sides, for the tail budget) becomes a
-float by one correctly rounded int division.  Float charges pair the float
-rows over 1, in order.  :func:`image_inner_product` also pairs an image
-against a materialized state: an (entry, term) pair fixes its band and one
-entry of each of the band's two rows, and each entry divides once.  The
+numerator over the two rows' denominators, memoized by value.  A band sums
+its terms' numerator products by denominator and divides once, over their
+lcm; its squared norm (same ``delta`` on both sides, for the tail budget)
+becomes a float by one correctly rounded int division.  Float charges pair
+the float rows over 1, in order.  :func:`image_inner_product` also pairs an
+image against a materialized state: an (entry, term) pair fixes its band and
+one entry of each of the band's two rows, and each entry divides once.  The
 exact modes stay exact, so the values equal those of the materialized tensor.
 
 Every pairing of two images goes through :func:`psi_pair_form`, which reads
@@ -54,12 +54,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .diagnostics import loglog_slope, tail_budget
-from .fock import Partition, Space, TensorState, norm_sq, zsym
+from .fock import ChargeKey, Partition, Space, TensorState, charge_key, norm_sq, zsym
 from .scalar import Scalar, decimal_str
 from .vertex import _y_row, charge_multiplier, y_mode_table
 
@@ -96,8 +96,8 @@ class BandReport:
     charge_clipped: bool
 
 
-# (target sector, charge eps*alpha, coefficient, left, right, |left|, |right|)
-Term = Tuple[int, Scalar, Scalar, Partition, Partition, int, int]
+# (target sector, charge key of eps*alpha, coefficient, left, right, |left|, |right|)
+Term = Tuple[int, ChargeKey, Scalar, Partition, Partition, int, int]
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,22 @@ def time_zero_image(space: Space, mode: TimeZeroMode, v: TensorState) -> TimeZer
     mult = charge_multiplier(space, mode.alpha)
     terms = []
     charge_clipped = False
-    # one object per charge, shared by every term: `_band_pairings` keys its
-    # Gram tables by these objects' identities, so a charge built per term
-    # would cost a table lookup per term pair again
-    charges = ((1, mode.alpha), (-1, -mode.alpha))
+    keys = ((1, charge_key(mode.alpha)), (-1, charge_key(-mode.alpha)))
     for (j, left, right), c in v.entries.items():
-        for eps, alpha_eps in charges:
+        for eps, key in keys:
             jt = j + eps * mult
             if not space.trunc.admits_sector(jt):
                 charge_clipped = True
                 continue
-            terms.append((jt, alpha_eps, c, left, right, sum(left), sum(right)))
+            terms.append((jt, key, c, left, right, sum(left), sum(right)))
     return TimeZeroImage(space, mode, tuple(terms), charge_clipped)
 
 
-def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2: Partition):
+# 252 Grams fill at verify-commutativity's cutoff 20
+@lru_cache(maxsize=65536)
+def _chiral_gram(key1: ChargeKey, key2: ChargeKey, delta1: int, lam1: Partition, delta2: int, lam2: Partition):
     """<Y^{alpha1}_{delta1} lam1, Y^{alpha2}_{delta2} lam2> in one chiral
-    factor, as (numerator, denominator).
+    factor, the charges given by their keys, as (numerator, denominator).
 
     Pairs the integer rows of :func:`~chargedfock.vertex._y_row`: exact
     charges give the Python-int sum of n1 n2 zsym(mu) over the product of the
@@ -139,8 +138,8 @@ def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2
     rows in the bra row's order, over 1.  Charges are real, so rows are real
     and the bra row needs no conjugation.
     """
-    den1, _, mus1, nums1 = _y_row(alpha1, delta1, lam1)
-    den2, _, mus2, nums2 = _y_row(alpha2, delta2, lam2)
+    den1, _, mus1, nums1 = _y_row(key1, delta1, lam1)
+    den2, _, mus2, nums2 = _y_row(key2, delta2, lam2)
     ket = dict(zip(mus2, nums2))
     total = 0
     for mu, n1 in zip(mus1, nums1):
@@ -153,14 +152,6 @@ def _chiral_gram(alpha1, alpha2, delta1: int, lam1: Partition, delta2: int, lam2
 
 # chiral Grams computed in this process; each is computed once per memo entry
 GRAMS = Counter()
-
-
-# (delta1, lam1, delta2, lam2) -> (numerator, denominator), one table per pair
-# of charges, so a lookup hashes no charge (see fock.row_table); a run pairs
-# +-alpha with +-alpha, and verify-commutativity at cutoff 20 fills 126 Grams per table
-@lru_cache(maxsize=16, typed=True)
-def _gram_table(alpha1, alpha2):
-    return lru_cache(maxsize=4096)(partial(_chiral_gram, alpha1, alpha2))
 
 
 def _by_sector(terms) -> Dict[int, List[Term]]:
@@ -191,27 +182,20 @@ def _band_pairings(u: TimeZeroImage, w: TimeZeroImage, same_band: bool) -> Dict[
     L = u.space.trunc.level_cutoff
     a, b = u.mode.m, w.mode.m
     kets = _by_sector(w.terms)
-    # Gram tables by the identities of the two charges: an image's terms share
-    # its two charge objects (built once in `time_zero_image`), so a pair of
-    # terms finds its table without hashing a charge
-    tables = {}
     out: Dict[int, Dict[int, Scalar]] = {}
-    for jt, al, c, left, right, ll, lr in u.terms:
-        for _jt, al2, c2, left2, right2, ll2, lr2 in kets.get(jt, ()):
+    for jt, key, c, left, right, ll, lr in u.terms:
+        for _jt, key2, c2, left2, right2, ll2, lr2 in kets.get(jt, ()):
             # both chiral output levels must agree: the left one fixes delta',
             # after which the right one leaves a delta-independent condition
             shift = ll - ll2
             if lr + a - ll != lr2 + b - ll2 or (same_band and shift):
                 continue
             coeff = ctx.conj(c) * c2
-            gram = tables.get((id(al), id(al2)))
-            if gram is None:
-                gram = tables[id(al), id(al2)] = _gram_table(al, al2)
             for d in range(max(-ll, -a - lr), min(L - ll, L - a - lr) + 1):
-                nl, dl = gram(d, left, d + shift, left2)
+                nl, dl = _chiral_gram(key, key2, d, left, d + shift, left2)
                 if not nl:
                     continue
-                nr, dr = gram(d + a, right, d + shift + b, right2)
+                nr, dr = _chiral_gram(key, key2, d + a, right, d + shift + b, right2)
                 g = nl * nr
                 if g:
                     band = out.setdefault(d, {})
@@ -234,14 +218,14 @@ def _pair_state(v: TensorState, w: TimeZeroImage) -> Scalar:
         if not terms or llv > L or lrv > L:
             continue
         sums = {}  # the entry's coefficient: numerator sums by denominator
-        for i, (_jt, al, c, left, right, ll, lr) in enumerate(terms):
+        for i, (_jt, key, c, left, right, ll, lr) in enumerate(terms):
             d = llv - ll
             if lrv != lr + d + m:
                 continue
             pair = rows.get((j, i, d))
             if pair is None:
-                den_l, _, mus_l, nums_l = _y_row(al, d, left)
-                den_r, _, mus_r, nums_r = _y_row(al, d + m, right)
+                den_l, _, mus_l, nums_l = _y_row(key, d, left)
+                den_r, _, mus_r, nums_r = _y_row(key, d + m, right)
                 pair = rows[j, i, d] = (dict(zip(mus_l, nums_l)), dict(zip(mus_r, nums_r)), den_l * den_r)
             x = pair[0].get(lv)
             if x is None:
@@ -360,9 +344,9 @@ def tail_product(tail_bra: float, tail_ket: float) -> float:
 class PsiCache:
     """The time-zero images of one report and their tail norms, each built once.
 
-    Keyed by value (space, charge and its type, index, the input state's
-    entries in order): an equal state built twice hits, a float charge never
-    meets an equal Fraction, and a state in another order gets its own image.
+    Keyed by value (space, charge key, index, the input state's entries in
+    order): an equal state built twice hits, and a state in another order
+    gets its own image.
     Refuses an image that left the charge window, whose dropped terms are not
     orthogonal to the kept ones.
     """
@@ -373,7 +357,7 @@ class PsiCache:
 
     def apply(self, space: Space, alpha: Scalar, m: int, state: TensorState) -> Tuple[TimeZeroImage, float]:
         self.requests += 1
-        key = (space, alpha, type(alpha), m, tuple(state.entries.items()))
+        key = (space, charge_key(alpha), m, tuple(state.entries.items()))
         hit = self._store.get(key)
         if hit is None:
             image = time_zero_image(space, TimeZeroMode(alpha, m), state)

@@ -43,18 +43,18 @@ from typing import IO, Callable
 import numpy as np
 
 from .fock import (
+    ChargeKey,
     LevelMatrix,
     Partition,
     Row,
     SectorState,
     Space,
     apply_rows,
-    exact_ratio,
+    charge_key,
     float_row,
     integer_row,
     level_matrices,
     partitions_of,
-    row_table,
     zsym,
 )
 
@@ -155,26 +155,26 @@ def y_mode_table(alpha, delta: int, lam: Partition):
 
 
 # 1,478 rows fill at verify-algebra's default cutoff 10, 1,086 at verify-decay's
-@lru_cache(maxsize=4096, typed=True)
-def _y_row(alpha, delta: int, lam: Partition) -> Row:
-    """The terms of :func:`y_mode_table` as one row.  Exact modes take each
-    term binom (-1)**K p**e / (q**e zsym(nu)), e = K + len(nu), as an integer
-    over q**E lcm zsym(nu), E the largest e; float mode sums the float terms
-    in the same order."""
+@lru_cache(maxsize=4096)
+def _y_row(key: ChargeKey, delta: int, lam: Partition) -> Row:
+    """The terms of :func:`y_mode_table` as one row, the charge given by its
+    :func:`~chargedfock.fock.charge_key`.  Exact modes take each term binom
+    (-1)**K p**e / (q**e zsym(nu)), e = K + len(nu), as an integer over q**E
+    lcm zsym(nu), E the largest e; float mode sums the float terms in the
+    same order."""
     terms = []  # (mu, K, binom, len(nu), zsym(nu)) of each term, in the table's order
     for b, K, binom, rem in _removals(lam):
         if delta + b >= 0:
             terms += [(_merge(rem, nu), K, binom, len(nu), zsym(nu)) for nu in partitions_of(delta + b)]
     level = sum(lam) + delta
     acc = {}
-    ratio = exact_ratio(alpha)
-    if ratio is None:
+    if isinstance(key, float):
         for mu, K, binom, n, z in terms:
-            coeff = binom * (-alpha) ** K * alpha**n * (1 / z)
+            coeff = binom * (-key) ** K * key**n * (1 / z)
             if coeff:
                 acc[mu] = acc.get(mu, 0) + coeff
         return float_row(level, acc)
-    p, q = ratio
+    p, q = key
     terms = [t for t in terms if p or not t[1] + t[3]]  # alpha = 0 keeps the vacuum term
     top = max((K + n for _, K, _, n, _ in terms), default=0)
     zlcm = lcm(*[z for *_, z in terms])
@@ -183,21 +183,21 @@ def _y_row(alpha, delta: int, lam: Partition) -> Row:
     return integer_row(level, acc, q**top * zlcm)
 
 
-# (sector, partition) -> row of one charge and shift: see heisenberg._j_table
-def _y_table(alpha, delta: int):
-    return lambda j, lam: _y_row(alpha, delta, lam)
+# (sector, partition) -> row of one charge key and shift: see heisenberg._j_table
+def _y_table(key: ChargeKey, delta: int):
+    return lambda j, lam: _y_row(key, delta, lam)
 
 
 def apply_Y_mode(space: Space, alpha, delta: int, v: SectorState) -> SectorState:
     """Apply the mode; shifts every sector by alpha/alpha0."""
     mult = charge_multiplier(space, alpha)
-    return apply_rows(space, v, row_table(_y_table, alpha, delta), shift=mult)
+    return apply_rows(space, v, _y_table(charge_key(alpha), delta), shift=mult)
 
 
 def y_matrices(space: Space, alpha, delta: int) -> Callable[[int], LevelMatrix]:
     """level -> the mode from the basis at ``level``, one column per
     partition, stacked over the window's source sectors."""
-    return level_matrices(_y_table, delta, (space.trunc.j_min, space.trunc.j_max), alpha, delta)
+    return level_matrices(_y_table, delta, (space.trunc.j_min, space.trunc.j_max), charge_key(alpha), delta)
 
 
 # 4,489 elements fill at verify-algebra's default cutoff 10
@@ -223,16 +223,16 @@ def _recursive_element(p, q, mu: Partition, delta: int, lam: Partition):
     return 1 if delta == 0 else 0
 
 
-def recursive_row(alpha, delta: int, lam: Partition) -> Row:
-    """The row of Y_delta on ``lam`` from :func:`_recursive_element`: the
+def recursive_row(key: ChargeKey, delta: int, lam: Partition) -> Row:
+    """The row of Y_delta on ``lam``, the charge given by its
+    :func:`~chargedfock.fock.charge_key`, from :func:`_recursive_element`: the
     coefficient on mu is F / (q**(len(mu) + len(lam)) zsym(mu)), summed as
     integers over q**(T + len(lam)) lcm zsym(mu), T the longest mu."""
     level = sum(lam) + delta
     mus = partitions_of(level)
-    ratio = exact_ratio(alpha)
-    if ratio is None:
-        return float_row(level, {mu: _recursive_element(alpha, 1, mu, delta, lam) * (1 / zsym(mu)) for mu in mus})
-    p, q = ratio
+    if isinstance(key, float):
+        return float_row(level, {mu: _recursive_element(key, 1, mu, delta, lam) * (1 / zsym(mu)) for mu in mus})
+    p, q = key
     top = max(map(len, mus), default=0)
     zlcm = lcm(*map(zsym, mus))
     acc = {mu: _recursive_element(p, q, mu, delta, lam) * q ** (top - len(mu)) * (zlcm // zsym(mu)) for mu in mus}
@@ -243,7 +243,8 @@ def apply_Y_mode_recursive(space: Space, alpha, delta: int, v: SectorState) -> S
     """Independent oracle route for apply_Y_mode, same contract: the rows of
     :func:`recursive_row`, the integers F of the commutator recursion over
     q**(len(mu) + len(lam)) zsym(mu)."""
-    return apply_rows(space, v, lambda j, lam: recursive_row(alpha, delta, lam), shift=charge_multiplier(space, alpha))
+    key = charge_key(alpha)
+    return apply_rows(space, v, lambda j, lam: recursive_row(key, delta, lam), shift=charge_multiplier(space, alpha))
 
 
 def vacuum_mode_norm_sq(alpha, n: int):
@@ -269,7 +270,7 @@ def _mode_block_entries(space: Space, alpha, delta: int):
     hi = min(L, L - delta)
     for level in range(lo, hi + 1):
         for lam in partitions_of(level):
-            den, _, mus, nums = _y_row(alpha, delta, lam)
+            den, _, mus, nums = _y_row(charge_key(alpha), delta, lam)
             for mu, n in zip(mus, nums):
                 yield level, lam, mu, n if den == 1 else Fraction(n, den)
 

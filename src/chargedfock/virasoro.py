@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .fock import (
+    ChargeKey,
     LevelMatrix,
     Partition,
     Row,
@@ -28,11 +29,10 @@ from .fock import (
     Space,
     TensorState,
     apply_rows,
-    exact_ratio,
+    charge_key,
     float_row,
     integer_row,
     level_matrices,
-    row_table,
 )
 from .heisenberg import j_step
 
@@ -62,17 +62,16 @@ def _sugawara_terms(n: int, lam: Partition, fault: bool) -> tuple:
 
 
 # 6,945 rows fill at verify-algebra's default cutoff 10
-@lru_cache(maxsize=16384, typed=True)
-def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> Row:
-    """Row of L_n on basis (j, lam): the sector's value of its term list.
+@lru_cache(maxsize=16384)
+def _sugawara_on_basis(n: int, j: int, lam: Partition, key: ChargeKey, fault: bool) -> Row:
+    """Row of L_n on basis (j, lam), alpha0 given by its
+    :func:`~chargedfock.fock.charge_key`: the sector's value of its term list.
     Exact modes scale each current by q, so J_0 = beta becomes j p, and sum
     integers over 2 q^2; float mode sums halves of float products in the
     same order.  A zero beta drops its terms, as :func:`j_step` does."""
-    ratio = exact_ratio(alpha0)
-    if ratio is None:
-        beta, half, q = alpha0 * j, 0.5, 1
-    else:
-        beta, half, q = j * ratio[0], 1, ratio[1]
+    floating = isinstance(key, float)
+    p, q = (key, 1) if floating else key
+    beta, half = j * p, 0.5 if floating else 1
     powers = (1, q, q * q)
     acc = {}
     for mu, e, f, c1, c2 in _sugawara_terms(n, lam, fault):
@@ -82,24 +81,25 @@ def _sugawara_on_basis(n: int, j: int, lam: Partition, alpha0, fault: bool) -> R
             c1, c2 = beta if c1 is None else c1, beta if c2 is None else c2
         acc[mu] = acc.get(mu, 0) + half * powers[e] * f * c1 * c2
     level = sum(lam) - n
-    if ratio is None:
+    if floating:
         return float_row(level, acc)
     return integer_row(level, acc, 2 * q * q)
 
 
-# (sector, partition) -> row of one mode, charge and fault flag: see heisenberg._j_table
-def _l_table(n: int, alpha0, fault: bool):
-    return lambda j, lam: _sugawara_on_basis(n, j, lam, alpha0, fault)
+# (sector, partition) -> row of one mode, charge key and fault flag: see heisenberg._j_table
+def _l_table(n: int, key: ChargeKey, fault: bool):
+    return lambda j, lam: _sugawara_on_basis(n, j, lam, key, fault)
 
 
 def _l_rows(space: Space, n: int):
-    return row_table(_l_table, n, space.alpha0, FAULT_SUGAWARA)
+    return _l_table(n, charge_key(space.alpha0), FAULT_SUGAWARA)
 
 
 def l_matrices(space: Space, n: int) -> Callable[[int], LevelMatrix]:
     """level -> L_n from the basis at ``level``, one column per partition,
     stacked over the window's sectors."""
-    return level_matrices(_l_table, -n, (space.trunc.j_min, space.trunc.j_max), n, space.alpha0, FAULT_SUGAWARA)
+    window = (space.trunc.j_min, space.trunc.j_max)
+    return level_matrices(_l_table, -n, window, n, charge_key(space.alpha0), FAULT_SUGAWARA)
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:

@@ -21,12 +21,11 @@ from chargedfock.fock import (
     SectorState,
     TensorState,
     apply_rows,
-    exact_ratio,
     float_row,
     integer_row,
     zsym,
 )
-from chargedfock.heisenberg import _j_rows, j_step
+from chargedfock.heisenberg import _j_key, _j_table, j_step
 from chargedfock.vertex import conformal_weight
 
 
@@ -57,7 +56,7 @@ def dump_state(ctx, state, fp: IO[str]) -> None:
 
 def apply_J_tensor(space, side: str, m: int, v: TensorState) -> TensorState:
     """J_m acting on one chiral factor of a diagonal two-sided state."""
-    return apply_rows(space, v, _j_rows(space, m), side)
+    return apply_rows(space, v, _j_table(*_j_key(space, m)), side)
 
 
 def flip(v: TensorState) -> TensorState:
@@ -82,11 +81,11 @@ def close(ctx, a, b) -> bool:
 
 def sugawara_k_loop(n: int, j: int, lam: Partition, alpha0, fault: bool):
     """Row of L_n on basis (j, lam), every k with |k| <= level + |n| in turn."""
-    ratio = exact_ratio(alpha0)
-    if ratio is None:
+    floating = isinstance(alpha0, float)
+    if floating:
         beta, half, q = alpha0 * j, 0.5, 1
     else:
-        beta, half, q = j * ratio[0], 1, ratio[1]
+        beta, half, q = j * alpha0.numerator, 1, alpha0.denominator
     ell = sum(lam)
     bound = ell + abs(n)
     acc = {}
@@ -97,7 +96,7 @@ def sugawara_k_loop(n: int, j: int, lam: Partition, alpha0, fault: bool):
         for mu1, c1 in j_step(lam, hi, beta):
             for mu2, c2 in j_step(mu1, lo, beta):
                 acc[mu2] = acc.get(mu2, 0) + scale * c1 * c2
-    if ratio is None:
+    if floating:
         return float_row(ell - n, acc)
     return integer_row(ell - n, acc, 2 * q * q)
 

@@ -70,22 +70,49 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     "argv",
     [
         ["diverge-demo", "--output", "{dir}"],
+        ["converge", "--m-list", "0,1", "--output", "{dir}"],
+        ["converge", "--output", "{dir}/missing/series.csv"],
         ["verify-lorentz", "--level_cutoff", "4", "--output", "{dir}"],
         ["verify-lorentz", "--level_cutoff", "4", "--output", "{dir}/missing/report.json"],
         ["verify-algebra", "{dir}"],
     ],
-    ids=["diverge-demo-output", "verify-lorentz-output", "verify-lorentz-missing-parent", "config"],
+    ids=[
+        "diverge-demo-output",
+        "converge-modes-output",
+        "converge-missing-parent",
+        "verify-lorentz-output",
+        "verify-lorentz-missing-parent",
+        "config",
+    ],
 )
 def test_a_directory_as_a_path_is_one_error_line(capsys, caplog, tmp_path, argv):
-    # writing a report to a directory, or reading one as a config, used to
-    # end in a traceback; a report's output path is refused before its body
-    # runs, so no "finished in" record precedes the error
+    # writing a report or series to a directory, or reading one as a config,
+    # used to end in a traceback, or in files named after the directory beside
+    # it; an output path is refused before any work, so the error is the only
+    # record, and nothing is written
+    caplog.set_level(logging.INFO)
+    beside = set(tmp_path.parent.iterdir())
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
-    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
-    assert len(errors) == 1 and str(tmp_path) in errors[0].getMessage()
-    assert not [r for r in caplog.records if "finished in" in r.getMessage()]
+    assert [r.levelno for r in caplog.records] == [logging.ERROR]
+    assert str(tmp_path) in caplog.records[0].getMessage()
     assert capsys.readouterr().out == ""
     assert not any(tmp_path.iterdir())
+    assert set(tmp_path.parent.iterdir()) == beside
+
+
+def test_verify_algebra_refuses_alpha0_zero_before_any_suite(capsys, caplog, tmp_path):
+    # alpha0 = 0 admits no charged intertwiners: the refusal used to come from
+    # the vertex family, after the current family's suites had run and logged
+    caplog.set_level(logging.INFO)
+    out = tmp_path / "report.json"
+    assert main(["verify-algebra", "--level_cutoff", "2", "--alpha0", "0", "--output", str(out)]) == 1
+    assert [r.levelno for r in caplog.records] == [logging.ERROR]
+    assert "alpha0 = 0 admits no charged intertwiners" in caplog.records[0].getMessage()
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    # a zero charge on a nonzero alpha0 is still a charge on the lattice
+    code, report = run(capsys, "verify-algebra", "--level_cutoff", "4", "--alpha_multiplier", "0")
+    assert code == 0 and json.loads(report)["verdict"] == "pass"
 
 
 def test_a_residual_past_every_modulus_is_one_error_line(capsys, caplog, tmp_path, monkeypatch):

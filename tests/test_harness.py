@@ -20,6 +20,7 @@ from chargedfock.fock import (
     Space,
     TensorState,
     Truncation,
+    charge_key,
     inner_product,
     partitions_of,
     residual,
@@ -300,8 +301,8 @@ def test_mode_oracle_fails_a_fault_of_one_sector_in_that_sector(monkeypatch):
     # the mode's stack: Y rows doubled for source sector 1 alone fail there
     make = vertex._y_table
 
-    def faulty(alpha, delta):
-        rows = make(alpha, delta)
+    def faulty(key, delta):
+        rows = make(key, delta)
 
         def row(j, lam):
             den, level, mus, nums = rows(j, lam)
@@ -404,8 +405,8 @@ def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
 
 def test_commutativity_report_logs_its_images_and_grams(caplog):
     # README quotes this line at the commutativity benchmark's config, with
-    # the Gram memos cold; warm, the report computes no Gram again
-    twodim._gram_table.cache_clear()
+    # the Gram memo cold; warm, the report computes no Gram again
+    twodim._chiral_gram.cache_clear()
     for grams in (96, 0):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
@@ -577,15 +578,15 @@ def _reference_adjoint(sp, delta_range=4, max_level=4):
 # component[, sector shift]); the "last sector" cases fault the window's last
 # sector, the last slice of each stack
 COLUMN_FAULTS = {
-    "current_bracket": ("current_bracket", "J", lambda m, alpha0: m == -1, (1, (1, 1, 1))),
-    "current_bracket_last_sector": ("current_bracket", "J", lambda m, alpha0: m == -1, (2, (1, 1, 1))),
-    "virasoro_bracket": ("virasoro_bracket", "L", lambda n, alpha0, fault: n == 1, (0, (1,))),
+    "current_bracket": ("current_bracket", "J", lambda m, key: m == -1, (1, (1, 1, 1))),
+    "current_bracket_last_sector": ("current_bracket", "J", lambda m, key: m == -1, (2, (1, 1, 1))),
+    "virasoro_bracket": ("virasoro_bracket", "L", lambda n, key, fault: n == 1, (0, (1,))),
     # L_-1 is G_1's right factor and G_-1's left one
-    "lorentz_closure": ("lorentz_closure", "L", lambda n, alpha0, fault: n == -1, (0, (2,))),
-    "current_covariance": ("current_covariance", "Y", lambda alpha, delta: delta == 1, (1, (3,)), 1),
-    "primary_covariance": ("primary_covariance", "L", lambda n, alpha0, fault: n == -1, (0, (2, 1))),
-    # Y_{alpha, 1} on sector 1, the last source sector at alpha = alpha0
-    "mode_adjoint": ("mode_adjoint", "Y", lambda alpha, delta: delta == 1 and alpha > 0, (2, (2, 1)), 1),
+    "lorentz_closure": ("lorentz_closure", "L", lambda n, key, fault: n == -1, (0, (2,))),
+    "current_covariance": ("current_covariance", "Y", lambda key, delta: delta == 1, (1, (3,)), 1),
+    "primary_covariance": ("primary_covariance", "L", lambda n, key, fault: n == -1, (0, (2, 1))),
+    # Y_{alpha, 1} on sector 1, the last source sector at alpha = alpha0 = p / q, p > 0
+    "mode_adjoint": ("mode_adjoint", "Y", lambda key, delta: delta == 1 and key[0] > 0, (2, (2, 1)), 1),
 }
 
 
@@ -659,7 +660,8 @@ def test_covariance_suites_fail_the_per_sector_columns(monkeypatch, mult, alpha0
     sp = Space(EXACT, alpha0, Truncation(6, -2, 2))
     alpha, d = mult * alpha0, conformal_weight(mult * alpha0)
     if fault:  # the coefficient of (2,) in Y_1 on the partition (1,) of sector 0 only
-        _doubled_rows(monkeypatch, "Y", lambda a, delta: a == alpha and delta == 1, (mult, (2,)), mult)
+        hit = lambda key, delta: key == charge_key(alpha) and delta == 1  # noqa: E731
+        _doubled_rows(monkeypatch, "Y", hit, (mult, (2,)), mult)
     cases = [
         (current_covariance_suite, heisenberg.j_matrices, lambda m, s: alpha),
         (primary_covariance_suite, virasoro.l_matrices, lambda m, s: (d - 1) * m - s),

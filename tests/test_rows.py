@@ -15,11 +15,14 @@ rows stacked alone, each column the application to its basis vector, and
 (``fraction_reference.reference_residual``) is nonzero, with the primes
 past 2**64 deciding where 2**64 divides it, and the same (sector, column)
 pairs batched over a stack as one sector at a time.  Exact
-modes must agree exactly, float mode within the tolerance.  The row tables
-and level-stack caches must stay bounded and keyed by the charge's type as
-well as its value, and the stacks by the window.
+modes must agree exactly, float mode within the tolerance.  Every module
+cache must stay bounded, a float charge and an equal exact one must keep
+apart through their charge keys, and the stacks must be keyed by the window.
 """
 
+import importlib
+import pkgutil
+import sys
 from fractions import Fraction
 from functools import partial
 from math import prod
@@ -29,18 +32,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chargedfock
 import chargedfock.fock as fock
 import chargedfock.harness as harness
 import chargedfock.heisenberg as heisenberg
+import chargedfock.twodim as twodim
 import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
-from chargedfock.desitter import PsiCache
+from chargedfock.desitter import PsiCache, verify_lorentz
 from chargedfock.fock import (
     LevelMatrix,
     SectorState,
     Space,
     TensorState,
     Truncation,
+    charge_key,
     inner_product,
     partitions_of,
     residual,
@@ -233,11 +239,12 @@ deep_partitions = st.integers(min_value=0, max_value=8).flatmap(lambda n: st.sam
 def test_integer_rows_equal_their_fraction_references(lam, charge, m, j, fault):
     # the column builders behind apply_rows and the level matrices
     beta = charge * j if m == 0 else None
-    j_row = heisenberg._j_table(m, charge if m == 0 else None)(j, lam)
+    key = charge_key(charge)
+    j_row = heisenberg._j_table(m, key if m == 0 else None)(j, lam)
     assert j_row == make_row(sum(lam) - m, j_step(lam, m, beta), charge if m == 0 else None)
-    l_row = virasoro._l_table(m, charge, fault)(j, lam)
+    l_row = virasoro._l_table(m, key, fault)(j, lam)
     assert l_row == sugawara_row(m, j, lam, charge, fault)
-    y_row = vertex._y_table(charge, m)(j, lam)
+    y_row = vertex._y_table(key, m)(j, lam)
     assert y_row == make_row(sum(lam) + m, y_mode_table(charge, m, lam), charge)
     # the Y row from its table's values, the way a state's values give a row
     assert value_row(sum(lam) + m, {mu: c for mu, c in y_mode_table(charge, m, lam) if c}) == y_row
@@ -313,11 +320,11 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
     ctx = make_context("float", 1e-9) if isinstance(charge, float) else make_context("exact-rational")
     space = Space(ctx, charge, Truncation(INTERIOR, *window))
     if mode == "J":
-        stack, rows, shift = j_matrices(space, m), heisenberg._j_rows(space, m), -m
+        stack, rows, shift = j_matrices(space, m), heisenberg._j_table(*heisenberg._j_key(space, m)), -m
     elif mode == "L":
         stack, rows, shift = l_matrices(space, m), virasoro._l_rows(space, m), -m
     else:
-        stack, rows, shift = y_matrices(space, -2 * charge, m), vertex._y_table(-2 * charge, m), m
+        stack, rows, shift = y_matrices(space, -2 * charge, m), vertex._y_table(charge_key(-2 * charge), m), m
     stack = stack(level)
     sectors = range(window[0], window[1] + 1)
     assert stack.ints.shape[0] == len(sectors)
@@ -542,39 +549,91 @@ def test_covariance_residuals_past_2_64_fail_the_reference_entries(monkeypatch):
     assert harness.primary_covariance_suite(space, Fraction(2, 7))["status"] == "fail"
 
 
-def test_row_tables_are_bounded_and_keep_float_and_exact_charges_apart():
-    # each mode's (sector, partition) table is found by its charge once per
-    # application; 1/2 and 0.5 hash alike, so only typed keys keep them apart
-    # (factory, its arguments at a charge, the level shift of its rows)
+# keyed by a level or a partition alone, so the cutoff bounds them
+UNBOUNDED = {"partitions_of", "_bounded_partitions", "zsym"}
+
+
+def test_every_module_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(chargedfock.__path__):
+        module = importlib.import_module(f"chargedfock.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[name] = value.cache_info().maxsize
+    assert {"_j_row", "_sugawara_on_basis", "_y_row", "level_matrices", "_chiral_gram", "_entry_slot"} <= set(caches)
+    assert {name for name, maxsize in caches.items() if maxsize is None} == UNBOUNDED
+
+
+# an exact charge and the equal float: 1/2, and 1, where Fraction(1) and 1.0
+# hash alike as well
+EQUAL_CHARGES = ((Fraction(1, 2), 0.5), (Fraction(1), 1.0))
+
+
+@pytest.mark.parametrize("exact, floating", EQUAL_CHARGES, ids=str)
+def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
+    # every memo a charge enters keys it by charge_key: the exact charge gets
+    # integer rows, stacks, Grams and image terms, the float one float ones
+    keys = charge_key(exact), charge_key(floating)
+    rows = (
+        (heisenberg._j_row, lambda key: (0, 1, (1,), key)),
+        (virasoro._sugawara_on_basis, lambda key: (0, 1, (), key, False)),
+        (vertex._y_row, lambda key: (key, 1, ())),
+    )
+    for row, args in rows:
+        ints, floats = (row(*args(key)) for key in keys)
+        assert {type(n) for n in ints[3]} == {int} and {type(n) for n in floats[3]} == {float}
+        with pytest.raises(TypeError):  # the builder given a charge, not its key, takes neither route
+            row.__wrapped__(*args(exact))
+    # (factory, its arguments at a key, the level shift of its rows)
     tables = (
-        (heisenberg._j_table, lambda charge: (0, charge), 0),
-        (virasoro._l_table, lambda charge: (0, charge, False), 0),
-        (vertex._y_table, lambda charge: (charge, 1), 1),
+        (heisenberg._j_table, lambda key: (0, key), 0),
+        (virasoro._l_table, lambda key: (0, key, False), 0),
+        (vertex._y_table, lambda key: (key, 1), 1),
     )
     for table, args, shift in tables:
-        # the state kernels' memo of each table
-        assert fock.row_table.cache_info().maxsize is not None
-        exact, floats = fock.row_table(table, *args(Fraction(1, 2))), fock.row_table(table, *args(0.5))
-        assert exact is not floats
-        assert exact.cache_info().maxsize is not None
-        # the level stacks of each table, keyed the same way and by the window
-        assert fock.level_matrices.cache_info().maxsize is not None
-        exact = fock.level_matrices(table, shift, WINDOW, *args(Fraction(1, 2)))
-        assert exact is not fock.level_matrices(table, shift, WINDOW, *args(0.5))
-        narrow = fock.level_matrices(table, shift, (-1, 1), *args(Fraction(1, 2)))
-        assert exact is not narrow
-        assert exact is fock.level_matrices(table, shift, WINDOW, *args(Fraction(1, 2)))
-        assert exact.cache_info().maxsize is not None
-        assert exact(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
-    float_space = make_space("float", 4)
-    exact_space = make_space("exact-rational", 4)
+        ints, floats = (fock.level_matrices(table, shift, WINDOW, *args(key)) for key in keys)
+        assert ints(2).ints.dtype == np.int64 and floats(2).ints.dtype == float
+        narrow = fock.level_matrices(table, shift, (-1, 1), *args(keys[0]))
+        assert ints(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
+    ints, floats = (twodim._chiral_gram(key, key, 1, (), 1, ()) for key in keys)
+    assert type(ints[0]) is int and type(floats[0]) is float
+    space = Space(make_context("exact-rational"), exact, Truncation(4, *WINDOW))
+    cache, probe = PsiCache(), TensorState.basis(0, (1,), ())
+    (ints, _), (floats, _) = (cache.apply(space, charge, 1, probe) for charge in (exact, floating))
+    assert len(cache._store) == 2
+    assert {term[1] for term in ints.terms} == {keys[0], charge_key(-exact)}
+    assert {type(term[1]) for term in floats.terms} == {float}
+    # and so the applications: float values in float mode, none in the exact one
+    float_space = Space(make_context("float", 1e-9), floating, space.trunc)
     vac = SectorState.basis(1, ())
     for apply in (
         lambda sp: apply_J(sp, 0, vac),
         lambda sp: apply_L(sp, 0, vac),
         lambda sp: apply_Y_mode(sp, sp.alpha0, 1, vac),
     ):
-        floats, exact = apply(float_space), apply(exact_space)
-        assert floats.entries == exact.entries != {}
-        assert all(type(c) is float for c in floats.entries.values())
-        assert all(type(c) is Fraction for c in exact.entries.values())
+        floats, exacts = apply(float_space), apply(space)
+        assert floats.entries == exacts.entries != {}
+        assert {type(c) for c in floats.entries.values()} == {float}
+        assert not any(isinstance(c, float) for c in exacts.entries.values())
+
+
+def test_no_memo_lookup_hashes_a_fraction(monkeypatch):
+    # a Fraction's hash takes a modular inverse, and a charge key's does not:
+    # in a commutativity report and a Lorentz sweep, no row, stack, Gram,
+    # image or pairing-piece lookup hashes a Fraction; only a Space's own hash
+    # (its alpha0 by value) does
+    original = Fraction.__hash__
+    callers = []
+
+    def recorded(self):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name != "__hash__" or not isinstance(frame.f_locals.get("self"), Space):
+            callers.append(frame.f_code.co_name)
+        return original(self)
+
+    space = Space(make_context("exact-rational"), Fraction(1, 2), Truncation(6, *WINDOW))
+    monkeypatch.setattr(Fraction, "__hash__", recorded)
+    harness.commutativity_report(space, space.alpha0, seed=0, low_cutoff=5)
+    verify_lorentz(space, space.alpha0, Fraction(1, 4), interior_buffer=3, seed=0, samples=1)
+    monkeypatch.undo()
+    assert callers == []

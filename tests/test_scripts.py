@@ -39,7 +39,8 @@ def test_report_digests_prints_one_line_per_run():
     name, mode, cutoff, code, digest = report_digests.digest_line(checkout, "diverge-demo", "float", "4").split()
     assert (name, mode, cutoff, code) == ("diverge-demo", "float", "4", "0")
     assert len(digest) == 64
-    # the fixed fault run names its flags and fails its identity (exit 2)
-    ((name, *flags),) = report_digests.FIXED_RUNS
-    line = report_digests.digest_line(checkout, name, "float", "4", flags)
-    assert line.split()[:-1] == [name, *flags, "float", "4", "2"]
+    # the fixed runs name their flags: the fault run fails its identity
+    # (exit 2), and the series of two modes passes
+    for (name, *flags), code in zip(report_digests.FIXED_RUNS, ("2", "0"), strict=True):
+        line = report_digests.digest_line(checkout, name, "float", "4", flags)
+        assert line.split()[:-1] == [name, *flags, "float", "4", code]

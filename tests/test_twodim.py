@@ -12,6 +12,7 @@ from chargedfock.fock import (
     Space,
     TensorState,
     Truncation,
+    charge_key,
     inner_product,
     norm_sq,
     partitions_of,
@@ -356,6 +357,11 @@ def _same(got, want):
         assert float(got).hex() == float(want).hex()
 
 
+def _charge(key):
+    """The charge of a charge key: a Fraction, or the float itself."""
+    return key if isinstance(key, float) else Fraction(*key)
+
+
 def _gram_value(pair):
     """A kernel Gram (numerator, denominator) as the reference's value: an
     exact charge's Python-int numerator over its denominator, a float one's
@@ -380,19 +386,17 @@ def test_integer_grams_equal_the_fraction_reference(charge, signs, lam1, lam2, d
     # delta2 puts both outputs on one level, or one level off with skew
     delta2 = sum(lam1) + delta1 - sum(lam2) + skew
     alpha1, alpha2 = signs[0] * charge, signs[1] * charge
-    got = twodim._chiral_gram(alpha1, alpha2, delta1, lam1, delta2, lam2)
+    keys = charge_key(alpha1), charge_key(alpha2)
+    got = twodim._chiral_gram(*keys, delta1, lam1, delta2, lam2)
     if isinstance(charge, Fraction):
         assert type(got[0]) is int  # a sum of integer numerators, never a Fraction
     _same(_gram_value(got), chiral_gram(alpha1, delta1, lam1, alpha2, delta2, lam2))
-    assert twodim._gram_table(alpha1, alpha2)(delta1, lam1, delta2, lam2) == got
+    assert twodim._chiral_gram.__wrapped__(*keys, delta1, lam1, delta2, lam2) == got
 
 
-def _reference_gram_table(alpha1, alpha2):
-    def gram(d1, l1, d2, l2):
-        g = chiral_gram(alpha1, d1, l1, alpha2, d2, l2)
-        return (g, 1) if isinstance(g, float) else (g.numerator, g.denominator)
-
-    return gram
+def _reference_chiral_gram(key1, key2, d1, l1, d2, l2):
+    g = chiral_gram(_charge(key1), d1, l1, _charge(key2), d2, l2)
+    return (g, 1) if isinstance(g, float) else (g.numerator, g.denominator)
 
 
 PAIRING_CASES = st.fixed_dictionaries(
@@ -417,7 +421,7 @@ def test_pairings_equal_those_of_the_reference_grams(mode, case):
     u = time_zero_image(sp, TimeZeroMode(charge, case["m_bra"]), _state(ctx, case["phi1"]))
     w = time_zero_image(sp, TimeZeroMode(charge, case["m_ket"]), _state(ctx, case["phi2"]))
     got = (image_inner_product(u, w), image_band_report(u), image_band_report(w))
-    with mock.patch.object(twodim, "_gram_table", _reference_gram_table):
+    with mock.patch.object(twodim, "_chiral_gram", _reference_chiral_gram):
         want = (image_inner_product(u, w), image_band_report(u), image_band_report(w))
     _same(got[0], want[0])
     for ours, theirs in zip(got[1:], want[1:]):
@@ -432,8 +436,9 @@ def _reference_bands(u, w, same_band):
     are bit for bit the kernel's)."""
     ctx, L, a, b = u.space.ctx, u.space.trunc.level_cutoff, u.mode.m, w.mode.m
     out = {}
-    for jt, al, c, left, right, ll, lr in u.terms:
-        for jt2, al2, c2, left2, right2, ll2, lr2 in w.terms:
+    for jt, key, c, left, right, ll, lr in u.terms:
+        for jt2, key2, c2, left2, right2, ll2, lr2 in w.terms:
+            al, al2 = _charge(key), _charge(key2)
             shift = ll - ll2
             if jt2 != jt or lr + a - ll != lr2 + b - ll2 or (same_band and shift):
                 continue
@@ -540,7 +545,7 @@ def test_band_norms_build_at_most_one_fraction_per_band():
     # the kernel's shape, not its speed: band norms of Psi_{-1} on a basis
     # probe sum Python ints, and divide at most once per band
     image = time_zero_image(space(7), TimeZeroMode(A0, -1), TensorState.basis(0, (2,), (1,)))
-    twodim._gram_table.cache_clear()
+    twodim._chiral_gram.cache_clear()
     made = []
     new = Fraction.__new__
 
@@ -561,7 +566,7 @@ def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
     sp = Space(ctx, half, Truncation(7, -2, 2))
     phi1, phi2 = TensorState.basis(0, (2,), (1,)), TensorState.basis(0, (1,), ())
     modes = (TimeZeroMode(half, -1), TimeZeroMode(half, 2))
-    twodim._gram_table.cache_clear()
+    twodim._chiral_gram.cache_clear()
     cache = PsiCache()
     cold = psi_pair_form(sp, *modes, phi1, phi2, cache)
     assert len(cache._store) == 2
@@ -575,21 +580,21 @@ def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
 def test_float_and_fraction_charges_never_share_a_memo_entry():
     sp = space(6)
     state = TensorState.basis(0, (1,), ())
-    assert time_zero_image(sp, TimeZeroMode(A0, 1), state) == time_zero_image(
+    assert time_zero_image(sp, TimeZeroMode(A0, 1), state) != time_zero_image(
         sp, TimeZeroMode(0.5, 1), state
-    )  # equal by value alone
+    )  # equal modes, but the terms carry the charge keys
     cache = PsiCache()
     exact, _ = cache.apply(sp, A0, 1, state)
     floating, _ = cache.apply(sp, 0.5, 1, state)
     assert len(cache._store) == 2
-    assert {type(term[1]) for term in exact.terms} == {Fraction}
+    assert {term[1] for term in exact.terms} == {(1, 2), (-1, 2)}
+    assert {term[1] for term in floating.terms} == {0.5, -0.5}
     assert {type(term[1]) for term in floating.terms} == {float}
-    assert twodim._gram_table(0.5, 0.5) is not twodim._gram_table(A0, A0)
     # Y_0 (1,) = (1 - alpha^2) (1,), so its Gram is (3/4)^2 zsym((1,)) in both:
     # a float over 1, and Python ints
-    num, den = twodim._gram_table(0.5, 0.5)(0, (1,), 0, (1,))
+    num, den = twodim._chiral_gram(0.5, 0.5, 0, (1,), 0, (1,))
     assert type(num) is float and num == 0.5625 and den == 1
-    num, den = twodim._gram_table(A0, A0)(0, (1,), 0, (1,))
+    num, den = twodim._chiral_gram((1, 2), (1, 2), 0, (1,), 0, (1,))
     assert type(num) is int and type(den) is int and Fraction(num, den) == Fraction(9, 16)
 
 
@@ -609,7 +614,3 @@ def test_psi_cache_refuses_an_image_that_leaves_the_charge_window():
     images = [image for image, _tail in cache._store.values()]
     assert len(images) == 2 and not any(image.charge_clipped for image in images)
 
-
-def test_gram_tables_are_bounded():
-    assert twodim._gram_table.cache_info().maxsize is not None
-    assert twodim._gram_table(A0, A0).cache_info().maxsize is not None

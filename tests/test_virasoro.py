@@ -8,6 +8,7 @@ from chargedfock.fock import (
     Space,
     TensorState,
     Truncation,
+    charge_key,
     partitions_of,
     states_equal,
 )
@@ -168,4 +169,4 @@ def test_term_lists_give_the_k_loop_rows():
         for n, level, j in product(range(-6, 7), range(9), range(-2, 3)):
             for lam in partitions_of(level):
                 want = repr(sugawara_k_loop(n, j, lam, alpha0, fault))
-                assert repr(build(n, j, lam, alpha0, fault)) == want, (alpha0, fault, n, j, lam)
+                assert repr(build(n, j, lam, charge_key(alpha0), fault)) == want, (alpha0, fault, n, j, lam)
