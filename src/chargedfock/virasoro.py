@@ -91,23 +91,22 @@ def _l_table(n: int, key: ChargeKey, fault: bool):
     return lambda j, lam: _sugawara_on_basis(n, j, lam, key, fault)
 
 
-def _l_rows(space: Space, n: int):
-    return _l_table(n, charge_key(space.alpha0), FAULT_SUGAWARA)
+def _l_key(space: Space, n: int) -> tuple:
+    return n, charge_key(space.alpha0), FAULT_SUGAWARA
 
 
 def l_matrices(space: Space, n: int) -> Callable[[int], LevelMatrix]:
     """level -> L_n from the basis at ``level``, one column per partition,
     stacked over the window's sectors."""
-    window = (space.trunc.j_min, space.trunc.j_max)
-    return level_matrices(_l_table, -n, window, n, charge_key(space.alpha0), FAULT_SUGAWARA)
+    return level_matrices(_l_table, -n, (space.trunc.j_min, space.trunc.j_max), *_l_key(space, n))
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:
-    return apply_rows(space, v, _l_rows(space, n))
+    return apply_rows(space, v, _l_table(*_l_key(space, n)))
 
 
 def apply_L_tensor(space: Space, side: str, n: int, v: TensorState) -> TensorState:
-    return apply_rows(space, v, _l_rows(space, n), side)
+    return apply_rows(space, v, _l_table(*_l_key(space, n)), side)
 
 
 def central_term(m: int, n: int) -> Fraction:

@@ -322,7 +322,7 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
     if mode == "J":
         stack, rows, shift = j_matrices(space, m), heisenberg._j_table(*heisenberg._j_key(space, m)), -m
     elif mode == "L":
-        stack, rows, shift = l_matrices(space, m), virasoro._l_rows(space, m), -m
+        stack, rows, shift = l_matrices(space, m), virasoro._l_table(*virasoro._l_key(space, m)), -m
     else:
         stack, rows, shift = y_matrices(space, -2 * charge, m), vertex._y_table(charge_key(-2 * charge), m), m
     stack = stack(level)
@@ -592,8 +592,13 @@ def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
     )
     for table, args, shift in tables:
         ints, floats = (fock.level_matrices(table, shift, WINDOW, *args(key)) for key in keys)
+        assert ints is not floats
         assert ints(2).ints.dtype == np.int64 and floats(2).ints.dtype == float
+        # equal arguments find the memoized stacks, whose own per-level memo is bounded
+        assert ints is fock.level_matrices(table, shift, WINDOW, *args(keys[0]))
+        assert ints.cache_info().maxsize is not None
         narrow = fock.level_matrices(table, shift, (-1, 1), *args(keys[0]))
+        assert ints is not narrow
         assert ints(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
     ints, floats = (twodim._chiral_gram(key, key, 1, (), 1, ()) for key in keys)
     assert type(ints[0]) is int and type(floats[0]) is float
@@ -603,7 +608,8 @@ def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
     assert len(cache._store) == 2
     assert {term[1] for term in ints.terms} == {keys[0], charge_key(-exact)}
     assert {type(term[1]) for term in floats.terms} == {float}
-    # and so the applications: float values in float mode, none in the exact one
+    # and so the applications: float values in float mode, Fractions in the
+    # exact one, where an integral charge may leave integers
     float_space = Space(make_context("float", 1e-9), floating, space.trunc)
     vac = SectorState.basis(1, ())
     for apply in (
@@ -614,7 +620,10 @@ def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
         floats, exacts = apply(float_space), apply(space)
         assert floats.entries == exacts.entries != {}
         assert {type(c) for c in floats.entries.values()} == {float}
-        assert not any(isinstance(c, float) for c in exacts.entries.values())
+        if exact.denominator == 1:
+            assert not any(isinstance(c, float) for c in exacts.entries.values())
+        else:
+            assert {type(c) for c in exacts.entries.values()} == {Fraction}
 
 
 def test_no_memo_lookup_hashes_a_fraction(monkeypatch):
