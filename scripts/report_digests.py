@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """One line per CLI run: subcommand and its fixed flags, arithmetic mode,
-cutoff, exit code and a sha256 of stdout.
+cutoff, exit code, a sha256 of stdout and a sha256 of stderr with its
+seconds, pids and peak RSS masked.
 
 Runs every subcommand of ``chargedfock.cli``, ``verify-algebra
 --inject-fault sugawara`` for a failing verdict and ``converge --m-list 0,1``
@@ -17,6 +18,7 @@ these runs when their outputs are equal:
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,18 @@ from pathlib import Path
 MODES = {"exact-rational": [], "exact-gaussian": [], "float": ["--tolerance", "1e-9"]}
 # runs with fixed flags after those of the bare subcommands
 FIXED_RUNS = [("verify-algebra", "--inject-fault", "sugawara"), ("converge", "--m-list", "0,1")]
+# what differs between two runs of the same code on stderr -> its mask
+STDERR_MASKS = [
+    (re.compile(rb"\d+\.\d+ s\b"), b"# s"),
+    (re.compile(rb"\bpid \d+"), b"pid #"),
+    (re.compile(rb"peak RSS \d+(\.\d+)? MB"), b"peak RSS # MB"),
+]
+
+
+def masked_stderr(err: bytes) -> bytes:
+    for pattern, mask in STDERR_MASKS:
+        err = pattern.sub(mask, err)
+    return err
 
 
 def _env(src: Path) -> dict:
@@ -39,14 +53,15 @@ def subcommands(src: Path) -> list:
 
 def digest_line(checkout: Path, name: str, mode: str, cutoff: str, flags=()) -> str:
     """One fresh CLI run of subcommand `name` with `flags` on the checkout's
-    src/, as ``subcommand [flags] mode cutoff exit sha256(stdout)``."""
+    src/, as ``subcommand [flags] mode cutoff exit sha256(stdout)
+    sha256(masked stderr)``."""
     argv = [name, *flags, "--arithmetic", mode, *MODES[mode]]
     if cutoff != "default":
         argv += ["--level_cutoff", cutoff]
     proc = subprocess.run([sys.executable, "-m", "chargedfock.cli", *argv], cwd=checkout,
                           env=_env(checkout / "src"), capture_output=True)
-    digest = hashlib.sha256(proc.stdout).hexdigest()
-    return " ".join([name, *flags, mode, cutoff, str(proc.returncode), digest])
+    digests = [hashlib.sha256(out).hexdigest() for out in (proc.stdout, masked_stderr(proc.stderr))]
+    return " ".join([name, *flags, mode, cutoff, str(proc.returncode), *digests])
 
 
 def main() -> int:

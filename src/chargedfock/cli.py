@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -38,7 +39,12 @@ _VERDICT_CODE = {"pass": EXIT_OK, "identity_failure": EXIT_IDENTITY, "budget_exc
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; the harness contract reserves 2 for
-    identity failures, so usage errors exit 1 instead."""
+    identity failures, so usage errors exit 1 instead.  A token that starts
+    with ``-`` and a digit, as ``-1/4`` or ``-3,3``, is a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -43,9 +43,10 @@ from itertools import product
 from typing import Callable, List, Optional, Tuple
 
 from . import virasoro
-from .fock import Space, TensorState, charge_key, inner_product, partitions_of
+from .fock import Space, TensorState, charge_key, inner_product, partitions_of, space_key, state_key
 from .scalar import Scalar
-from .twodim import PsiCache, image_inner_product, partial_sum_norm_series, weak_psi_commutator
+# PsiCache is bound here for bench/tracer.py, which finds the class by this name
+from .twodim import IMAGES, PsiCache, image_inner_product, partial_sum_norm_series, weak_psi_commutator  # noqa: F401
 from .vertex import charge_multiplier, conformal_weight
 from .virasoro import apply_L_tensor
 
@@ -136,23 +137,15 @@ _REUSE = Counter()
 
 
 def _space_key(space: Space) -> tuple:
-    """The space by value, its charge's key (a float charge never meets an
-    equal Fraction) and the Sugawara fault flag, which changes every L row."""
-    return space, charge_key(space.alpha0), virasoro.FAULT_SUGAWARA
-
-
-def _state_key(v: TensorState) -> tuple:
-    """A state by value and type, its entries in insertion order: an output
-    sums its terms in that order, so float outputs stay bit-identical."""
-    entries = v.entries
-    return tuple(entries.items()), tuple(map(type, entries.values())), v.overflow
+    """The space's key and the Sugawara fault flag, which changes every L row."""
+    return space_key(space), virasoro.FAULT_SUGAWARA
 
 
 def apply_l_part(space: Space, gen: PerturbedGenerator, v: TensorState) -> TensorState:
     """Unperturbed part: ``L_m`` on the left plus/minus ``L_{-m}`` on the right.
     Memoized by (space, m, chiral sign, state), each by value and type."""
     sign = chiral_sign(gen)
-    slot = _l_part_slot((_space_key(space), gen.m, sign, _state_key(v)))
+    slot = _l_part_slot((_space_key(space), gen.m, sign, state_key(v)))
     if not slot:
         _REUSE["chiral_computed"] += 1
         left = apply_L_tensor(space, "left", gen.m, v)
@@ -208,8 +201,8 @@ def _entry(space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, p
         charge_key(gen_a.alpha),
         gen_a.m,
         gen_b.m,
-        _state_key(phi1),
-        _state_key(phi2),
+        state_key(phi1),
+        state_key(phi2),
     )
     return _entry_slot(key)
 
@@ -226,32 +219,27 @@ def _piece(entry: dict, name, compute: Callable) -> tuple:
     return pieces
 
 
-def _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral, cache) -> tuple:
+def _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral) -> tuple:
     """The cross pairings of each bilinear that acts, then (when both act) the
     bilinear/bilinear weak commutator and its budget; None where one does not."""
     la_ad1, lb_ad1, la2, lb2 = chiral
     alpha = gen_a.alpha
     b_ket = b_bra = a_bra = a_ket = None
     if use_b:
-        b_ket = image_inner_product(la_ad1, cache.apply(space, alpha, gen_b.m, phi2)[0])
-        b_bra = image_inner_product(cache.apply(space, alpha, -gen_b.m, phi1)[0], la2)
+        b_ket = image_inner_product(la_ad1, IMAGES.apply(space, alpha, gen_b.m, phi2)[0])
+        b_bra = image_inner_product(IMAGES.apply(space, alpha, -gen_b.m, phi1)[0], la2)
     if use_a:
-        a_bra = image_inner_product(cache.apply(space, alpha, -gen_a.m, phi1)[0], lb2)
-        a_ket = image_inner_product(lb_ad1, cache.apply(space, alpha, gen_a.m, phi2)[0])
+        a_bra = image_inner_product(IMAGES.apply(space, alpha, -gen_a.m, phi1)[0], lb2)
+        a_ket = image_inner_product(lb_ad1, IMAGES.apply(space, alpha, gen_a.m, phi2)[0])
     if not (use_a and use_b):
         return b_ket, b_bra, a_bra, a_ket, None, None
-    value, budget = weak_psi_commutator(space, alpha, gen_a.m, gen_b.m, phi1, phi2, cache)
+    value, budget = weak_psi_commutator(space, alpha, gen_a.m, gen_b.m, phi1, phi2)
     return b_ket, b_bra, a_bra, a_ket, value, budget
 
 
 def weak_commutator_parts(
-    space: Space,
-    gen_a: PerturbedGenerator,
-    gen_b: PerturbedGenerator,
-    phi1: TensorState,
-    phi2: TensorState,
+    space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, phi1: TensorState, phi2: TensorState,
     interior_buffer: int,
-    cache: PsiCache,
 ) -> WeakParts:
     """<A* phi1, B phi2> - <B* phi1, A phi2> split into exact and budgeted parts.
 
@@ -262,7 +250,7 @@ def weak_commutator_parts(
     ``psipsi`` carries the band-truncation budget.
 
     The pairings come from the (cell, probe pair)'s coupling-free pieces,
-    computed on first use through ``cache``; every check runs on every call.
+    computed on first use; every check runs on every call.
     """
     ctx = space.ctx
     if gen_a.alpha != gen_b.alpha:
@@ -314,7 +302,7 @@ def weak_commutator_parts(
     b_ket, b_bra, a_bra, a_ket, psi_commutator, psi_budget = _piece(
         entry,
         "bilinear",
-        lambda: _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral, cache),
+        lambda: _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral),
     )
     if use_b:
         mixed = mixed + b_coeff * b_ket
@@ -329,12 +317,7 @@ def weak_commutator_parts(
 
 
 def commutator_targets(
-    space: Space,
-    gen_a: PerturbedGenerator,
-    gen_b: PerturbedGenerator,
-    phi1: TensorState,
-    phi2: TensorState,
-    cache: PsiCache,
+    space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, phi1: TensorState, phi2: TensorState
 ) -> Tuple[Scalar, Scalar]:
     """Ladder target (m - n) <phi1, G_{m+n} phi2>, split like the commutator.
 
@@ -360,7 +343,7 @@ def commutator_targets(
     (psi_pairing,) = _piece(
         entry,
         "target_psi",
-        lambda: (image_inner_product(phi1, cache.apply(space, target.alpha, target.m, phi2)[0]),),
+        lambda: (image_inner_product(phi1, IMAGES.apply(space, target.alpha, target.m, phi2)[0]),),
     )
     psi_target = coeff * (t_coeff * psi_pairing)
     return ll_target, psi_target
@@ -511,19 +494,10 @@ def _probe_pairs(
     return pairs
 
 
-def _residual_record(
-    space: Space,
-    gen_a: PerturbedGenerator,
-    gen_b: PerturbedGenerator,
-    probe: str,
-    phi1: TensorState,
-    phi2: TensorState,
-    interior_buffer: int,
-    cache: PsiCache,
-) -> dict:
+def _residual_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interior_buffer: int) -> dict:
     ctx = space.ctx
-    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer, cache)
-    ll_target, psi_target = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache)
+    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer)
+    ll_target, psi_target = commutator_targets(space, gen_a, gen_b, phi1, phi2)
     ll_residual = parts.ll - ll_target
     mixed_residual = parts.mixed - psi_target
     residual = ll_residual + mixed_residual + parts.psipsi
@@ -559,23 +533,14 @@ def _residual_record(
     return record
 
 
-def _gap_record(
-    space: Space,
-    gen_a: PerturbedGenerator,
-    gen_b: PerturbedGenerator,
-    probe: str,
-    phi1: TensorState,
-    phi2: TensorState,
-    interior_buffer: int,
-    cache: PsiCache,
-) -> Tuple[dict, bool]:
+def _gap_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interior_buffer: int) -> Tuple[dict, bool]:
     """A measured cross-term gap of the constant-coefficient family against
     its prediction ``lam (2d - 1) (m - n) <phi1, Psi_{m+n} phi2>``, and
     whether the gap vanishes."""
     ctx = space.ctx
     m, n, lam = gen_a.m, gen_b.m, gen_a.lam
-    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer, cache)
-    _ll_t, psi_t = commutator_targets(space, gen_a, gen_b, phi1, phi2, cache)
+    parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer)
+    _ll_t, psi_t = commutator_targets(space, gen_a, gen_b, phi1, phi2)
     gap = parts.mixed - psi_t
     if ctx.is_zero(lam) or m == n:
         predicted = ctx.zero()
@@ -623,20 +588,18 @@ def _cells(m_range: int) -> List[Tuple[int, int]]:
 
 
 def _family_sweep(name, space, family, alpha, lam, cells, buffer, record, **probe_args) -> list:
-    """``record(space, gen_a, gen_b, probe, phi1, phi2, buffer, cache)`` on
-    each cell (m, n), gen_a and gen_b the family's members at m and n, and on
-    each probe pair of :func:`_probe_pairs`, cells outermost, through one
-    :class:`PsiCache`.  Logs one INFO line on what the sweep computed and
-    what it reused."""
+    """``record(space, gen_a, gen_b, probe, phi1, phi2, buffer)`` on each
+    cell (m, n), gen_a and gen_b the family's members at m and n, and on each
+    probe pair of :func:`_probe_pairs`, cells outermost.  Logs one INFO line
+    on what the sweep computed and what it reused."""
     t0 = time.perf_counter()
     _REUSE.clear()
-    cache = PsiCache()
     pairs = _probe_pairs(space, alpha, buffer, **probe_args)
     records = []
     for m, n in cells:
         gen_a = PerturbedGenerator(family, m, lam, alpha)
         gen_b = PerturbedGenerator(family, n, lam, alpha)
-        records += [record(space, gen_a, gen_b, probe, phi1, phi2, buffer, cache) for probe, phi1, phi2 in pairs]
+        records += [record(space, gen_a, gen_b, probe, phi1, phi2, buffer) for probe, phi1, phi2 in pairs]
     log.info(
         "%s: %d records, %d of %d chiral applications computed,"
         " %d coupling-free pieces computed, %d reused, %.3f s",

@@ -146,6 +146,19 @@ def charge_key(charge) -> ChargeKey:
     return charge.numerator, charge.denominator
 
 
+def space_key(space: Space) -> tuple:
+    """The memo key of a space, its charge quantum by :func:`charge_key`."""
+    return space.ctx, charge_key(space.alpha0), space.trunc
+
+
+def state_key(v) -> tuple:
+    """The memo key of a state: its entries in order (an output sums its
+    terms in that order, so float outputs stay bit-identical), their types
+    and its overflow flag."""
+    entries = v.entries
+    return tuple(entries.items()), tuple(map(type, entries.values())), v.overflow
+
+
 def integer_row(level: int, acc: dict, den: int) -> Row:
     """Row from output partition -> integer numerator over ``den``: zeros
     dropped, then reduced to the least common denominator of the values."""

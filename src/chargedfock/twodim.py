@@ -38,9 +38,9 @@ image against a materialized state: an (entry, term) pair fixes its band and
 one entry of each of the band's two rows, and each entry divides once.  The
 exact modes stay exact, so the values equal those of the materialized tensor.
 
-Every pairing of two images goes through :func:`psi_pair_form`, which reads
-both images and their tail norms from the caller's :class:`PsiCache`: one
-report builds each distinct image and its tail norm once.
+Every image and its tail norm comes from :data:`IMAGES`, the process's one
+bounded :class:`PsiCache`, keyed by value: each distinct image is built once
+while it stays among the last ``IMAGE_BOUND`` built.
 
 :func:`apply_time_zero` still builds the truncated band sum as a
 :class:`~chargedfock.fock.TensorState`, band by band.  Nothing in the
@@ -59,7 +59,7 @@ from itertools import accumulate
 from typing import Dict, List, Tuple
 
 from .diagnostics import loglog_slope, tail_budget
-from .fock import ChargeKey, Partition, Space, TensorState, charge_key, norm_sq, zsym
+from .fock import ChargeKey, Partition, Space, TensorState, charge_key, norm_sq, space_key, state_key, zsym
 from .scalar import Scalar, decimal_str
 from .vertex import _y_row, charge_multiplier, y_mode_table
 
@@ -341,12 +341,17 @@ def tail_product(tail_bra: float, tail_ket: float) -> float:
     return tail_bra * tail_ket
 
 
-class PsiCache:
-    """The time-zero images of one report and their tail norms, each built once.
+# images per report: verify-commutativity 63 (cutoffs 10, 24), verify-lorentz 14, virasoro-c0 28, d-half 15
+IMAGE_BOUND = 1024
 
-    Keyed by value (space, charge key, index, the input state's entries in
-    order): an equal state built twice hits, and a state in another order
-    gets its own image.
+
+class PsiCache:
+    """Time-zero images and their tail norms, each built once while it stays
+    among the last ``IMAGE_BOUND`` built; counts the images requested and built.
+
+    Keyed by value (:func:`~chargedfock.fock.space_key`, charge key, index,
+    :func:`~chargedfock.fock.state_key`): an equal state built twice hits, and
+    a state in another order or with other value types gets its own image.
     Refuses an image that left the charge window, whose dropped terms are not
     orthogonal to the kept ones.
     """
@@ -354,10 +359,11 @@ class PsiCache:
     def __init__(self):
         self._store: Dict[tuple, Tuple[TimeZeroImage, float]] = {}
         self.requests = 0
+        self.built = 0
 
     def apply(self, space: Space, alpha: Scalar, m: int, state: TensorState) -> Tuple[TimeZeroImage, float]:
         self.requests += 1
-        key = (space, charge_key(alpha), m, tuple(state.entries.items()))
+        key = (space_key(space), charge_key(alpha), m, state_key(state))
         hit = self._store.get(key)
         if hit is None:
             image = time_zero_image(space, TimeZeroMode(alpha, m), state)
@@ -366,29 +372,37 @@ class PsiCache:
                     "bilinear application left the charge window; test vectors"
                     " must sit one charge step inside it"
                 )
-            hit = self._store[key] = (image, band_tail_norm(image_band_report(image)))
+            hit = (image, band_tail_norm(image_band_report(image)))
+            if len(self._store) >= IMAGE_BOUND:
+                del self._store[next(iter(self._store))]
+            self._store[key] = hit
+            self.built += 1
         return hit
 
 
-def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2, cache: PsiCache):
+# the process's one image memo; callers look up IMAGES.apply per call, so a wrapper on the class sees each
+IMAGES = PsiCache()
+
+
+def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2):
     """<Psi_bra phi1, Psi_ket phi2> at the cutoff, with a truncation budget.
 
     Kept components stay inside the cutoff while dropped bands leave it on at
     least one chiral factor, so cross terms between kept and dropped parts
     vanish identically; the budget is the product of the two extrapolated
-    tail norms.  Both images come from ``cache``.
+    tail norms.  Both images come from :data:`IMAGES`.
     """
-    u, tail_u = cache.apply(space, mode_bra.alpha, mode_bra.m, phi1)
-    w, tail_w = cache.apply(space, mode_ket.alpha, mode_ket.m, phi2)
+    u, tail_u = IMAGES.apply(space, mode_bra.alpha, mode_bra.m, phi1)
+    w, tail_w = IMAGES.apply(space, mode_ket.alpha, mode_ket.m, phi2)
     return image_inner_product(u, w), tail_product(tail_u, tail_w)
 
 
-def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2, cache: PsiCache):
+def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2):
     """Weak commutator of two symmetrized time-zero modes on a pair of states:
     <Psi_{-m} phi1, Psi_n phi2> - <Psi_{-n} phi1, Psi_m phi2>, with the sum
     of the two pairings' budgets."""
-    first, b1 = psi_pair_form(space, TimeZeroMode(alpha, -m), TimeZeroMode(alpha, n), phi1, phi2, cache)
-    second, b2 = psi_pair_form(space, TimeZeroMode(alpha, -n), TimeZeroMode(alpha, m), phi1, phi2, cache)
+    first, b1 = psi_pair_form(space, TimeZeroMode(alpha, -m), TimeZeroMode(alpha, n), phi1, phi2)
+    second, b2 = psi_pair_form(space, TimeZeroMode(alpha, -n), TimeZeroMode(alpha, m), phi1, phi2)
     return first - second, b1 + b2
 
 

@@ -541,6 +541,28 @@ def test_verify_commutativity_names_the_sectors_its_window_must_hold(capsys, cap
     assert capsys.readouterr().out == ""
 
 
+# a negative value after its flag: argparse once took each for an option and
+# refused the run with "expected one argument"
+NEGATIVE_VALUES = [
+    (["verify-lorentz", "--lambda", "-1/4"], "lambda", "-1/4"),
+    (["verify-lorentz", "--alpha0", "-1/2"], "alpha0", "-1/2"),
+    (["verify-commutativity", "--charge_window", "-3,3"], "charge_window", [-3, 3]),
+]
+
+
+def test_a_negative_flag_value_is_a_value(capsys, caplog):
+    for argv, key, value in NEGATIVE_VALUES:
+        code, out = run(capsys, *argv, "--level_cutoff", "6")
+        report = json.loads(out)
+        assert code == 0 and report["config"][key] == value, argv
+        assert report.get("verdict", report.get("summary", {}).get("verdict")) == "pass"
+    # a negative count still reaches its own refusal
+    assert main(["verify-lorentz", "--interior-buffer", "-1", "--level_cutoff", "6"]) == 1
+    assert capsys.readouterr().out == ""
+    assert "interior buffer -1 cannot absorb a level shift of 1" in caplog.text
+    assert "expected one argument" not in caplog.text
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run(
@@ -641,6 +663,38 @@ def test_a_single_commutativity_cutoff_is_announced(capsys, caplog):
     code, out = run(capsys, "verify-commutativity")
     assert code == 0
     assert SINGLE_CUTOFF not in caplog.text
+
+
+PAST_CUTOFF = "commutativity: probes past cutoff"
+
+
+def test_probes_past_a_cutoff_are_named_with_their_levels(capsys, caplog):
+    # sampled probes reach chiral level 2, level-one and charge-transfer level
+    # 1; past the cutoff they pair states outside the truncated space, and
+    # the report stays as it was
+    expected = {
+        "1": "1 pair states outside its truncated space, so their rows there check nothing:"
+        " sampled-0 at chiral level 2, sampled-1 at chiral level 2",
+        "0": "0 pair states outside its truncated space, so their rows there check nothing:"
+        " level-one at chiral level 1, charge-transfer at chiral level 1, sampled-0 at chiral level 2,"
+        " sampled-1 at chiral level 2",
+    }
+    for cutoff, tail in expected.items():
+        caplog.clear()
+        code, _out = run(capsys, "verify-commutativity", "--level_cutoff", cutoff)
+        assert code == 0
+        past = [r.getMessage() for r in caplog.records if r.getMessage().startswith(PAST_CUTOFF)]
+        assert past == [f"{PAST_CUTOFF} {tail}"]
+        assert [r.levelname for r in caplog.records if r.getMessage() in past] == ["WARNING"]
+    caplog.clear()
+    assert run(capsys, "verify-commutativity", "--level_cutoff", "8")[0] == 0
+    assert PAST_CUTOFF not in caplog.text
+    # the low cutoff counts as well: at cutoffs 1 and 8 the level-2 samples
+    # lie past the first
+    caplog.clear()
+    space, alpha, _lam = build_space(resolve_config(None, {"level_cutoff": "8"}))
+    harness.commutativity_report(space, alpha, low_cutoff=1)
+    assert f"{PAST_CUTOFF} 1 " in caplog.text
 
 
 def test_the_benchmark_commutativity_config_checks_two_cutoffs(caplog):

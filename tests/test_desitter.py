@@ -10,7 +10,6 @@ import chargedfock.desitter as desitter
 from chargedfock import virasoro
 from chargedfock.desitter import (
     PerturbedGenerator,
-    PsiCache,
     apply_l_part,
     closure_table,
     commutator_targets,
@@ -32,7 +31,7 @@ from chargedfock.fock import (
     states_equal,
 )
 from chargedfock.scalar import GaussianRational, make_context
-from chargedfock.twodim import image_inner_product
+from chargedfock.twodim import IMAGES, image_inner_product
 from chargedfock.vertex import conformal_weight
 from chargedfock.virasoro import apply_L_tensor
 
@@ -63,9 +62,9 @@ def lorentz_pair(m, n, lam=LAM):
     )
 
 
-def residuals(sp, gen_a, gen_b, phi1, phi2, buffer, cache):
-    parts = weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, buffer, cache=cache)
-    ll_t, psi_t = commutator_targets(sp, gen_a, gen_b, phi1, phi2, cache=cache)
+def residuals(sp, gen_a, gen_b, phi1, phi2, buffer):
+    parts = weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, buffer)
+    ll_t, psi_t = commutator_targets(sp, gen_a, gen_b, phi1, phi2)
     return parts, parts.ll - ll_t, parts.mixed - psi_t
 
 
@@ -110,12 +109,12 @@ def test_interior_preconditions():
     gen_a, gen_b = lorentz_pair(1, -1)
     deep = TensorState.basis(0, (7,), ())
     with pytest.raises(ValueError):
-        weak_commutator_parts(sp, gen_a, gen_b, deep, VAC, 3, PsiCache())
+        weak_commutator_parts(sp, gen_a, gen_b, deep, VAC, 3)
     with pytest.raises(ValueError):
-        weak_commutator_parts(sp, gen_a, gen_b, VAC, VAC, 0, PsiCache())
+        weak_commutator_parts(sp, gen_a, gen_b, VAC, VAC, 0)
     edge = TensorState.basis(2, (), ())  # one bilinear branch exits the window
     with pytest.raises(ValueError):
-        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3, PsiCache())
+        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3)
 
 
 def test_commutator_targets_refuse_an_edge_state():
@@ -126,20 +125,19 @@ def test_commutator_targets_refuse_an_edge_state():
     edge = TensorState.basis(2, (), ())
     bra = TensorState.basis(0, (), (1,))
     with pytest.raises(ValueError, match="left the charge window"):
-        commutator_targets(sp, gen_a, gen_b, bra, edge, PsiCache())
+        commutator_targets(sp, gen_a, gen_b, bra, edge)
     # one sector further in, the same target pairs to lam (m - n) <bra, Psi_1 vac_1>
-    _ll, psi_target = commutator_targets(sp, gen_a, gen_b, bra, TensorState.basis(1, (), ()), PsiCache())
+    _ll, psi_target = commutator_targets(sp, gen_a, gen_b, bra, TensorState.basis(1, (), ()))
     assert psi_target == Fraction(-1, 8)
 
 
 def test_unperturbed_lorentz_relations_close_exactly():
     sp = space(8)
-    cache = PsiCache()
     for m in (-1, 0, 1):
         for n in (-1, 0, 1):
             gen_a, gen_b = lorentz_pair(m, n, lam=Fraction(0))
             for phi1, phi2 in [(VAC, VAC), (EXCITED, EXCITED), (STEP, VAC)]:
-                parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi1, phi2, 3, cache)
+                parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi1, phi2, 3)
                 assert ll_res == 0
                 assert mixed_res == 0
                 assert parts.psipsi == 0
@@ -149,26 +147,24 @@ def test_unperturbed_lorentz_relations_close_exactly():
 def test_boost_cell_reproduces_double_level_difference():
     # [G_1, G_-1] pairs to 2 (L_0 (x) 1 - 1 (x) L_0) on interior vectors
     sp = space(8)
-    cache = PsiCache()
     gen_a, gen_b = lorentz_pair(1, -1)
     phi = TensorState.basis(0, (2, 1), (1,))
-    parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi, phi, 3, cache)
+    parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi, phi, 3)
     k0 = apply_l_part(sp, PerturbedGenerator("lorentz", 0, Fraction(0), ALPHA), phi)
     two_k0 = inner_product(EXACT, phi, k0) * 2
     assert parts.ll == two_k0 == 8  # chiral levels (3, 1) weigh in with twice their gap
     shifted = TensorState.basis(0, (1,), (2, 1))
-    parts2 = weak_commutator_parts(sp, gen_a, gen_b, phi, shifted, 3, cache=cache)
+    parts2 = weak_commutator_parts(sp, gen_a, gen_b, phi, shifted, 3)
     assert parts2.ll == 0  # the level-difference target is diagonal in the tensor basis
     assert ll_res == 0 and mixed_res == 0
 
 
 def test_mixed_terms_cancel_exactly_across_lorentz_cells():
     sp = space(8)
-    cache = PsiCache()
     for m in (-1, 0, 1):
         for n in (-1, 0, 1):
             gen_a, gen_b = lorentz_pair(m, n, lam=Fraction(1))
-            parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, STEP, VAC, 3, cache)
+            parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, STEP, VAC, 3)
             assert ll_res == 0
             assert mixed_res == 0
             assert parts.psipsi == 0  # two bilinears step twice in charge
@@ -176,21 +172,17 @@ def test_mixed_terms_cancel_exactly_across_lorentz_cells():
 
 def test_mixed_cancellation_is_not_vacuous():
     sp = space(8)
-    cache = PsiCache()
     gen_a, gen_b = lorentz_pair(-1, 0, lam=Fraction(1))
-    parts = weak_commutator_parts(
-        sp, gen_a, gen_b, TensorState.basis(1, (1,), ()), VAC, 3, cache=cache
-    )
+    parts = weak_commutator_parts(sp, gen_a, gen_b, TensorState.basis(1, (1,), ()), VAC, 3)
     assert parts.mixed == -ALPHA  # (m - n) lambda <step, Psi_{-1} vac> = -1 * 1 * 1/2
 
 
 def test_bilinear_part_scales_as_coupling_squared():
     sp = space(8)
-    cache = PsiCache()
     vals = {}
     for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
         gen_a, gen_b = lorentz_pair(1, -1, lam=lam)
-        parts = weak_commutator_parts(sp, gen_a, gen_b, EXCITED, EXCITED, 3, cache=cache)
+        parts = weak_commutator_parts(sp, gen_a, gen_b, EXCITED, EXCITED, 3)
         vals[lam] = parts.psipsi
     # exact quadratic through the three couplings: no constant or linear part
     r0, rh, r1 = vals[Fraction(0)], vals[Fraction(1, 2)], vals[Fraction(1)]
@@ -204,7 +196,7 @@ def test_bilinear_residual_within_tail_budget():
     gen_a, gen_b = lorentz_pair(1, -1, lam=Fraction(1))
     by_cutoff = {}
     for L in (8, 12):
-        parts = weak_commutator_parts(space(L), gen_a, gen_b, EXCITED, EXCITED, 3, cache=PsiCache())
+        parts = weak_commutator_parts(space(L), gen_a, gen_b, EXCITED, EXCITED, 3)
         assert parts.psipsi != 0
         assert abs(complex(parts.psipsi)) <= parts.tail_budget
         by_cutoff[L] = parts
@@ -219,7 +211,6 @@ def _total(parts):
 
 def test_starred_antisymmetry_every_cell():
     sp = space(8, ctx=GAUSS)
-    cache = PsiCache()
     lam = Fraction(1, 2)
     phi1 = TensorState.basis(1, (1,), ())
     phi2 = TensorState.basis(0, (1,), (1,))
@@ -231,50 +222,46 @@ def test_starred_antisymmetry_every_cell():
         for m, n in cells:
             gen_a = PerturbedGenerator(family, m, lam, ALPHA)
             gen_b = PerturbedGenerator(family, n, lam, ALPHA)
-            lhs = GAUSS.conj(_total(weak_commutator_parts(sp, gen_a, gen_b, phi2, phi1, 4, cache=cache)))
-            rhs = _total(weak_commutator_parts(sp, gen_b.adjoint(), gen_a.adjoint(), phi1, phi2, 4, cache=cache))
+            lhs = GAUSS.conj(_total(weak_commutator_parts(sp, gen_a, gen_b, phi2, phi1, 4)))
+            rhs = _total(weak_commutator_parts(sp, gen_b.adjoint(), gen_a.adjoint(), phi1, phi2, 4))
             assert lhs == rhs
 
 
 def test_literal_antisymmetry_on_adjoint_paired_cells():
     sp = space(8, ctx=GAUSS)
-    cache = PsiCache()
     phi1 = TensorState.basis(1, (1,), ())
     phi2 = TensorState.basis(0, (1,), (1,))
     for family, m in [("virasoro_c0", 2), ("lorentz", 1), ("d_half", 1)]:
         gen_a = PerturbedGenerator(family, m, Fraction(1, 2), ALPHA)
         gen_b = gen_a.adjoint()
-        lhs = _total(weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, 4, cache=cache))
-        rhs = -GAUSS.conj(_total(weak_commutator_parts(sp, gen_b, gen_a, phi2, phi1, 4, cache=cache)))
+        lhs = _total(weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, 4))
+        rhs = -GAUSS.conj(_total(weak_commutator_parts(sp, gen_b, gen_a, phi2, phi1, 4)))
         assert lhs == rhs
 
 
 def test_virasoro_c0_mixed_identity_and_central_absence():
     sp = space(8, ctx=GAUSS)
-    cache = PsiCache()
     lam = Fraction(1, 2)
     for m, n in [(2, -1), (-2, 1), (1, -1), (2, -2), (0, 1)]:
         gen_a = PerturbedGenerator("virasoro_c0", m, lam, ALPHA)
         gen_b = PerturbedGenerator("virasoro_c0", n, lam, ALPHA)
         for phi1, phi2 in [(STEP, VAC), (VAC, VAC), (EXCITED, EXCITED)]:
-            parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi1, phi2, 4, cache)
+            parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, phi1, phi2, 4)
             assert ll_res == 0  # in particular: no central term survives at m + n = 0
             assert mixed_res == 0
 
 
 def test_d_half_gap_formula_and_closure_at_half():
-    cache = PsiCache()
     lam = Fraction(1, 4)
     bra = TensorState.basis(1, (1,), ())
     for alpha0, alpha in [(A0, Fraction(1, 2)), (Fraction(1), Fraction(1))]:
         sp = space(8, alpha0=alpha0)
         d = conformal_weight(alpha)
-        local_cache = PsiCache()
         for m, n in [(0, -1), (-1, 0), (1, -2), (-2, 1)]:
             gen_a = PerturbedGenerator("d_half", m, lam, alpha)
             gen_b = PerturbedGenerator("d_half", n, lam, alpha)
-            parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, bra, VAC, 4, local_cache)
-            psi_sum, _ = local_cache.apply(sp, alpha, m + n, VAC)
+            parts, ll_res, mixed_res = residuals(sp, gen_a, gen_b, bra, VAC, 4)
+            psi_sum, _ = IMAGES.apply(sp, alpha, m + n, VAC)
             predicted = lam * (2 * d - 1) * ((m - n) * image_inner_product(bra, psi_sum))
             assert ll_res == 0
             assert mixed_res == predicted
@@ -367,6 +354,7 @@ COUPLINGS = ("0", "1/4", "1", "-1/2")
 def clear_memos():
     desitter._l_part_slot.cache_clear()
     desitter._entry_slot.cache_clear()
+    IMAGES._store.clear()
 
 
 @st.composite
@@ -408,9 +396,8 @@ def memo_run(sp, family, m, n, text, reverse, phi1, phi2):
     lam = sp.ctx.parse(text)
     gen_a = PerturbedGenerator(family, m, lam, sp.alpha0)
     gen_b = PerturbedGenerator(family, n, lam, sp.alpha0)
-    cache = PsiCache()
-    parts = weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, MEMO_BUFFER, cache=cache)
-    return parts, commutator_targets(sp, gen_a, gen_b, phi1, phi2, cache=cache)
+    parts = weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, MEMO_BUFFER)
+    return parts, commutator_targets(sp, gen_a, gen_b, phi1, phi2)
 
 
 # float probes whose tail budget moves in the last digit with their entry order
@@ -454,7 +441,7 @@ def test_memos_are_bounded():
     gen_b = gen.at(-1)
     size = desitter._entry_slot.cache_info().maxsize
     for k in range(1, size + 11):
-        weak_commutator_parts(sp, gen, gen_b, VAC.scale(k), VAC, 3, PsiCache())
+        weak_commutator_parts(sp, gen, gen_b, VAC.scale(k), VAC, 3)
     assert desitter._entry_slot.cache_info().currsize == size
 
 
@@ -463,8 +450,8 @@ def test_float_and_exact_spaces_never_share_an_entry():
     exact, floats = space(6), Space(FLOAT, float(A0), Truncation(6, -2, 2))
     gen_a, gen_b = lorentz_pair(1, -1, lam=Fraction(1))
     float_a, float_b = (PerturbedGenerator("lorentz", g.m, 1.0, 0.5) for g in (gen_a, gen_b))
-    first = weak_commutator_parts(exact, gen_a, gen_b, EXCITED, EXCITED, 3, PsiCache())
-    second = weak_commutator_parts(floats, float_a, float_b, EXCITED, EXCITED, 3, PsiCache())
+    first = weak_commutator_parts(exact, gen_a, gen_b, EXCITED, EXCITED, 3)
+    second = weak_commutator_parts(floats, float_a, float_b, EXCITED, EXCITED, 3)
     assert desitter._entry_slot.cache_info().currsize == 2
     assert type(first.ll) is Fraction and type(first.psipsi) is Fraction
     assert type(second.ll) is float and type(second.psipsi) is float
@@ -477,7 +464,7 @@ def test_float_and_exact_spaces_never_share_an_entry():
     # an exact space with a float charge equals the exact space, and is a third entry
     mixed = Space(EXACT, float(A0), exact.trunc)
     assert mixed == exact
-    third = weak_commutator_parts(mixed, gen_a, gen_b, EXCITED, EXCITED, 3, PsiCache())
+    third = weak_commutator_parts(mixed, gen_a, gen_b, EXCITED, EXCITED, 3)
     assert desitter._entry_slot.cache_info().currsize == 3
     assert type(third.ll) is float  # float L rows, where the exact charge gives Fractions
 
@@ -512,17 +499,17 @@ def test_l_part_memo_follows_the_sugawara_fault(monkeypatch):
 def test_every_check_runs_on_a_memo_hit():
     sp = space(8)
     gen_a, gen_b = lorentz_pair(1, -1)
-    weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 3, PsiCache())
+    weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 3)
     with pytest.raises(ValueError, match="interior buffer"):
-        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 0, PsiCache())
+        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 0)
     with pytest.raises(ValueError, match="interior margin"):
-        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 7, PsiCache())
+        weak_commutator_parts(sp, gen_a, gen_b, STEP, VAC, 7)
     # coupling 0 needs no charge step; the same pieces at coupling 1/4 do
     edge = TensorState.basis(2, (), ())
     free_a, free_b = lorentz_pair(1, -1, lam=Fraction(0))
-    weak_commutator_parts(sp, free_a, free_b, edge, VAC, 3, PsiCache())
+    weak_commutator_parts(sp, free_a, free_b, edge, VAC, 3)
     with pytest.raises(ValueError, match="bilinear step"):
-        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3, PsiCache())
+        weak_commutator_parts(sp, gen_a, gen_b, edge, VAC, 3)
 
 
 
@@ -537,7 +524,7 @@ def test_an_overflowing_chiral_application_raises_on_every_call(monkeypatch):
     gen_a, gen_b = lorentz_pair(1, -1)
     for _ in range(2):
         with pytest.raises(ValueError, match="left the cutoff"):
-            weak_commutator_parts(space(8), gen_a, gen_b, EXCITED, EXCITED, 3, PsiCache())
+            weak_commutator_parts(space(8), gen_a, gen_b, EXCITED, EXCITED, 3)
     clear_memos()
 
 

@@ -398,6 +398,7 @@ def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
 
     monkeypatch.setattr(twodim.PsiCache, "apply", counted_apply)
     monkeypatch.setattr(twodim, "time_zero_image", counted_build)
+    twodim.IMAGES._store.clear()
     rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
     assert rep["verdict"] == "pass"
     assert calls == {"requests": 220, "images": 63}
@@ -405,15 +406,16 @@ def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
 
 def test_commutativity_report_logs_its_images_and_grams(caplog):
     # README quotes this line at the commutativity benchmark's config, with
-    # the Gram memo cold; warm, the report computes no Gram again
+    # the memos cold; warm, the report builds no image and computes no Gram again
     twodim._chiral_gram.cache_clear()
-    for grams in (96, 0):
+    twodim.IMAGES._store.clear()
+    for images, grams in ((63, 96), (0, 0)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
             rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("commutativity: ")]
         assert line.startswith(
-            f"commutativity: 25 vacuum and 30 excited rows, 63 of 220 time-zero images built,"
+            f"commutativity: 25 vacuum and 30 excited rows, {images} of 220 time-zero images built,"
             f" {grams} chiral Grams computed, "
         )
         assert (len(rep["vacuum"]["rows"]), len(rep["excited"]["rows"])) == (25, 30)

@@ -198,9 +198,10 @@ def test_state_arithmetic_matches_values(setup):
         assert not states_equal(ctx, v.add(w).sub(w.scale(2)), v)
 
 
-def test_equal_states_built_by_different_routes_share_one_psi_cache_entry():
+def test_equal_states_built_by_different_routes_get_equal_psi_cache_entries():
     # v holds an int value where w, summed from scaled basis states, holds an
-    # equal Fraction; the cache is keyed by value, not by how a value was built
+    # equal Fraction; the cache is keyed by value and type, as every memo
+    # keyed by state_key is, so each gets its own image, and the two pair alike
     space = make_space("exact-rational", 6)
     v = TensorState({(0, (1,), ()): Fraction(1, 3), (0, (), (2,)): 1})
     third = TensorState.basis(0, (1,), ()).scale(Fraction(2, 3)).scale(Fraction(1, 2))
@@ -209,9 +210,11 @@ def test_equal_states_built_by_different_routes_share_one_psi_cache_entry():
     assert states_equal(space.ctx, v, w)
     assert w.entries == v.entries
     cache = PsiCache()
-    first = cache.apply(space, space.alpha0, 1, v)
-    assert cache.apply(space, space.alpha0, 1, w) is first
-    assert len(cache._store) == 1
+    (image_v, tail_v), (image_w, tail_w) = (cache.apply(space, space.alpha0, 1, s) for s in (v, w))
+    assert len(cache._store) == 2 and image_v is not image_w
+    assert image_v.terms == image_w.terms and tail_v == tail_w
+    assert cache.apply(space, space.alpha0, 1, TensorState(dict(w.entries))) == (image_w, tail_w)
+    assert len(cache._store) == 2
 
 
 def test_a_reversed_state_gets_the_image_of_its_own_entry_order():
@@ -629,15 +632,13 @@ def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
 def test_no_memo_lookup_hashes_a_fraction(monkeypatch):
     # a Fraction's hash takes a modular inverse, and a charge key's does not:
     # in a commutativity report and a Lorentz sweep, no row, stack, Gram,
-    # image or pairing-piece lookup hashes a Fraction; only a Space's own hash
-    # (its alpha0 by value) does
+    # image or pairing-piece lookup hashes a Fraction, and no key holds a
+    # Space, whose hash would hash its alpha0
     original = Fraction.__hash__
     callers = []
 
     def recorded(self):
-        frame = sys._getframe(1)
-        if frame.f_code.co_name != "__hash__" or not isinstance(frame.f_locals.get("self"), Space):
-            callers.append(frame.f_code.co_name)
+        callers.append(sys._getframe(1).f_code.co_name)
         return original(self)
 
     space = Space(make_context("exact-rational"), Fraction(1, 2), Truncation(6, *WINDOW))

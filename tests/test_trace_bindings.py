@@ -60,10 +60,11 @@ def test_traced_run_installs_and_removes_cleanly():
         (mod_name, attr): getattr(_package_module(mod_name), attr)
         for mod_name, attr in tracer_module.FUNCTIONS
     }
-    # cold coupling-free pieces, so that every image is requested and each
-    # distinct one computes its tail norm once, in the sweep's PsiCache
+    # cold coupling-free pieces and images, so that every image is requested
+    # and each distinct one computes its tail norm once
     desitter._l_part_slot.cache_clear()
     desitter._entry_slot.cache_clear()
+    desitter.IMAGES._store.clear()
     tracer = tracer_module.Tracer()
     tracer.install()
     try:

@@ -20,6 +20,7 @@ from chargedfock.fock import (
 )
 from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import (
+    IMAGES,
     BandReport,
     PsiCache,
     TimeZeroMode,
@@ -151,21 +152,19 @@ def test_adjoint_pairing_exact_at_truncation():
 
 def test_vacuum_weak_commutators_vanish_exactly():
     sp = space(6)
-    cache = PsiCache()
     for m in range(-3, 4):
         for n in range(-3, 4):
-            value, budget = weak_psi_commutator(sp, A0, m, n, VAC, VAC, cache)
+            value, budget = weak_psi_commutator(sp, A0, m, n, VAC, VAC)
             assert value == 0, (m, n)
             assert budget >= 0
 
 
 def test_flip_invariant_excited_pairs_vanish_exactly():
     sp = space(6)
-    cache = PsiCache()
     for phi in (TensorState.basis(0, (1,), (1,)), TensorState.basis(0, (2, 1), (2, 1))):
         for m in range(-2, 3):
             for n in range(-2, 3):
-                value, _ = weak_psi_commutator(sp, A0, m, n, phi, phi, cache)
+                value, _ = weak_psi_commutator(sp, A0, m, n, phi, phi)
                 assert value == 0, (m, n)
 
 
@@ -174,8 +173,8 @@ def test_grading_selection_rule():
     sp = space(6)
     phi1 = VAC
     phi2 = TensorState.basis(0, (2,), (1,))  # k = 1
-    val_match, _ = weak_psi_commutator(sp, A0, 1, 0, phi1, phi2, PsiCache())
-    val_miss, _ = weak_psi_commutator(sp, A0, 1, 1, phi1, phi2, PsiCache())
+    val_match, _ = weak_psi_commutator(sp, A0, 1, 0, phi1, phi2)
+    val_miss, _ = weak_psi_commutator(sp, A0, 1, 1, phi1, phi2)
     assert val_match != 0
     assert val_miss == 0
 
@@ -184,10 +183,9 @@ def test_single_sided_excitation_against_vacuum_still_exact():
     # an unexpected extra exactness: one excited chiral factor is not enough
     # to expose the cutoff when the other state is the vacuum pair
     sp = space(6)
-    cache = PsiCache()
     for phi2 in (TensorState.basis(0, (1,), ()), TensorState.basis(0, (2,), ())):
         for m, n in ((1, 0), (0, 1), (2, -1), (2, 0)):
-            value, _ = weak_psi_commutator(sp, A0, m, n, VAC, phi2, cache)
+            value, _ = weak_psi_commutator(sp, A0, m, n, VAC, phi2)
             assert value == 0, (phi2, m, n)
 
 
@@ -195,7 +193,7 @@ def test_asymmetric_pair_residual_shrinks_with_cutoff():
     phi = TensorState.basis(0, (1,), ())
     vals = []
     for L in (4, 8):
-        value, budget = weak_psi_commutator(space(L), A0, 1, -1, phi, phi, PsiCache())
+        value, budget = weak_psi_commutator(space(L), A0, 1, -1, phi, phi)
         assert abs(float(value)) <= budget
         vals.append(abs(float(value)))
     assert 0 < vals[1] < vals[0]
@@ -224,9 +222,7 @@ def test_tail_product_of_an_empty_side_is_zero():
 
 def test_psi_pair_form_budget_orthogonality():
     sp = space(6)
-    value, budget = psi_pair_form(
-        sp, TimeZeroMode(A0, 0), TimeZeroMode(A0, 0), VAC, VAC, PsiCache()
-    )
+    value, budget = psi_pair_form(sp, TimeZeroMode(A0, 0), TimeZeroMode(A0, 0), VAC, VAC)
     assert value == norm_sq(EXACT, apply_time_zero(sp, TimeZeroMode(A0, 0), VAC)[0])
     assert budget < 1.0
 
@@ -567,12 +563,12 @@ def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
     phi1, phi2 = TensorState.basis(0, (2,), (1,)), TensorState.basis(0, (1,), ())
     modes = (TimeZeroMode(half, -1), TimeZeroMode(half, 2))
     twodim._chiral_gram.cache_clear()
-    cache = PsiCache()
-    cold = psi_pair_form(sp, *modes, phi1, phi2, cache)
-    assert len(cache._store) == 2
+    IMAGES._store.clear()
+    cold = psi_pair_form(sp, *modes, phi1, phi2)
+    assert len(IMAGES._store) == 2
     with mock.patch.object(twodim, "time_zero_image", side_effect=AssertionError("rebuilt")):
-        warm = psi_pair_form(sp, *modes, phi1, phi2, cache)
-    assert len(cache._store) == 2
+        warm = psi_pair_form(sp, *modes, phi1, phi2)
+    assert len(IMAGES._store) == 2
     _same(warm[0], cold[0])
     _same(warm[1], cold[1])
 
@@ -600,17 +596,54 @@ def test_float_and_fraction_charges_never_share_a_memo_entry():
 
 def test_psi_cache_refuses_an_image_that_leaves_the_charge_window():
     # dropped terms of a clipped image are not orthogonal to the kept ones,
-    # so no pairing may read one
+    # so no pairing may read one, and a refused image is never stored
     sp = space(6)
-    cache = PsiCache()
+    IMAGES._store.clear()
     edge = TensorState.basis(2, (1,), ())
     with pytest.raises(ValueError, match="left the charge window"):
-        cache.apply(sp, A0, 1, edge)
-    assert cache._store == {}
+        IMAGES.apply(sp, A0, 1, edge)
+    assert IMAGES._store == {}
     assert time_zero_image(sp, TimeZeroMode(A0, 1), edge).charge_clipped
-    with pytest.raises(ValueError, match="left the charge window"):
-        weak_psi_commutator(sp, A0, 1, 0, VAC, edge, cache)
-    cache.apply(sp, A0, 1, TensorState.basis(1, (1,), ()))  # one step inside: kept
-    images = [image for image, _tail in cache._store.values()]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="left the charge window"):
+            weak_psi_commutator(sp, A0, 1, 0, VAC, edge)
+    IMAGES.apply(sp, A0, 1, TensorState.basis(1, (1,), ()))  # one step inside: kept
+    images = [image for image, _tail in IMAGES._store.values()]
     assert len(images) == 2 and not any(image.charge_clipped for image in images)
+
+
+def test_the_image_memo_drops_its_oldest_image_past_the_bound(monkeypatch):
+    monkeypatch.setattr(twodim, "IMAGE_BOUND", 3)
+    sp = space(6)
+    cache = PsiCache()
+    states = [TensorState.basis(0, (k,), ()) for k in range(1, 5)]
+    first = cache.apply(sp, A0, 1, states[0])
+    for state in states[1:]:
+        cache.apply(sp, A0, 1, state)
+    assert (len(cache._store), cache.built, cache.requests) == (3, 4, 4)
+    for state in states[1:]:  # the three newest still hit
+        cache.apply(sp, A0, 1, state)
+    assert cache.built == 4
+    rebuilt = cache.apply(sp, A0, 1, states[0])  # the oldest went, so it is built again
+    assert cache.built == 5 and rebuilt is not first and rebuilt[0].terms == first[0].terms
+    assert len(cache._store) == 3
+
+
+def test_float_and_exact_spaces_with_equal_alpha0_never_share_an_image():
+    # the spaces' keys differ in the context and the charge key, so each gets
+    # its own image, with its own value types
+    state = TensorState.basis(0, (1,), ())
+    exact = space(6)
+    floats = Space(make_context("float", 1e-9), 0.5, exact.trunc)
+    mixed = Space(EXACT, 0.5, exact.trunc)  # equal to the exact space, but a float charge
+    assert mixed == exact
+    cache = PsiCache()
+    images = [cache.apply(sp, sp.alpha0, 1, state)[0] for sp in (exact, floats, mixed)]
+    assert len(cache._store) == 3
+    assert all(image.space is sp for image, sp in zip(images, (exact, floats, mixed)))
+    assert {type(term[1]) for term in images[0].terms} == {tuple}
+    assert {type(term[1]) for term in images[1].terms} == {type(term[1]) for term in images[2].terms} == {float}
+    # and a space with another charge quantum moves the same charge further
+    quarter, _ = cache.apply(Space(EXACT, Fraction(1, 4), exact.trunc), A0, 1, state)
+    assert len(cache._store) == 4 and {term[0] for term in quarter.terms} == {-2, 2}
 
