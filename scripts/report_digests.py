@@ -7,8 +7,10 @@ Runs every subcommand of ``chargedfock.cli``, ``verify-algebra
 --inject-fault sugawara`` for a failing verdict and ``converge --m-list 0,1``
 for a series per mode, in each arithmetic mode (float at ``--tolerance
 1e-9``) and at each cutoff, one fresh ``python -m chargedfock.cli`` process
-per run, on the source tree of a checkout.  Two checkouts behave the same on
-these runs when their outputs are equal:
+per run, on the source tree of a checkout.  The cutoffs default to
+``default,8,1``: each subcommand's own cutoff, 8, and the degenerate cutoff 1,
+where refusals and vacuous-check warnings show.  Two checkouts behave the
+same on these runs when their outputs are equal:
 
     python scripts/report_digests.py OLD_CHECKOUT > old.txt
     python scripts/report_digests.py NEW_CHECKOUT > new.txt
@@ -68,7 +70,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("checkout", nargs="?", default=str(Path(__file__).resolve().parent.parent),
                     help="repository checkout whose src/ is run (default: this one)")
-    ap.add_argument("--cutoffs", default="default,8", help="comma-separated level cutoffs; 'default' sets none")
+    ap.add_argument("--cutoffs", default="default,8,1", help="comma-separated level cutoffs; 'default' sets none")
     args = ap.parse_args()
 
     checkout = Path(args.checkout).resolve()

@@ -127,10 +127,7 @@ def resolve_config(
 
 def build_space(cfg: RunConfig):
     """(space, alpha, lambda) for a run; scalar parsing honors the mode."""
-    tolerance = cfg.tolerance if cfg.arithmetic == "float" else 0.0
-    if cfg.arithmetic == "float" and tolerance == 0.0:
-        raise ConfigError("float arithmetic needs a positive tolerance")
-    ctx = make_context(cfg.arithmetic, tolerance)
+    ctx = make_context(cfg.arithmetic, cfg.tolerance if cfg.arithmetic == "float" else 0.0)
     try:
         alpha0 = ctx.parse(cfg.alpha0)
         lam = ctx.parse(cfg.lam)

@@ -25,9 +25,12 @@ None of the pairings depends on the coupling ``lam``: a weak commutator is a
 quadratic in ``lam`` whose coefficients are the chiral, cross and bilinear
 pairings.  Two bounded memos, keyed by value, compute each of them once per
 process: :func:`apply_l_part` keeps its outputs, and every (cell, probe pair)
-keeps its coupling-free pieces, filled on first use.  A coupling sweep then
-pays its chiral pairings once, and its bilinear pairings at the first nonzero
-coupling.
+keeps its coupling-free pieces, one per pairing kind, each filled on first
+use: the chiral pairings ``"ll"``, the cross pairings of each bilinear that
+acts (``"b"`` for B's, ``"a"`` for A's), the bilinear/bilinear value and its
+budget ``"psipsi"`` when both act, and the ladder target's pairings.  A
+coupling sweep then pays its chiral pairings once, and its bilinear pairings
+at the first nonzero coupling.
 """
 
 from __future__ import annotations
@@ -208,33 +211,14 @@ def _entry(space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, p
 
 
 def _piece(entry: dict, name, compute: Callable) -> tuple:
-    """The tuple of pieces ``entry[name]``, computed once; absent pieces are
-    None and count as neither computed nor reused."""
+    """The tuple of pieces ``entry[name]``, computed once."""
     pieces = entry.get(name)
     if pieces is None:
         pieces = entry[name] = compute()
-        _REUSE["pieces_computed"] += sum(p is not None for p in pieces)
+        _REUSE["pieces_computed"] += len(pieces)
     else:
-        _REUSE["pieces_reused"] += sum(p is not None for p in pieces)
+        _REUSE["pieces_reused"] += len(pieces)
     return pieces
-
-
-def _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral) -> tuple:
-    """The cross pairings of each bilinear that acts, then (when both act) the
-    bilinear/bilinear weak commutator and its budget; None where one does not."""
-    la_ad1, lb_ad1, la2, lb2 = chiral
-    alpha = gen_a.alpha
-    b_ket = b_bra = a_bra = a_ket = None
-    if use_b:
-        b_ket = image_inner_product(la_ad1, IMAGES.apply(space, alpha, gen_b.m, phi2)[0])
-        b_bra = image_inner_product(IMAGES.apply(space, alpha, -gen_b.m, phi1)[0], la2)
-    if use_a:
-        a_bra = image_inner_product(IMAGES.apply(space, alpha, -gen_a.m, phi1)[0], lb2)
-        a_ket = image_inner_product(lb_ad1, IMAGES.apply(space, alpha, gen_a.m, phi2)[0])
-    if not (use_a and use_b):
-        return b_ket, b_bra, a_bra, a_ket, None, None
-    value, budget = weak_psi_commutator(space, alpha, gen_a.m, gen_b.m, phi1, phi2)
-    return b_ket, b_bra, a_bra, a_ket, value, budget
 
 
 def weak_commutator_parts(
@@ -292,26 +276,30 @@ def weak_commutator_parts(
     )
     ll = ll_ab - ll_ba
 
-    mixed = ctx.zero()
-    psipsi = ctx.zero()
+    mixed = psipsi = ctx.zero()
     budget = 0.0
-    if not (use_a or use_b):
-        return WeakParts(ll, mixed, psipsi, budget)
     # which bilinears act is fixed by the family and the modes once the
-    # coupling is nonzero (psi_coefficient), so one set serves every coupling
-    b_ket, b_bra, a_bra, a_ket, psi_commutator, psi_budget = _piece(
-        entry,
-        "bilinear",
-        lambda: _bilinear_pieces(space, gen_a, gen_b, phi1, phi2, use_a, use_b, chiral),
-    )
+    # coupling is nonzero (psi_coefficient), so each piece serves every coupling
+    alpha = gen_a.alpha
     if use_b:
+        b_ket, b_bra = _piece(entry, "b", lambda: (
+            image_inner_product(la_ad1, IMAGES.apply(space, alpha, gen_b.m, phi2)[0]),
+            image_inner_product(IMAGES.apply(space, alpha, -gen_b.m, phi1)[0], la2),
+        ))
         mixed = mixed + b_coeff * b_ket
         mixed = mixed - b_coeff * b_bra
     if use_a:
+        a_bra, a_ket = _piece(entry, "a", lambda: (
+            image_inner_product(IMAGES.apply(space, alpha, -gen_a.m, phi1)[0], lb2),
+            image_inner_product(lb_ad1, IMAGES.apply(space, alpha, gen_a.m, phi2)[0]),
+        ))
         mixed = mixed + a_coeff * a_bra
         mixed = mixed - a_coeff * a_ket
     if use_a and use_b:
-        psipsi = a_coeff * b_coeff * psi_commutator
+        value, psi_budget = _piece(
+            entry, "psipsi", lambda: weak_psi_commutator(space, alpha, gen_a.m, gen_b.m, phi1, phi2)
+        )
+        psipsi = a_coeff * b_coeff * value
         budget = abs(complex(a_coeff * b_coeff)) * psi_budget
     return WeakParts(ll, mixed, psipsi, budget)
 

@@ -464,16 +464,33 @@ def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
                 total = x if total is None else total + x
             else:
                 shared.setdefault(tuple(map(id, chains[1])), (chains[1], []))[1].append((f, chains[0]))
-        for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless first
+        krons = []
+        for right, lefts in reversed(shared.values()):  # a zero left sum adds nothing, unless it is all
             a = _reduce(sum(f * _chain_product(left, mod) for f, left in lefts), mod)
-            if total is None or a.any():
-                b = _chain_product(right, mod)
-                x = a[..., :, None, :, None] * b[..., None, :, None, :]  # the Kronecker product, batched
-                x = x.reshape(x.shape[:-4] + (x.shape[-4] * x.shape[-3], x.shape[-2] * x.shape[-1]))
-                total = x if total is None else total + x
-        bad = np.abs(total) > ctx.tolerance if mod is None else _reduce(total, mod).astype(bool)
+            if a.any() or (total is None and not krons):
+                krons.append((a, _chain_product(right, mod)))
+        bad = _failing(ctx, mod, total, krons)
         failing = bad if failing is None else failing | bad
     return failing, len(moduli) - 1
+
+
+def _failing(ctx: ArithmeticContext, mod, total, krons) -> np.ndarray:
+    """Where ``total`` plus the Kronecker products of the pairs ``krons`` is
+    nonzero modulo ``mod``, or past the tolerance in float mode.  The products
+    are summed one plane of the leading (sector) axes at a time, so a batch
+    holds no more of them at once than one sector's residual."""
+    if not krons:
+        return np.abs(total) > ctx.tolerance if mod is None else _reduce(total, mod).astype(bool)
+    lead = np.broadcast_shapes(*[m.shape[:-2] for m in (total, *(m for pair in krons for m in pair)) if m is not None])
+    at = lambda m, s: np.broadcast_to(m, lead + m.shape[-2:])[s]  # noqa: E731
+    planes = []
+    for s in np.ndindex(lead):
+        plane = 0 if total is None else at(total, s)
+        for a, b in krons:
+            x = np.kron(at(a, s), at(b, s))
+            plane = np.add(plane, x, out=x)
+        planes.append(_failing(ctx, mod, plane, []))
+    return np.stack(planes).reshape(lead + planes[0].shape)
 
 
 def _weight(key) -> int:

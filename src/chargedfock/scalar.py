@@ -134,7 +134,7 @@ class ArithmeticContext:
     """Run-wide scalar representation plus comparison tolerance.
 
     Exact modes demand tolerance exactly 0 (an exact check either holds or it
-    does not); float mode demands a strictly positive tolerance.
+    does not); float mode demands a strictly positive, finite tolerance.
     """
 
     mode: str
@@ -145,8 +145,8 @@ class ArithmeticContext:
             raise ValueError(f"unknown arithmetic mode {self.mode!r}; expected one of {MODES}")
         if self.exact and self.tolerance != 0:
             raise ValueError("exact modes take tolerance 0")
-        if not self.exact and not self.tolerance > 0:
-            raise ValueError("float mode needs a positive tolerance")
+        if not self.exact and not 0 < self.tolerance < math.inf:
+            raise ValueError("float mode needs a positive finite tolerance")
 
     @property
     def exact(self) -> bool:
@@ -179,7 +179,15 @@ class ArithmeticContext:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse scalar {text!r}") from exc
-        return value if self.exact else float(value)
+        if self.exact:
+            return value
+        try:
+            x = float(value)
+        except OverflowError:
+            raise ValueError(f"scalar {text!r} has no finite float") from None
+        if x == 0 and value != 0:
+            raise ValueError(f"scalar {text!r} is nonzero but rounds to 0.0 in float mode")
+        return x
 
     def conj(self, x: Scalar) -> Scalar:
         if isinstance(x, GaussianRational):

@@ -131,6 +131,35 @@ def test_a_residual_past_every_modulus_is_one_error_line(capsys, caplog, tmp_pat
     assert not out.exists()
 
 
+FLOAT = ["--arithmetic", "float", "--tolerance", "1e-9"]
+TOLERANCE = "float mode needs a positive finite tolerance"
+# float-mode values a run cannot use, each refused before any work: an
+# infinite tolerance passed every check, a scalar past the float range ended
+# in an OverflowError traceback, and a nonzero one below it ran at 0.0
+UNUSABLE_FLOATS = {
+    "tolerance-inf": (["verify-algebra", "--inject-fault", "sugawara", "--arithmetic", "float", "--tolerance", "inf"],
+                      harness, "algebra_report", TOLERANCE),
+    "tolerance-nan": (["verify-algebra", "--arithmetic", "float", "--tolerance", "nan"],
+                      harness, "algebra_report", TOLERANCE),
+    "tolerance-0": (["verify-algebra", "--arithmetic", "float"], harness, "algebra_report", TOLERANCE),
+    "lambda-1e400": (["verify-lorentz", *FLOAT, "--lambda", "1e400"], desitter, "verify_lorentz",
+                     "scalar '1e400' has no finite float"),
+    "alpha0-1e400": (["verify-lorentz", *FLOAT, "--alpha0", "1e400"], desitter, "verify_lorentz",
+                     "scalar '1e400' has no finite float"),
+    "lambda-1e-400": (["verify-lorentz", *FLOAT, "--lambda", "1e-400"], desitter, "verify_lorentz",
+                      "scalar '1e-400' is nonzero but rounds to 0.0 in float mode"),
+}
+
+
+@pytest.mark.parametrize("argv,module,body,message", UNUSABLE_FLOATS.values(), ids=list(UNUSABLE_FLOATS))
+def test_an_unusable_float_value_is_one_error_line(capsys, caplog, monkeypatch, argv, module, body, message):
+    caplog.set_level(logging.INFO)
+    monkeypatch.setattr(module, body, None)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(logging.ERROR, message)]
+
+
 # each count option of each subcommand: a negative value used to run an empty
 # sweep (zero records, exit 0) or an empty series
 NEGATIVE_COUNTS = [
@@ -277,6 +306,23 @@ def test_verify_decay_bounds_blocks_at_the_configured_charge(capsys, caplog):
     code, out = run(capsys, "verify-decay", "--alpha_multiplier", "3", "--level_cutoff", "6")
     assert (code, out) == (1, "")
     assert "needs |alpha| <= 1; got alpha^2 = 9/4" in caplog.text
+
+
+def test_verify_decay_warns_of_blocks_past_the_block_cutoff(capsys, caplog):
+    # below block cutoff 6 a shift |delta| past the cutoff leaves a block with
+    # no source level, whose norm 0 checks nothing: one warning per charge
+    code, out = run(capsys, "verify-decay", "--level_cutoff", "0")
+    assert code == 0
+    rep = json.loads(out)
+    empty = [f"decay: 12 of 13 mode blocks at alpha {a} have no source level inside block cutoff 0;"
+             " their norm 0 checks nothing" for a in ("1/2", "1")]
+    assert [w for w in rep["warnings"] if "mode blocks" in w] == empty
+    assert all(("WARNING", w) in [(r.levelname, r.getMessage()) for r in caplog.records] for w in empty)
+    assert sum(row["norm"] == 0.0 for row in rep["block_norms"]["rows"]) == 24
+    # the default cutoff 10 gives block cutoff 8, where every block has a source level
+    code, out = run(capsys, "verify-decay")
+    assert code == 0
+    assert not [w for w in json.loads(out)["warnings"] if "mode blocks" in w]
 
 
 def test_converge_multi_mode_files(tmp_path, capsys):

@@ -3,12 +3,13 @@ import logging
 import math
 import re
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
 import pytest
 
+import chargedfock.desitter as desitter
 import chargedfock.harness as harness
 import chargedfock.heisenberg as heisenberg
 import chargedfock.twodim as twodim
@@ -126,6 +127,9 @@ def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0):
         return row
 
     monkeypatch.setattr(module, name, faulty)
+    # apply_l_part's memo is keyed by value, not by the row table: the faulted
+    # rows get a fresh memo, and the clean one is restored afterwards
+    monkeypatch.setattr(desitter, "_l_part_slot", lru_cache(maxsize=None)(lambda key: []))
 
 
 def _sugawara_fault(monkeypatch):
@@ -225,6 +229,24 @@ def test_each_suite_logs_its_counts(caplog):
     pattern = r"(\d+) batched residuals, (\d+) needed primes \(at most (\d+)\)"
     batched, wide, most = map(int, re.search(pattern, line).groups())
     assert 0 < wide < batched and most >= 1
+
+
+def test_lorentz_closure_computes_one_residual_per_cell(monkeypatch):
+    # each (m, n) cell is one batched residual over every sector of the
+    # window, with all interior levels in one graded block: 9 residuals at
+    # cutoff 6 on -2..2, not one per cell and sector (45)
+    masks = []
+
+    def recorded(ctx, terms):
+        bad, primes = residual(ctx, terms)
+        masks.append(bad)
+        return bad, primes
+
+    monkeypatch.setattr(harness, "residual", recorded)
+    rep = lorentz_closure_suite(space(6))
+    assert (rep["status"], rep["states_checked"], rep["cells"]) == ("pass", 2205, 9)
+    # interior levels 0..3 (7 chiral states) under top level 5 (19 states), both sides
+    assert [mask.shape for mask in masks] == [(5, 19 * 19, 7 * 7)] * 9
 
 
 def _bracket_cells(monkeypatch, suite, sp):
@@ -585,6 +607,7 @@ COLUMN_FAULTS = {
     "virasoro_bracket": ("virasoro_bracket", "L", lambda n, key, fault: n == 1, (0, (1,))),
     # L_-1 is G_1's right factor and G_-1's left one
     "lorentz_closure": ("lorentz_closure", "L", lambda n, key, fault: n == -1, (0, (2,))),
+    "lorentz_closure_last_sector": ("lorentz_closure", "L", lambda n, key, fault: n == -1, (2, (2,))),
     "current_covariance": ("current_covariance", "Y", lambda key, delta: delta == 1, (1, (3,)), 1),
     "primary_covariance": ("primary_covariance", "L", lambda n, key, fault: n == -1, (0, (2, 1))),
     # Y_{alpha, 1} on sector 1, the last source sector at alpha = alpha0 = p / q, p > 0
