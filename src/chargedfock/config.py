@@ -8,6 +8,7 @@ typo in a checked-in configuration.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -126,7 +127,11 @@ def resolve_config(
 
 
 def build_space(cfg: RunConfig):
-    """(space, alpha, lambda) for a run; scalar parsing honors the mode."""
+    """(space, alpha, lambda) for a run; scalar parsing honors the mode.  An
+    exact mode ignores a nonzero tolerance, with one warning that names it."""
+    if cfg.arithmetic != "float" and cfg.tolerance:
+        logging.getLogger(__name__).warning("tolerance %r is ignored: %s arithmetic is exact",
+                                            cfg.tolerance, cfg.arithmetic)
     ctx = make_context(cfg.arithmetic, cfg.tolerance if cfg.arithmetic == "float" else 0.0)
     try:
         alpha0 = ctx.parse(cfg.alpha0)

@@ -25,12 +25,12 @@ complex in float mode.  Current, Virasoro and vertex modes all go through
 :func:`apply_rows`, one cached integer :data:`Row` per basis partition and
 :func:`charge_key`, built without Fractions.
 
-The same rows, stacked by :func:`level_matrices`, give each operator one
-:class:`LevelMatrix` per level: integer numerators over one denominator, with
-a leading axis over every sector of the charge window, so a contiguous run of
-sectors is a view.  When every sector's rows are equal, as for J_m (m != 0)
-and every Y_delta, that axis is a stride-0 view of one plane; a row that
-differs in one sector, a fault's included, gives every sector its own plane.
+Each operator also has one :class:`LevelMatrix` per level, built by
+:func:`level_stacks` from sector-free planes: integer numerators over one
+denominator, with a leading axis over every sector j of the charge window, so
+a contiguous run of sectors is a view.  An operator that depends on j, as J_0
+and L_n do through J_0 = j alpha0, is P0 + j P1 + j**2 P2 on sector j; one
+that does not, as J_m (m != 0) and every Y_delta, is a stride-0 view of P0.
 :func:`residual` finds where a sum of products of such stacks is nonzero,
 one identity on all sectors in one batched product, exactly: modulo 2**64,
 and modulo primes as well while a bound certified from the entries'
@@ -40,6 +40,8 @@ least 2**64; float mode sums float64 values.
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -267,7 +269,7 @@ def apply_rows(space: Space, v, row_of, side: Optional[str] = None, shift: int =
 
 
 # ---------------------------------------------------------------------------
-# level matrices: an operator's rows on one level, stacked over the sectors
+# level matrices: an operator on one level, stacked over the sectors
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -276,7 +278,7 @@ class LevelMatrix:
     the row of ``partitions_of(level)[c]``, entry r its coefficient on the
     r-th output partition.  A stack has a leading sector axis, ``ints[s]``
     on the s-th sector of the charge window, a stride-0 view of one plane
-    when the rows are equal in every sector; a matrix without one holds in
+    when the operator is the same in every sector; a matrix without one holds in
     every sector.  ``ints`` is int64 when every entry fits, Python ints
     (object dtype) otherwise, both read as residues by :func:`residual`, and
     float64 values in float mode; ``top`` bounds every exact |entry|."""
@@ -310,50 +312,65 @@ def _positions(level: int) -> dict:
     return {mu: r for r, mu in enumerate(partitions_of(level))}
 
 
-def stack_rows(sectors, out_level: int) -> LevelMatrix:
-    """Rows at output level ``out_level``, one equally long list per sector,
-    as the columns of one stack over the least common denominator of all:
-    float64 if a row holds floats (float mode)."""
-    positions = _positions(out_level)
-    den = lcm(1, *[row[0] for rows in sectors for row in rows])
-    filled = [(row_den, nums) for rows in sectors for row_den, _, _, nums in rows if nums]
-    if any(type(nums[0]) is float for _, nums in filled):
-        top = None
+def row_matrix(rows, out_level: int) -> LevelMatrix:
+    """Rows at output level ``out_level`` as the columns of one matrix over
+    the least common denominator of all: float64 if a row holds floats
+    (float mode)."""
+    positions, den = _positions(out_level), lcm(1, *[row[0] for row in rows])
+    cells = np.zeros((len(positions), len(rows)), dtype=object)
+    for col, (row_den, _, mus, nums) in enumerate(rows):
+        cells[[positions[mu] for mu in mus], col] = [n * (den // row_den) for n in nums]
+    floating = any(type(nums[0]) is float for *_, nums in rows if nums)
+    return _matrix(den, cells, cells.shape, None if floating else int(np.abs(cells).max(initial=0)))
+
+
+def int_array(x, bound: int) -> np.ndarray:
+    """``x`` as int64 when ``bound``, a certified bound on every |entry| of
+    it and of what it is combined into, is below 2**63, else as Python ints."""
+    return np.asarray(x).astype(np.int64 if bound < 2**63 else object, copy=False)
+
+
+def sector_stack(den: int, planes, window: Tuple[int, int]) -> LevelMatrix:
+    """The stack of (sum over k of j**k planes[k]) / den on every sector j of
+    the charge window ``(j_min, j_max)``, a stride-0 view of planes[0] when
+    no other plane is nonzero.  Exact planes are summed in int64 while a
+    bound certified from their tops and the window is below 2**63, in Python
+    ints past it, and reduced to lowest terms; the stack is int64 when its
+    top is below 2**63.  Float planes (float mode) give float64."""
+    js = np.arange(window[0], window[1] + 1)[:, None, None]
+    first, rest = planes[0][None], [(k, x) for k, x in enumerate(planes[1:], start=1) if x.any()]
+    if first.dtype == float:
+        ints, top = sum((js**k * x for k, x in rest), first), 0
     else:
-        top = max((max(map(abs, nums)) * (den // row_den) for row_den, nums in filled), default=0)
-    cols = len(sectors[0])
-    size = len(positions) * cols
-    cells = [0] * (len(sectors) * size)
-    for s, rows in enumerate(sectors):
-        for col, (row_den, _, mus, nums) in enumerate(rows):
-            scale = den // row_den
-            base = s * size + col
-            for mu, n in zip(mus, nums):
-                cells[base + positions[mu] * cols] = n * scale
-    return _matrix(den, cells, (len(sectors), len(positions), cols), top)
+        # the bound is the top itself when planes[0] is the only plane
+        top = sum(max(map(abs, window)) ** k * int(np.abs(x).max(initial=0)) for k, x in [(0, first), *rest])
+        ints = sum((int_array(js, top) ** k * int_array(x, top) for k, x in rest), int_array(first, top))
+        top = int(np.abs(ints).max(initial=0)) if rest else top
+        g = gcd(den, int(np.gcd.reduce(ints, axis=None)))  # den itself when every entry is 0
+        den, top = den // g, top // g
+        ints = int_array(ints // g if g > 1 else ints, top)
+    return LevelMatrix(den, ints if rest else np.broadcast_to(ints, (len(js),) + ints.shape[1:]), top)
+
+
+# the level stacks built and their seconds, for verify-algebra's family INFO lines
+STACKS = Counter()
 
 
 # one table per (operator, window), each with one stack per level
 @lru_cache(maxsize=256)
-def level_matrices(table, shift: int, window: Tuple[int, int], *args):
-    """level -> the rows ``table(*args)(j, lam)`` of ``lam`` in
-    ``partitions_of(level)``, mapping to ``level + shift``, stacked for every
-    sector j of the charge window ``(j_min, j_max)``.  Keyed by value: the
-    row-table factory, the level shift, the window and the factory's
-    arguments, a charge among them by its :func:`charge_key`.  A level whose
-    row lists are equal in every sector stacks one sector's rows and views
-    them over all (stride 0)."""
-    row_of = table(*args)
-    sectors = range(window[0], window[1] + 1)
+def level_stacks(planes, window: Tuple[int, int], *args):
+    """level -> the operator's stack from ``level``: :func:`sector_stack` of
+    its (den, planes) ``planes(*args, level)`` on the charge window
+    ``(j_min, j_max)``.  Keyed by value: the plane builder, the window and
+    its arguments, a charge among them by its :func:`charge_key`, so equal
+    arguments return the same callable."""
 
     @lru_cache(maxsize=64)
     def stack(level: int) -> LevelMatrix:
-        lams = partitions_of(level)
-        rows = [[row_of(j, lam) for lam in lams] for j in sectors]
-        if any(r != rows[0] for r in rows[1:]):
-            return stack_rows(rows, level + shift)
-        one = stack_rows(rows[:1], level + shift)  # every sector's rows equal: one plane, stride 0
-        return LevelMatrix(one.den, np.broadcast_to(one.ints, (len(rows),) + one.ints.shape[1:]), one.top)
+        t0 = time.perf_counter()
+        out = sector_stack(*planes(*args, level), window)
+        STACKS.update(built=1, seconds=time.perf_counter() - t0)
+        return out
 
     return stack
 

@@ -54,6 +54,7 @@ import numpy as np
 from .desitter import PerturbedGenerator, chiral_sign
 from .diagnostics import loglog_slope
 from .fock import (
+    STACKS,
     SectorState,
     Space,
     TensorState,
@@ -65,7 +66,7 @@ from .fock import (
     norm_sq,
     partitions_of,
     residual,
-    stack_rows,
+    row_matrix,
 )
 from .heisenberg import j_matrices
 from .twodim import GRAMS, IMAGES, partial_sum_norm_series, vacuum_norm_series, weak_psi_commutator
@@ -389,7 +390,7 @@ def mode_oracle_suite(space: Space, alpha) -> dict:
 
     @lru_cache(maxsize=None)
     def oracle(delta, level):
-        return stack_rows([[recursive_row(key, delta, lam) for lam in partitions_of(level)]], level + delta)
+        return row_matrix([recursive_row(key, delta, lam) for lam in partitions_of(level)], level + delta)
 
     def cell(j, delta):
         if j not in admitted:
@@ -452,10 +453,12 @@ def _vertex_family(space: Space, alpha) -> List[dict]:
     ]
 
 
-def _timed(family: Callable, space: Space, alpha) -> Tuple[List[dict], float]:
-    """The family's suite reports and its seconds."""
-    t0 = time.perf_counter()
-    return family(space, alpha), time.perf_counter() - t0
+def _timed(family: Callable, space: Space, alpha) -> Tuple[List[dict], float, int, float]:
+    """The family's suite reports, its seconds, and the level stacks it built
+    with their seconds (see :func:`~chargedfock.fock.level_stacks`)."""
+    before, t0 = STACKS.copy(), time.perf_counter()
+    suites = family(space, alpha)
+    return suites, time.perf_counter() - t0, STACKS["built"] - before["built"], STACKS["seconds"] - before["seconds"]
 
 
 def _cpus() -> int:
@@ -583,10 +586,12 @@ def algebra_report(space: Space, alpha) -> dict:
 
     With two CPUs or more, a forked child (see :class:`_Forked`) runs the
     vertex family while this process runs the current family; each builds
-    the row tables it reads.  The report, the log records and their order
+    the level stacks it reads.  The report, the log records and their order
     are those of one process: the child's records come after this process's
-    own.  Then one INFO line per family gives its suites, its process and
-    its seconds, and the forked child's peak RSS."""
+    own.  Then one INFO line per family gives its suites, its process, its
+    seconds, the forked child's peak RSS, and how many level stacks the
+    family built in its process and their seconds: in one process the
+    vertex family reuses the L stacks the current family built."""
     vertex = partial(_timed, _vertex_family, space, alpha)
     child = _forked(vertex)
     try:
@@ -600,9 +605,10 @@ def algebra_report(space: Space, alpha) -> dict:
         families.append(("vertex", vertex(), f"pid {os.getpid()}"))
     else:
         families.append(("vertex", child.join(), f"pid {child.pid} (forked, peak RSS {child.peak_rss_mb:.1f} MB)"))
-    for name, (suites, seconds), process in families:
-        log.info("%s family (%s): %s, %.3f s", name, ", ".join(s["suite"] for s in suites), process, seconds)
-    suites = [s for _, (family, _), _ in families for s in family]
+    for name, (suites, seconds, stacks, stack_seconds), process in families:
+        log.info("%s family (%s): %s, %.3f s, %d level stacks built in %.3f s",
+                 name, ", ".join(s["suite"] for s in suites), process, seconds, stacks, stack_seconds)
+    suites = [s for _, (family, *_), _ in families for s in family]
     failed = [s for s in suites if s["status"] == "fail"]
     return {
         "suites": suites,

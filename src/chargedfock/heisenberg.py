@@ -9,14 +9,18 @@ Conventions (fixed by positivity of the Gram form and J_m* = J_{-m}):
 
 Actions are exact, one cached integer row per basis partition through
 :func:`~chargedfock.fock.apply_rows`; a result beyond the cutoff flags
-``overflow``.  :func:`j_matrices` stacks the same rows into one matrix per
-level, over every sector of the window.
+``overflow``.  :func:`j_matrices` gives one matrix per level, over every
+sector of the window (see :func:`~chargedfock.fock.level_stacks`): J_m (m !=
+0) is the one plane of its rows, and J_0 = j alpha0 times the identity, with
+alpha0 = p / q, is j times the plane p I over q.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 from .fock import (
     ChargeKey,
@@ -29,7 +33,9 @@ from .fock import (
     charge_key,
     float_row,
     integer_row,
-    level_matrices,
+    level_stacks,
+    partitions_of,
+    row_matrix,
 )
 
 
@@ -66,7 +72,7 @@ def j_step(lam: Partition, m: int, beta):
     return [(mu, m * mult)]
 
 
-# 1,799 rows fill at verify-algebra's default cutoff 10
+# 1,104 rows fill at verify-algebra's default cutoff 10
 @lru_cache(maxsize=4096)
 def _j_row(m: int, j: int, lam: Partition, key: ChargeKey) -> Row:
     """Row of J_m on basis (j, lam): integer coefficients, except J_0, the
@@ -81,7 +87,7 @@ def _j_row(m: int, j: int, lam: Partition, key: ChargeKey) -> Row:
     return integer_row(level, {lam: j * p}, q)
 
 
-# (sector, partition) -> row of one mode and charge key, for apply_rows and the level stacks
+# (sector, partition) -> row of one mode and charge key, for apply_rows
 def _j_table(m: int, key: ChargeKey):
     if m:
         return lambda j, lam: _j_row(m, 0, lam, None)
@@ -96,7 +102,17 @@ def apply_J(space: Space, m: int, v: SectorState) -> SectorState:
     return apply_rows(space, v, _j_table(*_j_key(space, m)))
 
 
+def _j_planes(m: int, key: ChargeKey, level: int) -> tuple:
+    """J_m from ``level`` as (den, planes) in the sector j: its rows as one
+    plane, or for J_0 = j p / q the planes 0 and p I over q."""
+    if m:
+        return 1, (row_matrix([_j_row(m, 0, lam, None) for lam in partitions_of(level)], level - m).ints,)
+    p, q = (key, 1) if isinstance(key, float) else key
+    eye = np.eye(len(partitions_of(level)), dtype=type(p) if abs(p) < 2**63 else object)
+    return q, (0 * eye, p * eye)
+
+
 def j_matrices(space: Space, m: int) -> Callable[[int], LevelMatrix]:
     """level -> J_m from the basis at ``level``, one column per partition,
     stacked over the window's sectors."""
-    return level_matrices(_j_table, -m, (space.trunc.j_min, space.trunc.j_max), *_j_key(space, m))
+    return level_stacks(_j_planes, (space.trunc.j_min, space.trunc.j_max), *_j_key(space, m))

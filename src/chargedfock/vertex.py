@@ -13,9 +13,15 @@ coefficient ``prod_i C(m_i, k_i) * (-alpha)**K`` over distinct part sizes),
 then create any partition ``nu`` of weight ``a = delta + b`` (with coefficient
 ``alpha**len(nu) / zsym(nu)``).  Everything is exact; no intermediate
 truncation occurs.  :func:`y_mode_table` sums this in Fractions, as the oracle
-of the integer rows: :func:`apply_Y_mode`, :func:`y_matrices`, the mode block
-and the time-zero pairings of :mod:`~chargedfock.twodim` all read the same
-terms summed as integers over ``q**E * lcm zsym(nu)``, with ``alpha = p / q``.
+of the integer rows: :func:`apply_Y_mode`, the mode block and the time-zero
+pairings of :mod:`~chargedfock.twodim` all read the same terms summed as
+integers over ``q**E * lcm zsym(nu)``, with ``alpha = p / q``.
+
+:func:`y_matrices` sums the same double sum a level at a time as the
+normal-ordered product Y = E_- E_+ (Frenkel, Lepowsky and Meurman, 1988): Y_delta
+from level ``ell`` is the sum over b >= max(0, -delta) of C_{delta+b}[ell-b]
+A_b[ell], the removal blocks A_b and creation blocks C_a built once per charge
+and shared by every ``delta``.
 
 Two independent evaluation routes are kept deliberately separate:
 
@@ -49,11 +55,14 @@ from .fock import (
     Row,
     SectorState,
     Space,
+    _matrix,
+    _positions,
     apply_rows,
     charge_key,
     float_row,
+    int_array,
     integer_row,
-    level_matrices,
+    level_stacks,
     partitions_of,
     zsym,
 )
@@ -154,7 +163,7 @@ def y_mode_table(alpha, delta: int, lam: Partition):
     return tuple((mu, c) for mu, c in acc.items() if c != 0)
 
 
-# 1,478 rows fill at verify-algebra's default cutoff 10, 1,086 at verify-decay's
+# 1,086 rows fill at verify-decay's default cutoff; verify-algebra's stacks read the blocks below instead
 @lru_cache(maxsize=4096)
 def _y_row(key: ChargeKey, delta: int, lam: Partition) -> Row:
     """The terms of :func:`y_mode_table` as one row, the charge given by its
@@ -194,10 +203,62 @@ def apply_Y_mode(space: Space, alpha, delta: int, v: SectorState) -> SectorState
     return apply_rows(space, v, _y_table(charge_key(alpha), delta), shift=mult)
 
 
+# 81 creation and 101 annihilation blocks fill at verify-algebra's default cutoff 10, both charges together
+@lru_cache(maxsize=1024)
+def _creation_block(key: ChargeKey, a: int, level: int) -> LevelMatrix:
+    """C_a from ``level`` to ``level + a``: b_rho -> the sum over nu of a of
+    alpha**len(nu) / zsym(nu) b_{rho u nu}, in exact modes the integers
+    p**len(nu) q**(a - len(nu)) lcm / zsym(nu) over q**a lcm, the lcm of
+    every zsym(nu)."""
+    rows, nus, exact = _positions(level + a), partitions_of(a), not isinstance(key, float)
+    p, q, zlcm = (*key, lcm(*map(zsym, nus))) if exact else (key, 1, 1)
+    coeffs = [p ** len(nu) * (q ** (a - len(nu)) * (zlcm // zsym(nu)) if exact else 1 / zsym(nu)) for nu in nus]
+    rhos = partitions_of(level)
+    cells = [0] * (len(rows) * len(rhos))
+    for col, rho in enumerate(rhos):
+        for nu, c in zip(nus, coeffs):
+            cells[rows[_merge(rho, nu)] * len(rhos) + col] = c
+    return _matrix(q**a * zlcm, cells, (len(rows), len(rhos)), max(map(abs, coeffs)) if exact else None)
+
+
+@lru_cache(maxsize=1024)
+def _annihilation_block(key: ChargeKey, b: int, level: int) -> LevelMatrix:
+    """A_b from ``level`` to ``level - b``: b_lam -> binom (-alpha)**K b_rem
+    for each removal (b, K, binom, rem) of :func:`_removals`, in exact modes
+    the integers binom (-p)**K q**(b - K) over q**b."""
+    lams, rows, exact = partitions_of(level), _positions(level - b), not isinstance(key, float)
+    p, q = key if exact else (key, 1)
+    cells = [0] * (len(rows) * len(lams))
+    for col, lam in enumerate(lams):
+        for weight, K, binom, rem in _removals(lam):
+            if weight == b:
+                cells[rows[rem] * len(lams) + col] = binom * (-p) ** K * q ** (b - K)
+    return _matrix(q**b, cells, (len(rows), len(lams)), max(map(abs, cells), default=0) if exact else None)
+
+
+def _y_planes(key: ChargeKey, delta: int, level: int) -> tuple:
+    """Y_delta from ``level`` as (den, planes), one plane: the products
+    C_{delta+b}[level-b] A_b[level], b >= max(0, -delta), summed over their
+    common denominator.  An exact product is taken in int64 while its
+    certified bound, the inner dimension times the factors' tops, is below
+    2**63, and so is the sum."""
+    zero = np.zeros((len(partitions_of(level + delta)), len(partitions_of(level))), int)
+    pairs = [(_creation_block(key, delta + b, level - b), _annihilation_block(key, b, level))
+             for b in range(max(0, -delta), level + 1)]
+    if isinstance(key, float):
+        return 1, [sum((c.ints @ a.ints for c, a in pairs), 1.0 * zero)]
+    products = [(c.den * a.den, c, a, c.ints.shape[1] * c.top * a.top) for c, a in pairs if c.top * a.top]
+    den = lcm(1, *[d for d, *_ in products])
+    bound = sum(t * (den // d) for d, _, _, t in products)
+    terms = (int_array(int_array(c.ints, t) @ int_array(a.ints, t), bound) * (den // d) for d, c, a, t in products)
+    return den, [sum(terms, int_array(zero, bound))]
+
+
 def y_matrices(space: Space, alpha, delta: int) -> Callable[[int], LevelMatrix]:
     """level -> the mode from the basis at ``level``, one column per
-    partition, stacked over the window's source sectors."""
-    return level_matrices(_y_table, delta, (space.trunc.j_min, space.trunc.j_max), charge_key(alpha), delta)
+    partition, stacked over the window's source sectors: one plane, the same
+    in every sector."""
+    return level_stacks(_y_planes, (space.trunc.j_min, space.trunc.j_max), charge_key(alpha), delta)
 
 
 # 4,489 elements fill at verify-algebra's default cutoff 10

@@ -11,7 +11,9 @@ A row is built in integers: with J_0 the charge ``beta = j p / q``, every
 term of the double sum is an integer over ``2 q^2``.  The terms depend on the
 sector only through J_0 = beta, so they are listed once per mode and
 partition, and each sector's row evaluates that list.  :func:`l_matrices`
-stacks the rows into one matrix per level, over every sector of the window.
+reads each list once for all sectors: its terms with no, one and two J_0
+factors give the planes P0, P1 and P2 over ``2 q^2``, and sector j's matrix
+is P0 + j P1 + j**2 P2 (see :func:`~chargedfock.fock.level_stacks`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
+
+import numpy as np
 
 from .fock import (
     ChargeKey,
@@ -28,11 +32,13 @@ from .fock import (
     SectorState,
     Space,
     TensorState,
+    _positions,
     apply_rows,
     charge_key,
     float_row,
     integer_row,
-    level_matrices,
+    level_stacks,
+    partitions_of,
 )
 from .heisenberg import j_step
 
@@ -41,7 +47,7 @@ from .heisenberg import j_step
 FAULT_SUGAWARA = False
 
 
-# 1,389 lists fill at verify-algebra's default cutoff 10, one per (mode, partition)
+# 1,328 lists fill at verify-algebra's default cutoff 10, one per (mode, partition)
 @lru_cache(maxsize=4096)
 def _sugawara_terms(n: int, lam: Partition, fault: bool) -> tuple:
     """The terms of L_n's double sum on lam, in ascending k, without the
@@ -61,7 +67,7 @@ def _sugawara_terms(n: int, lam: Partition, fault: bool) -> tuple:
     return tuple(terms)
 
 
-# 6,945 rows fill at verify-algebra's default cutoff 10
+# the rows of apply_L: 35 fill at verify-virasoro-c0's default cutoff; verify-algebra's stacks read the term lists instead
 @lru_cache(maxsize=16384)
 def _sugawara_on_basis(n: int, j: int, lam: Partition, key: ChargeKey, fault: bool) -> Row:
     """Row of L_n on basis (j, lam), alpha0 given by its
@@ -95,10 +101,28 @@ def _l_key(space: Space, n: int) -> tuple:
     return n, charge_key(space.alpha0), FAULT_SUGAWARA
 
 
+def _l_planes(n: int, key: ChargeKey, fault: bool, level: int) -> tuple:
+    """L_n from ``level`` as (den, planes) in the sector j: a term of
+    :func:`_sugawara_terms` with k factors J_0 = j p / q adds its value at
+    j = 1 to plane k, an integer over 2 q^2 (half a float product in float
+    mode)."""
+    floating = isinstance(key, float)
+    p, q = (key, 1) if floating else key
+    lams, outs = partitions_of(level), _positions(level - n)
+    cells = [[0] * (len(outs) * len(lams)) for _ in range(3)]
+    scale = [0.5 * p**k if floating else q**e * p**k for k in range(3) for e in range(3)]
+    for col, lam in enumerate(lams):
+        for mu, e, f, c1, c2 in _sugawara_terms(n, lam, fault):
+            k = (c1 is None) + (c2 is None)
+            cells[k][outs[mu] * len(lams) + col] += scale[3 * k + e] * f * (c1 or 1) * (c2 or 1)
+    planes = [np.array(x, dtype=float if floating else object).reshape(len(outs), len(lams)) for x in cells]
+    return (1 if floating else 2 * q * q), planes
+
+
 def l_matrices(space: Space, n: int) -> Callable[[int], LevelMatrix]:
     """level -> L_n from the basis at ``level``, one column per partition,
     stacked over the window's sectors."""
-    return level_matrices(_l_table, -n, (space.trunc.j_min, space.trunc.j_max), *_l_key(space, n))
+    return level_stacks(_l_planes, (space.trunc.j_min, space.trunc.j_max), *_l_key(space, n))
 
 
 def apply_L(space: Space, n: int, v: SectorState) -> SectorState:

@@ -325,6 +325,20 @@ def test_verify_decay_warns_of_blocks_past_the_block_cutoff(capsys, caplog):
     assert not [w for w in json.loads(out)["warnings"] if "mode blocks" in w]
 
 
+def test_an_exact_run_warns_of_the_tolerance_it_ignores(capsys, caplog):
+    # exact modes compare exactly: a nonzero tolerance is named in one
+    # warning, and the report, which echoes it, is that of the run without it
+    code, out = run(capsys, "verify-decay", "--tolerance", "0.5", "--level_cutoff", "4")
+    assert code == 0
+    ignored = [(r.levelname, r.getMessage()) for r in caplog.records if "tolerance" in r.getMessage()]
+    assert ignored == [("WARNING", "tolerance 0.5 is ignored: exact-rational arithmetic is exact")]
+    caplog.clear()
+    code, plain = run(capsys, "verify-decay", "--level_cutoff", "4")
+    assert code == 0
+    assert json.loads(out) == {**json.loads(plain), "config": {**json.loads(plain)["config"], "tolerance": 0.5}}
+    assert not [r for r in caplog.records if "tolerance" in r.getMessage()]
+
+
 def test_converge_multi_mode_files(tmp_path, capsys):
     out_path = tmp_path / "series.csv"
     code, _ = run(

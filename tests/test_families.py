@@ -21,7 +21,7 @@ import pytest
 
 from chargedfock import harness
 from chargedfock.cli import main
-from test_harness import HALF, _doubled_rows, space
+from test_harness import HALF, _doubled_rows, _fresh_memos, space
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKERS = [1, 2]
@@ -40,7 +40,9 @@ def _workers(monkeypatch, n):
 
 def _run(capsys, caplog, monkeypatch, workers, *argv):
     """One CLI run with `workers` CPUs -> (exit code, stdout, its log records
-    as (level, message) with every pid, RSS and time taken out)."""
+    as (level, message) with every pid, RSS, time and count of level stacks
+    built taken out: in one process the vertex family reuses stacks that the
+    current family built."""
     _workers(monkeypatch, workers)
     caplog.clear()
     with caplog.at_level(logging.INFO):
@@ -48,6 +50,7 @@ def _run(capsys, caplog, monkeypatch, workers, *argv):
     records = []
     for r in caplog.records:
         message = re.sub(r"pid \d+( \(forked, peak RSS [\d.]+ MB\))?", "pid _", r.getMessage())
+        message = re.sub(r"\d+ level stacks built", "_ level stacks built", message)
         records.append((r.levelname, re.sub(r"[\d.]+ s\b", "_ s", message)))
     return code, capsys.readouterr().out, records
 
@@ -107,6 +110,24 @@ def test_a_y_row_fault_fails_the_same_suite_in_either_process(monkeypatch):
     assert one == two
     assert two["failed_suite"] == "current_covariance"
     assert two["first_failure"] == {"m": -3, "delta": -2, "sector": -2, "basis": []}
+    _no_child_left()
+
+
+def test_each_family_names_the_level_stacks_it_built(caplog, monkeypatch):
+    # forked, the child builds every stack its family reads; in one process
+    # the vertex family reuses the J and L stacks the current family built
+    counts = {}
+    for n in WORKERS:
+        _fresh_memos(monkeypatch)
+        _workers(monkeypatch, n)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
+            harness.algebra_report(space(4), HALF)
+        lines = [r.getMessage() for r in caplog.records if " family (" in r.getMessage()]
+        counts[n] = [int(re.search(r", (\d+) level stacks built in [\d.]+ s$", line).group(1)) for line in lines]
+    (current, vertex_alone), (forked_current, forked_vertex) = counts[1], counts[2]
+    assert current == forked_current > 0
+    assert 0 < vertex_alone < forked_vertex
     _no_child_left()
 
 

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import logging
 import math
+import pkgutil
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -9,6 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import chargedfock
 import chargedfock.desitter as desitter
 import chargedfock.harness as harness
 import chargedfock.heisenberg as heisenberg
@@ -17,12 +20,14 @@ import chargedfock.vertex as vertex
 import chargedfock.virasoro as virasoro
 from chargedfock.desitter import PerturbedGenerator, apply_l_part
 from chargedfock.fock import (
+    LevelMatrix,
     SectorState,
     Space,
     TensorState,
     Truncation,
     charge_key,
     inner_product,
+    int_array,
     partitions_of,
     residual,
     states_equal,
@@ -42,7 +47,7 @@ from chargedfock.harness import (
 )
 from chargedfock.scalar import make_context
 from chargedfock.twodim import partial_sum_norm_series, vacuum_norm_series
-from chargedfock.vertex import charge_multiplier, conformal_weight, vacuum_mode_norm_sq, y_matrices
+from chargedfock.vertex import charge_multiplier, conformal_weight, vacuum_mode_norm_sq
 from chargedfock.virasoro import central_term
 from fraction_reference import reference_failing, reference_residual
 from state_reference import mode_index
@@ -102,15 +107,44 @@ def test_degenerate_cutoff_warns_vacuous_interior():
     ]
 
 
-# mode -> (module, row-table factory): the apply_* kernels and the level
-# matrices the suites check both read their rows through these
+def _fresh_memos(monkeypatch):
+    """Give every memo of the package a fresh store for the test and restore
+    the clean one afterwards: each lru_cache, wherever a module binds it, and
+    the image store of twodim.IMAGES.  The stack, pairing-piece and image
+    memos are keyed by value, not by the rows or stacks they were built from,
+    so a planted fault must neither read their clean entries nor leave its
+    faulted ones for a later test."""
+    fresh = {}
+    for info in pkgutil.iter_modules(chargedfock.__path__):
+        module = importlib.import_module(f"chargedfock.{info.name}")
+        for name, value in list(vars(module).items()):
+            if hasattr(value, "cache_parameters") and value.__module__.startswith("chargedfock."):
+                if value not in fresh:
+                    fresh[value] = lru_cache(**value.cache_parameters())(value.__wrapped__)
+                monkeypatch.setattr(module, name, fresh[value])
+    monkeypatch.setattr(twodim.IMAGES, "_store", {})
+
+
+# mode -> (module, row-table factory) that the apply_* kernels read
 ROW_TABLES = {"J": (heisenberg, "_j_table"), "L": (virasoro, "_l_table"), "Y": (vertex, "_y_table")}
+# mode -> (the stack function that harness imports, the row-table factory's
+# arguments from that function's, the sign of the operator's level shift)
+STACK_FUNCTIONS = {
+    "J": ("j_matrices", heisenberg._j_key, -1),
+    "L": ("l_matrices", virasoro._l_key, -1),
+    "Y": ("y_matrices", lambda sp, alpha, delta: (charge_key(alpha), delta), 1),
+}
 
 
-def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0):
-    """Double, in the rows of the mode's tables whose factory arguments `hit`,
-    every coefficient, or only the one on the output (sector, partition)
-    `target` (the sector raised by `shift`)."""
+def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0, sector=None):
+    """Double, where the mode's row-table factory arguments `hit`, every
+    coefficient, or only the one on the output (sector, partition) `target`
+    (the sector raised by `shift`), or only those out of the source `sector`:
+    in the rows of its tables, which the apply kernels read, and in the
+    stacks that harness imports.  Every memo starts fresh (see
+    :func:`_fresh_memos`)."""
+    _fresh_memos(monkeypatch)
+    doubled = lambda j, mu: (target is None or (j + shift, mu) == target) and sector in (None, j)  # noqa: E731
     module, name = ROW_TABLES[mode]
     make = getattr(module, name)
 
@@ -121,25 +155,44 @@ def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0):
 
         def row(j, lam):
             den, level, mus, nums = rows(j, lam)
-            doubled = [target is None or (j + shift, mu) == target for mu in mus]
-            return den, level, mus, tuple(2 * n if d else n for n, d in zip(nums, doubled))
+            return den, level, mus, tuple(2 * n if doubled(j, mu) else n for n, mu in zip(nums, mus))
 
         return row
 
     monkeypatch.setattr(module, name, faulty)
-    # apply_l_part's memo is keyed by value, not by the row table: the faulted
-    # rows get a fresh memo, and the clean one is restored afterwards
-    monkeypatch.setattr(desitter, "_l_part_slot", lru_cache(maxsize=None)(lambda key: []))
+    stacks_name, key, sign = STACK_FUNCTIONS[mode]
+    stacks = getattr(harness, stacks_name)
+
+    @lru_cache(maxsize=None)  # equal arguments, the same callable: the mirror keys compare them
+    def faulty_stacks(sp, *op):
+        clean = stacks(sp, *op)
+        if not hit(*key(sp, *op)):
+            return clean
+
+        @lru_cache(maxsize=None)
+        def stack(level):
+            m = clean(level)
+            ints = np.array(m.ints, dtype=float if m.ints.dtype == float else object)
+            for s, j in enumerate(range(sp.trunc.j_min, sp.trunc.j_max + 1)):
+                for r, mu in enumerate(partitions_of(level + sign * op[-1])):
+                    if doubled(j, mu):
+                        ints[s, r] *= 2
+            return LevelMatrix(m.den, ints if m.ints.dtype == float else int_array(ints, 2 * m.top), 2 * m.top)
+
+        return stack
+
+    monkeypatch.setattr(harness, stacks_name, faulty_stacks)
 
 
 def _sugawara_fault(monkeypatch):
+    _fresh_memos(monkeypatch)
     monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", True)
 
 
 # suite -> (fault, run, (states checked, cells, vacuous cells, first failure)), the
 # figures each suite reported before the sweep engine replaced its own loop,
-# at its fixed ranges.  Each fault sits in the rows that both the state
-# kernels and the level matrices read.
+# at its fixed ranges.  Each fault sits both in the rows that the state
+# kernels read and in the level stacks that the suites read.
 FAULT_CASES = {
     "current_bracket": (
         lambda mp: _doubled_rows(mp, "J", lambda m, alpha0: m == 1),
@@ -320,19 +373,8 @@ def test_a_right_hand_side_that_is_not_the_mirrors_negation_is_computed(monkeypa
 
 def test_mode_oracle_fails_a_fault_of_one_sector_in_that_sector(monkeypatch):
     # both sectors compare with one oracle stack, each with its own plane of
-    # the mode's stack: Y rows doubled for source sector 1 alone fail there
-    make = vertex._y_table
-
-    def faulty(key, delta):
-        rows = make(key, delta)
-
-        def row(j, lam):
-            den, level, mus, nums = rows(j, lam)
-            return den, level, mus, tuple(2 * n for n in nums) if j == 1 else nums
-
-        return row
-
-    monkeypatch.setattr(vertex, "_y_table", faulty)
+    # the mode's stack: Y doubled for source sector 1 alone fails there
+    _doubled_rows(monkeypatch, "Y", lambda key, delta: True, sector=1)
     suite = mode_oracle_suite(space(4), HALF)
     assert suite["status"] == "fail"
     assert suite["first_failure"]["sector"] == 1
@@ -659,7 +701,7 @@ def _per_sector_masks(sp, alpha, op_matrices, coefficient):
     at = lambda stack, s: stack.sectors(s, s + 1)  # noqa: E731
     masks = {}
     for m, delta in product(range(-3, 4), repeat=2):
-        op, Y, Y_rhs = op_matrices(sp, m), y_matrices(sp, alpha, delta), y_matrices(sp, alpha, delta - m)
+        op, Y, Y_rhs = op_matrices(sp, m), harness.y_matrices(sp, alpha, delta), harness.y_matrices(sp, alpha, delta - m)
         for level in range(sp.trunc.level_cutoff - max(0, delta, -m, delta - m) + 1):
             rows = []
             for j in sectors:

@@ -59,7 +59,7 @@ from chargedfock.twodim import TimeZeroMode, time_zero_image
 from chargedfock.vertex import apply_Y_mode, y_matrices, y_mode_table
 from chargedfock.virasoro import apply_L, apply_L_tensor, l_matrices
 from fraction_reference import make_row, reference_failing, sugawara_row, value_row
-from state_reference import apply_J_tensor
+from state_reference import apply_J_tensor, reference_stacks
 
 MODES = ("exact-rational", "exact-gaussian", "float")
 WINDOW = (-2, 2)
@@ -333,10 +333,65 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
     assert stack.ints.shape[0] == len(sectors)
     assert stack.ints.dtype == float or stack.top == max((abs(int(n)) for n in stack.ints.flat), default=0)
     for s, j in enumerate(sectors):
-        own = fock.stack_rows([[rows(j, lam) for lam in partitions_of(level)]], level + shift)
+        own = fock.row_matrix([rows(j, lam) for lam in partitions_of(level)], level + shift)
         view = stack.sectors(s, s + 1)
         assert np.shares_memory(view.ints, stack.ints) or not stack.ints.size
-        assert values(view.den, view.ints) == values(own.den, own.ints)
+        if stack.ints.dtype == float:  # the planes sum float terms in another order than the rows
+            assert np.allclose(view.ints, own.ints[None], rtol=1e-12, atol=1e-12 * np.abs(own.ints).max(initial=1))
+        else:
+            assert values(view.den, view.ints) == values(own.den, own.ints[None])
+
+
+# charges of both signs, denominators 1, 2, 3 and 7, an integer charge past 1
+PLANE_CHARGES = (Fraction(1, 2), Fraction(-2, 7), Fraction(1), Fraction(-1, 3), Fraction(3))
+PLANE_CUTOFF = 6
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+@pytest.mark.parametrize("mode", ["exact-rational", "float"])
+@pytest.mark.parametrize("window", [(-2, 2), (-3, 1), (0, 0)], ids=str)
+@pytest.mark.parametrize("charge", PLANE_CHARGES, ids=str)
+def test_plane_stacks_equal_the_row_stacks(monkeypatch, charge, window, mode, fault):
+    # every J_m, L_n and Y_delta stack, |m|, |n|, |delta| <= 6, at every level
+    # up to two past the cutoff, against its rows stacked sector by sector:
+    # den, ints and top exactly, float values within 1e-12 relative; the
+    # Sugawara fault enters L alone
+    monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", fault)
+    floating = mode == "float"
+    space = Space(make_context(mode, 1e-9 if floating else 0.0), float(charge) if floating else charge,
+                  Truncation(PLANE_CUTOFF, *window))
+    ops = [("L", (n,), l_matrices) for n in range(-6, 7)]
+    if not fault:
+        ops += [("J", (m,), j_matrices) for m in range(-6, 7)]
+        ops += [("Y", (space.alpha0, delta), y_matrices) for delta in range(-6, 7)]
+    for name, op, stacks in ops:
+        new, old = stacks(space, *op), reference_stacks(space, name, *op)
+        for level in range(PLANE_CUTOFF + 3):
+            got, want = new(level), old(level)
+            assert got.ints.shape == want.ints.shape, (name, op, level)
+            if floating:
+                scale = np.abs(want.ints).max(initial=1)
+                assert np.allclose(got.ints, want.ints, rtol=1e-12, atol=1e-12 * scale), (name, op, level)
+            else:
+                assert (got.den, got.top, got.ints.dtype) == (want.den, want.top, want.ints.dtype), (name, op, level)
+                assert np.array_equal(got.ints, want.ints), (name, op, level)
+
+
+def test_plane_stacks_past_int64_equal_the_row_stacks():
+    # Y at -2/7 from level 9 passes 2**63 in its products and its stack; L_0
+    # and J_0 at a charge of 2**40 / 3 pass it when evaluated in the sectors
+    cases = [(Fraction(-2, 7), "Y", (Fraction(-2, 7), delta), range(9, 11)) for delta in (-1, 0, 1)]
+    cases += [(Fraction(2**40, 3), name, (0,), range(5)) for name in ("J", "L")]
+    stacks = {"J": j_matrices, "L": l_matrices, "Y": y_matrices}
+    wide = 0
+    for charge, name, op, levels in cases:
+        space = Space(make_context("exact-rational"), charge, Truncation(10, -2, 2))
+        for level in levels:
+            got, want = stacks[name](space, *op)(level), reference_stacks(space, name, *op)(level)
+            assert (got.den, got.top, got.ints.dtype) == (want.den, want.top, want.ints.dtype), (name, op, level)
+            assert np.array_equal(got.ints, want.ints), (name, op, level)
+            wide += got.ints.dtype == object
+    assert wide >= 6
 
 
 small_ints = st.integers(min_value=-50, max_value=50)
@@ -563,7 +618,8 @@ def test_every_module_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 caches[name] = value.cache_info().maxsize
-    assert {"_j_row", "_sugawara_on_basis", "_y_row", "level_matrices", "_chiral_gram", "_entry_slot"} <= set(caches)
+    assert {"_j_row", "_sugawara_on_basis", "_y_row", "_chiral_gram", "_entry_slot"} <= set(caches)
+    assert {"level_stacks", "_creation_block", "_annihilation_block"} <= set(caches)
     assert {name for name, maxsize in caches.items() if maxsize is None} == UNBOUNDED
 
 
@@ -587,20 +643,20 @@ def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
         assert {type(n) for n in ints[3]} == {int} and {type(n) for n in floats[3]} == {float}
         with pytest.raises(TypeError):  # the builder given a charge, not its key, takes neither route
             row.__wrapped__(*args(exact))
-    # (factory, its arguments at a key, the level shift of its rows)
-    tables = (
-        (heisenberg._j_table, lambda key: (0, key), 0),
-        (virasoro._l_table, lambda key: (0, key, False), 0),
-        (vertex._y_table, lambda key: (key, 1), 1),
+    # (plane builder, its arguments at a key)
+    builders = (
+        (heisenberg._j_planes, lambda key: (0, key)),
+        (virasoro._l_planes, lambda key: (0, key, False)),
+        (vertex._y_planes, lambda key: (key, 1)),
     )
-    for table, args, shift in tables:
-        ints, floats = (fock.level_matrices(table, shift, WINDOW, *args(key)) for key in keys)
+    for planes, args in builders:
+        ints, floats = (fock.level_stacks(planes, WINDOW, *args(key)) for key in keys)
         assert ints is not floats
         assert ints(2).ints.dtype == np.int64 and floats(2).ints.dtype == float
         # equal arguments find the memoized stacks, whose own per-level memo is bounded
-        assert ints is fock.level_matrices(table, shift, WINDOW, *args(keys[0]))
+        assert ints is fock.level_stacks(planes, WINDOW, *args(keys[0]))
         assert ints.cache_info().maxsize is not None
-        narrow = fock.level_matrices(table, shift, (-1, 1), *args(keys[0]))
+        narrow = fock.level_stacks(planes, (-1, 1), *args(keys[0]))
         assert ints is not narrow
         assert ints(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
     ints, floats = (twodim._chiral_gram(key, key, 1, (), 1, ()) for key in keys)
