@@ -30,7 +30,8 @@ Each operator also has one :class:`LevelMatrix` per level, built by
 denominator, with a leading axis over every sector j of the charge window, so
 a contiguous run of sectors is a view.  An operator that depends on j, as J_0
 and L_n do through J_0 = j alpha0, is P0 + j P1 + j**2 P2 on sector j; one
-that does not, as J_m (m != 0) and every Y_delta, is a stride-0 view of P0.
+that does not, as J_m (m != 0) and every Y_delta, is P0 alone: one plane, no
+sector axis, which holds in every sector and is multiplied once.
 :func:`residual` finds where a sum of products of such stacks is nonzero,
 one identity on all sectors in one batched product, exactly: modulo 2**64,
 and modulo primes as well while a bound certified from the entries'
@@ -277,11 +278,11 @@ class LevelMatrix:
     """An operator on the basis of one level, ``ints / den``: column c holds
     the row of ``partitions_of(level)[c]``, entry r its coefficient on the
     r-th output partition.  A stack has a leading sector axis, ``ints[s]``
-    on the s-th sector of the charge window, a stride-0 view of one plane
-    when the operator is the same in every sector; a matrix without one holds in
-    every sector.  ``ints`` is int64 when every entry fits, Python ints
-    (object dtype) otherwise, both read as residues by :func:`residual`, and
-    float64 values in float mode; ``top`` bounds every exact |entry|."""
+    on the s-th sector of the charge window; an operator that is the same in
+    every sector is one plane, no sector axis, which holds in every sector.
+    ``ints`` is int64 when every entry fits, Python ints (object dtype)
+    otherwise, both read as residues by :func:`residual`, and float64 values
+    in float mode; ``top`` bounds every exact |entry|."""
 
     den: int
     ints: np.ndarray
@@ -332,13 +333,14 @@ def int_array(x, bound: int) -> np.ndarray:
 
 def sector_stack(den: int, planes, window: Tuple[int, int]) -> LevelMatrix:
     """The stack of (sum over k of j**k planes[k]) / den on every sector j of
-    the charge window ``(j_min, j_max)``, a stride-0 view of planes[0] when
-    no other plane is nonzero.  Exact planes are summed in int64 while a
-    bound certified from their tops and the window is below 2**63, in Python
-    ints past it, and reduced to lowest terms; the stack is int64 when its
-    top is below 2**63.  Float planes (float mode) give float64."""
+    the charge window ``(j_min, j_max)``, or planes[0] / den alone, one plane,
+    no sector axis, when no other plane is nonzero.  Exact planes are summed
+    in int64 while a bound certified from their tops and the window is below
+    2**63, in Python ints past it, and reduced to lowest terms; the stack is
+    int64 when its top is below 2**63.  Float planes (float mode) give
+    float64."""
     js = np.arange(window[0], window[1] + 1)[:, None, None]
-    first, rest = planes[0][None], [(k, x) for k, x in enumerate(planes[1:], start=1) if x.any()]
+    first, rest = planes[0], [(k, x) for k, x in enumerate(planes[1:], start=1) if x.any()]
     if first.dtype == float:
         ints, top = sum((js**k * x for k, x in rest), first), 0
     else:
@@ -349,7 +351,7 @@ def sector_stack(den: int, planes, window: Tuple[int, int]) -> LevelMatrix:
         g = gcd(den, int(np.gcd.reduce(ints, axis=None)))  # den itself when every entry is 0
         den, top = den // g, top // g
         ints = int_array(ints // g if g > 1 else ints, top)
-    return LevelMatrix(den, ints if rest else np.broadcast_to(ints, (len(js),) + ints.shape[1:]), top)
+    return LevelMatrix(den, ints, top)
 
 
 # the level stacks built and their seconds, for verify-algebra's family INFO lines
@@ -396,7 +398,7 @@ def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     offsets = [0, *accumulate(len(partitions_of(level)) for level in range(top + 1))]
     blocks = [block(level) for level in range(top + 1)]
     den = lcm(*[b.den for b in blocks])
-    cells = np.zeros(blocks[0].ints.shape[:-2] + (offsets[-1],) * 2, dtype=object)
+    cells = np.zeros(np.broadcast_shapes(*[b.ints.shape[:-2] for b in blocks]) + (offsets[-1],) * 2, dtype=object)
     floating = False
     for level, b in enumerate(blocks):
         out = level + shift
@@ -437,8 +439,9 @@ def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
     product of its chains' matrix products, each applied right to left, is
     nonzero, and how many primes that took: one chain for a chiral operator,
     a left and a right one for a two-sided operator, whose left products are
-    summed per right chain (the same matrix objects) before one Kronecker
-    product with it.  Sector axes broadcast, so one call checks an identity
+    summed per right chain (the same matrix objects), and whose Kronecker
+    products with their right chains are summed as one matrix product (see
+    :func:`_failing`).  Sector axes broadcast, so one call checks an identity
     on every sector of a stack; each term's c is one scalar.
 
     Exact modes cross-multiply the terms to one common denominator.  The
@@ -493,19 +496,24 @@ def residual(ctx: ArithmeticContext, terms) -> Tuple[np.ndarray, int]:
 
 def _failing(ctx: ArithmeticContext, mod, total, krons) -> np.ndarray:
     """Where ``total`` plus the Kronecker products of the pairs ``krons`` is
-    nonzero modulo ``mod``, or past the tolerance in float mode.  The products
-    are summed one plane of the leading (sector) axes at a time, so a batch
+    nonzero modulo ``mod``, or past the tolerance in float mode.  On each
+    plane of the leading (sector) axes the pairs' sum is one product over the
+    pair axis: the T left factors flattened to (r1 c1, T) times the right
+    ones flattened to (T, r2 c2), reordered to kron's layout, which holds
+    a[i, j] b[k, l] at (i r2 + k, j c2 + l).  A plane at a time, so a batch
     holds no more of them at once than one sector's residual."""
     if not krons:
         return np.abs(total) > ctx.tolerance if mod is None else _reduce(total, mod).astype(bool)
     lead = np.broadcast_shapes(*[m.shape[:-2] for m in (total, *(m for pair in krons for m in pair)) if m is not None])
     at = lambda m, s: np.broadcast_to(m, lead + m.shape[-2:])[s]  # noqa: E731
+    (r1, c1), (r2, c2) = krons[0][0].shape[-2:], krons[0][1].shape[-2:]
     planes = []
     for s in np.ndindex(lead):
-        plane = 0 if total is None else at(total, s)
-        for a, b in krons:
-            x = np.kron(at(a, s), at(b, s))
-            plane = np.add(plane, x, out=x)
+        left = np.stack([at(a, s).reshape(-1) for a, _ in krons], axis=-1)
+        right = np.stack([at(b, s).reshape(-1) for _, b in krons])
+        plane = (left @ right).reshape(r1, c1, r2, c2).transpose(0, 2, 1, 3).reshape(r1 * r2, c1 * c2)
+        if total is not None:
+            plane += at(total, s)
         planes.append(_failing(ctx, mod, plane, []))
     return np.stack(planes).reshape(lead + planes[0].shape)
 

@@ -10,8 +10,9 @@ silent pass.  Each suite's label ranges and level caps are fixed.
 
 Each identity is checked as a matrix identity per level on the operators'
 level stacks (see :mod:`chargedfock.fock`), whose leading axis runs over the
-sectors: every suite computes one batched residual per cell and level (the
-Lorentz closure's levels form one graded block), such as a bracket
+sectors, or which are one plane for every sector: every suite computes one
+batched residual per cell and level (the Lorentz closure's levels form one
+graded block), such as a bracket
 A B - B A - c R = 0 on the whole interior basis of one level in every admitted
 sector, whose nonzero (sector, column) pairs are the failing basis vectors.  Each
 coefficient is a scalar; a sector's charge enters as J_0, which is that charge
@@ -102,7 +103,8 @@ __all__ = [
 # the sweep engine and its interior bookkeeping
 
 # residuals computed in the running sweep, those of them that needed primes and
-# the most one needed, and those taken from mirrored cells instead
+# the most one needed, and masks taken from mirrored cells or from a
+# sector-free plane already checked instead
 _RESIDUALS = Counter()
 
 
@@ -114,7 +116,8 @@ def _sweep(name: str, cell: Callable, **labels: Iterable) -> dict:
     replayed in (sector, block, state) order, and the sweep stops at its
     first failing state.  It logs, at INFO, its states checked, its batched
     residuals, how many needed a prime and the most primes one needed, how
-    many residuals it reused from mirrored cells, and its seconds."""
+    many residuals it reused from mirrored cells, how many masks it reused
+    from a sector-free plane when it did, and its seconds."""
     _RESIDUALS.clear()
     t0 = time.perf_counter()
     checked = cells = vacuous = 0
@@ -143,13 +146,14 @@ def _sweep(name: str, cell: Callable, **labels: Iterable) -> dict:
         vacuous += seen == 0
     log.info(
         "%s: %d states checked, %d batched residuals, %d needed primes (at most %d), %d reused from mirrored"
-        " cells, %.3f s",
+        " cells%s, %.3f s",
         name,
         checked,
         _RESIDUALS["batched"],
         _RESIDUALS["primed"],
         _RESIDUALS["most_primes"],
         _RESIDUALS["mirrored"],
+        f", {_RESIDUALS['planes']} masks reused from sector-free planes" if _RESIDUALS["planes"] else "",
         time.perf_counter() - t0,
     )
     warnings = []
@@ -301,8 +305,10 @@ def lorentz_closure_suite(space: Space) -> dict:
     interior, applied to the interior basis, in one batched residual per cell
     over the window's sectors.  The residual sums the left factors of terms
     that share a right chain first, so the cross terms, which cancel, cost no
-    Kronecker product.  When m = n the ladder coefficient vanishes, so G
-    beyond |m| <= 1 is never needed inside this range.
+    Kronecker product, and sums the remaining Kronecker products as one
+    matrix product per sector plane (see :func:`~chargedfock.fock._failing`).
+    When m = n the ladder coefficient vanishes, so G beyond |m| <= 1 is never
+    needed inside this range.
     """
     base = PerturbedGenerator("lorentz", 0, space.ctx.zero(), space.alpha0)
 
@@ -383,10 +389,14 @@ def mode_oracle_suite(space: Space, alpha) -> dict:
     vector, the recursion's integers F over q**(len(mu) + len(lam)) zsym(mu)
     (see :func:`~chargedfock.vertex.recursive_row`).  The oracle's matrix
     elements take no sector, so each (delta, level) oracle stack is built
-    once and compared with every sector's own plane of the mode's stack."""
+    once and compared with each sector's plane of the mode's stack.  A stack
+    that is one plane, no sector axis, gives sector 1 the very plane that
+    sector 0 checked, whose failing columns it reuses; a stack with a sector
+    axis is checked in each sector."""
     admitted = _sectors(space, charge_multiplier(space, alpha))
     top = min(8, space.trunc.level_cutoff)
     key = charge_key(alpha)
+    checked = {}  # (delta, level) -> (the plane checked, its failing columns)
 
     @lru_cache(maxsize=None)
     def oracle(delta, level):
@@ -398,8 +408,13 @@ def mode_oracle_suite(space: Space, alpha) -> dict:
         Y, rows = _Op(y_matrices(space, alpha, delta), delta), _positions(space, range(j, j + 1))
         blocks = []
         for level in range(max(0, -delta), top - max(0, delta) + 1):
-            terms = [(1, ((Y.at(rows, level),),)), (-1, ((oracle(delta, level),),))]
-            blocks.append((partial(_column_where, level), _nonzero(space, terms).any(axis=-2)))
+            plane, (seen, bad) = Y.at(rows, level), checked.get((delta, level), (None, None))
+            if plane is seen:
+                _RESIDUALS["planes"] += 1
+            else:
+                bad = _nonzero(space, [(1, ((plane,),)), (-1, ((oracle(delta, level),),))]).any(axis=-2)
+                checked[delta, level] = plane, bad
+            blocks.append((partial(_column_where, level), bad))
         return [j], blocks
 
     return _sweep("mode_oracle_equivalence", cell, sector=(0, 1), delta=range(-top, top + 1))

@@ -171,9 +171,11 @@ def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0, sector=None):
 
         @lru_cache(maxsize=None)
         def stack(level):
-            m = clean(level)
-            ints = np.array(m.ints, dtype=float if m.ints.dtype == float else object)
-            for s, j in enumerate(range(sp.trunc.j_min, sp.trunc.j_max + 1)):
+            m, sectors = clean(level), range(sp.trunc.j_min, sp.trunc.j_max + 1)
+            # a one-plane stack becomes one copy per sector, so that one sector's entries can differ
+            ints = np.broadcast_to(m.ints, (len(sectors),) + m.ints.shape[-2:])
+            ints = np.array(ints, dtype=float if m.ints.dtype == float else object)
+            for s, j in enumerate(sectors):
                 for r, mu in enumerate(partitions_of(level + sign * op[-1])):
                     if doubled(j, mu):
                         ints[s, r] *= 2
@@ -712,7 +714,8 @@ def _per_sector_masks(sp, alpha, op_matrices, coefficient):
                     (-1, ((at(Y(level - m), s), at(op(level), s)),)),
                     (-c, ((at(Y_rhs(level), s),),)),
                 ]
-                rows.append(residual(EXACT, terms)[0].any(axis=-2)[0])
+                bad = residual(EXACT, terms)[0].any(axis=-2)
+                rows.append(np.broadcast_to(bad, (1, bad.shape[-1]))[0])
             if sectors:
                 masks[m, delta, level] = np.array(rows)
     return masks

@@ -58,7 +58,7 @@ from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import TimeZeroMode, time_zero_image
 from chargedfock.vertex import apply_Y_mode, y_matrices, y_mode_table
 from chargedfock.virasoro import apply_L, apply_L_tensor, l_matrices
-from fraction_reference import make_row, reference_failing, sugawara_row, value_row
+from fraction_reference import make_row, reference_failing, reference_residual, sugawara_row, value_row
 from state_reference import apply_J_tensor, reference_stacks
 
 MODES = ("exact-rational", "exact-gaussian", "float")
@@ -254,8 +254,14 @@ def test_integer_rows_equal_their_fraction_references(lam, charge, m, j, fault):
 
 
 def column_values(matrix, col):
-    """Column ``col`` of a one-sector stack, as values."""
-    return [Fraction(int(n), matrix.den) if matrix.ints.dtype != float else n for n in matrix.ints[0, :, col]]
+    """Column ``col`` of a one-sector stack or of one plane, as values."""
+    return [Fraction(int(n), matrix.den) if matrix.ints.dtype != float else n for n in matrix.ints[..., col].flat]
+
+
+def on_window(ints, sectors):
+    """A stack's entries on each of ``sectors`` sectors: one plane, no sector
+    axis, repeated on every sector."""
+    return np.broadcast_to(ints, (sectors,) + ints.shape[-2:])
 
 
 def test_level_matrix_columns_match_applications():
@@ -264,17 +270,18 @@ def test_level_matrix_columns_match_applications():
     for mode in MODES:
         space = make_space(mode, 8)
         ctx = space.ctx
+        # (application, stacks, level shift, sector shift, the stacks' sector axis)
         ops = [
-            (lambda v: apply_J(space, 2, v), j_matrices(space, 2), -2, 0),
-            (lambda v: apply_J(space, 0, v), j_matrices(space, 0), 0, 0),
-            (lambda v: apply_L(space, -1, v), l_matrices(space, -1), 1, 0),
-            (lambda v: apply_Y_mode(space, space.alpha0, -1, v), y_matrices(space, space.alpha0, -1), -1, 1),
+            (lambda v: apply_J(space, 2, v), j_matrices(space, 2), -2, 0, ()),
+            (lambda v: apply_J(space, 0, v), j_matrices(space, 0), 0, 0, (5,)),
+            (lambda v: apply_L(space, -1, v), l_matrices(space, -1), 1, 0, (5,)),
+            (lambda v: apply_Y_mode(space, space.alpha0, -1, v), y_matrices(space, space.alpha0, -1), -1, 1, ()),
         ]
-        for apply, matrices, shift, jshift in ops:
+        for apply, matrices, shift, jshift, lead in ops:
             for level in range(5):
                 stack = matrices(level)
                 outs = partitions_of(level + shift)
-                assert stack.ints.shape == (5, len(outs), len(partitions_of(level)))
+                assert stack.ints.shape == lead + (len(outs), len(partitions_of(level)))
                 for j in (-1, 0, 1):
                     matrix = stack.sectors(j - WINDOW[0], j - WINDOW[0] + 1)
                     for col, lam in enumerate(partitions_of(level)):
@@ -288,14 +295,20 @@ def test_level_matrix_columns_match_applications():
 
 
 def test_sector_free_stacks_are_one_plane():
-    # J_m (m != 0) and Y_delta read the same rows in every sector, so their
-    # stacks are one plane viewed with stride 0 on the sector axis; J_0 and
-    # L_n take the sector's charge, so each sector keeps its own plane
+    # J_m (m != 0) and Y_delta read the same rows in every sector, so each of
+    # their stacks is one plane, no sector axis; J_0 and L_n take the
+    # sector's charge, so each sector keeps its own plane
     for mode in ("exact-rational", "float"):
         space = make_space(mode, INTERIOR)
-        for stack in (j_matrices(space, 1)(3), y_matrices(space, space.alpha0, 1)(3)):
-            assert stack.ints.shape[0] == 5 and stack.ints.strides[0] == 0
-        assert l_matrices(space, 0)(3).ints.strides[0] != 0
+        for level in range(5):
+            for m in (-3, -1, 1, 2):
+                assert j_matrices(space, m)(level).ints.ndim == 2, (m, level)
+            for delta in (-2, 0, 1, 3):
+                assert y_matrices(space, space.alpha0, delta)(level).ints.ndim == 2, (delta, level)
+            assert j_matrices(space, 0)(level).ints.shape[0] == 5, level
+            for n in (-2, -1, 0, 1, 2):
+                if level >= n:  # a nonempty output level
+                    assert l_matrices(space, n)(level).ints.shape[0] == 5, (n, level)
 
 
 WINDOWS = ((0, 0), (-2, 2), (-3, 3))
@@ -330,7 +343,9 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
         stack, rows, shift = y_matrices(space, -2 * charge, m), vertex._y_table(charge_key(-2 * charge), m), m
     stack = stack(level)
     sectors = range(window[0], window[1] + 1)
-    assert stack.ints.shape[0] == len(sectors)
+    # J_0 and an L_n with a nonempty output level take the sector's charge; every other stack is one plane
+    own_planes = (mode, m) == ("J", 0) or mode == "L" and level + shift >= 0
+    assert stack.ints.shape[:-2] == ((len(sectors),) if own_planes else ())
     assert stack.ints.dtype == float or stack.top == max((abs(int(n)) for n in stack.ints.flat), default=0)
     for s, j in enumerate(sectors):
         own = fock.row_matrix([rows(j, lam) for lam in partitions_of(level)], level + shift)
@@ -339,7 +354,23 @@ def test_every_sector_slice_equals_its_own_row_stack(window, charge, mode, m, le
         if stack.ints.dtype == float:  # the planes sum float terms in another order than the rows
             assert np.allclose(view.ints, own.ints[None], rtol=1e-12, atol=1e-12 * np.abs(own.ints).max(initial=1))
         else:
-            assert values(view.den, view.ints) == values(own.den, own.ints[None])
+            assert values(view.den, on_window(view.ints, 1)) == values(own.den, own.ints[None])
+
+
+def assert_stacks_equal(got, want, floating, label):
+    """``got`` against the reference stack ``want`` on every sector of the
+    window: one plane, no sector axis, only where the reference's rows agree
+    in every sector (it views them with stride 0), and then repeated on
+    every sector."""
+    assert got.ints.shape[-2:] == want.ints.shape[-2:], label
+    assert got.ints.shape[:-2] == want.ints.shape[:-2] or want.ints.strides[0] == 0, label
+    ints = on_window(got.ints, len(want.ints))
+    if floating:
+        scale = np.abs(want.ints).max(initial=1)
+        assert np.allclose(ints, want.ints, rtol=1e-12, atol=1e-12 * scale), label
+    else:
+        assert (got.den, got.top, got.ints.dtype) == (want.den, want.top, want.ints.dtype), label
+        assert np.array_equal(ints, want.ints), label
 
 
 # charges of both signs, denominators 1, 2, 3 and 7, an integer charge past 1
@@ -354,8 +385,8 @@ PLANE_CUTOFF = 6
 def test_plane_stacks_equal_the_row_stacks(monkeypatch, charge, window, mode, fault):
     # every J_m, L_n and Y_delta stack, |m|, |n|, |delta| <= 6, at every level
     # up to two past the cutoff, against its rows stacked sector by sector:
-    # den, ints and top exactly, float values within 1e-12 relative; the
-    # Sugawara fault enters L alone
+    # den, ints and top exactly, float values within 1e-12 relative, one
+    # plane repeated on every sector; the Sugawara fault enters L alone
     monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", fault)
     floating = mode == "float"
     space = Space(make_context(mode, 1e-9 if floating else 0.0), float(charge) if floating else charge,
@@ -368,13 +399,7 @@ def test_plane_stacks_equal_the_row_stacks(monkeypatch, charge, window, mode, fa
         new, old = stacks(space, *op), reference_stacks(space, name, *op)
         for level in range(PLANE_CUTOFF + 3):
             got, want = new(level), old(level)
-            assert got.ints.shape == want.ints.shape, (name, op, level)
-            if floating:
-                scale = np.abs(want.ints).max(initial=1)
-                assert np.allclose(got.ints, want.ints, rtol=1e-12, atol=1e-12 * scale), (name, op, level)
-            else:
-                assert (got.den, got.top, got.ints.dtype) == (want.den, want.top, want.ints.dtype), (name, op, level)
-                assert np.array_equal(got.ints, want.ints), (name, op, level)
+            assert_stacks_equal(got, want, floating, (name, op, level))
 
 
 def test_plane_stacks_past_int64_equal_the_row_stacks():
@@ -388,8 +413,7 @@ def test_plane_stacks_past_int64_equal_the_row_stacks():
         space = Space(make_context("exact-rational"), charge, Truncation(10, -2, 2))
         for level in levels:
             got, want = stacks[name](space, *op)(level), reference_stacks(space, name, *op)(level)
-            assert (got.den, got.top, got.ints.dtype) == (want.den, want.top, want.ints.dtype), (name, op, level)
-            assert np.array_equal(got.ints, want.ints), (name, op, level)
+            assert_stacks_equal(got, want, False, (name, op, level))
             wide += got.ints.dtype == object
     assert wide >= 6
 
@@ -510,6 +534,48 @@ def test_each_matrix_product_is_reduced():
     exact[1, 0] += 2**64
     bad, _ = residual(EXACT, [(1, (tuple(factors),)), (-1, ((exact_matrix(1, exact),),))])
     assert bad.tolist() == [[False, False], [True, False]]
+
+
+def two_sided_terms(mode, seed):
+    """Terms of a two-sided batch: four left chains (2x5)(5x3), the first on
+    a stack of 3 sectors, over three right chains (4x6)(6x7), two of the
+    left ones sharing the first right chain, and a chiral term -D with D the
+    pairs' Kronecker sum plus planted faults F, which the residual must fail
+    and nothing else.  Exact entries of up to 61 bits, so the certified bound
+    passes 2**64, and faults of 2**64 that only a prime sees; float entries
+    small integers, so that the float sums are exact."""
+    rng = np.random.default_rng(seed)
+    exact = mode == "exact-rational"
+    ctx = EXACT if exact else make_context("float", 1e-9)
+    high = 2**61 if exact else 8
+
+    def factor(*shape):
+        ints = rng.integers(-high, high, size=shape)
+        return LevelMatrix(1, ints if exact else ints.astype(float), high if exact else 0)
+
+    rights = [(factor(4, 6), factor(6, 7)) for _ in range(3)]
+    lefts = [(factor(3, 2, 5), factor(5, 3))] + [(factor(2, 5), factor(5, 3)) for _ in range(3)]
+    coefficients = rng.choice([-3, -2, -1, 1, 2, 3], size=len(lefts)).tolist()
+    pairs = [(c, (left, right)) for c, left, right in zip(coefficients, lefts, [rights[0], *rights])]
+    faults = rng.choice([0, 0, 0, 1, -5] + ([2**64, -(2**64)] if exact else []), size=(3, 8, 21)).astype(object)
+    d = reference_residual(ctx, pairs) + (faults if exact else faults.astype(float))
+    top = int(np.abs(d).max())
+    d = LevelMatrix(1, d.astype(np.int64 if top < 2**63 else object) if exact else d, top if exact else 0)
+    return ctx, [*pairs, (-1, ((d,),))], faults != 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode", ["exact-rational", "float"])
+def test_two_sided_batches_fail_the_reference_entries(mode, seed):
+    # the Kronecker products of a batch's pairs are summed as one matrix
+    # product per sector plane, then reordered to kron's layout: the sum must
+    # fail exactly the planted faults, the entries of the Python-int sum
+    ctx, terms, planted = two_sided_terms(mode, seed)
+    bad, primes = residual(ctx, terms)
+    assert bad.shape == planted.shape
+    assert (bad == reference_failing(ctx, terms)).all()
+    assert (bad == planted).all() and planted.any()
+    assert primes > 0 if ctx.exact else primes == 0
 
 
 def test_a_sum_of_residues_that_could_wrap_is_refused():
@@ -658,7 +724,10 @@ def test_float_and_exact_charges_stay_apart_through_their_keys(exact, floating):
         assert ints.cache_info().maxsize is not None
         narrow = fock.level_stacks(planes, (-1, 1), *args(keys[0]))
         assert ints is not narrow
-        assert ints(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
+        if planes is vertex._y_planes:  # one plane, no sector axis, on either window
+            assert ints(2).ints.ndim == narrow(2).ints.ndim == 2
+        else:
+            assert ints(2).ints.shape[0] == 5 and narrow(2).ints.shape[0] == 3
     ints, floats = (twodim._chiral_gram(key, key, 1, (), 1, ()) for key in keys)
     assert type(ints[0]) is int and type(floats[0]) is float
     space = Space(make_context("exact-rational"), exact, Truncation(4, *WINDOW))

@@ -64,3 +64,33 @@ def test_report_digests_mask_what_varies_between_runs_on_stderr():
     # counts stay: a changed warning or INFO count changes the digest
     line = b"INFO commutativity: 25 vacuum and 30 excited rows, 63 of 220 time-zero images built, 0.018 s\n"
     assert report_digests.masked_stderr(line) == line.replace(b"0.018 s", b"# s")
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_alternate_the_first_side_on_one_path_per_pair():
+    bench_pairs = _bench_pairs()
+    plan = bench_pairs.schedule(4)
+    assert [order for _, _, order in plan] == [("parent", "change"), ("change", "parent")] * 2
+    assert len({path for _, path, _ in plan}) == 4
+
+
+def test_bench_pairs_summarize_each_metric_over_the_pairs():
+    bench_pairs = _bench_pairs()
+    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 3.5, 2.0, 2.5]
+    runs = [{"pair": i, "side": side, "metrics": {"verdict_s": x}}
+            for i, pair in enumerate(zip(parent, change)) for side, x in zip(("parent", "change"), pair)]
+    runs.append({"pair": 5, "side": "parent", "metrics": {"verdict_s": 9.0}})  # a pair without its change
+    assert bench_pairs.summary(runs) == {"verdict_s": {
+        "parent_median": 3.0,
+        "parent_quartiles": [2.0, 4.0],
+        "change_median": 2.0,
+        "change_quartiles": [1.5, 2.5],
+        "change_lower_in": "4 of 5",
+        "gap_exceeds_parent_iqr": False,
+    }}
