@@ -15,8 +15,12 @@ edited.
 Prints one JSON object: every run's end-to-end metrics, and per metric the
 median and quartiles of each side, and in how many pairs the change's value
 is lower than the parent's.  ``gap_exceeds_parent_iqr`` says whether the
-medians lie further apart than the parent's quartiles do.  Progress goes to
-stderr.  Exit code 1 when a run fails or prints no result.
+medians lie further apart than the parent's quartiles do.  ``claim_met``
+says whether a claim that the metric fell holds by the benchmark's rule: the
+change is lower in at least nine tenths of the pairs, a tie counting for
+neither side, and its median lies below the parent's by more than the
+parent's quartile spread.  Progress goes to stderr.  Exit code 1 when a run
+fails or prints no result.
 """
 
 import argparse
@@ -43,8 +47,9 @@ def quartiles(values) -> list:
 
 
 def summary(runs) -> dict:
-    """metric -> both sides' medians and quartiles, and the pairs where the
-    change's value is lower, over the runs that reported the metric."""
+    """metric -> both sides' medians and quartiles, the pairs where the
+    change's value is lower, and whether a claim that it fell is met, over
+    the runs that reported the metric."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
@@ -56,13 +61,15 @@ def summary(runs) -> dict:
             continue
         parent, change = [x for x, _ in both], [y for _, y in both]
         (q1, q3), p_med, c_med = quartiles(parent), statistics.median(parent), statistics.median(change)
+        lower = sum(y < x for x, y in both)
         out[name] = {
             "parent_median": round(p_med, 5),
             "parent_quartiles": [q1, q3],
             "change_median": round(c_med, 5),
             "change_quartiles": quartiles(change),
-            "change_lower_in": f"{sum(y < x for x, y in both)} of {len(both)}",
+            "change_lower_in": f"{lower} of {len(both)}",
             "gap_exceeds_parent_iqr": abs(p_med - c_med) > q3 - q1,
+            "claim_met": 10 * lower >= 9 * len(both) and p_med - c_med > q3 - q1,
         }
     return out
 

@@ -318,12 +318,19 @@ _SUBCOMMANDS = [
 ]
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The command-line parser for ``argv``.  Every subcommand is registered,
+    so help, usage and error output list them all, but when ``argv[0]`` names
+    one, only that subcommand's arguments are added: parsing ``argv`` never
+    reaches the others.  Otherwise every subcommand gets its arguments."""
     description = "Exact verification harness for charged Fock-space identities."
     parser = _Parser(prog="chargedfock", description=description)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    named = argv[0] if argv and argv[0] in {name for name, *_ in _SUBCOMMANDS} else None
     for name, help_text, handler, options in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
+        if named not in (None, name):
+            continue
         p.add_argument("config", nargs="?", metavar="CONFIG", help="flat key=value config file")
         for key in CONFIG_KEYS:
             p.add_argument(f"--{key}", dest=f"cfg_{key}", metavar="VALUE", help=f"override {key}")
@@ -336,7 +343,8 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

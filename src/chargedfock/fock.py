@@ -316,13 +316,16 @@ def _positions(level: int) -> dict:
 def row_matrix(rows, out_level: int) -> LevelMatrix:
     """Rows at output level ``out_level`` as the columns of one matrix over
     the least common denominator of all: float64 if a row holds floats
-    (float mode)."""
-    positions, den = _positions(out_level), lcm(1, *[row[0] for row in rows])
-    cells = np.zeros((len(positions), len(rows)), dtype=object)
+    (float mode).  The entries fill one flat list in C order, entry (r, c)
+    at r * len(rows) + c."""
+    positions, den, width = _positions(out_level), lcm(1, *[row[0] for row in rows]), len(rows)
+    cells = [0] * (len(positions) * width)
     for col, (row_den, _, mus, nums) in enumerate(rows):
-        cells[[positions[mu] for mu in mus], col] = [n * (den // row_den) for n in nums]
+        scale = den // row_den
+        for mu, n in zip(mus, nums):
+            cells[positions[mu] * width + col] = n * scale
     floating = any(type(nums[0]) is float for *_, nums in rows if nums)
-    return _matrix(den, cells, cells.shape, None if floating else int(np.abs(cells).max(initial=0)))
+    return _matrix(den, cells, (len(positions), width), None if floating else max(map(abs, cells), default=0))
 
 
 def int_array(x, bound: int) -> np.ndarray:
@@ -334,20 +337,24 @@ def int_array(x, bound: int) -> np.ndarray:
 def sector_stack(den: int, planes, window: Tuple[int, int]) -> LevelMatrix:
     """The stack of (sum over k of j**k planes[k]) / den on every sector j of
     the charge window ``(j_min, j_max)``, or planes[0] / den alone, one plane,
-    no sector axis, when no other plane is nonzero.  Exact planes are summed
-    in int64 while a bound certified from their tops and the window is below
-    2**63, in Python ints past it, and reduced to lowest terms; the stack is
-    int64 when its top is below 2**63.  Float planes (float mode) give
-    float64."""
-    js = np.arange(window[0], window[1] + 1)[:, None, None]
+    no sector axis, when no other plane is nonzero; that plane takes no
+    window arithmetic.  Exact planes are summed in int64 while a bound
+    certified from their tops and the window is below 2**63, in Python ints
+    past it, and reduced to lowest terms, with no gcd pass over the entries
+    when the denominator is already 1; the stack is int64 when its top is
+    below 2**63.  Float planes (float mode) give float64."""
     first, rest = planes[0], [(k, x) for k, x in enumerate(planes[1:], start=1) if x.any()]
+    js = np.arange(window[0], window[1] + 1)[:, None, None] if rest else None
     if first.dtype == float:
-        ints, top = sum((js**k * x for k, x in rest), first), 0
-    else:
-        # the bound is the top itself when planes[0] is the only plane
-        top = sum(max(map(abs, window)) ** k * int(np.abs(x).max(initial=0)) for k, x in [(0, first), *rest])
+        return LevelMatrix(den, sum((js**k * x for k, x in rest), first), 0)
+    top = int(np.abs(first).max(initial=0))
+    if rest:
+        top += sum(max(map(abs, window)) ** k * int(np.abs(x).max(initial=0)) for k, x in rest)
         ints = sum((int_array(js, top) ** k * int_array(x, top) for k, x in rest), int_array(first, top))
-        top = int(np.abs(ints).max(initial=0)) if rest else top
+        top = int(np.abs(ints).max(initial=0))
+    else:
+        ints = int_array(first, top)
+    if den > 1:
         g = gcd(den, int(np.gcd.reduce(ints, axis=None)))  # den itself when every entry is 0
         den, top = den // g, top // g
         ints = int_array(ints // g if g > 1 else ints, top)
@@ -371,7 +378,8 @@ def level_stacks(planes, window: Tuple[int, int], *args):
     def stack(level: int) -> LevelMatrix:
         t0 = time.perf_counter()
         out = sector_stack(*planes(*args, level), window)
-        STACKS.update(built=1, seconds=time.perf_counter() - t0)
+        STACKS["built"] += 1
+        STACKS["seconds"] += time.perf_counter() - t0
         return out
 
     return stack
@@ -394,18 +402,18 @@ def identity(rows: int, cols: Optional[int] = None) -> LevelMatrix:
 def graded_matrix(block, shift: int, top: int) -> LevelMatrix:
     """One operator on all levels 0..top at once, rows and columns ordered by
     level and then by partition: ``block(level)`` is its stack from ``level``
-    to ``level + shift``; outputs past ``top`` are dropped."""
+    to ``level + shift``, asked for only where that output level lies in
+    0..top, so no block is built to be dropped."""
     offsets = [0, *accumulate(len(partitions_of(level)) for level in range(top + 1))]
-    blocks = [block(level) for level in range(top + 1)]
-    den = lcm(*[b.den for b in blocks])
-    cells = np.zeros(np.broadcast_shapes(*[b.ints.shape[:-2] for b in blocks]) + (offsets[-1],) * 2, dtype=object)
+    blocks = {level: block(level) for level in range(max(0, -shift), min(top, top - shift) + 1)}
+    den = lcm(*[b.den for b in blocks.values()])
+    shape = np.broadcast_shapes(*[b.ints.shape[:-2] for b in blocks.values()]) + (offsets[-1],) * 2
+    cells = np.zeros(shape, dtype=object)
     floating = False
-    for level, b in enumerate(blocks):
-        out = level + shift
-        if 0 <= out <= top:
-            rows, cols = slice(offsets[out], offsets[out + 1]), slice(offsets[level], offsets[level + 1])
-            cells[..., rows, cols] = b.ints.astype(object) * (den // b.den)
-            floating = floating or b.ints.dtype == float
+    for level, b in blocks.items():
+        rows, cols = slice(offsets[level + shift], offsets[level + shift + 1]), slice(offsets[level], offsets[level + 1])
+        cells[..., rows, cols] = b.ints.astype(object) * (den // b.den)
+        floating = floating or b.ints.dtype == float
     return _matrix(den, cells, cells.shape, None if floating else np.abs(cells).max())
 
 

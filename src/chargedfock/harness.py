@@ -194,8 +194,9 @@ def _nonzero(space: Space, terms) -> np.ndarray:
     """Where a residual fails, entry by entry, on every sector of its stack."""
     bad, primes = residual(space.ctx, terms)
     _RESIDUALS["batched"] += 1
-    _RESIDUALS["primed"] += primes > 0
-    _RESIDUALS["most_primes"] = max(_RESIDUALS["most_primes"], primes)
+    if primes:
+        _RESIDUALS["primed"] += 1
+        _RESIDUALS["most_primes"] = max(_RESIDUALS["most_primes"], primes)
     return bad
 
 
@@ -237,7 +238,10 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = Non
     level and sector, as J_0 does: all are sliced at the cell's level and rows.
 
     A level whose output level lies below 0 has an empty residual: its
-    states pass without one.  With `mirrors`, one dict per sweep, each
+    states pass without one.  A product x y whose intermediate level, the
+    level plus y's shift, lies below 0 passes through the empty basis, so it
+    is 0 in every modulus and in float64: the residual drops the term
+    without building its stacks.  With `mirrors`, one dict per sweep, each
     level's failing-column mask is kept under (a, b, rhs, level) until the
     mirror cell (b, a, -rhs) takes it in place of its own residual.  The key
     compares the operators' stacks and the coefficients' values, so a
@@ -252,10 +256,8 @@ def _commutator(space: Space, a: _Op, b: _Op, rhs, mirrors: Optional[dict] = Non
             if bad is not None:
                 _RESIDUALS["mirrored"] += 1
             else:
-                terms = [
-                    (1, ((a.at(rows, level + b.shift, b.jshift), b.at(rows, level)),)),
-                    (-1, ((b.at(rows, level + a.shift, a.jshift), a.at(rows, level)),)),
-                ]
+                terms = [(c, ((x.at(rows, level + y.shift, y.jshift), y.at(rows, level)),))
+                         for c, x, y in ((1, a, b), (-1, b, a)) if level + y.shift >= 0]
                 terms += [(-c, (tuple(r.at(rows, level) for r in chain),)) for c, chain in rhs]
                 bad = _nonzero(space, terms).any(axis=-2)
                 if mirrors is not None:
@@ -488,10 +490,11 @@ def _die_with(parent: int) -> None:
     """Have the kernel kill this process when `parent` dies (Linux), and end
     it now if that has happened already."""
     if sys.platform.startswith("linux"):
-        import ctypes
-        import signal
+        import ctypes  # numpy has imported it already
 
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        # 1 is PR_SET_PDEATHSIG and 9 is SIGKILL on every Linux: importing
+        # signal here would cost the forked child about 1.5 ms of its start
+        ctypes.CDLL(None).prctl(1, 9)
     if os.getppid() != parent:
         os._exit(1)
 

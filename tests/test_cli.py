@@ -1,10 +1,11 @@
+import argparse
 import json
 import logging
 import math
 
 import pytest
 
-from chargedfock import desitter, fock, harness
+from chargedfock import cli, desitter, fock, harness
 from chargedfock.cli import main
 from chargedfock.config import ConfigError, RunConfig, build_space, load_config_file, resolve_config
 
@@ -64,6 +65,42 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     bad.write_text("bogus = 1\n", encoding="utf-8")
     assert main(["verify-algebra", str(bad)]) == 1
     capsys.readouterr()
+
+
+SUBCOMMANDS = [name for name, *_ in cli._SUBCOMMANDS]
+
+
+def _every_option(name):
+    """argv for subcommand `name` with its config file and every option set:
+    a choice where it has choices, else 3, which each option's type takes."""
+    full = cli.build_parser()
+    sub = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    argv = [name]
+    for action in sub._actions:
+        if not action.option_strings:
+            argv.insert(1, "run.cfg")
+        elif not isinstance(action, argparse._HelpAction):
+            argv += [action.option_strings[0], action.choices[0] if action.choices else "3"]
+    return argv
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_the_named_subcommands_parser_reads_argv_as_the_full_one(name):
+    # build_parser(argv) adds the arguments of the subcommand argv[0] names only
+    every = _every_option(name)
+    for argv in ([name], every):
+        assert vars(cli.build_parser(argv).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert vars(cli.build_parser(every).parse_args(every))["cfg_seed"] == "3"  # every option took its value
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["no-such-subcommand"], ["verify-algebra", "--bogus"],
+                                  ["verify-algebra", "--help"]])
+def test_help_and_usage_errors_are_the_full_parsers(capsys, monkeypatch, argv):
+    code, printed = main(argv), capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert (main(argv), capsys.readouterr()) == (code, printed)
+    assert printed.out or printed.err
 
 
 @pytest.mark.parametrize(

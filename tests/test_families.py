@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from chargedfock import harness
+from chargedfock import fock, harness
 from chargedfock.cli import main
 from test_harness import HALF, _doubled_rows, _fresh_memos, space
 
@@ -129,6 +129,24 @@ def test_each_family_names_the_level_stacks_it_built(caplog, monkeypatch):
     assert current == forked_current > 0
     assert 0 < vertex_alone < forked_vertex
     _no_child_left()
+
+
+@pytest.mark.parametrize("family", ["current", "vertex"])
+def test_no_family_builds_an_empty_stack_or_multiplies_through_one(monkeypatch, family):
+    # a product through a negative level passes through the empty basis, so it
+    # is 0: at cutoff 6 the families used to build 62 and 36 stacks with an
+    # empty side and pass 141 terms with an empty factor to the residual
+    _fresh_memos(monkeypatch)
+    stacks, terms = [], []
+    build, residual = fock.sector_stack, harness.residual
+    monkeypatch.setattr(fock, "sector_stack", lambda *args: stacks.append(build(*args)) or stacks[-1])
+    monkeypatch.setattr(harness, "residual", lambda ctx, ts: terms.extend(ts) or residual(ctx, ts))
+    suites = getattr(harness, f"_{family}_family")(space(6), HALF)
+    assert all(s["status"] == "pass" for s in suites)
+    empty = lambda m: 0 in m.ints.shape[-2:]  # noqa: E731
+    assert stacks and terms
+    assert [m.ints.shape for m in stacks if empty(m)] == []
+    assert [c for c, chains in terms if any(empty(m) for chain in chains for m in chain)] == []
 
 
 @pytest.mark.parametrize("workers", WORKERS)

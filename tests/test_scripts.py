@@ -80,11 +80,14 @@ def test_bench_pairs_alternate_the_first_side_on_one_path_per_pair():
     assert len({path for _, path, _ in plan}) == 4
 
 
+def _pairs(parent, change):
+    return [{"pair": i, "side": side, "metrics": {"verdict_s": x}}
+            for i, pair in enumerate(zip(parent, change)) for side, x in zip(("parent", "change"), pair)]
+
+
 def test_bench_pairs_summarize_each_metric_over_the_pairs():
     bench_pairs = _bench_pairs()
-    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 3.5, 2.0, 2.5]
-    runs = [{"pair": i, "side": side, "metrics": {"verdict_s": x}}
-            for i, pair in enumerate(zip(parent, change)) for side, x in zip(("parent", "change"), pair)]
+    runs = _pairs([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 3.5, 2.0, 2.5])
     runs.append({"pair": 5, "side": "parent", "metrics": {"verdict_s": 9.0}})  # a pair without its change
     assert bench_pairs.summary(runs) == {"verdict_s": {
         "parent_median": 3.0,
@@ -93,4 +96,19 @@ def test_bench_pairs_summarize_each_metric_over_the_pairs():
         "change_quartiles": [1.5, 2.5],
         "change_lower_in": "4 of 5",
         "gap_exceeds_parent_iqr": False,
+        "claim_met": False,
     }}
+
+
+# the parent's median is 1.25 and its quartiles 1.025 and 1.475, 0.45 apart
+PARENT = [0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7]
+
+
+@pytest.mark.parametrize("change,met", [
+    ([0.5] * 9 + [2.0], True),  # lower in 9 of 10, the medians 0.75 apart
+    ([0.5] * 8 + [2.0, 2.0], False),  # lower in 8 of 10
+    ([0.5] * 8 + [1.6, 2.0], False),  # a tie counts for neither side
+    ([x - 0.3 for x in PARENT], False),  # lower in 10 of 10, but the medians only 0.3 apart
+])
+def test_bench_pairs_claim_a_fall_by_the_benchmarks_rule(change, met):
+    assert _bench_pairs().summary(_pairs(PARENT, change))["verdict_s"]["claim_met"] is met
