@@ -17,9 +17,9 @@ cross pieces are finite computations once the test vectors sit a buffer
 inside the level cutoff (and one charge step inside the window), so their
 residuals against the ladder target must vanish identically.  Only the
 bilinear/bilinear piece is band-truncated: dropped bands leave the cutoff on
-at least one chiral factor, hence are orthogonal to every kept vector, and
-the computed value differs from the true weak form by at most the product of
-the two extrapolated tail norms, summed over both operator orders.
+at least one chiral factor, hence are orthogonal to every kept vector; its
+budget, the product of the two extrapolated tail norms summed over both
+operator orders, estimates how far the computed value is from the true one.
 
 None of the pairings depends on the coupling ``lam``: a weak commutator is a
 quadratic in ``lam`` whose coefficients are the chiral, cross and bilinear
@@ -49,7 +49,7 @@ from . import virasoro
 from .fock import Space, TensorState, charge_key, inner_product, partitions_of, space_key, state_key
 from .scalar import Scalar
 # PsiCache is bound here for bench/tracer.py, which finds the class by this name
-from .twodim import IMAGES, PsiCache, image_inner_product, partial_sum_norm_series, weak_psi_commutator  # noqa: F401
+from .twodim import IMAGES, PsiCache, image_inner_product, partial_sum_norm_series, tail_fit, weak_psi_commutator  # noqa: F401
 from .vertex import charge_multiplier, conformal_weight
 from .virasoro import apply_L_tensor
 
@@ -580,7 +580,7 @@ def _family_sweep(name, space, family, alpha, lam, cells, buffer, record, **prob
     cell (m, n), gen_a and gen_b the family's members at m and n, and on each
     probe pair of :func:`_probe_pairs`, cells outermost.  Logs one INFO line
     on what the sweep computed and what it reused."""
-    t0 = time.perf_counter()
+    t0, fits = time.perf_counter(), tail_fit.cache_info().misses
     _REUSE.clear()
     pairs = _probe_pairs(space, alpha, buffer, **probe_args)
     records = []
@@ -590,13 +590,14 @@ def _family_sweep(name, space, family, alpha, lam, cells, buffer, record, **prob
         records += [record(space, gen_a, gen_b, probe, phi1, phi2, buffer) for probe, phi1, phi2 in pairs]
     log.info(
         "%s: %d records, %d of %d chiral applications computed,"
-        " %d coupling-free pieces computed, %d reused, %.3f s",
+        " %d coupling-free pieces computed, %d reused, %d tail fits computed, %.3f s",
         name,
         len(records),
         _REUSE["chiral_computed"],
         _REUSE["chiral_requested"],
         _REUSE["pieces_computed"],
         _REUSE["pieces_reused"],
+        tail_fit.cache_info().misses - fits,
         time.perf_counter() - t0,
     )
     return records

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -21,17 +22,21 @@ def loglog_slope(series: Sequence[Tuple[float, float]], window=None) -> float:
         raise ValueError("slope fit needs positive coordinates")
     xs = np.log([float(n) for n, _ in pts])
     ys = np.log([float(v) for _, v in pts])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    # np.polyfit(xs, ys, 1)'s own solve, bit for bit, without its argument checks
+    lhs = np.vander(xs, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    c, _, rank, _ = np.linalg.lstsq(lhs, ys, len(xs) * np.finfo(xs.dtype).eps)
+    if rank != 2:  # every n equal
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning)
+    return float(c[0] / scale[0])
 
 
 def tail_budget(last_band_norms: Sequence[float], fitted_slope: float) -> float:
-    """Bound on the dropped remainder of a power-law series.
-
-    With values following ~ C n**slope and N = len(last_band_norms) the last
-    included index, the integral bound on sum_{n>N} is
-    last_value * N / (-1 - slope).  Slopes >= -1 are not summable: +inf.
-    """
+    """Estimate of the dropped remainder of a power-law series: with values
+    ~ C n**slope and N = len(last_band_norms) the last included index,
+    sum_{n>N} <= last_value * N / (-1 - slope), a bound only once the series
+    decays at the fitted slope, which a fit need not show.  Slopes >= -1: +inf."""
     if not last_band_norms:
         return 0.0
     if fitted_slope >= -1:

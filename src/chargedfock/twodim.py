@@ -12,7 +12,7 @@ At a finite level cutoff only the bands whose two chiral outputs both stay
 inside it (and whose target sector stays inside the window) are kept.  Dropped
 bands are orthogonal to everything kept, so the only truncation error in a
 pairing <Psi phi1, Psi phi2> is tail-against-tail, and :func:`psi_pair_form`
-budgets it by extrapolating the band-norm series with :func:`band_tail_norm`.
+estimates it by extrapolating the band-norm series (:func:`band_tail_norm`).
 
 Factorized pairing
 ------------------
@@ -312,10 +312,14 @@ def apply_time_zero(space: Space, mode: TimeZeroMode, v: TensorState):
 def band_tail_norm(report: BandReport) -> float:
     """Estimated norm of the dropped band tail (sqrt of extrapolated sum).
 
-    Returns 0 for an empty application, +inf when the band series is too
-    short or not summably decaying -- never a silent underestimate.
-    """
-    vals = [v for _, v in report.bands]
+    0 for an empty application, +inf when the band series is too short or not
+    summably decaying, else an estimate that can fall below the true tail."""
+    return tail_fit(tuple(v for _, v in report.bands))
+
+
+# keyed by the norms alone: 38 series fill for verify-commutativity's 63 images at cutoffs 6, 7
+@lru_cache(maxsize=1024)
+def tail_fit(vals: Tuple[float, ...]) -> float:
     if not vals or max(vals) == 0.0:
         return 0.0
     pts = [(i, v) for i, v in enumerate(vals, start=1) if v > 0]
@@ -385,7 +389,7 @@ IMAGES = PsiCache()
 
 
 def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, phi1, phi2):
-    """<Psi_bra phi1, Psi_ket phi2> at the cutoff, with a truncation budget.
+    """<Psi_bra phi1, Psi_ket phi2> at the cutoff, with an estimated truncation budget.
 
     Kept components stay inside the cutoff while dropped bands leave it on at
     least one chiral factor, so cross terms between kept and dropped parts

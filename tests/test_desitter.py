@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chargedfock.desitter as desitter
-from chargedfock import virasoro
+from chargedfock import twodim, virasoro
 from chargedfock.desitter import (
     PerturbedGenerator,
     apply_l_part,
@@ -355,6 +355,7 @@ def clear_memos():
     desitter._l_part_slot.cache_clear()
     desitter._entry_slot.cache_clear()
     IMAGES._store.clear()
+    twodim.tail_fit.cache_clear()
 
 
 @st.composite
@@ -539,7 +540,7 @@ def test_a_coupling_sweep_logs_its_reuse(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "chargedfock.desitter"]
     pattern = (
         r"verify_lorentz: (\d+) records, (\d+) of (\d+) chiral applications computed,"
-        r" (\d+) coupling-free pieces computed, (\d+) reused, [\d.]+ s"
+        r" (\d+) coupling-free pieces computed, (\d+) reused, (\d+) tail fits computed, [\d.]+ s"
     )
     counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
     assert [c[0] for c in counts] == [54, 54, 54]
@@ -548,6 +549,8 @@ def test_a_coupling_sweep_logs_its_reuse(caplog):
     # coupling 1 computes nothing: coupling 1/4 filled every bilinear piece
     assert counts[2][1] == counts[2][3] == 0
     assert counts[1][3] > 0 and counts[2][4] == counts[1][3] + counts[1][4]
+    # coupling 1/4 builds the 14 images, whose band norms make 9 distinct series
+    assert [c[5] for c in counts] == [0, 9, 0]
 
 
 def test_the_other_reports_log_their_reuse(caplog):

@@ -472,17 +472,19 @@ def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
 
 def test_commutativity_report_logs_its_images_and_grams(caplog):
     # README quotes this line at the commutativity benchmark's config, with
-    # the memos cold; warm, the report builds no image and computes no Gram again
+    # the memos cold: 63 images, of 38 distinct band series; warm, the report
+    # builds no image and computes no Gram or tail fit again
     twodim._chiral_gram.cache_clear()
     twodim.IMAGES._store.clear()
-    for images, grams in ((63, 96), (0, 0)):
+    twodim.tail_fit.cache_clear()
+    for images, grams, fits in ((63, 96, 38), (0, 0, 0)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
             rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("commutativity: ")]
         assert line.startswith(
             f"commutativity: 25 vacuum and 30 excited rows, {images} of 220 time-zero images built,"
-            f" {grams} chiral Grams computed, "
+            f" {grams} chiral Grams computed, {fits} tail fits computed, "
         )
         assert (len(rep["vacuum"]["rows"]), len(rep["excited"]["rows"])) == (25, 30)
 

@@ -213,6 +213,21 @@ def test_band_tail_norm_power_law():
     assert band_tail_norm(BandReport(flat, False)) == math.inf
 
 
+def test_equal_band_norms_at_shifted_bands_make_one_tail_fit():
+    # the fit reads the norms alone, so the memo is keyed by them: a band
+    # series shifted by three bands is a hit, one changed norm a new fit
+    norms = [float(n + 1) ** -3.0 for n in range(12)]
+    twodim.tail_fit.cache_clear()
+    first = band_tail_norm(BandReport(tuple(enumerate(norms)), False))
+    shifted = band_tail_norm(BandReport(tuple(enumerate(norms, start=-3)), True))
+    assert shifted == first == twodim.tail_fit.__wrapped__(tuple(norms))
+    info = twodim.tail_fit.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    band_tail_norm(BandReport(tuple(enumerate(norms[:-1] + [norms[-1] / 2])), False))
+    assert twodim.tail_fit.cache_info().misses == 2
+    assert 0 < info.maxsize < math.inf
+
+
 def test_tail_product_of_an_empty_side_is_zero():
     assert tail_product(0.0, math.inf) == 0.0
     assert tail_product(math.inf, 0.0) == 0.0
