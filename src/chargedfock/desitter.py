@@ -25,12 +25,14 @@ None of the pairings depends on the coupling ``lam``: a weak commutator is a
 quadratic in ``lam`` whose coefficients are the chiral, cross and bilinear
 pairings.  Two bounded memos, keyed by value, compute each of them once per
 process: :func:`apply_l_part` keeps its outputs, and every (cell, probe pair)
-keeps its coupling-free pieces, one per pairing kind, each filled on first
-use: the chiral pairings ``"ll"``, the cross pairings of each bilinear that
-acts (``"b"`` for B's, ``"a"`` for A's), the bilinear/bilinear value and its
-budget ``"psipsi"`` when both act, and the ladder target's pairings.  A
-coupling sweep then pays its chiral pairings once, and its bilinear pairings
-at the first nonzero coupling.
+keeps its coupling-free pieces, each filled on first use: the chiral
+pairings ``"ll"``, the cross pairings of each bilinear that acts (``"b"``,
+``"a"``), the bilinear/bilinear value and budget ``"psipsi"`` (once per
+unordered mode pair, :func:`~chargedfock.twodim.weak_psi_commutator`) and the
+ladder target's pairings, and which (buffer, whether a bilinear acts) passed
+the checks.  A coupling sweep pays its chiral pairings once, its bilinear
+pairings at the first nonzero coupling, and each further record little more
+than its exact arithmetic.
 """
 
 from __future__ import annotations
@@ -39,17 +41,18 @@ import logging
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import virasoro
 from .fock import Space, TensorState, charge_key, inner_product, partitions_of, space_key, state_key
 from .scalar import Scalar
 # PsiCache is bound here for bench/tracer.py, which finds the class by this name
-from .twodim import IMAGES, PsiCache, image_inner_product, partial_sum_norm_series, tail_fit, weak_psi_commutator  # noqa: F401
+from .twodim import COUNTS, IMAGES, PsiCache, image_inner_product, partial_sum_norm_series, tail_fit  # noqa: F401
+from .twodim import weak_psi_commutator
 from .vertex import charge_multiplier, conformal_weight
 from .virasoro import apply_L_tensor
 
@@ -90,7 +93,7 @@ class PerturbedGenerator:
             raise ValueError("the lorentz family is only defined for m in {-1, 0, 1}")
 
     def at(self, m: int) -> "PerturbedGenerator":
-        return replace(self, m=m)
+        return PerturbedGenerator(self.family, m, self.lam, self.alpha)
 
     def adjoint(self) -> "PerturbedGenerator":
         """All three families satisfy A(m)* = A(-m): the chiral part swaps
@@ -139,16 +142,12 @@ def _entry_slot(key) -> dict:
 _REUSE = Counter()
 
 
-def _space_key(space: Space) -> tuple:
-    """The space's key and the Sugawara fault flag, which changes every L row."""
-    return space_key(space), virasoro.FAULT_SUGAWARA
-
-
 def apply_l_part(space: Space, gen: PerturbedGenerator, v: TensorState) -> TensorState:
     """Unperturbed part: ``L_m`` on the left plus/minus ``L_{-m}`` on the right.
-    Memoized by (space, m, chiral sign, state), each by value and type."""
+    Memoized by (space, Sugawara fault flag, m, chiral sign, state), each by
+    value and type; the flag changes every L row."""
     sign = chiral_sign(gen)
-    slot = _l_part_slot((_space_key(space), gen.m, sign, state_key(v)))
+    slot = _l_part_slot((space_key(space), virasoro.FAULT_SUGAWARA, gen.m, sign, state_key(v)))
     if not slot:
         _REUSE["chiral_computed"] += 1
         left = apply_L_tensor(space, "left", gen.m, v)
@@ -157,8 +156,7 @@ def apply_l_part(space: Space, gen: PerturbedGenerator, v: TensorState) -> Tenso
     return slot[0]
 
 
-@dataclass(frozen=True)
-class WeakParts:
+class WeakParts(NamedTuple):
     """Weak commutator split by operator content, plus the truncation budget
     that applies to the bilinear/bilinear piece alone."""
 
@@ -198,7 +196,8 @@ def _entry(space: Space, gen_a: PerturbedGenerator, gen_b: PerturbedGenerator, p
     """The coupling-free pieces of one (cell, probe pair): a dict filled on
     first use, keyed by value without the coupling."""
     key = (
-        _space_key(space),
+        space_key(space),
+        virasoro.FAULT_SUGAWARA,
         gen_a.family,
         gen_b.family,
         charge_key(gen_a.alpha),
@@ -234,41 +233,44 @@ def weak_commutator_parts(
     ``psipsi`` carries the band-truncation budget.
 
     The pairings come from the (cell, probe pair)'s coupling-free pieces,
-    computed on first use; every check runs on every call.
+    computed on first use; the checks once per (entry, buffer, whether a
+    bilinear acts), a failed one and the charge-equality check on every call.
     """
     ctx = space.ctx
     if gen_a.alpha != gen_b.alpha:
         raise ValueError("both generators must share one vertex charge")
-    needed = max(abs(gen_a.m), abs(gen_b.m), 1)
-    if interior_buffer < needed:
-        raise ValueError(
-            f"interior buffer {interior_buffer} cannot absorb a level shift of {needed}"
-        )
-    _require_interior(space, phi1, interior_buffer, "phi1")
-    _require_interior(space, phi2, interior_buffer, "phi2")
-
     a_coeff = psi_coefficient(space, gen_a)
     b_coeff = psi_coefficient(space, gen_b)
     use_a = not ctx.is_zero(a_coeff)
     use_b = not ctx.is_zero(b_coeff)
-    if use_a or use_b:
-        mult = charge_multiplier(space, gen_a.alpha)
-        _require_charge_interior(space, phi1, mult, "phi1")
-        _require_charge_interior(space, phi2, mult, "phi2")
-
     entry = _entry(space, gen_a, gen_b, phi1, phi2)
+    checked = entry.setdefault("checked", set())
+    if (interior_buffer, use_a or use_b) not in checked:
+        needed = max(abs(gen_a.m), abs(gen_b.m), 1)
+        if interior_buffer < needed:
+            raise ValueError(
+                f"interior buffer {interior_buffer} cannot absorb a level shift of {needed}"
+            )
+        _require_interior(space, phi1, interior_buffer, "phi1")
+        _require_interior(space, phi2, interior_buffer, "phi2")
+        if use_a or use_b:
+            mult = charge_multiplier(space, gen_a.alpha)
+            _require_charge_interior(space, phi1, mult, "phi1")
+            _require_charge_interior(space, phi2, mult, "phi2")
+        checked.add((interior_buffer, use_a or use_b))
+
     _REUSE["chiral_requested"] += 4
     chiral = entry.get("chiral")
     if chiral is None:
-        chiral = entry["chiral"] = (
+        chiral = (
             apply_l_part(space, gen_a.adjoint(), phi1),
             apply_l_part(space, gen_b.adjoint(), phi1),
             apply_l_part(space, gen_a, phi2),
             apply_l_part(space, gen_b, phi2),
         )
-    for applied in chiral:
-        if applied.overflow:
+        if any(applied.overflow for applied in chiral):
             raise ValueError("chiral Virasoro application left the cutoff; enlarge the buffer")
+        entry["chiral"] = chiral
     la_ad1, lb_ad1, la2, lb2 = chiral
 
     ll_ab, ll_ba = _piece(
@@ -299,8 +301,9 @@ def weak_commutator_parts(
         value, psi_budget = _piece(
             entry, "psipsi", lambda: weak_psi_commutator(space, alpha, gen_a.m, gen_b.m, phi1, phi2)
         )
-        psipsi = a_coeff * b_coeff * value
-        budget = abs(complex(a_coeff * b_coeff)) * psi_budget
+        ab_coeff = a_coeff * b_coeff
+        psipsi = ab_coeff * value
+        budget = abs(complex(ab_coeff)) * psi_budget
     return WeakParts(ll, mixed, psipsi, budget)
 
 
@@ -482,7 +485,7 @@ def _probe_pairs(
     return pairs
 
 
-def _residual_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interior_buffer: int) -> dict:
+def _residual_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interior_buffer: int, fields: dict) -> dict:
     ctx = space.ctx
     parts = weak_commutator_parts(space, gen_a, gen_b, phi1, phi2, interior_buffer)
     ll_target, psi_target = commutator_targets(space, gen_a, gen_b, phi1, phi2)
@@ -502,10 +505,7 @@ def _residual_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interio
         "family": gen_a.family,
         "m": gen_a.m,
         "n": gen_b.m,
-        "lambda": ctx.json_real(ctx.re_im(gen_a.lam)[0]),
-        "alpha": ctx.json_real(ctx.re_im(gen_a.alpha)[0]),
-        "L": space.trunc.level_cutoff,
-        "buffer": interior_buffer,
+        **fields,
         "probe": probe,
         "residual_re": float(res_re),
         "residual_im": float(res_im),
@@ -521,7 +521,7 @@ def _residual_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interio
     return record
 
 
-def _gap_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interior_buffer: int) -> Tuple[dict, bool]:
+def _gap_record(space: Space, gen_a, gen_b, probe: str, phi1, phi2, interior_buffer: int, _fields) -> Tuple[dict, bool]:
     """A measured cross-term gap of the constant-coefficient family against
     its prediction ``lam (2d - 1) (m - n) <phi1, Psi_{m+n} phi2>``, and
     whether the gap vanishes."""
@@ -576,21 +576,25 @@ def _cells(m_range: int) -> List[Tuple[int, int]]:
 
 
 def _family_sweep(name, space, family, alpha, lam, cells, buffer, record, **probe_args) -> list:
-    """``record(space, gen_a, gen_b, probe, phi1, phi2, buffer)`` on each
-    cell (m, n), gen_a and gen_b the family's members at m and n, and on each
-    probe pair of :func:`_probe_pairs`, cells outermost.  Logs one INFO line
-    on what the sweep computed and what it reused."""
-    t0, fits = time.perf_counter(), tail_fit.cache_info().misses
+    """``record(space, gen_a, gen_b, probe, phi1, phi2, buffer, fields)`` on
+    each cell (m, n), gen_a and gen_b the family's members at m and n, and on
+    each probe pair of :func:`_probe_pairs`, cells outermost; ``fields`` holds
+    the report fields that are the same for every record, made once.  Logs
+    one INFO line on what the sweep computed and what it reused."""
+    t0, fits, counts = time.perf_counter(), tail_fit.cache_info().misses, Counter(COUNTS)
     _REUSE.clear()
     pairs = _probe_pairs(space, alpha, buffer, **probe_args)
+    lam_text, alpha_text = (space.ctx.json_real(space.ctx.re_im(x)[0]) for x in (lam, alpha))
+    fields = {"lambda": lam_text, "alpha": alpha_text, "L": space.trunc.level_cutoff, "buffer": buffer}
     records = []
     for m, n in cells:
         gen_a = PerturbedGenerator(family, m, lam, alpha)
         gen_b = PerturbedGenerator(family, n, lam, alpha)
-        records += [record(space, gen_a, gen_b, probe, phi1, phi2, buffer) for probe, phi1, phi2 in pairs]
+        records += [record(space, gen_a, gen_b, probe, phi1, phi2, buffer, fields) for probe, phi1, phi2 in pairs]
+    counts = COUNTS - counts
     log.info(
-        "%s: %d records, %d of %d chiral applications computed,"
-        " %d coupling-free pieces computed, %d reused, %d tail fits computed, %.3f s",
+        "%s: %d records, %d of %d chiral applications computed, %d coupling-free pieces computed,"
+        " %d reused, %d tail fits computed, %d Psi-Psi commutators computed, %d from their mirror, %.3f s",
         name,
         len(records),
         _REUSE["chiral_computed"],
@@ -598,6 +602,8 @@ def _family_sweep(name, space, family, alpha, lam, cells, buffer, record, **prob
         _REUSE["pieces_computed"],
         _REUSE["pieces_reused"],
         tail_fit.cache_info().misses - fits,
+        counts["commutators"],
+        counts["mirrored"],
         time.perf_counter() - t0,
     )
     return records

@@ -150,8 +150,10 @@ def charge_key(charge) -> ChargeKey:
 
 
 def space_key(space: Space) -> tuple:
-    """The memo key of a space, its charge quantum by :func:`charge_key`."""
-    return space.ctx, charge_key(space.alpha0), space.trunc
+    """The memo key of a space: its context's and window's fields in a plain
+    tuple, which hashes in C, and its charge quantum by :func:`charge_key`."""
+    ctx, trunc = space.ctx, space.trunc
+    return ctx.mode, ctx.tolerance, charge_key(space.alpha0), trunc.level_cutoff, trunc.j_min, trunc.j_max
 
 
 def state_key(v) -> tuple:

@@ -70,7 +70,7 @@ from .fock import (
     row_matrix,
 )
 from .heisenberg import j_matrices
-from .twodim import GRAMS, IMAGES, partial_sum_norm_series, tail_fit, vacuum_norm_series, weak_psi_commutator
+from .twodim import COUNTS, IMAGES, partial_sum_norm_series, tail_fit, vacuum_norm_series, weak_psi_commutator
 from .vertex import (
     apply_Y_mode,
     charge_multiplier,
@@ -819,10 +819,11 @@ def commutativity_report(
     symmetric truncation cancels them identically, not just within budget).
     Excited pairs are evaluated at an escalating pair of cutoffs to show the
     residual shrinking as the window grows.  Logs one INFO line on the rows,
-    the images built and requested, the chiral Grams and tail fits computed
-    and the seconds, and one WARNING naming the probes that lie past a cutoff.
+    the images built and requested, the chiral Grams, tail fits and Psi-Psi
+    commutators computed, the commutators answered from their mirror and the
+    seconds, and one WARNING naming the probes that lie past a cutoff.
     """
-    t0, grams, built, requests = time.perf_counter(), GRAMS["computed"], IMAGES.built, IMAGES.requests
+    t0, counts, built, requests = time.perf_counter(), Counter(COUNTS), IMAGES.built, IMAGES.requests
     fits = tail_fit.cache_info().misses
     ctx = space.ctx
     L = space.trunc.level_cutoff
@@ -897,10 +898,11 @@ def commutativity_report(
                         shrank = True
                     else:
                         nonincreasing = False
+    counts = COUNTS - counts
     log.info("commutativity: %d vacuum and %d excited rows, %d of %d time-zero images built, %d chiral Grams"
-             " computed, %d tail fits computed, %.3f s", len(vacuum_rows), len(excited_rows), IMAGES.built - built,
-             IMAGES.requests - requests, GRAMS["computed"] - grams, tail_fit.cache_info().misses - fits,
-             time.perf_counter() - t0)
+             " computed, %d tail fits computed, %d Psi-Psi commutators computed, %d from their mirror, %.3f s",
+             len(vacuum_rows), len(excited_rows), IMAGES.built - built, IMAGES.requests - requests, counts["grams"],
+             tail_fit.cache_info().misses - fits, counts["commutators"], counts["mirrored"], time.perf_counter() - t0)
     verdict = "pass" if (vacuum_ok and nonincreasing) else "budget_exceeded"
     return {
         "alpha": ctx.json_real(ctx.re_im(alpha)[0]),

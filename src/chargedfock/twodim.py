@@ -146,12 +146,13 @@ def _chiral_gram(key1: ChargeKey, key2: ChargeKey, delta1: int, lam1: Partition,
         n2 = ket.get(mu)
         if n2 is not None:
             total = total + n1 * n2 * zsym(mu)
-    GRAMS["computed"] += 1
+    COUNTS["grams"] += 1
     return total, den1 * den2
 
 
-# chiral Grams computed in this process; each is computed once per memo entry
-GRAMS = Counter()
+# chiral Grams and weak commutators computed, each once per memo entry, and
+# weak commutators answered from their mirror's, in this process
+COUNTS = Counter()
 
 
 def _by_sector(terms) -> Dict[int, List[Term]]:
@@ -401,13 +402,30 @@ def psi_pair_form(space: Space, mode_bra: TimeZeroMode, mode_ket: TimeZeroMode, 
     return image_inner_product(u, w), tail_product(tail_u, tail_w)
 
 
+# one weak commutator per unordered mode pair: 15 for verify-commutativity's 25 vacuum cells
+@lru_cache(maxsize=1024)
+def _commutator_slot(key) -> list:
+    return []
+
+
 def weak_psi_commutator(space: Space, alpha, m: int, n: int, phi1, phi2):
     """Weak commutator of two symmetrized time-zero modes on a pair of states:
     <Psi_{-m} phi1, Psi_n phi2> - <Psi_{-n} phi1, Psi_m phi2>, with the sum
-    of the two pairings' budgets."""
-    first, b1 = psi_pair_form(space, TimeZeroMode(alpha, -m), TimeZeroMode(alpha, n), phi1, phi2)
-    second, b2 = psi_pair_form(space, TimeZeroMode(alpha, -n), TimeZeroMode(alpha, m), phi1, phi2)
-    return first - second, b1 + b2
+    of the two pairings' budgets.
+
+    Computed once per unordered mode pair, keyed by value: swapping m and n
+    swaps the two pairings, so the mirror is ``zero - W`` with the same
+    budget, bit for bit (``zero - x`` keeps +0.0 where ``-x`` gives -0.0),
+    and W(m, m) = first - first needs one pairing."""
+    slot = _commutator_slot((space_key(space), charge_key(alpha), min(m, n), max(m, n), state_key(phi1), state_key(phi2)))
+    if not slot:
+        COUNTS["commutators"] += 1
+        first, b1 = psi_pair_form(space, TimeZeroMode(alpha, -m), TimeZeroMode(alpha, n), phi1, phi2)
+        second, b2 = (first, b1) if m == n else psi_pair_form(space, TimeZeroMode(alpha, -n), TimeZeroMode(alpha, m), phi1, phi2)
+        slot.append((m, first - second, b1 + b2))
+    first_m, value, budget = slot[0]
+    COUNTS["mirrored"] += first_m != m
+    return (value if first_m == m else space.ctx.zero() - value), budget
 
 
 def vacuum_norm_series(alpha_sq, n_max: int) -> list:

@@ -85,11 +85,13 @@ def charge_multiplier(space: Space, alpha) -> int:
     """alpha / alpha0 as an exact integer; rejects off-lattice charges."""
     if space.alpha0 == 0:
         raise ValueError("alpha0 = 0 admits no charged intertwiners")
-    ratio = alpha / space.alpha0
-    if isinstance(ratio, Fraction):
-        if ratio.denominator != 1:
+    key, key0 = charge_key(alpha), charge_key(space.alpha0)
+    if type(key) is tuple and type(key0) is tuple:  # (p/q) / (r/s) = ps / qr, in integers
+        num, den = key[0] * key0[1], key[1] * key0[0]
+        if num % den:
             raise ValueError(f"alpha = {alpha} is not an integer multiple of alpha0 = {space.alpha0}")
-        return int(ratio)
+        return num // den
+    ratio = alpha / space.alpha0
     rounded = round(ratio)
     if abs(ratio - rounded) > 1e-9:
         raise ValueError(f"alpha = {alpha} is not an integer multiple of alpha0 = {space.alpha0}")

@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chargedfock.desitter as desitter
-from chargedfock import twodim, virasoro
+from chargedfock import virasoro
 from chargedfock.desitter import (
     PerturbedGenerator,
     apply_l_part,
@@ -34,6 +35,7 @@ from chargedfock.scalar import GaussianRational, make_context
 from chargedfock.twodim import IMAGES, image_inner_product
 from chargedfock.vertex import conformal_weight
 from chargedfock.virasoro import apply_L_tensor
+from memos import fresh_memos
 
 EXACT = make_context("exact-rational")
 GAUSS = make_context("exact-gaussian")
@@ -351,13 +353,6 @@ MEMO_BUFFER = 2
 COUPLINGS = ("0", "1/4", "1", "-1/2")
 
 
-def clear_memos():
-    desitter._l_part_slot.cache_clear()
-    desitter._entry_slot.cache_clear()
-    IMAGES._store.clear()
-    twodim.tail_fit.cache_clear()
-
-
 @st.composite
 def memo_cases(draw):
     """(space, family, m, n, calls, phi1, phi2): probes inside the level
@@ -422,17 +417,17 @@ def test_memoized_pieces_equal_a_cold_computation(case):
     # value, type and (in float mode) every bit, also when an equal probe
     # with its entries in another order came first
     sp, family, m, n, calls, phi1, phi2 = case
-    clear_memos()
+    fresh_memos()
     warm = [memo_run(sp, family, m, n, *call, phi1, phi2) for call in calls]
     for call, result in zip(calls, warm):
-        clear_memos()
+        fresh_memos()
         cold = memo_run(sp, family, m, n, *call, phi1, phi2)
         assert cold == result
         assert repr(cold) == repr(result)
 
 
 def test_memos_are_bounded():
-    clear_memos()
+    fresh_memos()
     sp = space(6)
     gen = PerturbedGenerator("lorentz", 1, Fraction(0), ALPHA)
     size = desitter._l_part_slot.cache_info().maxsize
@@ -447,7 +442,7 @@ def test_memos_are_bounded():
 
 
 def test_float_and_exact_spaces_never_share_an_entry():
-    clear_memos()
+    fresh_memos()
     exact, floats = space(6), Space(FLOAT, float(A0), Truncation(6, -2, 2))
     gen_a, gen_b = lorentz_pair(1, -1, lam=Fraction(1))
     float_a, float_b = (PerturbedGenerator("lorentz", g.m, 1.0, 0.5) for g in (gen_a, gen_b))
@@ -477,10 +472,10 @@ def test_l_part_memo_keeps_each_state_s_entry_order():
     w = TensorState(dict(reversed(v.entries.items())))
     sp = Space(FLOAT, 0.5, Truncation(6, -2, 2))
     gen = PerturbedGenerator("lorentz", 1, 0.0, 0.5)
-    clear_memos()
+    fresh_memos()
     apply_l_part(sp, gen, v)
     warm = apply_l_part(sp, gen, w)
-    clear_memos()
+    fresh_memos()
     assert list(warm.entries.items()) == list(apply_l_part(sp, gen, w).entries.items())
 
 
@@ -514,25 +509,53 @@ def test_every_check_runs_on_a_memo_hit():
 
 
 
+@pytest.mark.parametrize("mode", sorted(CONTEXTS))
+def test_a_coupling_reports_the_same_records_cold_and_after_the_others(mode):
+    # the lorentz-sweep benchmark's order: coupling 1/4 after 0 and 1 reads
+    # the checks, pieces and weak commutators that they left, and reports the
+    # records of a cold run, byte for byte
+    ctx = CONTEXTS[mode]
+    sp = Space(ctx, A0 if ctx.exact else float(A0), Truncation(8, -2, 2))
+
+    def run(text):
+        return verify_lorentz(sp, sp.alpha0, ctx.parse(text), interior_buffer=6, seed=0, samples=2)
+
+    fresh_memos()
+    cold = json.dumps(run("1/4"))
+    fresh_memos()
+    run("0")
+    run("1")
+    assert json.dumps(run("1/4")) == cold
+    # a warm entry still refuses the same probe pair with too small a buffer
+    gen_a, gen_b = (PerturbedGenerator("lorentz", m, ctx.parse("1/4"), sp.alpha0) for m in (1, -1))
+    _probe, phi1, phi2 = desitter._probe_pairs(sp, sp.alpha0, 6, seed=0, samples=2)[3]
+    entries = desitter._entry_slot.cache_info().currsize
+    with pytest.raises(ValueError, match="interior buffer"):
+        weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, 0)
+    with pytest.raises(ValueError, match="interior margin"):
+        weak_commutator_parts(sp, gen_a, gen_b, phi1, phi2, 7)
+    assert desitter._entry_slot.cache_info().currsize == entries
+
+
 def test_an_overflowing_chiral_application_raises_on_every_call(monkeypatch):
     # interior probes never overflow, so the kernel is made to flag it
     def flagged(space, side, n, v):
         out = apply_L_tensor(space, side, n, v)
         return TensorState(out.entries, overflow=True)
 
-    clear_memos()
+    fresh_memos()
     monkeypatch.setattr(desitter, "apply_L_tensor", flagged)
     gen_a, gen_b = lorentz_pair(1, -1)
     for _ in range(2):
         with pytest.raises(ValueError, match="left the cutoff"):
             weak_commutator_parts(space(8), gen_a, gen_b, EXCITED, EXCITED, 3)
-    clear_memos()
+    fresh_memos()
 
 
 def test_a_coupling_sweep_logs_its_reuse(caplog):
     # the lorentz-sweep benchmark's config: 21 chiral applications for the
     # whole sweep, where a memo-free run makes 756; coupling 0 builds no image
-    clear_memos()
+    fresh_memos()
     sp = space(8)
     with caplog.at_level(logging.INFO, logger="chargedfock.desitter"):
         for lam in (Fraction(0), Fraction(1, 4), Fraction(1)):
@@ -540,7 +563,8 @@ def test_a_coupling_sweep_logs_its_reuse(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "chargedfock.desitter"]
     pattern = (
         r"verify_lorentz: (\d+) records, (\d+) of (\d+) chiral applications computed,"
-        r" (\d+) coupling-free pieces computed, (\d+) reused, (\d+) tail fits computed, [\d.]+ s"
+        r" (\d+) coupling-free pieces computed, (\d+) reused, (\d+) tail fits computed,"
+        r" (\d+) Psi-Psi commutators computed, (\d+) from their mirror, [\d.]+ s"
     )
     counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
     assert [c[0] for c in counts] == [54, 54, 54]
@@ -551,6 +575,9 @@ def test_a_coupling_sweep_logs_its_reuse(caplog):
     assert counts[1][3] > 0 and counts[2][4] == counts[1][3] + counts[1][4]
     # coupling 1/4 builds the 14 images, whose band norms make 9 distinct series
     assert [c[5] for c in counts] == [0, 9, 0]
+    # both bilinears act in the four cells with m, n = +-1: 3 weak commutators
+    # per probe pair, the cell (1, -1) reading its mirror (-1, 1)'s
+    assert [c[6:] for c in counts] == [(0, 0), (18, 6), (0, 0)]
 
 
 def test_the_other_reports_log_their_reuse(caplog):

@@ -21,7 +21,8 @@ import pytest
 
 from chargedfock import fock, harness
 from chargedfock.cli import main
-from test_harness import HALF, _doubled_rows, _fresh_memos, space
+from memos import fresh_memos
+from test_harness import HALF, _doubled_rows, space
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORKERS = [1, 2]
@@ -118,7 +119,7 @@ def test_each_family_names_the_level_stacks_it_built(caplog, monkeypatch):
     # the vertex family reuses the J and L stacks the current family built
     counts = {}
     for n in WORKERS:
-        _fresh_memos(monkeypatch)
+        fresh_memos(monkeypatch)
         _workers(monkeypatch, n)
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
@@ -136,7 +137,7 @@ def test_no_family_builds_an_empty_stack_or_multiplies_through_one(monkeypatch, 
     # a product through a negative level passes through the empty basis, so it
     # is 0: at cutoff 6 the families used to build 62 and 36 stacks with an
     # empty side and pass 141 terms with an empty factor to the residual
-    _fresh_memos(monkeypatch)
+    fresh_memos(monkeypatch)
     stacks, terms = [], []
     build, residual = fock.sector_stack, harness.residual
     monkeypatch.setattr(fock, "sector_stack", lambda *args: stacks.append(build(*args)) or stacks[-1])

@@ -1,8 +1,6 @@
-import importlib
 import inspect
 import logging
 import math
-import pkgutil
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -11,7 +9,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-import chargedfock
 import chargedfock.desitter as desitter
 import chargedfock.harness as harness
 import chargedfock.heisenberg as heisenberg
@@ -50,6 +47,7 @@ from chargedfock.twodim import partial_sum_norm_series, vacuum_norm_series
 from chargedfock.vertex import charge_multiplier, conformal_weight, vacuum_mode_norm_sq
 from chargedfock.virasoro import central_term
 from fraction_reference import reference_failing, reference_residual
+from memos import fresh_memos
 from state_reference import mode_index
 
 EXACT = make_context("exact-rational")
@@ -107,24 +105,6 @@ def test_degenerate_cutoff_warns_vacuous_interior():
     ]
 
 
-def _fresh_memos(monkeypatch):
-    """Give every memo of the package a fresh store for the test and restore
-    the clean one afterwards: each lru_cache, wherever a module binds it, and
-    the image store of twodim.IMAGES.  The stack, pairing-piece and image
-    memos are keyed by value, not by the rows or stacks they were built from,
-    so a planted fault must neither read their clean entries nor leave its
-    faulted ones for a later test."""
-    fresh = {}
-    for info in pkgutil.iter_modules(chargedfock.__path__):
-        module = importlib.import_module(f"chargedfock.{info.name}")
-        for name, value in list(vars(module).items()):
-            if hasattr(value, "cache_parameters") and value.__module__.startswith("chargedfock."):
-                if value not in fresh:
-                    fresh[value] = lru_cache(**value.cache_parameters())(value.__wrapped__)
-                monkeypatch.setattr(module, name, fresh[value])
-    monkeypatch.setattr(twodim.IMAGES, "_store", {})
-
-
 # mode -> (module, row-table factory) that the apply_* kernels read
 ROW_TABLES = {"J": (heisenberg, "_j_table"), "L": (virasoro, "_l_table"), "Y": (vertex, "_y_table")}
 # mode -> (the stack function that harness imports, the row-table factory's
@@ -142,8 +122,8 @@ def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0, sector=None):
     (the sector raised by `shift`), or only those out of the source `sector`:
     in the rows of its tables, which the apply kernels read, and in the
     stacks that harness imports.  Every memo starts fresh (see
-    :func:`_fresh_memos`)."""
-    _fresh_memos(monkeypatch)
+    :func:`memos.fresh_memos`)."""
+    fresh_memos(monkeypatch)
     doubled = lambda j, mu: (target is None or (j + shift, mu) == target) and sector in (None, j)  # noqa: E731
     module, name = ROW_TABLES[mode]
     make = getattr(module, name)
@@ -187,7 +167,7 @@ def _doubled_rows(monkeypatch, mode, hit, target=None, shift=0, sector=None):
 
 
 def _sugawara_fault(monkeypatch):
-    _fresh_memos(monkeypatch)
+    fresh_memos(monkeypatch)
     monkeypatch.setattr(virasoro, "FAULT_SUGAWARA", True)
 
 
@@ -464,27 +444,28 @@ def test_commutativity_report_builds_each_distinct_image_once(monkeypatch):
 
     monkeypatch.setattr(twodim.PsiCache, "apply", counted_apply)
     monkeypatch.setattr(twodim, "time_zero_image", counted_build)
-    twodim.IMAGES._store.clear()
+    fresh_memos(monkeypatch)
     rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
     assert rep["verdict"] == "pass"
-    assert calls == {"requests": 220, "images": 63}
+    # 25 vacuum cells pair 5 diagonal ones once and 10 others through their mirror
+    assert calls == {"requests": 170, "images": 63}
 
 
 def test_commutativity_report_logs_its_images_and_grams(caplog):
     # README quotes this line at the commutativity benchmark's config, with
-    # the memos cold: 63 images, of 38 distinct band series; warm, the report
-    # builds no image and computes no Gram or tail fit again
-    twodim._chiral_gram.cache_clear()
-    twodim.IMAGES._store.clear()
-    twodim.tail_fit.cache_clear()
-    for images, grams, fits in ((63, 96, 38), (0, 0, 0)):
+    # the memos cold: 63 images, of 38 distinct band series, and 45 weak
+    # commutators, 10 more from their mirror; warm, the report requests no
+    # image and computes nothing again
+    fresh_memos()
+    for images, requests, grams, fits, computed in ((63, 170, 96, 38, 45), (0, 0, 0, 0, 0)):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="chargedfock.harness"):
             rep = commutativity_report(space(7), HALF, seed=0, low_cutoff=6)
         (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("commutativity: ")]
         assert line.startswith(
-            f"commutativity: 25 vacuum and 30 excited rows, {images} of 220 time-zero images built,"
-            f" {grams} chiral Grams computed, {fits} tail fits computed, "
+            f"commutativity: 25 vacuum and 30 excited rows, {images} of {requests} time-zero images built,"
+            f" {grams} chiral Grams computed, {fits} tail fits computed,"
+            f" {computed} Psi-Psi commutators computed, 10 from their mirror, "
         )
         assert (len(rep["vacuum"]["rows"]), len(rep["excited"]["rows"])) == (25, 30)
 

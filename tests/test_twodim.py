@@ -37,6 +37,7 @@ from chargedfock.twodim import (
 )
 from chargedfock.vertex import vacuum_mode_norm_sq
 from fraction_reference import chiral_gram
+from memos import fresh_memos
 from state_reference import close, flip, sign_automorphism
 
 EXACT = make_context("exact-rational")
@@ -217,7 +218,7 @@ def test_equal_band_norms_at_shifted_bands_make_one_tail_fit():
     # the fit reads the norms alone, so the memo is keyed by them: a band
     # series shifted by three bands is a hit, one changed norm a new fit
     norms = [float(n + 1) ** -3.0 for n in range(12)]
-    twodim.tail_fit.cache_clear()
+    fresh_memos()
     first = band_tail_norm(BandReport(tuple(enumerate(norms)), False))
     shifted = band_tail_norm(BandReport(tuple(enumerate(norms, start=-3)), True))
     assert shifted == first == twodim.tail_fit.__wrapped__(tuple(norms))
@@ -556,7 +557,7 @@ def test_band_norms_build_at_most_one_fraction_per_band():
     # the kernel's shape, not its speed: band norms of Psi_{-1} on a basis
     # probe sum Python ints, and divide at most once per band
     image = time_zero_image(space(7), TimeZeroMode(A0, -1), TensorState.basis(0, (2,), (1,)))
-    twodim._chiral_gram.cache_clear()
+    fresh_memos()
     made = []
     new = Fraction.__new__
 
@@ -577,8 +578,7 @@ def test_psi_pair_form_is_the_same_with_the_memo_cold_and_warm(mode):
     sp = Space(ctx, half, Truncation(7, -2, 2))
     phi1, phi2 = TensorState.basis(0, (2,), (1,)), TensorState.basis(0, (1,), ())
     modes = (TimeZeroMode(half, -1), TimeZeroMode(half, 2))
-    twodim._chiral_gram.cache_clear()
-    IMAGES._store.clear()
+    fresh_memos()
     cold = psi_pair_form(sp, *modes, phi1, phi2)
     assert len(IMAGES._store) == 2
     with mock.patch.object(twodim, "time_zero_image", side_effect=AssertionError("rebuilt")):
@@ -613,7 +613,7 @@ def test_psi_cache_refuses_an_image_that_leaves_the_charge_window():
     # dropped terms of a clipped image are not orthogonal to the kept ones,
     # so no pairing may read one, and a refused image is never stored
     sp = space(6)
-    IMAGES._store.clear()
+    fresh_memos()
     edge = TensorState.basis(2, (1,), ())
     with pytest.raises(ValueError, match="left the charge window"):
         IMAGES.apply(sp, A0, 1, edge)
@@ -662,3 +662,42 @@ def test_float_and_exact_spaces_with_equal_alpha0_never_share_an_image():
     quarter, _ = cache.apply(Space(EXACT, Fraction(1, 4), exact.trunc), A0, 1, state)
     assert len(cache._store) == 4 and {term[0] for term in quarter.terms} == {-2, 2}
 
+
+
+COMMUTATOR_MODES = {
+    "exact-rational": (EXACT, A0, 1),
+    "exact-gaussian": (make_context("exact-gaussian"), A0, GaussianRational(0, 1)),
+    "float": (make_context("float", 1e-9), 0.5, 1.0),
+}
+PROBE_PARTITIONS = [lam for level in range(3) for lam in partitions_of(level)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(COMMUTATOR_MODES)),
+    st.integers(-2, 2),
+    st.integers(-2, 2),
+    st.tuples(*[st.integers(-1, 1), st.sampled_from(PROBE_PARTITIONS), st.sampled_from(PROBE_PARTITIONS)] * 2),
+)
+@example("float", 1, 0, (0, (), (), 0, (), ()))  # both pairings 0.0: the mirror must keep +0.0
+def test_a_weak_commutator_s_mirror_is_zero_minus_it(mode, m, n, probes):
+    # swapping m and n swaps the two pairings: a cold W(n, m) equals
+    # zero - W(m, n) with the same budget, bit for bit in float mode with the
+    # sign of zero, and so does W(n, m) read from the mirror's memo slot
+    ctx, half, unit = COMMUTATOR_MODES[mode]
+    sp = Space(ctx, half, Truncation(6, -2, 2))
+    phi1 = TensorState.basis(*probes[:3])
+    phi2 = TensorState.basis(*probes[3:]).scale(unit)
+    fresh_memos()
+    value, budget = weak_psi_commutator(sp, half, m, n, phi1, phi2)
+    mirrored, mirrored_budget = weak_psi_commutator(sp, half, n, m, phi1, phi2)
+    fresh_memos()
+    cold, cold_budget = weak_psi_commutator(sp, half, n, m, phi1, phi2)
+    for got in (ctx.zero() - value, mirrored):
+        _same(got, cold)
+        assert type(got) is type(cold)
+    _same(mirrored_budget, cold_budget)
+    _same(budget, cold_budget)
+    if m == n:
+        _, pair_budget = psi_pair_form(sp, TimeZeroMode(half, -m), TimeZeroMode(half, m), phi1, phi2)
+        assert value == 0 and budget == 2 * pair_budget

@@ -31,6 +31,7 @@ from chargedfock.vertex import (
 )
 from chargedfock.virasoro import apply_L
 from fraction_reference import recursive_element
+from memos import fresh_memos
 from state_reference import mode_index
 
 EXACT = make_context("exact-rational")
@@ -248,7 +249,7 @@ def test_export_mode_block_deterministic():
 def test_recursive_oracle_keeps_float_and_exact_charges_apart():
     # 0.5 == Fraction(1, 2) with equal hashes: an untyped memo hands the
     # float matrix element cached by a float run to a later exact run
-    vertex._recursive_element.cache_clear()
+    fresh_memos()
     float_space = Space(make_context("float", 1e-9), 0.5, Truncation(4, -2, 2))
     exact_space = Space(EXACT, A0, Truncation(4, -2, 2))
     vac = SectorState.basis(0, ())

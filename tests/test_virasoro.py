@@ -15,6 +15,7 @@ from chargedfock.fock import (
 from chargedfock.heisenberg import apply_J
 from chargedfock.scalar import make_context
 from chargedfock.virasoro import apply_L, apply_L_tensor, central_term
+from memos import fresh_memos
 from state_reference import sugawara_k_loop
 
 EXACT = make_context("exact-rational")
@@ -149,7 +150,7 @@ def test_overflow_flag_on_truncated_action():
 def test_sugawara_rows_keep_float_and_exact_charges_apart():
     # L_0 on the charge-1/2 vacuum is beta^2/2 = 1/8; a float run first must
     # not leave its 0.125 for the exact run, nor the exact row for the float run
-    virasoro._sugawara_on_basis.cache_clear()
+    fresh_memos()
     float_space = Space(make_context("float", 1e-9), 0.5, Truncation(4, -2, 2))
     vac = SectorState.basis(1, ())
     floats = apply_L(float_space, 0, vac)
